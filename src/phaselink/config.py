@@ -44,12 +44,10 @@ class SweepGrid:
             raise ValueError("d_fs_step must be positive")
 
     def points(self) -> list:
-        """Ascending grid; empty when stop < start."""
+        """Ascending grid start + i * step; empty when stop < start."""
         out = []
-        d = self.d_fs_start
-        while d <= self.d_fs_stop + 1e-9:
+        while (d := self.d_fs_start + len(out) * self.d_fs_step) <= self.d_fs_stop + 1e-9:
             out.append(d)
-            d += self.d_fs_step
         return out
 
 
@@ -88,7 +86,8 @@ class ScenarioConfig:
         )
 
 
-# (section, key) -> type tag; "ratio" is the a:b:c form
+# (section, key) -> type tag; "ratio" is the a:b:c form. Sections are the
+# ScenarioConfig fields and keys their dataclasses' fields, in canonical order.
 _SCHEMA = {
     "atmosphere": {"cn2": float, "l0": float, "alpha_fs": float},
     "beam": {"w0": float, "gamma": float, "wavelength": float},
@@ -131,19 +130,6 @@ _OPTIONAL_KEYS = {
     "source": {"rep_rate", "q", "mix_ratio"},
     "detector": {"e_mis", "f_ec"},
 }
-
-_SECTION_ORDER = (
-    "atmosphere",
-    "beam",
-    "geometry",
-    "source",
-    "detector",
-    "seeds",
-    "protocol",
-    "sweep",
-    "montecarlo",
-    "jitter",
-)
 
 
 def _parse_value(section: str, key: str, raw: str, lineno: int):
@@ -245,76 +231,11 @@ def _format_value(value) -> str:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    sections = {
-        "atmosphere": {
-            "cn2": cfg.atmosphere.cn2,
-            "l0": cfg.atmosphere.l0,
-            "alpha_fs": cfg.atmosphere.alpha_fs,
-        },
-        "beam": {
-            "w0": cfg.beam.w0,
-            "gamma": cfg.beam.gamma,
-            "wavelength": cfg.beam.wavelength,
-        },
-        "geometry": {
-            "d_fs": cfg.geometry.d_fs,
-            "d_fiber": cfg.geometry.d_fiber,
-            "a_r": cfg.geometry.a_r,
-            "conv_loss_db": cfg.geometry.conv_loss_db,
-            "adapter_loss_db": cfg.geometry.adapter_loss_db,
-            "alpha_fiber": cfg.geometry.alpha_fiber,
-        },
-        "source": {
-            "mu": cfg.source.mu,
-            "nu": cfg.source.nu,
-            "mix_ratio": cfg.source.mix_ratio,
-            "rep_rate": cfg.source.rep_rate,
-            "q": cfg.source.q,
-        },
-        "detector": {
-            "p_d": cfg.detector.p_d,
-            "eta_d": cfg.detector.eta_d,
-            "visibility": cfg.detector.visibility,
-            "e_mis": cfg.detector.e_mis,
-            "f_ec": cfg.detector.f_ec,
-            "eta_b": cfg.detector.eta_b,
-        },
-        "seeds": {
-            "alice": cfg.seeds.alice,
-            "bob": cfg.seeds.bob,
-            "channel": cfg.seeds.channel,
-        },
-        "protocol": {
-            "fec_ratio": cfg.protocol.fec_ratio,
-            "spread_ratio": cfg.protocol.spread_ratio,
-            "qber_threshold": cfg.protocol.qber_threshold,
-            "sample_fraction": cfg.protocol.sample_fraction,
-            "duty_cycle": cfg.protocol.duty_cycle,
-            "n_frames": cfg.protocol.n_frames,
-            "initial_pool_bits": cfg.protocol.initial_pool_bits,
-        },
-    }
-    if cfg.sweep is not None:
-        sections["sweep"] = {
-            "d_fs_start": cfg.sweep.d_fs_start,
-            "d_fs_stop": cfg.sweep.d_fs_stop,
-            "d_fs_step": cfg.sweep.d_fs_step,
-        }
-    if cfg.montecarlo is not None:
-        sections["montecarlo"] = {"n_pulses": cfg.montecarlo.n_pulses}
-    if cfg.jitter is not None:
-        sections["jitter"] = {
-            "max_db": cfg.jitter.max_db,
-            "tau_s": cfg.jitter.tau_s,
-            "step_db": cfg.jitter.step_db,
-        }
     lines = []
-    for name in _SECTION_ORDER:
-        if name not in sections:
-            continue
-        for key in _SCHEMA[name]:
-            if key in sections[name]:
-                lines.append(f"{name}.{key} = {_format_value(sections[name][key])}")
+    for name, keys in _SCHEMA.items():
+        section = getattr(cfg, name)
+        if section is not None:
+            lines += [f"{name}.{key} = {_format_value(getattr(section, key))}" for key in keys]
     return "\n".join(lines) + "\n"
 
 

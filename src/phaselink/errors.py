@@ -37,10 +37,6 @@ class KeyPoolExhausted(PhaselinkError):
     """Key pool balance cannot cover a requested debit."""
 
 
-class EmptySift(PhaselinkError):
-    """Security check invoked with no kept records."""
-
-
 class FrameLost(PhaselinkError):
     """At least one coded-bit group has zero surviving chips."""
 
@@ -63,6 +59,10 @@ class Abort(PhaselinkError):
 
 class TransportClosed(PhaselinkError):
     """Read or write attempted on a closed transport."""
+
+
+class ProtocolError(PhaselinkError):
+    """Malformed or unexpected message on the classical channel."""
 
 
 class ConfigError(PhaselinkError, ValueError):

@@ -2,10 +2,11 @@
 
 Each pulse of intensity a clicks with the exact union probability of a
 dark event and a photon event, 1 - (1 - Y0) exp(-eta a); given a click,
-an error occurs with probability (e0 Y0 + (e_det + e_mis)(1 - exp(-eta a)))
-/ (Y0 + 1 - exp(-eta a)). The union click model differs from the additive
-closed form by O(Y0 * eta * a), far below sampling noise at the scales
-simulated here. Double-click events are not modeled.
+an error occurs with the closed-form QBER of rates.gain_and_qber. The union
+click model differs from the additive closed form by O(Y0 * eta * a), far
+below sampling noise at the scales simulated here. Double-click events are
+not modeled. detect is the one detection kernel: simulate_batch and the
+session receiver both call it.
 
 Batches are reproducible: all draws come from counter-based streams keyed
 by the plan seed (see rng), so identical inputs give identical statistics
@@ -20,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientStatistics
-from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND
+from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
 from .rng import split_seed, uniforms
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
 CLASS_VACUUM = 2
-_CLASS_NAMES = ("signal", "decoy", "vacuum")
 
 __all__ = [
     "CLASS_SIGNAL",
@@ -35,6 +35,8 @@ __all__ = [
     "PulsePlan",
     "ClassCounts",
     "BatchStats",
+    "draw_classes",
+    "detect",
     "simulate_batch",
     "stats_to_observables",
     "split_seed",
@@ -61,10 +63,7 @@ class PulsePlan:
         total = float(sum(mix_ratio))
         p_sig = mix_ratio[0] / total
         p_dec = mix_ratio[1] / total
-        u = uniforms(split_seed(seed, 0), n_pulses)
-        schedule = np.full(n_pulses, CLASS_VACUUM, dtype=np.uint8)
-        schedule[u < p_sig + p_dec] = CLASS_DECOY
-        schedule[u < p_sig] = CLASS_SIGNAL
+        schedule = draw_classes(uniforms(split_seed(seed, 0), n_pulses), p_sig, p_dec)
         return cls(n_pulses=n_pulses, seed=seed, intensity_schedule=schedule)
 
 
@@ -114,35 +113,37 @@ class BatchStats:
     decoy: ClassCounts
     vacuum: ClassCounts
 
-    def by_class(self, cls_index: int) -> ClassCounts:
-        return getattr(self, _CLASS_NAMES[cls_index])
 
-    @classmethod
-    def from_observables(cls, obs: DecoyObservables, sent: float = 2.0**30) -> "BatchStats":
-        """Embed exact observables as analytic counts.
-
-        sent defaults to a power of two so clicked/sent reproduces the
-        gains bit-exactly.
-        """
-        return cls(
-            signal=ClassCounts(sent, obs.q_mu * sent, obs.e_mu * obs.q_mu * sent),
-            decoy=ClassCounts(sent, obs.q_nu * sent, obs.e_nu * obs.q_nu * sent),
-            vacuum=ClassCounts(sent, obs.y0 * sent, E0_BACKGROUND * obs.y0 * sent),
-        )
+def draw_classes(u: np.ndarray, p_sig: float, p_dec: float) -> np.ndarray:
+    """Intensity class per uniform: signal below p_sig, decoy below
+    p_sig + p_dec, vacuum otherwise."""
+    classes = np.full(len(u), CLASS_VACUUM, dtype=np.uint8)
+    classes[u < p_sig + p_dec] = CLASS_DECOY
+    classes[u < p_sig] = CLASS_SIGNAL
+    return classes
 
 
-def click_probability(eta: float, intensity: float, y0: float) -> float:
-    """Union probability of a dark or photon click for one pulse."""
-    return 1.0 - (1.0 - y0) * math.exp(-eta * intensity)
+def detect(
+    classes: np.ndarray,
+    eta: float,
+    src: SourceConfig,
+    det: DetectorConfig,
+    click_seed: int,
+    error_seed: int,
+) -> tuple:
+    """Click and error flags for pulses of the given intensity classes.
 
-
-def error_given_click(eta: float, intensity: float, det: DetectorConfig) -> float:
-    """Conditional error probability for a clicked pulse."""
-    photon = -math.expm1(-eta * intensity)
-    gain = det.y0 + photon
-    if gain == 0.0:
-        return E0_BACKGROUND
-    return (E0_BACKGROUND * det.y0 + (det.e_det + det.e_mis) * photon) / gain
+    Click draws come from the click_seed stream and error draws from the
+    error_seed stream, one of each per pulse; errors only occur on clicks.
+    """
+    intensities = (src.mu, src.nu, 0.0)
+    p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities])
+    p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
+    n = len(classes)
+    # the two uniform arrays are temporaries, never alive at the same time
+    clicks = uniforms(click_seed, n) < p_click[classes]
+    errors = clicks & (uniforms(error_seed, n) < p_err[classes])
+    return clicks, errors
 
 
 def simulate_batch(
@@ -154,15 +155,10 @@ def simulate_batch(
     """Sample clicks and error flips for every pulse of the plan."""
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
-    intensities = np.array([src.mu, src.nu, 0.0])
-    p_click = np.array([click_probability(eta, a, det.y0) for a in intensities])
-    p_err = np.array([error_given_click(eta, a, det) for a in intensities])
-
     sched = plan.intensity_schedule
-    u_click = uniforms(split_seed(plan.seed, 1), plan.n_pulses)
-    u_err = uniforms(split_seed(plan.seed, 2), plan.n_pulses)
-    clicked = u_click < p_click[sched]
-    errored = clicked & (u_err < p_err[sched])
+    clicked, errored = detect(
+        sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2)
+    )
 
     counts = []
     for c in (CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM):

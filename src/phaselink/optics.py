@@ -30,6 +30,7 @@ __all__ = [
     "rayleigh_length",
     "effective_waist",
     "transmittance",
+    "jitter_step",
     "loss_trace",
 ]
 
@@ -263,6 +264,21 @@ def transmittance(
     )
 
 
+def jitter_step(x: float, u: float, jitter: JitterSpec, dt: float) -> float:
+    """Advance the jitter excursion x [dB] by dt seconds using one uniform u.
+
+    The excursion decays toward zero over tau_s, takes a zero-mean,
+    unit-variance step scaled by step_db * sqrt(dt), and is reflected at
+    +-max_db, so the long-run mean is zero and no value leaves the bound.
+    """
+    step = (2.0 * u - 1.0) * math.sqrt(3.0) * jitter.step_db * math.sqrt(dt)
+    x = x * max(0.0, 1.0 - dt / jitter.tau_s) + step
+    bound = jitter.max_db
+    while x > bound or x < -bound:
+        x = 2.0 * bound - x if x > bound else -2.0 * bound - x
+    return x
+
+
 def loss_trace(
     geom: LinkGeometry,
     atm: AtmosphereParams,
@@ -276,9 +292,8 @@ def loss_trace(
 ) -> np.ndarray:
     """Sampled total link loss [dB] under bounded slow jitter.
 
-    The static budget loss is perturbed by a mean-reverting random walk
-    reflected at +-max_db, so the long-run mean stays at the static loss
-    and no sample leaves the bound. Deterministic for a fixed seed.
+    The static budget loss is perturbed by the jitter_step walk, one step
+    per sample. Deterministic for a fixed seed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -288,18 +303,9 @@ def loss_trace(
     n = int(round(duration / dt))
     if jitter.max_db == 0.0:
         return np.full(n, static_db)
-    # zero-mean, unit-variance steps; decay pulls toward the static level
-    steps = (uniforms(seed, n) * 2.0 - 1.0) * math.sqrt(3.0) * jitter.step_db * math.sqrt(dt)
-    decay = max(0.0, 1.0 - dt / jitter.tau_s)
-    bound = jitter.max_db
     out = np.empty(n)
     x = 0.0
-    for i in range(n):
-        x = x * decay + steps[i]
-        while x > bound or x < -bound:
-            if x > bound:
-                x = 2.0 * bound - x
-            else:
-                x = -2.0 * bound - x
+    for i, u in enumerate(uniforms(seed, n).tolist()):
+        x = jitter_step(x, u, jitter, dt)
         out[i] = static_db + x
     return out

@@ -1,26 +1,14 @@
 from .framing import Frame, decode, mask_stream, preprocess
 from .ledger import FrameAccounting, KeyLedger, ledger_commit
-from .phases import (
-    BASIS_X,
-    BASIS_Z,
-    ClickOutcome,
-    PhaseSymbol,
-    SiftRecord,
-    encode_pulse,
-    measure_pulse,
-    modulator_settings,
-)
 from .session import (
     AliceSession,
     BobSession,
-    CheckResult,
     ProtocolParams,
     Seeds,
     SessionReport,
     SessionSpec,
     run_session,
     run_session_detailed,
-    security_check,
 )
 
 __all__ = [
@@ -31,22 +19,12 @@ __all__ = [
     "FrameAccounting",
     "KeyLedger",
     "ledger_commit",
-    "BASIS_X",
-    "BASIS_Z",
-    "ClickOutcome",
-    "PhaseSymbol",
-    "SiftRecord",
-    "encode_pulse",
-    "measure_pulse",
-    "modulator_settings",
     "AliceSession",
     "BobSession",
-    "CheckResult",
     "ProtocolParams",
     "Seeds",
     "SessionReport",
     "SessionSpec",
     "run_session",
     "run_session_detailed",
-    "security_check",
 ]

@@ -66,14 +66,6 @@ class FrameAccounting:
         if not (0 <= self.disclosed <= self.kept <= self.chips):
             raise ValueError("require disclosed <= kept <= chips")
 
-    @classmethod
-    def from_sift_map(cls, sift_map, disclosed: int = 0) -> "FrameAccounting":
-        """Counts from a boolean kept-map over a frame's chip positions."""
-        import numpy as np
-
-        kept = int(np.count_nonzero(np.asarray(sift_map, dtype=bool)))
-        return cls(chips=len(sift_map), kept=kept, disclosed=disclosed)
-
 
 def ledger_commit(ledger: KeyLedger, frame_stats: FrameAccounting) -> KeyLedger:
     """Credit recycling and fresh generation for one processed frame.

@@ -28,26 +28,26 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
-from ..errors import Abort, EmptySift, FrameCorrupt, FrameLost, TransportClosed
-from ..montecarlo import (
-    CLASS_DECOY,
-    CLASS_SIGNAL,
-    CLASS_VACUUM,
-    click_probability,
-    error_given_click,
+from ..errors import Abort, FrameCorrupt, FrameLost, ProtocolError, TransportClosed
+from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, detect, draw_classes
+from ..optics import (
+    AtmosphereParams,
+    BeamParams,
+    JitterSpec,
+    LinkGeometry,
+    jitter_step,
+    transmittance,
 )
-from ..optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry, transmittance
 from ..rates import DetectorConfig, SourceConfig
 from ..rng import random_bits, random_bytes, split_seed, uniforms
 from . import wire
 from .framing import Frame, decode, preprocess
 from .ledger import FrameAccounting, KeyLedger, ledger_commit
-from .phases import SiftRecord
 
 # stream ids for seed derivation
 _S_PAYLOAD = 1
@@ -126,54 +126,30 @@ class SessionReport:
     elapsed_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "qber": self.qber,
-            "comm_rate": self.comm_rate,
-            "key_gen_rate": self.key_gen_rate,
-            "key_cons_rate": self.key_cons_rate,
-            "p_rec_empirical": self.p_rec_empirical,
-            "frames_ok": self.frames_ok,
-            "frames_failed": self.frames_failed,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-            "q_mu_hat": self.q_mu_hat,
-            "q_nu_hat": self.q_nu_hat,
-            "total_pulses": self.total_pulses,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
-class CheckResult(NamedTuple):
-    decision: str  # "proceed" | "abort"
-    qber_estimate: float
-    disclosed_indices: np.ndarray
+def _recv(transport, *expected: int) -> tuple:
+    """Next (type, payload) message; ProtocolError unless of an expected type."""
+    msg, payload = transport.recv()
+    if msg not in expected:
+        want = " or ".join(wire.MESSAGE_NAMES[t] for t in expected)
+        got = wire.MESSAGE_NAMES.get(msg, f"unknown type {msg:#04x}")
+        raise ProtocolError(f"expected {want}, received {got}")
+    return msg, payload
 
 
-def security_check(
-    records: Sequence[SiftRecord],
-    alice_bits: Sequence[int],
-    sample_fraction: float,
-    threshold: float,
-    seed: int = 0,
-) -> CheckResult:
-    """Estimate the QBER on a random disclosed subset of kept records.
+def _sample_positions(kept_idx: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """Kept positions to disclose for the QBER check, in ascending order.
 
-    alice_bits aligns with records by position. Aborts iff the estimate
-    exceeds the threshold; disclosed records must be excluded from message
-    and key use by the caller. Raises EmptySift when nothing was kept.
+    max(1, floor(len(kept_idx) * fraction)) positions are chosen by the
+    order of one uniform per kept position; none when nothing was kept.
     """
-    if not (0.0 < sample_fraction <= 1.0):
-        raise ValueError("sample_fraction must be in (0, 1]")
-    kept_idx = [i for i, r in enumerate(records) if r.kept]
-    if not kept_idx:
-        raise EmptySift("no kept records to check")
-    n_sample = max(1, int(len(kept_idx) * sample_fraction))
+    if not len(kept_idx):
+        return np.empty(0, dtype=np.int64)
+    n_sample = max(1, int(len(kept_idx) * fraction))
     order = np.argsort(uniforms(seed, len(kept_idx)), kind="stable")
-    chosen = np.array(kept_idx, dtype=np.int64)[order[:n_sample]]
-    errors = sum(records[i].bob_bit != alice_bits[i] for i in chosen)
-    qber = errors / n_sample
-    decision = "abort" if qber > threshold else "proceed"
-    return CheckResult(decision=decision, qber_estimate=qber, disclosed_indices=chosen)
+    return np.sort(kept_idx[order[:n_sample]])
 
 
 def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
@@ -190,10 +166,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     need = n_chips
     while total_signal < n_chips:
         est = int(need / p_sig * 1.05) + 64
-        u = uniforms(seed, est, offset)
-        c = np.full(est, CLASS_VACUUM, dtype=np.uint8)
-        c[u < p_sig + p_dec] = CLASS_DECOY
-        c[u < p_sig] = CLASS_SIGNAL
+        c = draw_classes(uniforms(seed, est, offset), p_sig, p_dec)
         chunks.append(c)
         total_signal += int(np.count_nonzero(c == CLASS_SIGNAL))
         offset += est
@@ -277,8 +250,7 @@ class AliceSession:
                 wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bases, bits)
             )
 
-            msg, payload_bytes = transport.recv()
-            assert msg == wire.BASIS_ANNOUNCE
+            _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
             _, bob_bases, clicks = wire.decode_basis_announce(payload_bytes)
             self._tally.add(classes, clicks)
 
@@ -286,23 +258,14 @@ class AliceSession:
             kept = clicks & matched
             kept_sig_idx = np.flatnonzero(kept & signal_mask)
 
-            n_sample = (
-                max(1, int(len(kept_sig_idx) * p.sample_fraction))
-                if len(kept_sig_idx)
-                else 0
+            sample_idx = _sample_positions(
+                kept_sig_idx,
+                p.sample_fraction,
+                split_seed(split_seed(spec.seeds.alice, _S_SAMPLE), f),
             )
-            if n_sample:
-                order = np.argsort(
-                    uniforms(split_seed(split_seed(spec.seeds.alice, _S_SAMPLE), f),
-                             len(kept_sig_idx)),
-                    kind="stable",
-                )
-                sample_idx = np.sort(kept_sig_idx[order[:n_sample]])
-            else:
-                sample_idx = np.empty(0, dtype=np.int64)
+            n_sample = len(sample_idx)
             transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample_idx))
-            msg, payload_bytes = transport.recv()
-            assert msg == wire.SAMPLE_DISCLOSE
+            _, payload_bytes = _recv(transport, wire.SAMPLE_DISCLOSE)
             disclosed_bits = wire.decode_sample_disclose(payload_bytes)
 
             frame_errors = int(np.count_nonzero(disclosed_bits != bits[sample_idx]))
@@ -334,8 +297,7 @@ class AliceSession:
                 ),
             )
 
-            msg, payload_bytes = transport.recv()
-            assert msg == wire.REPORT
+            _, payload_bytes = _recv(transport, wire.REPORT)
             result = wire.decode_report(payload_bytes)
             ok = (
                 result.get("status") == "ok"
@@ -391,49 +353,34 @@ class BobSession:
             u = uniforms(
                 split_seed(split_seed(self.spec.seeds.channel, _S_JITTER), frame_id), 1
             )[0]
-            step = (2.0 * u - 1.0) * np.sqrt(3.0) * jit.step_db * np.sqrt(frame_duration)
-            x = self._jitter_x * max(0.0, 1.0 - frame_duration / jit.tau_s) + step
-            while x > jit.max_db or x < -jit.max_db:
-                x = 2.0 * jit.max_db - x if x > jit.max_db else -2.0 * jit.max_db - x
-            self._jitter_x = x
-            extra += x
+            self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
+            extra += self._jitter_x
         return self.static_db + extra
 
     def run(self, transport) -> None:
         spec = self.spec
-        det, src = spec.det, spec.src
-        intensities = {CLASS_SIGNAL: src.mu, CLASS_DECOY: src.nu, CLASS_VACUUM: 0.0}
         done = False
         while not done:
-            msg, payload = transport.recv()
+            msg, payload = _recv(transport, wire.FRAME_META, wire.ABORT)
             if msg == wire.ABORT:
                 return
-            assert msg == wire.FRAME_META
             meta = wire.decode_frame_meta(payload)
             done = meta["last"]
             f = meta["frame_id"]
             n_pulses = meta["n_pulses"]
 
-            msg, payload = transport.recv()
-            assert msg == wire.QUANTUM
+            _, payload = _recv(transport, wire.QUANTUM)
             start, classes, alice_bases, alice_bits = wire.decode_quantum(payload)
 
-            loss_db = self._frame_loss_db(f, n_pulses / src.rep_rate)
-            eta = 10.0 ** (-loss_db / 10.0)
-            p_click = np.array(
-                [click_probability(eta, intensities[c], det.y0) for c in range(3)]
+            loss_db = self._frame_loss_db(f, n_pulses / spec.src.rep_rate)
+            clicks, errors = detect(
+                classes,
+                10.0 ** (-loss_db / 10.0),
+                spec.src,
+                spec.det,
+                split_seed(split_seed(spec.seeds.channel, _S_CLICK), f),
+                split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
             )
-            p_err = np.array(
-                [error_given_click(eta, intensities[c], det) for c in range(3)]
-            )
-            u_click = uniforms(
-                split_seed(split_seed(spec.seeds.channel, _S_CLICK), f), n_pulses
-            )
-            u_err = uniforms(
-                split_seed(split_seed(spec.seeds.channel, _S_ERROR), f), n_pulses
-            )
-            clicks = u_click < p_click[classes]
-            errors = clicks & (u_err < p_err[classes])
             bob_bases = random_bits(split_seed(spec.seeds.bob, f), n_pulses)
             bob_bits = alice_bits ^ errors.astype(np.uint8)
 
@@ -441,17 +388,15 @@ class BobSession:
                 wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, bob_bases, clicks)
             )
 
-            msg, payload = transport.recv()
-            assert msg == wire.SAMPLE_REQUEST
+            _, payload = _recv(transport, wire.SAMPLE_REQUEST)
             sample_idx = wire.decode_sample_request(payload)
             transport.send(
                 wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bob_bits[sample_idx])
             )
 
-            msg, payload = transport.recv()
+            msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
                 return
-            assert msg == wire.SIFT_MAP
             _, chip_map = wire.decode_sift_map(payload)
 
             signal_mask = classes == CLASS_SIGNAL

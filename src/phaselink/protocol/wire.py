@@ -24,9 +24,14 @@ reliable; no cryptography is applied here):
     0x07 REPORT           UTF-8 JSON object
     0x10 QUANTUM          u64 start, u32 count, one byte per pulse:
                           bit0 encoded bit, bit1 basis (0=Z, 1=X),
-                          bits 2-3 intensity class. Simulation stand-in
+                          bits 2-3 intensity class. The pair maps onto
+                          the pulse phase as Z: 0 -> 0, 1 -> pi and
+                          X: 0 -> pi/2, 1 -> 3pi/2. Simulation stand-in
                           for the photon stream; a real deployment has no
                           such classical message.
+
+Decoders of bit-array payloads raise ProtocolError unless the payload is
+exactly as long as its declared count requires.
 
 The in-process loopback transport carries exactly the same bytes as the
 socket transport.
@@ -42,7 +47,7 @@ from collections import deque
 
 import numpy as np
 
-from ..errors import TransportClosed
+from ..errors import ProtocolError, TransportClosed
 
 HEADER = struct.Struct("!IB")
 MAX_PAYLOAD = 64 * 1024 * 1024
@@ -55,6 +60,12 @@ FRAME_META = 0x05
 ABORT = 0x06
 REPORT = 0x07
 QUANTUM = 0x10
+
+MESSAGE_NAMES = {
+    BASIS_ANNOUNCE: "BASIS_ANNOUNCE", SAMPLE_REQUEST: "SAMPLE_REQUEST",
+    SAMPLE_DISCLOSE: "SAMPLE_DISCLOSE", SIFT_MAP: "SIFT_MAP", FRAME_META: "FRAME_META",
+    ABORT: "ABORT", REPORT: "REPORT", QUANTUM: "QUANTUM",
+}
 
 FLAG_LAST_FRAME = 0x01
 
@@ -82,6 +93,16 @@ def _unpack_bits(data: bytes, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
+def _bit_payload_head(payload: bytes, head: str, arrays: int) -> tuple:
+    """Header fields of a payload carrying `arrays` packed bit arrays of
+    the length given by the header's last field."""
+    size = struct.calcsize(head)
+    fields = struct.unpack_from(head, payload) if len(payload) >= size else None
+    if fields is None or len(payload) != size + arrays * ((fields[-1] + 7) // 8):
+        raise ProtocolError(f"{len(payload)}-byte payload does not match its declared bit count")
+    return fields
+
+
 def encode_basis_announce(start: int, bases: np.ndarray, clicks: np.ndarray) -> bytes:
     n = len(bases)
     if len(clicks) != n:
@@ -91,11 +112,10 @@ def encode_basis_announce(start: int, bases: np.ndarray, clicks: np.ndarray) -> 
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
-    start, n = struct.unpack_from("!QI", payload)
+    start, n = _bit_payload_head(payload, "!QI", 2)
     nbytes = (n + 7) // 8
-    off = 12
-    bases = _unpack_bits(payload[off : off + nbytes], n)
-    clicks = _unpack_bits(payload[off + nbytes : off + 2 * nbytes], n)
+    bases = _unpack_bits(payload[12 : 12 + nbytes], n)
+    clicks = _unpack_bits(payload[12 + nbytes :], n)
     return start, bases, clicks.astype(bool)
 
 
@@ -114,7 +134,7 @@ def encode_sample_disclose(bits: np.ndarray) -> bytes:
 
 
 def decode_sample_disclose(payload: bytes) -> np.ndarray:
-    (n,) = struct.unpack_from("!I", payload)
+    (n,) = _bit_payload_head(payload, "!I", 1)
     return _unpack_bits(payload[4:], n)
 
 
@@ -123,7 +143,7 @@ def encode_sift_map(start: int, kept: np.ndarray) -> bytes:
 
 
 def decode_sift_map(payload: bytes) -> tuple:
-    start, n = struct.unpack_from("!QI", payload)
+    start, n = _bit_payload_head(payload, "!QI", 1)
     return start, _unpack_bits(payload[12:], n).astype(bool)
 
 

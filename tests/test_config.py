@@ -4,6 +4,7 @@ import pytest
 
 from phaselink.config import (
     ScenarioConfig,
+    SweepGrid,
     config_hash,
     load_config,
     parse_config,
@@ -91,6 +92,16 @@ class TestParsing:
     def test_invalid_physics_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("source.nu = 0.28", "source.nu = 0.9"))
+
+
+class TestSweepGrid:
+    def test_points_do_not_accumulate_rounding(self):
+        points = SweepGrid(0, 1, 0.1).points()
+        assert points == [i * 0.1 for i in range(11)]
+        assert points[-1] == 1.0
+
+    def test_empty_when_stop_below_start(self):
+        assert SweepGrid(5.0, 1.0, 1.0).points() == []
 
 
 class TestRoundTrip:

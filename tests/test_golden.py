@@ -1,0 +1,47 @@
+"""Golden digests of the CLI tables for the bundled configs.
+
+The CSV text that cli.cmd_link_budget, cmd_rate_sweep, cmd_simulate and
+cmd_session produce for each bundled config the command accepts is pinned
+by its sha256. A refactor or speed-up must keep every digest. A deliberate
+change of the random-stream layout (or of any number in a table) updates
+the digests here and is noted in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from phaselink import cli
+from phaselink.config import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
+
+GOLDEN = {
+    ("desk_session", "link_budget"): "dad5195d9c34eb2216617a8dc082daafb18e36b3b607c20c9d941941b0929d27",
+    ("desk_session", "session"): "32b34cf2a7ea561ee3ed3cc49f4cae9d281e3f813832784d9cba9984ba78082a",
+    ("measured_link", "link_budget"): "85fb1dbaeb304a356d55a47a1e47dae2d4df0e478c1baa8d34f04f690d2a92dc",
+    ("measured_link", "rate_sweep"): "434e9f8e84dafbb23ab28a16aa36de1c952cb9e780a24a9f34b62a5cb4a185e2",
+    ("measured_link", "simulate"): "e4cad0e55bb8541fb26e90cb7ecd9b82c69a41829a4496c01cfc8a196c8d3eae",
+    ("measured_link", "session"): "9bc412a32a97aa328d9bdf0827b3a94325e2efeea52ec1b140009553f23404fc",
+    ("upgraded_link", "link_budget"): "46a54e51bd59c39c3cff5024e8838b643a5ebac7f772b1286bed276ad105e1dc",
+    ("upgraded_link", "rate_sweep"): "2c3c612e1cdaab831c0b802e695ae400f8bea5e32c1f3b2f53c59f74f3de5c65",
+    ("upgraded_link", "session"): "d54f95ff705231b5e740feecee83363686109745729b40bafbfe38d2b2af12e4",
+}
+
+
+@pytest.mark.parametrize("config,command", sorted(GOLDEN))
+def test_csv_digest(config, command):
+    out = getattr(cli, f"cmd_{command}")(load_config(CONFIG_DIR / f"{config}.cfg"), "csv")
+    text = out[0] if command == "session" else out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[(config, command)]
+
+
+def test_every_accepted_output_is_pinned():
+    # rate-sweep needs a sweep section and simulate a montecarlo section
+    for path in CONFIG_DIR.glob("*.cfg"):
+        cfg = load_config(path)
+        accepted = {"link_budget", "session"}
+        accepted |= {"rate_sweep"} if cfg.sweep else set()
+        accepted |= {"simulate"} if cfg.montecarlo else set()
+        assert accepted == {cmd for name, cmd in GOLDEN if name == path.stem}

@@ -5,14 +5,26 @@ import pytest
 
 from phaselink.errors import InsufficientStatistics
 from phaselink.montecarlo import (
+    CLASS_DECOY,
+    CLASS_SIGNAL,
+    CLASS_VACUUM,
     BatchStats,
     ClassCounts,
     PulsePlan,
+    detect,
+    draw_classes,
     simulate_batch,
     split_seed,
     stats_to_observables,
 )
-from phaselink.rates import DecoyObservables, DetectorConfig, SourceConfig, forward_gains
+from phaselink.rates import (
+    E0_BACKGROUND,
+    DecoyObservables,
+    DetectorConfig,
+    SourceConfig,
+    forward_gains,
+    gain_and_qber,
+)
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -36,6 +48,49 @@ class TestPulsePlan:
         p1 = PulsePlan.make(10_000, (30, 2, 1), seed=7)
         p2 = PulsePlan.make(10_000, (30, 2, 1), seed=7)
         assert np.array_equal(p1.intensity_schedule, p2.intensity_schedule)
+
+
+class TestDrawClasses:
+    def test_thresholds(self):
+        u = np.array([0.0, 0.5, 0.59, 0.6, 0.85, 0.9, 0.99])
+        classes = draw_classes(u, 0.6, 0.3)
+        assert classes.dtype == np.uint8
+        assert list(classes) == [CLASS_SIGNAL] * 3 + [CLASS_DECOY] * 2 + [CLASS_VACUUM] * 2
+
+
+class TestDetect:
+    def test_errors_only_on_clicks(self):
+        det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
+        classes = PulsePlan.make(100_000, (1, 1, 1), seed=4).intensity_schedule
+        clicks, errors = detect(classes, 0.5, SRC, det, 1, 2)
+        assert clicks.dtype == bool and len(clicks) == len(classes)
+        assert not np.any(errors & ~clicks)
+        assert 0 < np.count_nonzero(errors) < np.count_nonzero(clicks)
+
+    def test_union_click_probability(self):
+        # with Y0 = 0.4 the union 1 - (1 - Y0) e^(-eta a) and the additive
+        # Y0 + 1 - e^(-eta a) are 0.14 apart; the kernel follows the union
+        det = DetectorConfig(p_d=0.2, eta_d=0.2, visibility=0.9847)
+        n = 200_000
+        classes = np.full(n, CLASS_SIGNAL, dtype=np.uint8)
+        clicks, _ = detect(classes, 0.5, SRC, det, 11, 12)
+        union = 1.0 - (1.0 - det.y0) * math.exp(-0.5 * SRC.mu)
+        additive = det.y0 - math.expm1(-0.5 * SRC.mu)
+        gain = np.count_nonzero(clicks) / n
+        assert abs(gain - union) < 4 * closed_form_se(union, n)
+        assert abs(gain - additive) > 50 * closed_form_se(union, n)
+
+    def test_flip_rate_statistics(self):
+        # clicked vacuum pulses are background clicks, wrong half the time;
+        # clicked signal pulses flip at the closed-form conditional QBER
+        det = DetectorConfig(p_d=1e-3, eta_d=0.2, visibility=1.0, e_mis=0.0287)
+        for cls_, a in ((CLASS_VACUUM, 0.0), (CLASS_SIGNAL, SRC.mu)):
+            e = gain_and_qber(1.0, a, det)[1]
+            classes = np.full(1_000_000, cls_, dtype=np.uint8)
+            clicks, errors = detect(classes, 1.0, SRC, det, 21, 22)
+            n_clicks = np.count_nonzero(clicks)
+            assert abs(np.count_nonzero(errors) / n_clicks - e) < 4 * closed_form_se(e, n_clicks)
+        assert e > 0.0287  # dark clicks add to the misalignment error
 
 
 class TestSimulateBatch:
@@ -126,8 +181,14 @@ class TestStatsToObservables:
             stats_to_observables(stats)
 
     def test_analytic_embedding_roundtrip(self):
+        # sent = 2^30 makes clicked / sent reproduce each gain bit-exactly
         obs = DecoyObservables(q_mu=5.31e-4, e_mu=0.0287, q_nu=2.09e-4, e_nu=0.0401, y0=2e-6)
-        stats = BatchStats.from_observables(obs)
+        sent = 2.0**30
+        stats = BatchStats(
+            signal=ClassCounts(sent, obs.q_mu * sent, obs.e_mu * obs.q_mu * sent),
+            decoy=ClassCounts(sent, obs.q_nu * sent, obs.e_nu * obs.q_nu * sent),
+            vacuum=ClassCounts(sent, obs.y0 * sent, E0_BACKGROUND * obs.y0 * sent),
+        )
         back = stats_to_observables(stats)
         assert back.q_mu == obs.q_mu
         assert back.e_mu == obs.e_mu

@@ -11,6 +11,7 @@ from phaselink.optics import (
     LinkGeometry,
     critical_distance,
     effective_waist,
+    jitter_step,
     loss_trace,
     rayleigh_length,
     rytov_variance,
@@ -229,6 +230,16 @@ class TestLossTrace:
         assert np.array_equal(t1, t2)
         t3 = loss_trace(GEOM, ATM, BEAM, spec, 50.0, 0.1, seed=10)
         assert not np.array_equal(t1, t3)
+
+    def test_jitter_step_reflects(self):
+        # u = 1 gives the largest step, sqrt(3) * step_db * sqrt(dt) = 2.5 dB;
+        # from 0 it crosses +1 dB and is reflected back to 2 - 2.5 = -0.5 dB
+        spec = JitterSpec(max_db=1.0, tau_s=1e9, step_db=2.5 / 3**0.5)
+        assert jitter_step(0.0, 1.0, spec, 1.0) == pytest.approx(-0.5)
+        assert jitter_step(0.0, 0.0, spec, 1.0) == pytest.approx(0.5)
+        # tau_s <= dt forgets the previous excursion entirely
+        fast = JitterSpec(max_db=1.0, tau_s=1.0, step_db=0.0)
+        assert jitter_step(0.9, 0.3, fast, 1.0) == 0.0
 
     def test_bad_jitter(self):
         with pytest.raises(BadJitterSpec):

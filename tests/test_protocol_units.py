@@ -1,149 +1,102 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from phaselink.errors import EmptySift, NegativeBalance
+from phaselink.errors import NegativeBalance
+from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.protocol.ledger import FrameAccounting, KeyLedger, ledger_commit
-from phaselink.protocol.phases import (
-    BASIS_X,
-    BASIS_Z,
-    ClickOutcome,
-    encode_pulse,
-    measure_pulse,
-    modulator_settings,
+from phaselink.protocol.session import (
+    ProtocolParams,
+    Seeds,
+    SessionSpec,
+    _sample_positions,
+    run_session_detailed,
 )
-from phaselink.protocol.session import security_check
-from phaselink.rng import uniforms
+from phaselink.rates import DetectorConfig, SourceConfig
 
 
-class TestEncodePulse:
-    def test_convention_anchors(self):
-        assert encode_pulse(0, BASIS_Z).phase == 0.0
-        assert encode_pulse(1, BASIS_Z).phase == math.pi
-        assert encode_pulse(0, BASIS_X).phase == math.pi / 2
-        assert encode_pulse(1, BASIS_X).phase == 3 * math.pi / 2
-
-    def test_basis_phase_invariant(self):
-        for bit in (0, 1):
-            assert encode_pulse(bit, BASIS_Z).phase in (0.0, math.pi)
-            assert encode_pulse(bit, BASIS_X).phase in (math.pi / 2, 3 * math.pi / 2)
-
-    def test_modulator_composition(self):
-        # every phase is pm1 + pm2 with pm1 in {0, pi/2}, pm2 in {0, pi}
-        for bit in (0, 1):
-            for basis in (BASIS_Z, BASIS_X):
-                sym = encode_pulse(bit, basis)
-                pm1, pm2 = modulator_settings(sym)
-                assert pm1 in (0.0, math.pi / 2)
-                assert pm2 in (0.0, math.pi)
-                assert sym.phase == pytest.approx(pm1 + pm2)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            encode_pulse(2, BASIS_Z)
-        with pytest.raises(ValueError):
-            encode_pulse(0, "Y")
-
-
-class TestMeasurePulse:
-    def test_matched_click_no_error(self):
-        sym = encode_pulse(1, BASIS_Z)
-        rec = measure_pulse(sym, BASIS_Z, ClickOutcome(clicked=True, error=False), 5)
-        assert rec.kept and rec.bob_bit == 1 and rec.timestamp_index == 5
-
-    def test_mismatched_basis_never_kept(self):
-        sym = encode_pulse(0, BASIS_Z)
-        rec = measure_pulse(sym, BASIS_X, ClickOutcome(clicked=True, error=False))
-        assert not rec.kept
-        rec = measure_pulse(sym, BASIS_X, ClickOutcome(clicked=True, error=True))
-        assert not rec.kept
-
-    def test_no_click_never_kept(self):
-        sym = encode_pulse(0, BASIS_X)
-        assert not measure_pulse(sym, BASIS_X, ClickOutcome(False, False)).kept
-
-    def test_error_flips_bit(self):
-        sym = encode_pulse(0, BASIS_Z)
-        rec = measure_pulse(sym, BASIS_Z, ClickOutcome(True, True))
-        assert rec.kept and rec.bob_bit == 1
-
-    def test_flip_rate_statistics(self):
-        # kept records at flip probability 2.87% show that rate empirically
-        p_flip = 0.0287
-        n = 1_000_000
-        u = uniforms(404, n)
-        bits = (uniforms(405, n) < 0.5).astype(int)
-        errors = u < p_flip
-        bob = bits ^ errors
-        rate = float(np.mean(bob != bits))
-        assert abs(rate - p_flip) < 3 * math.sqrt(p_flip * (1 - p_flip) / n)
-        # spot-check the op agrees with the vectorized form
-        for i in range(500):
-            sym = encode_pulse(int(bits[i]), BASIS_Z)
-            rec = measure_pulse(sym, BASIS_Z, ClickOutcome(True, bool(errors[i])), i)
-            assert rec.bob_bit == bob[i]
+def one_frame_spec(det=None, extra_loss_db=None, **protocol):
+    """A lossless one-frame session of 8000 chips, about 2000 of them kept."""
+    params = dict(spread_ratio=8, n_frames=1, initial_pool_bits=100_000)
+    params.update(protocol)
+    return SessionSpec(
+        atm=AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2),
+        beam=BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9),
+        geom=LinkGeometry(
+            d_fs=0.0, d_fiber=0.0, a_r=1.0, conv_loss_db=0.0, adapter_loss_db=0.0,
+            alpha_fiber=0.0,
+        ),
+        src=SourceConfig(mu=0.71, nu=0.28),
+        det=det or DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=0.9847, eta_b=1.0),
+        protocol=ProtocolParams(**params),
+        seeds=Seeds(alice=1, bob=2, channel=3),
+        extra_loss_db=extra_loss_db,
+    )
 
 
 class TestSecurityCheck:
-    @staticmethod
-    def _records(bits, flips):
-        recs = []
-        for i, (b, f) in enumerate(zip(bits, flips)):
-            sym = encode_pulse(int(b), BASIS_Z)
-            recs.append(measure_pulse(sym, BASIS_Z, ClickOutcome(True, bool(f)), i))
-        return recs
+    """The sampled QBER check of AliceSession.run and its disclosed sample."""
 
     def test_all_correct_proceeds(self):
-        bits = [0, 1] * 50
-        recs = self._records(bits, [False] * 100)
-        result = security_check(recs, bits, sample_fraction=0.5, threshold=0.05, seed=1)
-        assert result.decision == "proceed"
-        assert result.qber_estimate == 0.0
+        perfect = DetectorConfig(p_d=0.0, eta_d=1.0, visibility=1.0, eta_b=1.0)
+        report, _, _ = run_session_detailed(one_frame_spec(det=perfect, sample_fraction=0.5))
+        assert not report.aborted
+        assert report.qber == 0.0
 
     def test_injected_flips_abort(self):
-        # 10% flips, 5% threshold, 1e4 samples: abort probability > 0.999
-        # oracle: P(Binom(1e4, 0.1) <= 500) is ~1e-71
-        assert binom.cdf(500, 10_000, 0.10) < 1e-50
-        n = 20_000
-        bits = (uniforms(50, n) < 0.5).astype(int)
-        flips = uniforms(51, n) < 0.10
-        recs = self._records(bits, flips)
-        result = security_check(recs, bits, sample_fraction=0.5, threshold=0.05, seed=2)
-        assert result.decision == "abort"
+        # ~10% flips, 5% threshold, ~1000 samples: abort probability > 0.999
+        assert binom.cdf(50, 1000, 0.10) < 1e-8
+        noisy = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=1.0, e_mis=0.1, eta_b=1.0)
+        report, _, _ = run_session_detailed(one_frame_spec(det=noisy, sample_fraction=0.5))
+        assert report.aborted
+        assert report.abort_reason.startswith("frame 0:")
 
     def test_zero_threshold(self):
-        bits = [0] * 100
-        flips = [False] * 100
-        flips[3] = True
-        recs = self._records(bits, flips)
-        result = security_check(recs, bits, sample_fraction=1.0, threshold=0.0, seed=3)
-        assert result.decision == "abort"
+        # e_det = 0.77% over ~2000 disclosed bits: no error at all has p ~ 2e-7
+        report, _, _ = run_session_detailed(
+            one_frame_spec(sample_fraction=1.0, qber_threshold=0.0)
+        )
+        assert report.aborted
+        assert "threshold 0.0000" in report.abort_reason
 
     def test_monotone_in_threshold(self):
-        bits = (uniforms(60, 2000) < 0.5).astype(int)
-        flips = uniforms(61, 2000) < 0.04
-        recs = self._records(bits, flips)
+        det = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=1.0, e_mis=0.04, eta_b=1.0)
         decisions = [
-            security_check(recs, bits, 0.5, thr, seed=4).decision
+            run_session_detailed(
+                one_frame_spec(det=det, sample_fraction=0.5, qber_threshold=thr)
+            )[0].aborted
             for thr in (0.0, 0.01, 0.03, 0.05, 0.2)
         ]
         # once it proceeds at some threshold it proceeds at every higher one
-        first_proceed = decisions.index("proceed")
-        assert all(d == "proceed" for d in decisions[first_proceed:])
+        assert decisions[0] and not decisions[-1]
+        first_proceed = decisions.index(False)
+        assert not any(decisions[first_proceed:])
 
     def test_empty_sift(self):
-        sym = encode_pulse(0, BASIS_Z)
-        recs = [measure_pulse(sym, BASIS_X, ClickOutcome(True, False))]
-        with pytest.raises(EmptySift):
-            security_check(recs, [0], 0.5, 0.05)
+        # nothing kept: nothing disclosed, no abort, every frame lost
+        assert len(_sample_positions(np.empty(0, dtype=np.int64), 0.5, 7)) == 0
+        dark = DetectorConfig(p_d=0.0, eta_d=1.0, visibility=0.9847, eta_b=1.0)
+        report, _, bob = run_session_detailed(one_frame_spec(det=dark, extra_loss_db=(400.0,)))
+        assert not report.aborted
+        assert report.qber == 0.0
+        assert bob.statuses == {0: "lost"}
 
     def test_disclosed_excluded_are_kept_indices(self):
-        bits = [0, 1, 0, 1]
-        recs = self._records(bits, [False] * 4)
-        result = security_check(recs, bits, sample_fraction=0.5, threshold=0.1, seed=5)
-        assert all(recs[i].kept for i in result.disclosed_indices)
+        kept = np.flatnonzero(np.arange(5000) % 3 == 1)
+        sample = _sample_positions(kept, 0.1, seed=5)
+        assert np.all(np.isin(sample, kept))
+        assert np.all(np.diff(sample) > 0)  # ascending, no repeats
+
+    @pytest.mark.parametrize(
+        "n,fraction,size", [(1, 0.1, 1), (9, 0.1, 1), (2000, 0.1, 200), (7, 1.0, 7)]
+    )
+    def test_sample_size(self, n, fraction, size):
+        assert len(_sample_positions(np.arange(n) * 2, fraction, seed=1)) == size
+
+    def test_sample_deterministic(self):
+        kept = np.arange(0, 30_000, 3)
+        assert np.array_equal(_sample_positions(kept, 0.1, 9), _sample_positions(kept, 0.1, 9))
+        assert not np.array_equal(_sample_positions(kept, 0.1, 9), _sample_positions(kept, 0.1, 10))
 
 
 class TestKeyLedger:
@@ -171,11 +124,6 @@ class TestKeyLedger:
         ledger_commit(ledger, FrameAccounting(chips=1000, kept=1000, disclosed=0))
         assert ledger.recycled == 0
         assert ledger.p_rec == 0.0
-
-    def test_from_sift_map(self):
-        sift = np.array([True, False, True, True, False])
-        acc = FrameAccounting.from_sift_map(sift, disclosed=1)
-        assert acc.chips == 5 and acc.kept == 3 and acc.disclosed == 1
 
     def test_negative_balance_detected(self):
         ledger = KeyLedger.with_initial(100)

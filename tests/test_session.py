@@ -1,9 +1,11 @@
+import math
 import socket
+import threading
 
 import numpy as np
 import pytest
 
-from phaselink.errors import Abort
+from phaselink.errors import Abort, ProtocolError
 from phaselink.montecarlo import CLASS_SIGNAL
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import wire
@@ -104,7 +106,6 @@ class TestLoopbackSession:
 
     def test_sift_discards_equal_mismatch_plus_noclick(self):
         # reconstruct one frame's streams and check the discard set exactly
-        from phaselink.montecarlo import click_probability
         from phaselink.rng import random_bits, split_seed, uniforms
 
         spec = small_spec(n_frames=1, spread=8)
@@ -115,8 +116,9 @@ class TestLoopbackSession:
         )
         n = len(classes)
         eta = 1.0  # lossless geometry
-        intens = {0: SRC.mu, 1: SRC.nu, 2: 0.0}
-        p_click = np.array([click_probability(eta, intens[c], spec.det.y0) for c in range(3)])
+        p_click = np.array(
+            [1.0 - (1.0 - spec.det.y0) * math.exp(-eta * a) for a in (SRC.mu, SRC.nu, 0.0)]
+        )
         clicks = uniforms(split_seed(split_seed(spec.seeds.channel, 1), 0), n) < p_click[classes]
         a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
         b_bases = random_bits(split_seed(spec.seeds.bob, 0), n)
@@ -188,6 +190,40 @@ class TestLoopbackSession:
         sigma = (e_cfg * (1 - e_cfg) / n_disclosed) ** 0.5
         assert abs(report.qber - e_cfg) < 3 * sigma
         assert abs(report.p_rec_empirical - (1 - report.q_mu_hat / 2)) < 1e-4
+
+
+class _RewriteType:
+    """Transport wrapper that sends one message type as another."""
+
+    def __init__(self, inner, old, new):
+        self._inner, self._old, self._new = inner, old, new
+
+    def send(self, msg_type, payload):
+        self._inner.send(self._new if msg_type == self._old else msg_type, payload)
+
+    def recv(self):
+        return self._inner.recv()
+
+    def close(self):
+        self._inner.close()
+
+
+class TestMessageOrder:
+    @pytest.mark.parametrize(
+        "side,old,new,message",
+        [
+            (0, wire.SAMPLE_REQUEST, wire.SIFT_MAP, "expected SAMPLE_REQUEST, received SIFT_MAP"),
+            (1, wire.BASIS_ANNOUNCE, wire.REPORT, "expected BASIS_ANNOUNCE, received REPORT"),
+            (1, wire.REPORT, 0x42, "expected REPORT, received unknown type 0x42"),
+        ],
+    )
+    def test_unexpected_type_raises(self, side, old, new, message):
+        before = set(threading.enumerate())
+        transports = list(wire.LoopbackTransport.pair())
+        transports[side] = _RewriteType(transports[side], old, new)
+        with pytest.raises(ProtocolError, match=message):
+            run_session_detailed(small_spec(n_frames=2, spread=8), transports=tuple(transports))
+        assert set(threading.enumerate()) <= before  # the receiver thread is gone
 
 
 class TestSocketSession:

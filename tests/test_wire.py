@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from phaselink.errors import TransportClosed
+from phaselink.errors import ProtocolError, TransportClosed
 from phaselink.protocol import wire
 
 
@@ -78,6 +78,26 @@ class TestCodecs:
     def test_report_roundtrip(self):
         obj = {"frame_id": 3, "status": "ok", "sha256": "ab" * 32}
         assert wire.decode_report(wire.encode_report(obj)) == obj
+
+
+class TestTruncatedPayloads:
+    @pytest.mark.parametrize(
+        "decoder,payload,cut",
+        [
+            (
+                wire.decode_basis_announce,
+                wire.encode_basis_announce(0, np.ones(100, np.uint8), np.ones(100, np.uint8)),
+                20,
+            ),
+            (wire.decode_sift_map, wire.encode_sift_map(0, np.ones(100, bool)), 14),
+            (wire.decode_sample_disclose, wire.encode_sample_disclose(np.ones(50, np.uint8)), 5),
+        ],
+    )
+    def test_rejected(self, decoder, payload, cut):
+        decoder(payload)  # the whole payload decodes
+        for bad in (payload[:cut], payload[:2], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decoder(bad)
 
 
 class TestLoopbackTransport:
