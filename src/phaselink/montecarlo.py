@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
-from .rng import split_seed, uniforms
+from .rng import split_seed, uniforms, uniforms_at
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
@@ -133,16 +133,16 @@ def detect(
 ) -> tuple:
     """Click and error flags for pulses of the given intensity classes.
 
-    Click draws come from the click_seed stream and error draws from the
-    error_seed stream, one of each per pulse; errors only occur on clicks.
+    Pulse i reads draw i of the click_seed stream and, only if it clicked,
+    draw i of the error_seed stream; errors only occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities])
     p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
-    n = len(classes)
-    # the two uniform arrays are temporaries, never alive at the same time
-    clicks = uniforms(click_seed, n) < p_click[classes]
-    errors = clicks & (uniforms(error_seed, n) < p_err[classes])
+    clicks = uniforms(click_seed, len(classes)) < p_click[classes]
+    hit = np.flatnonzero(clicks)
+    errors = np.zeros_like(clicks)
+    errors[hit] = uniforms_at(error_seed, hit) < p_err[classes[hit]]
     return clicks, errors
 
 

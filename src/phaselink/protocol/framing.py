@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FrameCorrupt, FrameLost, KeyPoolExhausted
-from ..rng import random_bits, split_seed
+from ..rng import random_bits, random_bits_at, split_seed
 
 PAYLOAD_BYTES = 125
 PAYLOAD_BITS = PAYLOAD_BYTES * 8
@@ -108,26 +108,28 @@ def decode(
 ) -> bytes:
     """Recover the payload from the surviving chips of one frame.
 
-    chips holds received chip values (only positions flagged in sift_map
-    are meaningful); sift_map is a boolean array over all chip positions.
+    sift_map is a boolean array over all chip positions. Only the positions
+    it flags are read, in both chips and key_bits, and only their mask bits
+    are drawn; the other positions may hold anything.
     Raises FrameLost when a coded-bit group has no survivor and
     FrameCorrupt when repetition decoding is ambiguous.
     """
     n = PAYLOAD_BITS * fec_ratio * spread_ratio
     if len(chips) != n or len(sift_map) != n:
         raise ValueError("chips and sift_map must cover every chip position")
-    kept = np.asarray(sift_map, dtype=bool)
-    values = chips.astype(np.uint8) ^ key_bits[:n].astype(np.uint8)
-    values ^= mask_stream(mask_seed, frame_id, n)
+    kept = np.flatnonzero(sift_map)
+    values = chips[kept].astype(np.uint8) ^ key_bits[kept].astype(np.uint8)
+    if mask_seed is not None:
+        values ^= random_bits_at(split_seed(mask_seed, frame_id), kept)
 
-    group = np.arange(n) // spread_ratio
+    group = kept // spread_ratio
     n_groups = PAYLOAD_BITS * fec_ratio
-    survivors = np.bincount(group[kept], minlength=n_groups)
+    survivors = np.bincount(group, minlength=n_groups)
     if np.any(survivors == 0):
         raise FrameLost(
             f"{int(np.count_nonzero(survivors == 0))} coded-bit groups have no survivors"
         )
-    ones = np.bincount(group[kept], weights=values[kept], minlength=n_groups)
+    ones = np.bincount(group, weights=values, minlength=n_groups)
     coded = (2 * ones > survivors).astype(np.uint8)
 
     if fec_ratio == 1:

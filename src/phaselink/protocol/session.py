@@ -44,9 +44,9 @@ from ..optics import (
     transmittance,
 )
 from ..rates import DetectorConfig, SourceConfig
-from ..rng import random_bits, random_bytes, split_seed, uniforms
+from ..rng import random_bits, random_bits_at, random_bytes, split_seed, uniforms
 from . import wire
-from .framing import Frame, decode, preprocess
+from .framing import PAYLOAD_BITS, Frame, decode, preprocess
 from .ledger import FrameAccounting, KeyLedger, ledger_commit
 
 # stream ids for seed derivation
@@ -143,13 +143,17 @@ def _sample_positions(kept_idx: np.ndarray, fraction: float, seed: int) -> np.nd
     """Kept positions to disclose for the QBER check, in ascending order.
 
     max(1, floor(len(kept_idx) * fraction)) positions are chosen by the
-    order of one uniform per kept position; none when nothing was kept.
+    order of one uniform per kept position, ties going to the lower index
+    (the stable-sort order); none when nothing was kept.
     """
     if not len(kept_idx):
         return np.empty(0, dtype=np.int64)
     n_sample = max(1, int(len(kept_idx) * fraction))
-    order = np.argsort(uniforms(seed, len(kept_idx)), kind="stable")
-    return np.sort(kept_idx[order[:n_sample]])
+    u = uniforms(seed, len(kept_idx))
+    cut = np.partition(u, n_sample - 1)[n_sample - 1]
+    take = u < cut
+    take[np.flatnonzero(u == cut)[: n_sample - np.count_nonzero(take)]] = True
+    return np.sort(kept_idx[take])
 
 
 def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
@@ -233,7 +237,11 @@ class AliceSession:
             )
             n_pulses = len(classes)
             signal_mask = classes == CLASS_SIGNAL
-            bits = random_bits(split_seed(split_seed(spec.seeds.alice, _S_FILLER), f), n_pulses)
+            filler = np.flatnonzero(~signal_mask)
+            bits = np.empty(n_pulses, dtype=np.uint8)
+            bits[filler] = random_bits_at(
+                split_seed(split_seed(spec.seeds.alice, _S_FILLER), f), filler
+            )
             bits[signal_mask] = chips
             bases = random_bits(
                 split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), n_pulses
@@ -285,9 +293,7 @@ class AliceSession:
             # decode map: kept signal chips minus disclosed check bits
             decode_pulse_mask = kept & signal_mask
             decode_pulse_mask[sample_idx] = False
-            chip_index = np.cumsum(signal_mask) - 1
-            chip_map = np.zeros(n_chips, dtype=bool)
-            chip_map[chip_index[decode_pulse_mask]] = True
+            chip_map = decode_pulse_mask[signal_mask]
             transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
 
             ledger_commit(
@@ -368,9 +374,17 @@ class BobSession:
             done = meta["last"]
             f = meta["frame_id"]
             n_pulses = meta["n_pulses"]
+            n_chips = meta["n_chips"]
+            if n_chips != PAYLOAD_BITS * meta["fec_ratio"] * meta["spread_ratio"]:
+                raise ProtocolError(f"frame {f}: n_chips {n_chips} does not match the ratios")
 
             _, payload = _recv(transport, wire.QUANTUM)
             start, classes, alice_bases, alice_bits = wire.decode_quantum(payload)
+            if (start, len(classes)) != (meta["start_pulse"], n_pulses):
+                raise ProtocolError(f"frame {f}: QUANTUM pulse range does not match FRAME_META")
+            signal_mask = classes == CLASS_SIGNAL
+            if np.count_nonzero(signal_mask) != n_chips:
+                raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.src.rep_rate)
             clicks, errors = detect(
@@ -390,6 +404,8 @@ class BobSession:
 
             _, payload = _recv(transport, wire.SAMPLE_REQUEST)
             sample_idx = wire.decode_sample_request(payload)
+            if np.any(sample_idx >= n_pulses):
+                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the frame")
             transport.send(
                 wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bob_bits[sample_idx])
             )
@@ -398,15 +414,16 @@ class BobSession:
             if msg == wire.ABORT:
                 return
             _, chip_map = wire.decode_sift_map(payload)
+            if len(chip_map) != n_chips:
+                raise ProtocolError(f"frame {f}: SIFT_MAP does not cover n_chips")
 
-            signal_mask = classes == CLASS_SIGNAL
-            n_chips = meta["n_chips"]
-            chips = np.zeros(n_chips, dtype=np.uint8)
-            chips[np.cumsum(signal_mask)[signal_mask] - 1] = bob_bits[signal_mask]
-            key_bits = random_bits(self.key_seed, n_chips, offset=f * n_chips)
+            # decode reads chips and pad bits only where chip_map is set
+            pad_idx = np.flatnonzero(chip_map)
+            key_bits = np.zeros(n_chips, dtype=np.uint8)
+            key_bits[pad_idx] = random_bits_at(self.key_seed, f * n_chips + pad_idx)
             try:
                 recovered = decode(
-                    chips,
+                    bob_bits[signal_mask],
                     chip_map,
                     key_bits,
                     self.mask_seed,

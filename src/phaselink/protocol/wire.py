@@ -30,8 +30,8 @@ reliable; no cryptography is applied here):
                           for the photon stream; a real deployment has no
                           such classical message.
 
-Decoders of bit-array payloads raise ProtocolError unless the payload is
-exactly as long as its declared count requires.
+Decoders of payloads with a declared count or a fixed layout raise
+ProtocolError unless the payload is exactly as long as that requires.
 
 The in-process loopback transport carries exactly the same bytes as the
 socket transport.
@@ -93,13 +93,13 @@ def _unpack_bits(data: bytes, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
-def _bit_payload_head(payload: bytes, head: str, arrays: int) -> tuple:
-    """Header fields of a payload carrying `arrays` packed bit arrays of
-    the length given by the header's last field."""
+def _payload_head(payload: bytes, head: str, body_bytes) -> tuple:
+    """Header fields of a payload whose body is body_bytes(n) bytes long,
+    n being the header's last field."""
     size = struct.calcsize(head)
     fields = struct.unpack_from(head, payload) if len(payload) >= size else None
-    if fields is None or len(payload) != size + arrays * ((fields[-1] + 7) // 8):
-        raise ProtocolError(f"{len(payload)}-byte payload does not match its declared bit count")
+    if fields is None or len(payload) != size + body_bytes(fields[-1]):
+        raise ProtocolError(f"{len(payload)}-byte payload does not match its declared count")
     return fields
 
 
@@ -112,7 +112,7 @@ def encode_basis_announce(start: int, bases: np.ndarray, clicks: np.ndarray) -> 
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
-    start, n = _bit_payload_head(payload, "!QI", 2)
+    start, n = _payload_head(payload, "!QI", lambda n: 2 * ((n + 7) // 8))
     nbytes = (n + 7) // 8
     bases = _unpack_bits(payload[12 : 12 + nbytes], n)
     clicks = _unpack_bits(payload[12 + nbytes :], n)
@@ -125,7 +125,7 @@ def encode_sample_request(offsets: np.ndarray) -> bytes:
 
 
 def decode_sample_request(payload: bytes) -> np.ndarray:
-    (n,) = struct.unpack_from("!I", payload)
+    (n,) = _payload_head(payload, "!I", lambda n: 4 * n)
     return np.frombuffer(payload, dtype=">u4", count=n, offset=4).astype(np.int64)
 
 
@@ -134,7 +134,7 @@ def encode_sample_disclose(bits: np.ndarray) -> bytes:
 
 
 def decode_sample_disclose(payload: bytes) -> np.ndarray:
-    (n,) = _bit_payload_head(payload, "!I", 1)
+    (n,) = _payload_head(payload, "!I", lambda n: (n + 7) // 8)
     return _unpack_bits(payload[4:], n)
 
 
@@ -143,7 +143,7 @@ def encode_sift_map(start: int, kept: np.ndarray) -> bytes:
 
 
 def decode_sift_map(payload: bytes) -> tuple:
-    start, n = _bit_payload_head(payload, "!QI", 1)
+    start, n = _payload_head(payload, "!QI", lambda n: (n + 7) // 8)
     return start, _unpack_bits(payload[12:], n).astype(bool)
 
 
@@ -171,7 +171,8 @@ def encode_frame_meta(
 
 
 def decode_frame_meta(payload: bytes) -> dict:
-    frame_id, start, n_pulses, n_chips, fec, spread, flags = _META.unpack(payload)
+    fields = _payload_head(payload, _META.format, lambda flags: 0)  # no body after the flags
+    frame_id, start, n_pulses, n_chips, fec, spread, flags = fields
     return {
         "frame_id": frame_id,
         "start_pulse": start,
@@ -194,7 +195,7 @@ def encode_quantum(start: int, classes: np.ndarray, bases: np.ndarray, bits: np.
 
 
 def decode_quantum(payload: bytes) -> tuple:
-    start, n = struct.unpack_from("!QI", payload)
+    start, n = _payload_head(payload, "!QI", lambda n: n)
     packed = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
     bits = packed & 1
     bases = (packed >> 1) & 1

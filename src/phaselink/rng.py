@@ -13,6 +13,11 @@ mix of ``s + (i+1) * GOLDEN`` (mod 2^64). Constants:
 Because ``i -> s + (i+1)*GOLDEN`` is a bijection on 64-bit integers (GOLDEN
 is odd) and the mix is invertible, distinct indices of one stream can never
 collide.
+
+Draws can also be addressed by position: ``uniforms_at(s, positions)`` and
+``random_bits_at(s, positions)`` give exactly the values of the contiguous
+stream indexed at those positions, so a caller that reads a few positions of
+a long stream need not draw the rest.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 _INV_2_53 = 1.0 / (1 << 53)
+_BLOCK = 1 << 17  # draws mixed per pass: a block and its scratch (2 MiB) stay in cache
 
 
 def mix64(x: int) -> int:
@@ -47,29 +54,61 @@ def split_seed(seed: int, stream_index: int) -> int:
     return mix64((seed + ((stream_index + 1) * GOLDEN)) & MASK64)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-    return z ^ (z >> np.uint64(31))
+def _draw(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Draws at 1-based stream counters (uint64), mixed in place one
+    cache-sized block at a time; overwrites and returns counters."""
+    scratch = np.empty(min(len(counters), _BLOCK), dtype=np.uint64)
+    for i in range(0, len(counters), _BLOCK):
+        z = counters[i : i + _BLOCK]
+        t = scratch[: len(z)]
+        z *= _U_GOLDEN
+        z += np.uint64(seed & MASK64)
+        for shift, mult in ((_U30, _U_MIX1), (_U27, _U_MIX2), (_U31, None)):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            if mult is not None:
+                z *= mult
+    return counters
+
+
+def _to_uniforms(z: np.ndarray) -> np.ndarray:
+    z >>= _U11
+    u = z.view(np.float64)
+    np.copyto(u, z)  # element-wise in place: each value is read before it is written
+    u *= _INV_2_53
+    return u
+
+
+def _to_bits(z: np.ndarray) -> np.ndarray:
+    z &= _U1
+    return z.astype(np.uint8)
 
 
 def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n raw 64-bit draws from the stream, starting at position offset."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-    return _mix_array(np.uint64(seed & MASK64) + idx * _U_GOLDEN)
+    return _draw(seed, np.arange(offset + 1, offset + n + 1, dtype=np.uint64))
 
 
 def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n uniform floats in [0, 1) with 53-bit resolution."""
-    z = raw64(seed, n, offset)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return _to_uniforms(raw64(seed, n, offset))
+
+
+def uniforms_at(seed: int, positions) -> np.ndarray:
+    """Uniforms of the stream at the given non-negative positions."""
+    return _to_uniforms(_draw(seed, np.asarray(positions, dtype=np.uint64) + _U1))
 
 
 def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n unbiased bits as a uint8 array of 0/1."""
-    return (raw64(seed, n, offset) & np.uint64(1)).astype(np.uint8)
+    return _to_bits(raw64(seed, n, offset))
+
+
+def random_bits_at(seed: int, positions) -> np.ndarray:
+    """Bits of the stream at the given non-negative positions."""
+    return _to_bits(_draw(seed, np.asarray(positions, dtype=np.uint64) + _U1))
 
 
 def random_bytes(seed: int, n: int) -> bytes:

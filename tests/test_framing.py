@@ -74,6 +74,20 @@ class TestDecode:
             kept = np.ones(frame.chip_count, dtype=bool)
             assert decode(chips, kept, key, 77, i, 1, 4) == payload
 
+    def test_reads_only_kept_positions(self):
+        # garbage in chips and key_bits outside sift_map does not change the payload
+        payload = make_payload(9)
+        frame = Frame(payload, frame_id=3, fec_ratio=3, spread_ratio=8)
+        key = random_bits(split_seed(7, 3), frame.chip_count)
+        chips = preprocess(frame, key, mask_seed=11)
+        kept = np.random.default_rng(1).random(frame.chip_count) < 0.5
+        kept[::8] = True  # every coded-bit group keeps a chip
+        assert decode(chips, kept, key, 11, 3, 3, 8) == payload
+        noise = np.random.default_rng(2).integers(0, 256, frame.chip_count, dtype=np.uint8)
+        bad_chips = np.where(kept, chips, noise)
+        bad_key = np.where(kept, key, noise[::-1])
+        assert decode(bad_chips, kept, bad_key, 11, 3, 3, 8) == payload
+
     def test_no_redundancy_any_loss_fails(self):
         payload = make_payload(5)
         frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=1)

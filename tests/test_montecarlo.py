@@ -25,6 +25,7 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
+from phaselink.rng import uniforms
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -79,6 +80,17 @@ class TestDetect:
         gain = np.count_nonzero(clicks) / n
         assert abs(gain - union) < 4 * closed_form_se(union, n)
         assert abs(gain - additive) > 50 * closed_form_se(union, n)
+
+    def test_errors_match_dense_draws(self):
+        # error draws are made only at clicked pulses, with the values the
+        # full error stream holds there
+        det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
+        classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
+        clicks, errors = detect(classes, 0.3, SRC, det, 31, 32)
+        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in (SRC.mu, SRC.nu, 0.0)])
+        dense = clicks & (uniforms(32, len(classes)) < p_err[classes])
+        assert errors.dtype == bool
+        assert np.array_equal(errors, dense)
 
     def test_flip_rate_statistics(self):
         # clicked vacuum pulses are background clicks, wrong half the time;

@@ -4,6 +4,7 @@ from scipy.stats import binom
 
 from phaselink.errors import NegativeBalance
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
+from phaselink.protocol import session
 from phaselink.protocol.ledger import FrameAccounting, KeyLedger, ledger_commit
 from phaselink.protocol.session import (
     ProtocolParams,
@@ -13,6 +14,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
+from phaselink.rng import uniforms
 
 
 def one_frame_spec(det=None, extra_loss_db=None, **protocol):
@@ -97,6 +99,26 @@ class TestSecurityCheck:
         kept = np.arange(0, 30_000, 3)
         assert np.array_equal(_sample_positions(kept, 0.1, 9), _sample_positions(kept, 0.1, 9))
         assert not np.array_equal(_sample_positions(kept, 0.1, 9), _sample_positions(kept, 0.1, 10))
+
+    @pytest.mark.parametrize(
+        "n,fraction,seed", [(1, 0.5, 3), (9, 0.1, 4), (5000, 0.1, 5), (7, 1.0, 6)]
+    )
+    def test_sample_matches_stable_argsort(self, n, fraction, seed):
+        kept = np.arange(n) * 3 + 1
+        u = uniforms(seed, n)
+        n_sample = max(1, int(n * fraction))
+        dense = np.sort(kept[np.argsort(u, kind="stable")[:n_sample]])
+        assert np.array_equal(_sample_positions(kept, fraction, seed), dense)
+
+    def test_sample_ties_go_to_lower_index(self, monkeypatch):
+        # 3 values below the cut, then ties at it: the lowest-index ties fill the sample
+        u = np.array([0.5, 0.1, 0.5, 0.9, 0.5, 0.2, 0.5, 0.05, 0.5, 0.5])
+        monkeypatch.setattr(session, "uniforms", lambda seed, n: u.copy())
+        kept = np.arange(10) * 2
+        for fraction in (0.3, 0.4, 0.5, 0.7, 0.9, 1.0):
+            n_sample = int(10 * fraction)
+            dense = np.sort(kept[np.argsort(u, kind="stable")[:n_sample]])
+            assert np.array_equal(_sample_positions(kept, fraction, 0), dense)
 
 
 class TestKeyLedger:

@@ -1,6 +1,19 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from phaselink.rng import mix64, random_bits, random_bytes, raw64, split_seed, uniforms
+from phaselink import rng
+from phaselink.rng import (
+    GOLDEN,
+    mix64,
+    random_bits,
+    random_bits_at,
+    random_bytes,
+    raw64,
+    split_seed,
+    uniforms,
+    uniforms_at,
+)
 
 
 def test_split_seed_deterministic():
@@ -23,6 +36,14 @@ def test_scalar_and_vector_paths_agree():
     vec = raw64(seed, 64)
     scalar = [mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)) for i in range(64)]
     assert vec.tolist() == scalar
+
+
+def test_blocks_agree_with_scalar():
+    # long streams are mixed block by block; check both sides of each block edge
+    seed, offset, block = 424242, 3, rng._BLOCK
+    vec = raw64(seed, 2 * block + 5, offset)
+    for i in (0, block - 1, block, 2 * block - 1, 2 * block, 2 * block + 4):
+        assert int(vec[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
 
 
 def test_uniform_stream_statistics():
@@ -58,3 +79,17 @@ def test_bits_and_bytes():
     assert random_bytes(9, 17) == random_bytes(9, 17)
     assert len(random_bytes(9, 17)) == 17
     assert random_bytes(9, 33)[:17] == random_bytes(9, 17)[:17]
+
+
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    offset=st.integers(0, 1 << 40),
+    rel=st.lists(st.integers(0, 299), max_size=50),
+)
+def test_position_addressed_draws_match_stream(seed, offset, rel):
+    # any positions, repeated or unordered, read the contiguous stream
+    pos = offset + np.array(rel, dtype=np.int64)
+    assert np.array_equal(uniforms_at(seed, pos), uniforms(seed, 300, offset)[rel])
+    assert np.array_equal(random_bits_at(seed, pos), random_bits(seed, 300, offset)[rel])
+    assert uniforms_at(seed, pos).dtype == np.float64
+    assert random_bits_at(seed, pos).dtype == np.uint8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phaselink.errors import Abort, ProtocolError
-from phaselink.montecarlo import CLASS_SIGNAL
+from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import wire
 from phaselink.protocol.session import (
@@ -192,20 +192,33 @@ class TestLoopbackSession:
         assert abs(report.p_rec_empirical - (1 - report.q_mu_hat / 2)) < 1e-4
 
 
-class _RewriteType:
-    """Transport wrapper that sends one message type as another."""
+class _Edit:
+    """Transport wrapper that passes each sent message through edit."""
 
-    def __init__(self, inner, old, new):
-        self._inner, self._old, self._new = inner, old, new
+    def __init__(self, inner, edit):
+        self._inner, self._edit = inner, edit
 
     def send(self, msg_type, payload):
-        self._inner.send(self._new if msg_type == self._old else msg_type, payload)
+        self._inner.send(*self._edit(msg_type, payload))
 
     def recv(self):
         return self._inner.recv()
 
     def close(self):
         self._inner.close()
+
+
+def _grow_meta(payload, key, delta):
+    meta = wire.decode_frame_meta(payload)
+    meta[key] += delta
+    return wire.encode_frame_meta(*meta.values())
+
+
+def _demote_first_signal(payload):
+    start, classes, bases, bits = wire.decode_quantum(payload)
+    classes = classes.copy()
+    classes[np.argmax(classes == CLASS_SIGNAL)] = CLASS_DECOY
+    return wire.encode_quantum(start, classes, bases, bits)
 
 
 class TestMessageOrder:
@@ -220,10 +233,29 @@ class TestMessageOrder:
     def test_unexpected_type_raises(self, side, old, new, message):
         before = set(threading.enumerate())
         transports = list(wire.LoopbackTransport.pair())
-        transports[side] = _RewriteType(transports[side], old, new)
+        transports[side] = _Edit(transports[side], lambda t, p: (new if t == old else t, p))
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=tuple(transports))
         assert set(threading.enumerate()) <= before  # the receiver thread is gone
+
+    @pytest.mark.parametrize(
+        "msg,rewrite,message",
+        [
+            (wire.FRAME_META, lambda p: _grow_meta(p, "n_pulses", 5), "QUANTUM pulse range"),
+            (wire.FRAME_META, lambda p: _grow_meta(p, "n_chips", 1), "does not match the ratios"),
+            (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
+            (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
+            (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
+        ],
+    )
+    def test_inconsistent_frame_raises(self, msg, rewrite, message):
+        # the receiver checks FRAME_META against what the frame's messages carry
+        before = set(threading.enumerate())
+        sender, receiver = wire.LoopbackTransport.pair()
+        sender = _Edit(sender, lambda t, p: (t, rewrite(p) if t == msg else p))
+        with pytest.raises(ProtocolError, match=message):
+            run_session_detailed(small_spec(n_frames=2, spread=8), transports=(sender, receiver))
+        assert set(threading.enumerate()) <= before
 
 
 class TestSocketSession:

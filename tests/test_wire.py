@@ -91,6 +91,13 @@ class TestTruncatedPayloads:
             ),
             (wire.decode_sift_map, wire.encode_sift_map(0, np.ones(100, bool)), 14),
             (wire.decode_sample_disclose, wire.encode_sample_disclose(np.ones(50, np.uint8)), 5),
+            (wire.decode_sample_request, wire.encode_sample_request(np.arange(10)), 20),
+            (
+                wire.decode_quantum,
+                wire.encode_quantum(0, np.zeros(100), np.ones(100), np.ones(100)),
+                50,
+            ),
+            (wire.decode_frame_meta, wire.encode_frame_meta(1, 0, 10, 8, 1, 2, False), 10),
         ],
     )
     def test_rejected(self, decoder, payload, cut):
