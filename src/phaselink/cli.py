@@ -24,7 +24,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ScenarioConfig, SweepGrid, config_hash, load_config
+from .config import ScenarioConfig, SweepGrid, config_hash, format_value, load_config
 from .errors import (
     Abort,
     ConfigError,
@@ -72,36 +72,27 @@ def _parse_grid(text: str) -> SweepGrid:
     return SweepGrid(d_fs_start=start, d_fs_stop=stop, d_fs_step=step)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of values."""
+    lines = [header] + [",".join(map(format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_link_budget(cfg: ScenarioConfig, fmt: str) -> str:
     budget = transmittance(
         cfg.geometry, cfg.atmosphere, cfg.beam, cfg.detector.eta_b, cfg.detector.eta_d
     )
+    totals = {
+        "channel_db": budget.channel_db,
+        "total_db": budget.total_db,
+        "eta_total": budget.eta_total,
+        "w_eff_m": budget.w_eff,
+        "rytov_variance": budget.rytov,
+    }
     if fmt == "json":
-        return json.dumps(
-            {
-                "breakdown_db": budget.breakdown,
-                "channel_db": budget.channel_db,
-                "total_db": budget.total_db,
-                "eta_total": budget.eta_total,
-                "w_eff_m": budget.w_eff,
-                "rytov_variance": budget.rytov,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    lines = [LINK_BUDGET_HEADER]
-    for item, db in budget.breakdown.items():
-        lines.append(f"{item}_db,{_fmt(db)}")
-    lines.append(f"channel_db,{_fmt(budget.channel_db)}")
-    lines.append(f"total_db,{_fmt(budget.total_db)}")
-    lines.append(f"eta_total,{_fmt(budget.eta_total)}")
-    lines.append(f"w_eff_m,{_fmt(budget.w_eff)}")
-    lines.append(f"rytov_variance,{_fmt(budget.rytov)}")
-    return "\n".join(lines) + "\n"
+        return json.dumps({"breakdown_db": budget.breakdown, **totals}, indent=2, sort_keys=True)
+    items = [(f"{item}_db", db) for item, db in budget.breakdown.items()]
+    return _csv(LINK_BUDGET_HEADER, items + list(totals.items()))
 
 
 def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
@@ -117,39 +108,23 @@ def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
         cfg.geometry.d_fiber,
         duty_cycle=cfg.protocol.duty_cycle,
     )
-    rows = []
-    for pt in points:
-        rows.append(
-            {
-                "d_fs_m": pt.d_fs,
-                "key_gen_rate_bps": pt.report.key_gen_rate,
-                "cs_raw": pt.report.cs_raw,
-                "q_mu": pt.observables.q_mu,
-                "e_mu": pt.observables.e_mu,
-                "q1": pt.estimate.q1 if pt.estimate else 0.0,
-                "e1": pt.estimate.e1 if pt.estimate else 0.0,
-                "collapsed": int(pt.collapsed),
-            }
+    rows = [
+        (
+            pt.d_fs,
+            pt.report.key_gen_rate,
+            pt.report.cs_raw,
+            pt.observables.q_mu,
+            pt.observables.e_mu,
+            pt.estimate.q1 if pt.estimate else 0.0,
+            pt.estimate.e1 if pt.estimate else 0.0,
+            int(pt.collapsed),
         )
+        for pt in points
+    ]
     if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True)
-    lines = [RATE_SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r["d_fs_m"]),
-                    _fmt(r["key_gen_rate_bps"]),
-                    _fmt(r["cs_raw"]),
-                    _fmt(r["q_mu"]),
-                    _fmt(r["e_mu"]),
-                    _fmt(r["q1"]),
-                    _fmt(r["e1"]),
-                    str(r["collapsed"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        columns = RATE_SWEEP_HEADER.split(",")
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2, sort_keys=True)
+    return _csv(RATE_SWEEP_HEADER, rows)
 
 
 def cmd_simulate(cfg: ScenarioConfig, fmt: str) -> str:
@@ -167,35 +142,21 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str) -> str:
         estimate = {"q1": est.q1, "e1": est.e1}
     except (InsufficientStatistics, EstimatorCollapse, ValueError):
         pass
+    columns = SIMULATE_HEADER.split(",")[1:]
+    classes = {
+        name: {col: getattr(getattr(stats, name), col) for col in columns}
+        for name in ("signal", "decoy", "vacuum")
+    }
     if fmt == "json":
-        payload = {
-            "eta_total": budget.eta_total,
-            "classes": {
-                name: {
-                    "sent": c.sent,
-                    "clicked": c.clicked,
-                    "errored": c.errored,
-                    "gain": c.gain,
-                    "qber": c.qber,
-                    "se_gain": c.se_gain,
-                    "se_qber": c.se_qber,
-                }
-                for name, c in (
-                    ("signal", stats.signal),
-                    ("decoy", stats.decoy),
-                    ("vacuum", stats.vacuum),
-                )
-            },
-            "estimate": estimate,
-        }
+        payload = {"eta_total": budget.eta_total, "classes": classes, "estimate": estimate}
         return json.dumps(payload, indent=2, sort_keys=True)
-    lines = [SIMULATE_HEADER]
-    for name, c in (("signal", stats.signal), ("decoy", stats.decoy), ("vacuum", stats.vacuum)):
-        lines.append(
-            f"{name},{int(c.sent)},{int(c.clicked)},{int(c.errored)},"
-            f"{_fmt(c.gain)},{_fmt(c.qber)},{_fmt(c.se_gain)},{_fmt(c.se_qber)}"
-        )
-    return "\n".join(lines) + "\n"
+    # the counts are whole-number floats; the table shows them as integers
+    counts = ("sent", "clicked", "errored")
+    rows = [
+        [name, *(int(v) if col in counts else v for col, v in row.items())]
+        for name, row in classes.items()
+    ]
+    return _csv(SIMULATE_HEADER, rows)
 
 
 def cmd_session(cfg: ScenarioConfig, fmt: str) -> tuple:
@@ -203,23 +164,7 @@ def cmd_session(cfg: ScenarioConfig, fmt: str) -> tuple:
     d = report.as_dict()
     if fmt == "json":
         return json.dumps(d, indent=2, sort_keys=True), report
-    row = ",".join(
-        [
-            _fmt(d["qber"]),
-            _fmt(d["comm_rate"]),
-            _fmt(d["key_gen_rate"]),
-            _fmt(d["key_cons_rate"]),
-            _fmt(d["p_rec_empirical"]),
-            str(d["frames_ok"]),
-            str(d["frames_failed"]),
-            str(int(d["aborted"])),
-            _fmt(d["q_mu_hat"]),
-            _fmt(d["q_nu_hat"]),
-            str(d["total_pulses"]),
-            _fmt(d["elapsed_s"]),
-        ]
-    )
-    return SESSION_HEADER + "\n" + row + "\n", report
+    return _csv(SESSION_HEADER, [[d[col] for col in SESSION_HEADER.split(",")]]), report
 
 
 def _write_output(out_path: str | None, text: str, cfg: ScenarioConfig, command: str, scenario_id: str) -> None:

@@ -16,16 +16,28 @@ sections or keys are rejected. parse -> serialize -> parse is a fixed
 point on the parsed value (floats are serialized via repr, which
 round-trips exactly).
 
-Required sections: atmosphere, beam, geometry, source, detector, seeds.
-Optional: protocol (defaults applied), sweep, montecarlo, jitter.
+The sections are the fields of ScenarioConfig, and a section's keys are
+the fields of its dataclass, with their types and in their order:
+
+    atmosphere  optics.AtmosphereParams     seeds       session.Seeds
+    beam        optics.BeamParams           protocol    session.ProtocolParams
+    geometry    optics.LinkGeometry         sweep       SweepGrid
+    source      rates.SourceConfig          montecarlo  McParams
+    detector    rates.DetectorConfig        jitter      optics.JitterSpec
+
+A tuple field (source.mix_ratio) is written a:b:c. A key is required when
+its field has no default, with one exception: detector.eta_b must be given
+although DetectorConfig defaults it to 1.0. The first six sections are
+required; protocol may be left out (all defaults), and sweep, montecarlo
+and jitter are None when left out.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
@@ -68,7 +80,7 @@ class ScenarioConfig:
     source: SourceConfig
     detector: DetectorConfig
     seeds: Seeds
-    protocol: ProtocolParams
+    protocol: ProtocolParams = ProtocolParams()
     sweep: Optional[SweepGrid] = None
     montecarlo: Optional[McParams] = None
     jitter: Optional[JitterSpec] = None
@@ -86,72 +98,37 @@ class ScenarioConfig:
         )
 
 
-# (section, key) -> type tag; "ratio" is the a:b:c form. Sections are the
-# ScenarioConfig fields and keys their dataclasses' fields, in canonical order.
-_SCHEMA = {
-    "atmosphere": {"cn2": float, "l0": float, "alpha_fs": float},
-    "beam": {"w0": float, "gamma": float, "wavelength": float},
-    "geometry": {
-        "d_fs": float,
-        "d_fiber": float,
-        "a_r": float,
-        "conv_loss_db": float,
-        "adapter_loss_db": float,
-        "alpha_fiber": float,
-    },
-    "source": {"mu": float, "nu": float, "mix_ratio": "ratio", "rep_rate": float, "q": float},
-    "detector": {
-        "p_d": float,
-        "eta_d": float,
-        "visibility": float,
-        "e_mis": float,
-        "f_ec": float,
-        "eta_b": float,
-    },
-    "seeds": {"alice": int, "bob": int, "channel": int},
-    "protocol": {
-        "fec_ratio": int,
-        "spread_ratio": int,
-        "qber_threshold": float,
-        "sample_fraction": float,
-        "duty_cycle": float,
-        "n_frames": int,
-        "initial_pool_bits": int,
-    },
-    "sweep": {"d_fs_start": float, "d_fs_stop": float, "d_fs_step": float},
-    "montecarlo": {"n_pulses": int},
-    "jitter": {"max_db": float, "tau_s": float, "step_db": float},
+# Section name -> dataclass, in ScenarioConfig field order (Optional[X] -> X).
+# A section's keys are its dataclass's fields, with their order and types.
+_SECTIONS = {
+    name: (get_args(kind) or (kind,))[0] for name, kind in get_type_hints(ScenarioConfig).items()
 }
-
-_REQUIRED = ("atmosphere", "beam", "geometry", "source", "detector", "seeds")
-
-# keys that may be omitted inside otherwise-required sections
-_OPTIONAL_KEYS = {
-    "source": {"rep_rate", "q", "mix_ratio"},
-    "detector": {"e_mis", "f_ec"},
-}
+_KEY_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+# A section may be left out when its ScenarioConfig field has a default.
+_REQUIRED_SECTIONS = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}
+# Keys a config file must give although their field has a default: a link
+# that omits the receiver transmittance would be modelled as lossless there.
+_REQUIRED_WITH_DEFAULT = {"detector": {"eta_b"}}
 
 
-def _parse_value(section: str, key: str, raw: str, lineno: int):
-    kind = _SCHEMA[section][key]
-    try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind == "ratio":
-            parts = tuple(int(p) for p in raw.split(":"))
-            if len(parts) != 3:
-                raise ValueError("need three colon-separated integers")
-            return parts
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from exc
-    raise ConfigError(f"internal schema error for {section}.{key}")
+def _required_keys(name: str) -> set:
+    own = {f.name for f in fields(_SECTIONS[name]) if f.default is MISSING}
+    return own | _REQUIRED_WITH_DEFAULT.get(name, set())
+
+
+def _parse_value(kind, raw: str):
+    """A tuple field takes the a:b:c ratio form; others call their type."""
+    if kind is not tuple:
+        return kind(raw)
+    parts = tuple(int(p) for p in raw.split(":"))
+    if len(parts) != 3:
+        raise ValueError("need three colon-separated integers")
+    return parts
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse configuration text into a fully validated ScenarioConfig."""
-    values: dict = {}
+    values: dict = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -164,53 +141,31 @@ def parse_config(text: str) -> ScenarioConfig:
         if "." not in lhs:
             raise ConfigError(f"line {lineno}: key '{lhs}' lacks a section prefix")
         section, _, key = lhs.partition(".")
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"line {lineno}: unknown section '{section}'")
-        if key not in _SCHEMA[section]:
+        if key not in _KEY_TYPES[section]:
             raise ConfigError(f"line {lineno}: unknown key '{section}.{key}'")
-        if (section, key) in values:
+        if key in values[section]:
             raise ConfigError(f"line {lineno}: duplicate key '{section}.{key}'")
-        values[(section, key)] = _parse_value(section, key, rhs, lineno)
+        try:
+            values[section][key] = _parse_value(_KEY_TYPES[section][key], rhs)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from exc
 
-    def section_dict(name: str) -> dict:
-        return {k: v for (s, k), v in values.items() if s == name}
-
-    present = {s for s, _ in values}
-    for name in _REQUIRED:
-        if name not in present:
+    for name, given in values.items():
+        if not given and name in _REQUIRED_SECTIONS:
             raise ConfigError(f"missing required section '{name}'")
-        missing = set(_SCHEMA[name]) - set(section_dict(name)) - _OPTIONAL_KEYS.get(name, set())
-        if missing:
+        missing = _required_keys(name) - set(given)
+        if given and missing:
             raise ConfigError(
                 f"section '{name}' missing required keys: {', '.join(sorted(missing))}"
             )
-
     try:
-        atmosphere = AtmosphereParams(**section_dict("atmosphere"))
-        beam = BeamParams(**section_dict("beam"))
-        geometry = LinkGeometry(**section_dict("geometry"))
-        source = SourceConfig(**section_dict("source"))
-        detector = DetectorConfig(**section_dict("detector"))
-        seeds = Seeds(**section_dict("seeds"))
-        protocol = ProtocolParams(**section_dict("protocol"))
-        sweep = SweepGrid(**section_dict("sweep")) if section_dict("sweep") else None
-        mc = McParams(**section_dict("montecarlo")) if section_dict("montecarlo") else None
-        jitter = JitterSpec(**section_dict("jitter")) if section_dict("jitter") else None
+        return ScenarioConfig(
+            **{name: _SECTIONS[name](**given) for name, given in values.items() if given}
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ScenarioConfig(
-        atmosphere=atmosphere,
-        beam=beam,
-        geometry=geometry,
-        source=source,
-        detector=detector,
-        seeds=seeds,
-        protocol=protocol,
-        sweep=sweep,
-        montecarlo=mc,
-        jitter=jitter,
-    )
 
 
 def load_config(path) -> ScenarioConfig:
@@ -221,21 +176,23 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """Text of one config value or table cell: a:b:c for a tuple, 0/1 for a
+    bool, repr for a float (it round-trips exactly), str otherwise."""
     if isinstance(value, tuple):
         return ":".join(str(v) for v in value)
     if isinstance(value, bool):
         return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     lines = []
-    for name, keys in _SCHEMA.items():
+    for name, keys in _KEY_TYPES.items():
         section = getattr(cfg, name)
         if section is not None:
-            lines += [f"{name}.{key} = {_format_value(getattr(section, key))}" for key in keys]
+            lines += [f"{name}.{key} = {format_value(getattr(section, key))}" for key in keys]
     return "\n".join(lines) + "\n"
 
 

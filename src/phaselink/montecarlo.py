@@ -36,6 +36,7 @@ __all__ = [
     "ClassCounts",
     "BatchStats",
     "draw_classes",
+    "class_counts",
     "detect",
     "simulate_batch",
     "stats_to_observables",
@@ -123,6 +124,18 @@ def draw_classes(u: np.ndarray, p_sig: float, p_dec: float) -> np.ndarray:
     return classes
 
 
+def class_counts(classes: np.ndarray, *flags: np.ndarray) -> np.ndarray:
+    """Pulses per intensity class: row 0 counts all pulses, row i + 1 those
+    where flags[i] is set. Columns are indexed by class, counts are int64."""
+    counts = np.zeros((1 + len(flags), 3), dtype=np.int64)
+    for c in (CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM):
+        in_class = classes == c
+        counts[0, c] = np.count_nonzero(in_class)
+        for i, flag in enumerate(flags, start=1):
+            counts[i, c] = np.count_nonzero(flag & in_class)
+    return counts
+
+
 def detect(
     classes: np.ndarray,
     eta: float,
@@ -159,18 +172,8 @@ def simulate_batch(
     clicked, errored = detect(
         sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2)
     )
-
-    counts = []
-    for c in (CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM):
-        in_class = sched == c
-        counts.append(
-            ClassCounts(
-                sent=float(np.count_nonzero(in_class)),
-                clicked=float(np.count_nonzero(clicked & in_class)),
-                errored=float(np.count_nonzero(errored & in_class)),
-            )
-        )
-    return BatchStats(signal=counts[0], decoy=counts[1], vacuum=counts[2])
+    per_class = class_counts(sched, clicked, errored).T  # one (sent, clicked, errored) per class
+    return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))
 
 
 def stats_to_observables(stats: BatchStats) -> DecoyObservables:

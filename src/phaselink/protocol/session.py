@@ -27,6 +27,7 @@ elapsed = pulses / (rep_rate * duty_cycle).
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import Abort, FrameCorrupt, FrameLost, ProtocolError, TransportClosed
-from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, detect, draw_classes
+from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, detect, draw_classes
 from ..optics import (
     AtmosphereParams,
     BeamParams,
@@ -160,42 +161,25 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     """Class schedule covering exactly n_chips signal slots.
 
     Classes are drawn i.i.d. per the mix ratio; the frame ends at the
-    n_chips-th signal pulse.
+    n_chips-th signal pulse. The stream is read in chunks sized to hold the
+    signal pulses still needed plus a margin of 8 standard deviations, so a
+    second chunk is rare; the result does not depend on the chunking.
     """
     p_sig = src.signal_fraction
     p_dec = src.decoy_fraction
     chunks = []
-    total_signal = 0
     offset = 0
     need = n_chips
-    while total_signal < n_chips:
-        est = int(need / p_sig * 1.05) + 64
-        c = draw_classes(uniforms(seed, est, offset), p_sig, p_dec)
+    while True:
+        size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
+        c = draw_classes(uniforms(seed, size, offset), p_sig, p_dec)
+        signal = np.flatnonzero(c == CLASS_SIGNAL)
+        if len(signal) >= need:
+            chunks.append(c[: signal[need - 1] + 1])
+            return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
         chunks.append(c)
-        total_signal += int(np.count_nonzero(c == CLASS_SIGNAL))
-        offset += est
-        need = n_chips - total_signal
-    classes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    cum = np.cumsum(classes == CLASS_SIGNAL)
-    end = int(np.searchsorted(cum, n_chips))
-    return classes[: end + 1]
-
-
-class _Tally:
-    """Per-class sent/clicked accumulator (sender side)."""
-
-    def __init__(self):
-        self.sent = np.zeros(3, dtype=np.int64)
-        self.clicked = np.zeros(3, dtype=np.int64)
-
-    def add(self, classes: np.ndarray, clicks: np.ndarray) -> None:
-        for c in (CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM):
-            mask = classes == c
-            self.sent[c] += int(np.count_nonzero(mask))
-            self.clicked[c] += int(np.count_nonzero(clicks & mask))
-
-    def gain(self, c: int) -> float:
-        return self.clicked[c] / self.sent[c] if self.sent[c] else 0.0
+        need -= len(signal)
+        offset += size
 
 
 class AliceSession:
@@ -208,7 +192,7 @@ class AliceSession:
         self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
         self.sent_payloads: list = []
         self.report: Optional[SessionReport] = None
-        self._tally = _Tally()
+        self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
 
     def _frame_payload(self, frame_id: int) -> bytes:
         seed = split_seed(split_seed(self.spec.seeds.alice, _S_PAYLOAD), frame_id)
@@ -259,8 +243,10 @@ class AliceSession:
             )
 
             _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
-            _, bob_bases, clicks = wire.decode_basis_announce(payload_bytes)
-            self._tally.add(classes, clicks)
+            announced, bob_bases, clicks = wire.decode_basis_announce(payload_bytes)
+            if (announced, len(clicks)) != (start_pulse, n_pulses):
+                raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
+            self._counts += class_counts(classes, clicks)
 
             matched = bases == bob_bases
             kept = clicks & matched
@@ -275,6 +261,8 @@ class AliceSession:
             transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample_idx))
             _, payload_bytes = _recv(transport, wire.SAMPLE_DISCLOSE)
             disclosed_bits = wire.decode_sample_disclose(payload_bytes)
+            if len(disclosed_bits) != n_sample:
+                raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
 
             frame_errors = int(np.count_nonzero(disclosed_bits != bits[sample_idx]))
             disclosed_total += n_sample
@@ -317,6 +305,8 @@ class AliceSession:
 
         elapsed = start_pulse / (spec.src.rep_rate * p.duty_cycle)
         led = self.ledger
+        sent, clicked = self._counts
+        gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
         self.report = SessionReport(
             qber=disclosed_errors / disclosed_total if disclosed_total else 0.0,
             comm_rate=frames_ok * 1000 / elapsed if elapsed else 0.0,
@@ -327,8 +317,8 @@ class AliceSession:
             frames_failed=frames_failed,
             aborted=aborted,
             abort_reason=abort_reason,
-            q_mu_hat=self._tally.gain(CLASS_SIGNAL),
-            q_nu_hat=self._tally.gain(CLASS_DECOY),
+            q_mu_hat=gains[CLASS_SIGNAL],
+            q_nu_hat=gains[CLASS_DECOY],
             total_pulses=start_pulse,
             elapsed_s=elapsed,
         )
@@ -413,9 +403,9 @@ class BobSession:
             msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
                 return
-            _, chip_map = wire.decode_sift_map(payload)
-            if len(chip_map) != n_chips:
-                raise ProtocolError(f"frame {f}: SIFT_MAP does not cover n_chips")
+            mapped, chip_map = wire.decode_sift_map(payload)
+            if (mapped, len(chip_map)) != (start, n_chips):
+                raise ProtocolError(f"frame {f}: SIFT_MAP start or length is not the frame's")
 
             # decode reads chips and pad bits only where chip_map is set
             pad_idx = np.flatnonzero(chip_map)

@@ -48,7 +48,6 @@ class SourceConfig:
     """Weak-coherent-pulse source settings.
 
     mu, nu: mean photon numbers of signal and decoy pulses (mu > nu > 0)
-    vac: vacuum intensity, fixed at 0
     mix_ratio: signal:decoy:vacuum interleaving ratio
     rep_rate: pulse repetition rate [1/s]
     q: sifting factor (probability a detection survives basis sifting)
@@ -56,7 +55,6 @@ class SourceConfig:
 
     mu: float
     nu: float
-    vac: float = 0.0
     mix_ratio: tuple = (30, 2, 1)
     rep_rate: float = 1.25e9
     q: float = 0.5
@@ -64,8 +62,6 @@ class SourceConfig:
     def __post_init__(self):
         if not (self.mu > self.nu > 0):
             raise DegenerateIntensities("require mu > nu > 0")
-        if self.vac != 0.0:
-            raise ValueError("vacuum intensity is fixed at 0")
         if len(self.mix_ratio) != 3 or any(int(r) <= 0 for r in self.mix_ratio):
             raise ValueError("mix_ratio must be three positive integers")
         if self.rep_rate <= 0:
@@ -80,10 +76,6 @@ class SourceConfig:
     @property
     def decoy_fraction(self) -> float:
         return self.mix_ratio[1] / sum(self.mix_ratio)
-
-    @property
-    def vacuum_fraction(self) -> float:
-        return self.mix_ratio[2] / sum(self.mix_ratio)
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,11 @@ class TestParsing:
             parse_config(MINIMAL + "\nbeam.color = 5\n")
 
     def test_missing_field_named(self):
-        broken = MINIMAL.replace("beam.gamma = 27.1\n", "")
-        with pytest.raises(ConfigError, match="gamma"):
-            parse_config(broken)
+        # detector.eta_b has a default in DetectorConfig but is required here
+        for line, key in (("beam.gamma = 27.1", "gamma"), ("detector.eta_b = 0.2238", "eta_b")):
+            broken = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith(line))
+            with pytest.raises(ConfigError, match=f"missing required keys: {key}"):
+                parse_config(broken)
 
     def test_missing_section_named(self):
         lines = [l for l in MINIMAL.splitlines() if not l.startswith("seeds.")]

@@ -2,9 +2,10 @@
 
 The CSV text that cli.cmd_link_budget, cmd_rate_sweep, cmd_simulate and
 cmd_session produce for each bundled config the command accepts is pinned
-by its sha256. A refactor or speed-up must keep every digest. A deliberate
-change of the random-stream layout (or of any number in a table) updates
-the digests here and is noted in CHANGES.md.
+by its sha256, and so are the JSON text of the first three commands and
+each config's config_hash. A refactor or speed-up must keep every digest.
+A deliberate change of the random-stream layout (or of any number in a
+table) updates the digests here and is noted in CHANGES.md.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from phaselink import cli
-from phaselink.config import load_config
+from phaselink.config import config_hash, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 
@@ -29,12 +30,41 @@ GOLDEN = {
     ("upgraded_link", "session"): "d54f95ff705231b5e740feecee83363686109745729b40bafbfe38d2b2af12e4",
 }
 
+GOLDEN_JSON = {
+    ("desk_session", "link_budget"): "2d5fef283c522f2b7f75cf0d93074d59a077a362d1cd335e117f0571c40084dc",
+    ("measured_link", "link_budget"): "7018f38c3eafa9ed61502b224722c9683279f1c2e7c50ec6cc5396f72167d817",
+    ("measured_link", "rate_sweep"): "0668d7bb03c01edc86f53c60e32023a4ee384bf7ffd008bb729dbf4c4c127405",
+    ("measured_link", "simulate"): "5a9182b96dcfb12b0e19a1a4be1b8c4876284ab79d0b59df0375c3e3af245da7",
+    ("upgraded_link", "link_budget"): "bbe4099854af35e77f6723d3e817574ba3931a013e20c8b1def35d3f78f54b9e",
+    ("upgraded_link", "rate_sweep"): "46230a22303e761e7143f1555c494887d878fe619d8af01c3ce08c919a79c016",
+}
+
+CONFIG_HASH = {
+    "desk_session": "c004de3f85eec5b7de1a53ef60baf8f73ada1377686810b687b52e342d4049e6",
+    "measured_link": "f0c6f981b7b92c687b1b6a2405b1e8f4d6d1c8340bfe864258c3b2a22b2aefa3",
+    "upgraded_link": "2b336b14c358c5bc20b3bec048dbefe954103b98a29af3d082a6f29245136cfc",
+}
+
+
+def _digest(config, command, fmt):
+    out = getattr(cli, f"cmd_{command}")(load_config(CONFIG_DIR / f"{config}.cfg"), fmt)
+    text = out[0] if command == "session" else out
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("config,command", sorted(GOLDEN))
 def test_csv_digest(config, command):
-    out = getattr(cli, f"cmd_{command}")(load_config(CONFIG_DIR / f"{config}.cfg"), "csv")
-    text = out[0] if command == "session" else out
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[(config, command)]
+    assert _digest(config, command, "csv") == GOLDEN[(config, command)]
+
+
+@pytest.mark.parametrize("config,command", sorted(GOLDEN_JSON))
+def test_json_digest(config, command):
+    assert _digest(config, command, "json") == GOLDEN_JSON[(config, command)]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_HASH))
+def test_config_hash(config):
+    assert config_hash(load_config(CONFIG_DIR / f"{config}.cfg")) == CONFIG_HASH[config]
 
 
 def test_every_accepted_output_is_pinned():

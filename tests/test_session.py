@@ -1,14 +1,15 @@
 import math
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from phaselink.errors import Abort, ProtocolError
-from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL
+from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, draw_classes
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
-from phaselink.protocol import wire
+from phaselink.protocol import session, wire
 from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
@@ -18,6 +19,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
+from phaselink.rng import uniforms
 
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
 BEAM = BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9)
@@ -214,6 +216,16 @@ def _grow_meta(payload, key, delta):
     return wire.encode_frame_meta(*meta.values())
 
 
+def _cut_announce(payload):
+    start, bases, clicks = wire.decode_basis_announce(payload)
+    return wire.encode_basis_announce(start, bases[:1], clicks[:1])
+
+
+def _shift_sift_start(payload):
+    start, chip_map = wire.decode_sift_map(payload)
+    return wire.encode_sift_map(start + 7, chip_map)
+
+
 def _demote_first_signal(payload):
     start, classes, bases, bits = wire.decode_quantum(payload)
     classes = classes.copy()
@@ -246,15 +258,22 @@ class TestMessageOrder:
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
             (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
+            (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
+            (wire.BASIS_ANNOUNCE, _cut_announce, "BASIS_ANNOUNCE pulse range"),
+            (wire.SAMPLE_DISCLOSE, lambda p: wire.encode_sample_disclose([0]), "SAMPLE_DISCLOSE"),
         ],
     )
     def test_inconsistent_frame_raises(self, msg, rewrite, message):
-        # the receiver checks FRAME_META against what the frame's messages carry
+        # each endpoint checks the messages it receives against the frame; the
+        # rewrite is applied on both sides, since each type has one sender
         before = set(threading.enumerate())
-        sender, receiver = wire.LoopbackTransport.pair()
-        sender = _Edit(sender, lambda t, p: (t, rewrite(p) if t == msg else p))
+
+        def edit(t, p):
+            return t, rewrite(p) if t == msg else p
+
+        transports = tuple(_Edit(t, edit) for t in wire.LoopbackTransport.pair())
         with pytest.raises(ProtocolError, match=message):
-            run_session_detailed(small_spec(n_frames=2, spread=8), transports=(sender, receiver))
+            run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
         assert set(threading.enumerate()) <= before
 
 
@@ -274,6 +293,18 @@ class TestScheduleDraw:
             classes = _draw_schedule(42, n_chips, SRC)
             assert np.count_nonzero(classes == CLASS_SIGNAL) == n_chips
             assert classes[-1] == CLASS_SIGNAL
+
+    def test_prefix_of_one_stream(self, monkeypatch):
+        # the frame is the start of one class stream however it is read; a
+        # negative margin makes the chunks fall short, so several are drawn
+        stream = draw_classes(uniforms(42, 6000), SRC.signal_fraction, SRC.decoy_fraction)
+        frame = stream[: np.flatnonzero(stream == CLASS_SIGNAL)[4999] + 1]
+        assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
+        calls = []
+        monkeypatch.setattr(session, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
+        monkeypatch.setattr(session, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
+        assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
+        assert len(calls) > 1
 
     def test_class_frequencies(self):
         classes = _draw_schedule(7, 100_000, SRC)
