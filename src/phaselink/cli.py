@@ -5,7 +5,7 @@ Subcommands:
     link-budget   itemized dB breakdown and total transmittance
     rate-sweep    rate vs free-space distance, one CSV row per grid point
     simulate      Monte Carlo pulse batch vs the closed-form model
-    session       full two-endpoint protocol run (loopback)
+    session       full two-endpoint protocol run over a socketpair
 
 Exit codes: 0 success, 2 configuration error, 3 regime violation,
 4 session abort, 1 anything else. Outputs are UTF-8 CSV or JSON; CSV
@@ -25,13 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import ScenarioConfig, SweepGrid, config_hash, format_value, load_config
-from .errors import (
-    Abort,
-    ConfigError,
-    EstimatorCollapse,
-    InsufficientStatistics,
-    RegimeViolation,
-)
+from .errors import ConfigError, EstimatorCollapse, InsufficientStatistics, RegimeViolation
 from .montecarlo import PulsePlan, simulate_batch, stats_to_observables
 from .optics import transmittance
 from .protocol.session import Seeds, run_session_detailed
@@ -195,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("link-budget", "itemized link budget for the configured geometry"),
         ("rate-sweep", "key rate versus free-space distance"),
         ("simulate", "Monte Carlo pulse batch statistics"),
-        ("session", "full protocol session over a loopback transport"),
+        ("session", "full protocol session over a socketpair"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config file")
@@ -235,9 +229,6 @@ def main(argv=None) -> int:
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except Abort as exc:
-        print(f"session aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ Example:
 
 Units are SI throughout (meters, seconds); attenuation coefficients are
 dB/km; efficiencies (eta_b, eta_d) are linear transmittances. Unknown
-sections or keys are rejected. parse -> serialize -> parse is a fixed
-point on the parsed value (floats are serialized via repr, which
-round-trips exactly).
+sections or keys and non-finite floats (nan, inf) are rejected. parse ->
+serialize -> parse is a fixed point on the parsed value (floats are
+serialized via repr, which round-trips exactly).
 
 The sections are the fields of ScenarioConfig, and a section's keys are
 the fields of its dataclass, with their types and in their order:
@@ -35,6 +35,7 @@ and jitter are None when left out.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -117,9 +118,13 @@ def _required_keys(name: str) -> set:
 
 
 def _parse_value(kind, raw: str):
-    """A tuple field takes the a:b:c ratio form; others call their type."""
+    """A tuple field takes the a:b:c ratio form; others call their type.
+    A float must be finite."""
     if kind is not tuple:
-        return kind(raw)
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not finite")
+        return value
     parts = tuple(int(p) for p in raw.split(":"))
     if len(parts) != 3:
         raise ValueError("need three colon-separated integers")

@@ -54,11 +54,8 @@ class Frame:
         return self.coded_bits * self.spread_ratio
 
 
-def mask_stream(mask_seed, frame_id: int, n_chips: int) -> np.ndarray:
-    """Keyed mask bits for one frame (uint8 0/1); mask_seed None disables
-    masking (all-zero stream)."""
-    if mask_seed is None:
-        return np.zeros(n_chips, dtype=np.uint8)
+def mask_stream(mask_seed: int, frame_id: int, n_chips: int) -> np.ndarray:
+    """Keyed mask bits for one frame (uint8 0/1)."""
     return random_bits(split_seed(mask_seed, frame_id), n_chips)
 
 
@@ -119,8 +116,7 @@ def decode(
         raise ValueError("chips and sift_map must cover every chip position")
     kept = np.flatnonzero(sift_map)
     values = chips[kept].astype(np.uint8) ^ key_bits[kept].astype(np.uint8)
-    if mask_seed is not None:
-        values ^= random_bits_at(split_seed(mask_seed, frame_id), kept)
+    values ^= random_bits_at(split_seed(mask_seed, frame_id), kept)
 
     group = kept // spread_ratio
     n_groups = PAYLOAD_BITS * fec_ratio

@@ -293,6 +293,8 @@ class AliceSession:
 
             _, payload_bytes = _recv(transport, wire.REPORT)
             result = wire.decode_report(payload_bytes)
+            if result.get("frame_id") != f:
+                raise ProtocolError(f"frame {f}: REPORT frame_id is not the frame's")
             ok = (
                 result.get("status") == "ok"
                 and result.get("sha256") == hashlib.sha256(payload).hexdigest()
@@ -436,11 +438,15 @@ class BobSession:
 
 def run_session_detailed(spec: SessionSpec, transports=None) -> tuple:
     """Run one full session and return (report, alice, bob) without raising
-    on abort. Loopback transports are created when none are given; pass a
-    (sender, receiver) transport pair to run over sockets."""
-    if transports is None:
-        transports = wire.LoopbackTransport.pair()
-    t_alice, t_bob = transports
+    on abort.
+
+    transports is a (sender, receiver) pair, SocketTransport.pair() when
+    none is given. The receiver runs in a thread that closes the receiver
+    end when it exits; the sender end is closed here before the thread is
+    joined. Neither side closes the other's end, so a message sent just
+    before a close is still read.
+    """
+    t_alice, t_bob = transports or wire.SocketTransport.pair()
     alice = AliceSession(spec)
     bob = BobSession(spec)
     failure = []
@@ -450,24 +456,24 @@ def run_session_detailed(spec: SessionSpec, transports=None) -> tuple:
             bob.run(t_bob)
         except Exception as exc:  # surfaced after join
             failure.append(exc)
-            t_bob.close()  # unblock the sender
+        finally:
+            t_bob.close()  # unblocks the sender if the receiver died
 
     thread = threading.Thread(target=_bob_run, daemon=True)
     thread.start()
+    closed = None
     try:
         report = alice.run(t_alice)
-    except TransportClosed:
-        thread.join(timeout=60.0)
-        if failure:
-            raise failure[0] from None  # receiver's root cause, not the EOF
-        raise
+    except TransportClosed as exc:
+        closed = exc  # a receiver failure is the root cause, not the EOF
     finally:
         # closing first unblocks the receiver if the sender died mid-frame
         t_alice.close()
-        t_bob.close()
-        thread.join(timeout=60.0)
+        thread.join()
     if failure:
         raise failure[0]
+    if closed is not None:
+        raise closed
     return report, alice, bob
 
 

@@ -1,4 +1,4 @@
-"""Classical-channel wire protocol and transports.
+"""Classical-channel wire protocol and its socket transport.
 
 Frame layout:
 
@@ -31,10 +31,14 @@ reliable; no cryptography is applied here):
                           such classical message.
 
 Decoders of payloads with a declared count or a fixed layout raise
-ProtocolError unless the payload is exactly as long as that requires.
+ProtocolError unless the payload is exactly as long as that requires;
+the REPORT decoder raises it unless the payload is a UTF-8 JSON object.
 
-The in-process loopback transport carries exactly the same bytes as the
-socket transport.
+Messages travel over a connected stream socket (SocketTransport; pair()
+joins two endpoints in one process with a socketpair). Every send and
+receive waits at most TIMEOUT_S; a timeout, a socket error or a closed
+peer raises TransportClosed. Each endpoint closes only its own end, so a
+message already sent, such as a final ABORT, stays readable by the peer.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import threading
-from collections import deque
 
 import numpy as np
 
@@ -208,98 +210,56 @@ def encode_report(obj: dict) -> bytes:
 
 
 def decode_report(payload: bytes) -> dict:
-    return json.loads(payload.decode("utf-8"))
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"REPORT is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError("REPORT is not a JSON object")
+    return obj
 
 
-# --- transports -----------------------------------------------------------
+# --- transport -----------------------------------------------------------
 
-class _LoopbackBuffer:
-    """Thread-safe byte FIFO shared by one direction of a loopback pair."""
-
-    def __init__(self):
-        self._chunks = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    def write(self, data: bytes) -> None:
-        with self._cond:
-            if self._closed:
-                raise TransportClosed("peer closed")
-            self._chunks.append(data)
-            self._cond.notify_all()
-
-    def read_exact(self, n: int) -> bytes:
-        out = bytearray()
-        with self._cond:
-            while len(out) < n:
-                while not self._chunks:
-                    if self._closed:
-                        raise TransportClosed("transport closed")
-                    self._cond.wait()
-                chunk = self._chunks.popleft()
-                need = n - len(out)
-                out += chunk[:need]
-                if len(chunk) > need:
-                    self._chunks.appendleft(chunk[need:])
-        return bytes(out)
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-
-class LoopbackTransport:
-    """In-process transport; bytes on the buffers are identical to the
-    socket wire encoding."""
-
-    def __init__(self, inbox: _LoopbackBuffer, outbox: _LoopbackBuffer):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    @classmethod
-    def pair(cls) -> tuple:
-        a_to_b = _LoopbackBuffer()
-        b_to_a = _LoopbackBuffer()
-        return cls(b_to_a, a_to_b), cls(a_to_b, b_to_a)
-
-    def send(self, msg_type: int, payload: bytes) -> None:
-        self._outbox.write(encode_frame(msg_type, payload))
-
-    def recv(self) -> tuple:
-        header = self._inbox.read_exact(HEADER.size)
-        length, msg_type = decode_header(header)
-        payload = self._inbox.read_exact(length) if length else b""
-        return msg_type, payload
-
-    def close(self) -> None:
-        self._outbox.close()
-        self._inbox.close()
+TIMEOUT_S = 60.0  # longest wait for one send or receive; a silent peer is gone
 
 
 class SocketTransport:
-    """Transport over a connected stream socket."""
+    """Transport over a connected stream socket.
+
+    A send or receive that waits longer than TIMEOUT_S raises
+    TransportClosed, as does any socket error or a peer that closed.
+    """
 
     def __init__(self, sock: socket.socket):
+        sock.settimeout(TIMEOUT_S)
         self._sock = sock
+
+    @classmethod
+    def pair(cls) -> tuple:
+        """Two endpoints joined by a socketpair, for one process."""
+        a, b = socket.socketpair()
+        return cls(a), cls(b)
 
     def send(self, msg_type: int, payload: bytes) -> None:
         try:
             self._sock.sendall(encode_frame(msg_type, payload))
-        except OSError as exc:
+        except OSError as exc:  # includes the timeout
             raise TransportClosed(str(exc)) from exc
 
-    def _read_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
+    def _read_exact(self, n: int) -> bytearray:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(n - len(buf))
-            except OSError as exc:
+                chunk = self._sock.recv_into(view[got:])
+            except OSError as exc:  # includes the timeout
                 raise TransportClosed(str(exc)) from exc
             if not chunk:
                 raise TransportClosed("connection closed")
-            buf.extend(chunk)
-        return bytes(buf)
+            got += chunk
+        return buf
 
     def recv(self) -> tuple:
         length, msg_type = decode_header(self._read_exact(HEADER.size))
@@ -311,3 +271,8 @@ class SocketTransport:
             self._sock.close()
         except OSError:
             pass
+
+
+# Kept only for benchmarks/, which imports this name and whose tracer
+# patches send and recv through it.
+LoopbackTransport = SocketTransport

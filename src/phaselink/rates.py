@@ -151,14 +151,11 @@ class DecoyEstimate:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-pulse secrecy capacity and derived absolute rates."""
+    """Per-pulse secrecy capacity and the absolute key generation rate."""
 
     cs_per_pulse: float
     cs_raw: float
     key_gen_rate: float = 0.0
-    key_cons_rate: float = 0.0
-    comm_rate: float = 0.0
-    p_rec: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -256,11 +253,7 @@ def secrecy_capacity(
         -det.f_ec * binary_entropy(obs.e_mu)
         + (est.q1 / obs.q_mu) * (1.0 - binary_entropy(est.e1))
     )
-    return RateReport(
-        cs_per_pulse=max(cs_raw, 0.0),
-        cs_raw=cs_raw,
-        p_rec=recycling_fraction(obs.q_mu),
-    )
+    return RateReport(cs_per_pulse=max(cs_raw, 0.0), cs_raw=cs_raw)
 
 
 def recycling_fraction(q_mu: float) -> float:
@@ -287,7 +280,7 @@ def rate_sweep(
     """Evaluate the full chain over a grid of free-space distances.
 
     Each point runs transmittance -> forward_gains -> decoy_estimate ->
-    secrecy_capacity; absolute rates scale by rep_rate, the signal
+    secrecy_capacity; the key generation rate scales by rep_rate, the signal
     fraction of the mix ratio, and duty_cycle. An estimator collapse at
     a point is recorded as a zero-rate SweepPoint, not a sweep failure.
     """
@@ -303,22 +296,13 @@ def rate_sweep(
         try:
             est = decoy_estimate(obs, src)
         except EstimatorCollapse:
-            report = RateReport(
-                cs_per_pulse=0.0,
-                cs_raw=0.0,
-                key_cons_rate=scale * obs.q_mu * src.q,
-                p_rec=recycling_fraction(obs.q_mu),
-            )
+            report = RateReport(cs_per_pulse=0.0, cs_raw=0.0)
             points.append(
                 SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=None, collapsed=True)
             )
             continue
         partial = secrecy_capacity(obs, est, src, det)
-        report = replace(
-            partial,
-            key_gen_rate=scale * partial.cs_per_pulse,
-            key_cons_rate=scale * obs.q_mu * src.q,
-        )
+        report = replace(partial, key_gen_rate=scale * partial.cs_per_pulse)
         points.append(
             SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=est, collapsed=False)
         )

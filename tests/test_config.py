@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from phaselink import cli
 from phaselink.config import (
     ScenarioConfig,
     SweepGrid,
@@ -94,6 +95,15 @@ class TestParsing:
     def test_invalid_physics_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("source.nu = 0.28", "source.nu = 0.9"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line", ["geometry.d_fs = 1400.0", "source.mu = 0.71"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, line, value):
+        key = line.partition(" = ")[0]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace(line, f"{key} = {value}"))
+        assert cli.main(["link-budget", "--config", str(bad)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestSweepGrid:

@@ -32,11 +32,12 @@ class TestFrame:
 
 class TestPreprocess:
     def test_identity_pipeline(self):
-        # unit ratios, zero key, no mask: chips are exactly the payload bits
+        # unit ratios, zero key, mask XORed back out: chips are the payload bits
         payload = make_payload(1)
         frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=1)
         zero_key = np.zeros(frame.chip_count, dtype=np.uint8)
-        chips = preprocess(frame, zero_key, mask_seed=None)
+        chips = preprocess(frame, zero_key, mask_seed=9)
+        chips ^= mask_stream(9, 0, frame.chip_count)
         assert np.array_equal(chips, payload_to_bits(payload))
 
     def test_invertible(self):

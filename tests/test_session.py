@@ -1,12 +1,13 @@
 import math
 import socket
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from phaselink.errors import Abort, ProtocolError
+from phaselink.errors import Abort, ProtocolError, TransportClosed
 from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, draw_classes
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
@@ -233,6 +234,11 @@ def _demote_first_signal(payload):
     return wire.encode_quantum(start, classes, bases, bits)
 
 
+def _renumber_report(payload):
+    report = wire.decode_report(payload)
+    return wire.encode_report({**report, "frame_id": report["frame_id"] + 1})
+
+
 class TestMessageOrder:
     @pytest.mark.parametrize(
         "side,old,new,message",
@@ -244,7 +250,7 @@ class TestMessageOrder:
     )
     def test_unexpected_type_raises(self, side, old, new, message):
         before = set(threading.enumerate())
-        transports = list(wire.LoopbackTransport.pair())
+        transports = list(wire.SocketTransport.pair())
         transports[side] = _Edit(transports[side], lambda t, p: (new if t == old else t, p))
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=tuple(transports))
@@ -261,6 +267,7 @@ class TestMessageOrder:
             (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
             (wire.BASIS_ANNOUNCE, _cut_announce, "BASIS_ANNOUNCE pulse range"),
             (wire.SAMPLE_DISCLOSE, lambda p: wire.encode_sample_disclose([0]), "SAMPLE_DISCLOSE"),
+            (wire.REPORT, _renumber_report, "REPORT frame_id"),
         ],
     )
     def test_inconsistent_frame_raises(self, msg, rewrite, message):
@@ -271,20 +278,66 @@ class TestMessageOrder:
         def edit(t, p):
             return t, rewrite(p) if t == msg else p
 
-        transports = tuple(_Edit(t, edit) for t in wire.LoopbackTransport.pair())
+        transports = tuple(_Edit(t, edit) for t in wire.SocketTransport.pair())
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
         assert set(threading.enumerate()) <= before
 
 
+class _Faulty(wire.SocketTransport):
+    """Socket transport whose send of one message type writes only the
+    first `keep` bytes of its frame, then closes its end if `close` is set."""
+
+    def __init__(self, sock, msg, keep, close):
+        super().__init__(sock)
+        self._msg, self._keep, self._close = msg, keep, close
+
+    def send(self, msg_type, payload):
+        if msg_type != self._msg:
+            super().send(msg_type, payload)
+            return
+        self._sock.sendall(wire.encode_frame(msg_type, payload)[: self._keep])
+        if self._close:
+            self.close()
+
+
 class TestSocketSession:
     def test_socketpair_matches_loopback(self):
         spec = small_spec(n_frames=4, spread=64)
-        loopback_report, _, _ = run_session_detailed(spec)
+        default_report, _, _ = run_session_detailed(spec)
         s1, s2 = socket.socketpair()
         transports = (wire.SocketTransport(s1), wire.SocketTransport(s2))
         socket_report, _, _ = run_session_detailed(spec, transports=transports)
-        assert socket_report == loopback_report
+        assert socket_report == default_report
+
+    @pytest.mark.parametrize(
+        "side,msg,keep,close,timeouts",
+        [
+            (0, wire.QUANTUM, wire.HEADER.size + 100, True, 0),  # cut mid-payload, then closed
+            (0, wire.SAMPLE_REQUEST, 0, False, 1),  # dropped: both ends wait
+            (1, wire.SAMPLE_DISCLOSE, 0, True, 0),  # receiver closes mid-frame
+        ],
+    )
+    def test_transport_fault_ends_typed(self, monkeypatch, side, msg, keep, close, timeouts):
+        monkeypatch.setattr(wire, "TIMEOUT_S", 1.0)
+        before = set(threading.enumerate())
+        socks = socket.socketpair()
+        transports = tuple(
+            _Faulty(s, msg, keep, close) if i == side else wire.SocketTransport(s)
+            for i, s in enumerate(socks)
+        )
+        # should the transport timeout fail, this ends the hang and the time check fails
+        watchdog = threading.Timer(5.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
+        watchdog.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises((ProtocolError, TransportClosed)):
+                run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+        assert time.perf_counter() - t0 < (timeouts + 0.5) * wire.TIMEOUT_S
+        assert set(threading.enumerate()) <= before
 
 
 class TestScheduleDraw:
