@@ -99,7 +99,6 @@ def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
         cfg.source,
         cfg.detector,
         cfg.sweep.points(),
-        cfg.geometry.d_fiber,
         duty_cycle=cfg.protocol.duty_cycle,
     )
     rows = [
@@ -154,7 +153,7 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str) -> str:
 
 
 def cmd_session(cfg: ScenarioConfig, fmt: str) -> tuple:
-    report, _, _ = run_session_detailed(cfg.session_spec())
+    report, _, _ = run_session_detailed(cfg)
     d = report.as_dict()
     if fmt == "json":
         return json.dumps(d, indent=2, sort_keys=True), report

@@ -42,7 +42,7 @@ from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
-from .protocol.session import ProtocolParams, Seeds, SessionSpec
+from .protocol.session import ProtocolParams, Seeds
 from .rates import DetectorConfig, SourceConfig
 
 
@@ -86,17 +86,10 @@ class ScenarioConfig:
     montecarlo: Optional[McParams] = None
     jitter: Optional[JitterSpec] = None
 
-    def session_spec(self) -> SessionSpec:
-        return SessionSpec(
-            atm=self.atmosphere,
-            beam=self.beam,
-            geom=self.geometry,
-            src=self.source,
-            det=self.detector,
-            protocol=self.protocol,
-            seeds=self.seeds,
-            jitter=self.jitter,
-        )
+    def session_spec(self) -> ScenarioConfig:
+        # The session endpoints take the scenario itself. Kept only for
+        # benchmarks/workloads.py, which calls it.
+        return self
 
 
 # Section name -> dataclass, in ScenarioConfig field order (Optional[X] -> X).

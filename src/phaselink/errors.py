@@ -49,14 +49,6 @@ class NegativeBalance(PhaselinkError):
     """Key ledger conservation violated; indicates an internal bug."""
 
 
-class Abort(PhaselinkError):
-    """Session aborted by the security check."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class TransportClosed(PhaselinkError):
     """Read or write attempted on a closed transport."""
 

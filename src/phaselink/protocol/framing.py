@@ -67,25 +67,17 @@ def bits_to_payload(bits: np.ndarray) -> bytes:
     return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def preprocess(
-    frame: Frame,
-    key_bits: np.ndarray,
-    mask_seed: int,
-    ledger=None,
-) -> np.ndarray:
+def preprocess(frame: Frame, key_bits: np.ndarray, mask_seed: int) -> np.ndarray:
     """Encode a frame into its on-air chip sequence (uint8 0/1 array).
 
-    key_bits must supply at least chip_count pad bits. When a ledger is
-    given, the chip count is debited up front; KeyPoolExhausted propagates
-    if the pool cannot cover it.
+    key_bits must supply at least chip_count pad bits; KeyPoolExhausted
+    is raised otherwise.
     """
     n = frame.chip_count
     if len(key_bits) < n:
         raise KeyPoolExhausted(
             f"key stream supplies {len(key_bits)} bits, frame needs {n}"
         )
-    if ledger is not None:
-        ledger.debit(n)
     bits = payload_to_bits(frame.payload)
     coded = np.repeat(bits, frame.fec_ratio)
     chips = np.repeat(coded, frame.spread_ratio)

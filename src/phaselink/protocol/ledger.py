@@ -70,7 +70,8 @@ class FrameAccounting:
 def ledger_commit(ledger: KeyLedger, frame_stats: FrameAccounting) -> KeyLedger:
     """Credit recycling and fresh generation for one processed frame.
 
-    The frame's chip debit must already have happened (at preprocess).
+    The frame's chip debit must already have happened (KeyLedger.debit,
+    when the frame was encoded).
     """
     ledger.recycled += frame_stats.chips - frame_stats.kept
     fresh = frame_stats.kept - frame_stats.disclosed

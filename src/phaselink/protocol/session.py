@@ -14,9 +14,15 @@ The classical exchange per frame:
                              (kept minus disclosed)
     B -> A  REPORT (decode status + payload digest)
 
-Key accounting: each chip debits one pad bit at preprocess; pad bits on
-positions Bob never kept are recycled; kept positions mint fresh key,
-except disclosed check bits which are consumed and not regenerated.
+Both endpoints hold the same scenario (config.ScenarioConfig). Bob takes
+the frame count and the pipeline ratios from its protocol section, and
+checks that each FRAME_META carries the next frame id and each QUANTUM
+starts at the pulse count of the frames before it.
+
+Key accounting: each chip debits one pad bit when its frame is encoded;
+pad bits on positions Bob never kept are recycled; kept positions mint
+fresh key, except disclosed check bits which are consumed and not
+regenerated.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -30,30 +36,25 @@ import hashlib
 import math
 import threading
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import Abort, FrameCorrupt, FrameLost, ProtocolError, TransportClosed
+from ..errors import FrameCorrupt, FrameLost, ProtocolError, TransportClosed
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, detect, draw_classes
-from ..optics import (
-    AtmosphereParams,
-    BeamParams,
-    JitterSpec,
-    LinkGeometry,
-    jitter_step,
-    transmittance,
-)
-from ..rates import DetectorConfig, SourceConfig
+from ..optics import jitter_step, transmittance
+from ..rates import SourceConfig
 from ..rng import random_bits, random_bits_at, random_bytes, split_seed, uniforms
 from . import wire
 from .framing import PAYLOAD_BITS, Frame, decode, preprocess
 from .ledger import FrameAccounting, KeyLedger, ledger_commit
 
+if TYPE_CHECKING:
+    from ..config import ScenarioConfig
+
 # stream ids for seed derivation
 _S_PAYLOAD = 1
 _S_SCHEDULE = 2
-_S_FILLER = 3
 _S_ALICE_BASIS = 4
 _S_SAMPLE = 5
 _S_KEYPOOL = 100
@@ -93,21 +94,6 @@ class Seeds:
     alice: int
     bob: int
     channel: int
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """Everything both simulated endpoints need to run one session."""
-
-    atm: AtmosphereParams
-    beam: BeamParams
-    geom: LinkGeometry
-    src: SourceConfig
-    det: DetectorConfig
-    protocol: ProtocolParams
-    seeds: Seeds
-    jitter: Optional[JitterSpec] = None
-    extra_loss_db: Optional[tuple] = None  # scripted per-frame extra loss
 
 
 @dataclass
@@ -185,7 +171,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
 class AliceSession:
     """Sender endpoint: frames, sampling decisions, ledger, final report."""
 
-    def __init__(self, spec: SessionSpec):
+    def __init__(self, spec: ScenarioConfig):
         self.spec = spec
         self.ledger = KeyLedger.with_initial(spec.protocol.initial_pool_bits)
         self.key_seed = split_seed(spec.seeds.alice, _S_KEYPOOL)
@@ -214,30 +200,21 @@ class AliceSession:
             self.sent_payloads.append(payload)
             n_chips = frame.chip_count
             key_bits = random_bits(self.key_seed, n_chips, offset=f * n_chips)
-            chips = preprocess(frame, key_bits, self.mask_seed, self.ledger)
+            self.ledger.debit(n_chips)  # one pad bit per chip
+            chips = preprocess(frame, key_bits, self.mask_seed)
 
             classes = _draw_schedule(
-                split_seed(split_seed(spec.seeds.alice, _S_SCHEDULE), f), n_chips, spec.src
+                split_seed(split_seed(spec.seeds.alice, _S_SCHEDULE), f), n_chips, spec.source
             )
             n_pulses = len(classes)
             signal_mask = classes == CLASS_SIGNAL
-            filler = np.flatnonzero(~signal_mask)
-            bits = np.empty(n_pulses, dtype=np.uint8)
-            bits[filler] = random_bits_at(
-                split_seed(split_seed(spec.seeds.alice, _S_FILLER), f), filler
-            )
+            bits = np.zeros(n_pulses, dtype=np.uint8)  # non-signal pulses carry 0
             bits[signal_mask] = chips
             bases = random_bits(
                 split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), n_pulses
             )
 
-            last = f == p.n_frames - 1
-            transport.send(
-                wire.FRAME_META,
-                wire.encode_frame_meta(
-                    f, start_pulse, n_pulses, n_chips, p.fec_ratio, p.spread_ratio, last
-                ),
-            )
+            transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
             transport.send(
                 wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bases, bits)
             )
@@ -305,7 +282,7 @@ class AliceSession:
                 frames_failed += 1
             start_pulse += n_pulses
 
-        elapsed = start_pulse / (spec.src.rep_rate * p.duty_cycle)
+        elapsed = start_pulse / (spec.source.rep_rate * p.duty_cycle)
         led = self.ledger
         sent, clicked = self._counts
         gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
@@ -330,60 +307,53 @@ class AliceSession:
 class BobSession:
     """Receiver endpoint: detection simulation, announcements, decoding."""
 
-    def __init__(self, spec: SessionSpec):
+    def __init__(self, spec: ScenarioConfig):
         self.spec = spec
         self.key_seed = split_seed(spec.seeds.alice, _S_KEYPOOL)  # pre-shared
         self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
         self.recovered: dict = {}
         self.statuses: dict = {}
         budget = transmittance(
-            spec.geom, spec.atm, spec.beam, spec.det.eta_b, spec.det.eta_d
+            spec.geometry, spec.atmosphere, spec.beam, spec.detector.eta_b, spec.detector.eta_d
         )
         self.static_db = budget.total_db
         self._jitter_x = 0.0
 
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
-        extra = 0.0
-        if self.spec.extra_loss_db is not None and frame_id < len(self.spec.extra_loss_db):
-            extra += self.spec.extra_loss_db[frame_id]
         jit = self.spec.jitter
         if jit is not None and jit.max_db > 0.0:
             u = uniforms(
                 split_seed(split_seed(self.spec.seeds.channel, _S_JITTER), frame_id), 1
             )[0]
             self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
-            extra += self._jitter_x
-        return self.static_db + extra
+            return self.static_db + self._jitter_x
+        return self.static_db
 
     def run(self, transport) -> None:
         spec = self.spec
-        done = False
-        while not done:
-            msg, payload = _recv(transport, wire.FRAME_META, wire.ABORT)
-            if msg == wire.ABORT:
-                return
-            meta = wire.decode_frame_meta(payload)
-            done = meta["last"]
-            f = meta["frame_id"]
-            n_pulses = meta["n_pulses"]
-            n_chips = meta["n_chips"]
-            if n_chips != PAYLOAD_BITS * meta["fec_ratio"] * meta["spread_ratio"]:
-                raise ProtocolError(f"frame {f}: n_chips {n_chips} does not match the ratios")
+        p = spec.protocol
+        n_chips = PAYLOAD_BITS * p.fec_ratio * p.spread_ratio
+        start_pulse = 0
+        for f in range(p.n_frames):
+            _, payload = _recv(transport, wire.FRAME_META)
+            if wire.decode_frame_meta(payload) != f:
+                raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
             _, payload = _recv(transport, wire.QUANTUM)
             start, classes, alice_bases, alice_bits = wire.decode_quantum(payload)
-            if (start, len(classes)) != (meta["start_pulse"], n_pulses):
-                raise ProtocolError(f"frame {f}: QUANTUM pulse range does not match FRAME_META")
+            if start != start_pulse:
+                raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
+            n_pulses = len(classes)
             signal_mask = classes == CLASS_SIGNAL
             if np.count_nonzero(signal_mask) != n_chips:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
-            loss_db = self._frame_loss_db(f, n_pulses / spec.src.rep_rate)
+            loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
             clicks, errors = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
-                spec.src,
-                spec.det,
+                spec.source,
+                spec.detector,
                 split_seed(split_seed(spec.seeds.channel, _S_CLICK), f),
                 split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
             )
@@ -420,8 +390,8 @@ class BobSession:
                     key_bits,
                     self.mask_seed,
                     f,
-                    meta["fec_ratio"],
-                    meta["spread_ratio"],
+                    p.fec_ratio,
+                    p.spread_ratio,
                 )
                 status, digest = "ok", hashlib.sha256(recovered).hexdigest()
                 self.recovered[f] = recovered
@@ -434,9 +404,10 @@ class BobSession:
                 wire.REPORT,
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
+            start_pulse += n_pulses
 
 
-def run_session_detailed(spec: SessionSpec, transports=None) -> tuple:
+def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
     """Run one full session and return (report, alice, bob) without raising
     on abort.
 
@@ -475,14 +446,3 @@ def run_session_detailed(spec: SessionSpec, transports=None) -> tuple:
     if closed is not None:
         raise closed
     return report, alice, bob
-
-
-def run_session(spec: SessionSpec, transports=None) -> SessionReport:
-    """Run one full session and return the sender-side report.
-
-    Raises Abort when the security check tripped.
-    """
-    report, _, _ = run_session_detailed(spec, transports)
-    if report.aborted:
-        raise Abort(report.abort_reason or "security check failed")
-    return report

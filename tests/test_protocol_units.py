@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from phaselink.config import ScenarioConfig
 from phaselink.errors import NegativeBalance
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.protocol import session
@@ -9,7 +10,6 @@ from phaselink.protocol.ledger import FrameAccounting, KeyLedger, ledger_commit
 from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
-    SessionSpec,
     _sample_positions,
     run_session_detailed,
 )
@@ -17,22 +17,21 @@ from phaselink.rates import DetectorConfig, SourceConfig
 from phaselink.rng import uniforms
 
 
-def one_frame_spec(det=None, extra_loss_db=None, **protocol):
-    """A lossless one-frame session of 8000 chips, about 2000 of them kept."""
+def one_frame_spec(det=None, conv_loss_db=0.0, **protocol):
+    """A one-frame session of 8000 chips, about 2000 of them kept when lossless."""
     params = dict(spread_ratio=8, n_frames=1, initial_pool_bits=100_000)
     params.update(protocol)
-    return SessionSpec(
-        atm=AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2),
+    return ScenarioConfig(
+        atmosphere=AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2),
         beam=BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9),
-        geom=LinkGeometry(
-            d_fs=0.0, d_fiber=0.0, a_r=1.0, conv_loss_db=0.0, adapter_loss_db=0.0,
+        geometry=LinkGeometry(
+            d_fs=0.0, d_fiber=0.0, a_r=1.0, conv_loss_db=conv_loss_db, adapter_loss_db=0.0,
             alpha_fiber=0.0,
         ),
-        src=SourceConfig(mu=0.71, nu=0.28),
-        det=det or DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=0.9847, eta_b=1.0),
-        protocol=ProtocolParams(**params),
+        source=SourceConfig(mu=0.71, nu=0.28),
+        detector=det or DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=0.9847, eta_b=1.0),
         seeds=Seeds(alice=1, bob=2, channel=3),
-        extra_loss_db=extra_loss_db,
+        protocol=ProtocolParams(**params),
     )
 
 
@@ -78,7 +77,7 @@ class TestSecurityCheck:
         # nothing kept: nothing disclosed, no abort, every frame lost
         assert len(_sample_positions(np.empty(0, dtype=np.int64), 0.5, 7)) == 0
         dark = DetectorConfig(p_d=0.0, eta_d=1.0, visibility=0.9847, eta_b=1.0)
-        report, _, bob = run_session_detailed(one_frame_spec(det=dark, extra_loss_db=(400.0,)))
+        report, _, bob = run_session_detailed(one_frame_spec(det=dark, conv_loss_db=400.0))
         assert not report.aborted
         assert report.qber == 0.0
         assert bob.statuses == {0: "lost"}

@@ -185,7 +185,7 @@ GEOM = LinkGeometry(
 class TestRateSweep:
     def test_monotone_decreasing_rate(self):
         grid = [float(d) for d in range(0, 5001, 250)]
-        points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, grid, d_fiber=10_000.0)
+        points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, grid)
         rates = [p.report.key_gen_rate for p in points]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
         assert rates[0] > 0.0
@@ -196,7 +196,7 @@ class TestRateSweep:
         det_up = DetectorConfig(p_d=1e-6, eta_d=0.8, visibility=0.9847, eta_b=10 ** -0.65)
         geom_up = replace(GEOM, a_r=0.5)
         points = rate_sweep(
-            geom_up, ATM, BEAM, SRC, det_up, [float(d) for d in range(0, 40_001, 2000)], 10_000.0
+            geom_up, ATM, BEAM, SRC, det_up, [float(d) for d in range(0, 40_001, 2000)]
         )
         positive = [p.d_fs for p in points if p.report.key_gen_rate > 0.0]
         assert max(positive) >= 30_000.0
@@ -207,7 +207,7 @@ class TestRateSweep:
         # the swept point must equal a standalone evaluation bit-for-bit
         from phaselink.optics import transmittance
 
-        points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, [1400.0], d_fiber=10_000.0)
+        points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, [1400.0])
         eta = transmittance(GEOM, ATM, BEAM, DET.eta_b, DET.eta_d).eta_total
         obs = forward_gains(eta, SRC, DET)
         est = decoy_estimate(obs, SRC)
@@ -217,4 +217,4 @@ class TestRateSweep:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
-            rate_sweep(GEOM, ATM, BEAM, SRC, DET, [2000.0, 1000.0], d_fiber=10_000.0)
+            rate_sweep(GEOM, ATM, BEAM, SRC, DET, [2000.0, 1000.0])

@@ -7,16 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phaselink.errors import Abort, ProtocolError, TransportClosed
+from phaselink.config import ScenarioConfig
+from phaselink.errors import ProtocolError, TransportClosed
 from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, draw_classes
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
 from phaselink.protocol.session import (
+    BobSession,
     ProtocolParams,
     Seeds,
-    SessionSpec,
     _draw_schedule,
-    run_session,
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
@@ -31,32 +31,30 @@ SRC = SourceConfig(mu=0.71, nu=0.28)
 DET_CLEAN = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=0.9847, eta_b=1.0)
 
 
-def small_spec(n_frames=10, spread=8, **overrides):
+def small_spec(n_frames=10, spread=8, fec=1, **overrides):
     params = dict(
-        fec_ratio=1,
+        fec_ratio=fec,
         spread_ratio=spread,
         qber_threshold=0.05,
         sample_fraction=0.1,
         duty_cycle=1.0,
         n_frames=n_frames,
-        initial_pool_bits=n_frames * 1000 * spread + 100_000,
+        initial_pool_bits=n_frames * 1000 * fec * spread + 100_000,
     )
     det = overrides.pop("det", DET_CLEAN)
     geom = overrides.pop("geom", LOSSLESS)
     seeds = overrides.pop("seeds", Seeds(alice=101, bob=102, channel=103))
-    extra = overrides.pop("extra_loss_db", None)
     jitter = overrides.pop("jitter", None)
     params.update(overrides)
-    return SessionSpec(
-        atm=ATM,
+    return ScenarioConfig(
+        atmosphere=ATM,
         beam=BEAM,
-        geom=geom,
-        src=SRC,
-        det=det,
-        protocol=ProtocolParams(**params),
+        geometry=geom,
+        source=SRC,
+        detector=det,
         seeds=seeds,
+        protocol=ProtocolParams(**params),
         jitter=jitter,
-        extra_loss_db=extra,
     )
 
 
@@ -71,6 +69,15 @@ class TestLoopbackSession:
         for f, payload in bob.recovered.items():
             assert payload == alice.sent_payloads[f]
 
+    def test_repetition_fec_frames_delivered(self):
+        # Bob takes fec_ratio from the scenario: three copies of each bit
+        spec = small_spec(n_frames=3, spread=64, fec=3)
+        report, alice, bob = run_session_detailed(spec)
+        assert report.frames_ok == 3
+        assert bob.statuses == {0: "ok", 1: "ok", 2: "ok"}
+        assert all(bob.recovered[f] == alice.sent_payloads[f] for f in range(3))
+        assert alice.ledger.consumed == 3 * 1000 * 3 * 64
+
     def test_noiseless_session_zero_qber(self):
         det_perfect = DetectorConfig(p_d=0.0, eta_d=1.0, visibility=1.0, eta_b=1.0)
         spec = small_spec(n_frames=10, spread=64, det=det_perfect)
@@ -81,7 +88,7 @@ class TestLoopbackSession:
     def test_qber_matches_configured_error(self):
         spec = small_spec(n_frames=20, spread=16)
         report, _, _ = run_session_detailed(spec)
-        e_expected = spec.det.e_det + spec.det.e_mis
+        e_expected = spec.detector.e_det + spec.detector.e_mis
         n_disclosed = report.total_pulses * SRC.signal_fraction * report.q_mu_hat / 2 * 0.1
         sigma = (e_expected * (1 - e_expected) / n_disclosed) ** 0.5
         assert abs(report.qber - e_expected) < 4 * sigma
@@ -120,7 +127,7 @@ class TestLoopbackSession:
         n = len(classes)
         eta = 1.0  # lossless geometry
         p_click = np.array(
-            [1.0 - (1.0 - spec.det.y0) * math.exp(-eta * a) for a in (SRC.mu, SRC.nu, 0.0)]
+            [1.0 - (1.0 - spec.detector.y0) * math.exp(-eta * a) for a in (SRC.mu, SRC.nu, 0.0)]
         )
         clicks = uniforms(split_seed(split_seed(spec.seeds.channel, 1), 0), n) < p_click[classes]
         a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
@@ -135,18 +142,20 @@ class TestLoopbackSession:
     def test_abort_on_high_qber(self):
         det_bad = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=0.9847, e_mis=0.2, eta_b=1.0)
         spec = small_spec(n_frames=5, spread=8, det=det_bad)
-        with pytest.raises(Abort):
-            run_session(spec)
         report, _, _ = run_session_detailed(spec)
         assert report.aborted
         assert "exceeds threshold" in report.abort_reason
         assert report.frames_ok == 0
 
-    def test_loss_spike_fails_frames_without_abort(self):
+    def test_loss_spike_fails_frames_without_abort(self, monkeypatch):
         # frames 2 and 3 get +35 dB: they are lost, the session keeps going
-        extra = (0.0, 0.0, 35.0, 35.0, 0.0, 0.0)
-        spec = small_spec(n_frames=6, spread=64, extra_loss_db=extra)
-        report, _, bob = run_session_detailed(spec)
+        loss_db = BobSession._frame_loss_db
+
+        def spiked(bob, frame_id, frame_duration):
+            return loss_db(bob, frame_id, frame_duration) + (35.0 if frame_id in (2, 3) else 0.0)
+
+        monkeypatch.setattr(BobSession, "_frame_loss_db", spiked)
+        report, _, bob = run_session_detailed(small_spec(n_frames=6, spread=64))
         assert not report.aborted
         assert report.frames_failed == 2
         assert report.frames_ok == 4
@@ -176,14 +185,14 @@ class TestLoopbackSession:
         det = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
         chips = 1000 * 1920
         n_frames = 47  # ~1e8 pulses including decoy/vacuum interleave
-        spec = SessionSpec(
-            atm=ATM, beam=BEAM, geom=geom, src=SRC, det=det,
+        spec = ScenarioConfig(
+            atmosphere=ATM, beam=BEAM, geometry=geom, source=SRC, detector=det,
+            seeds=Seeds(alice=301, bob=302, channel=303),
             protocol=ProtocolParams(
                 fec_ratio=1, spread_ratio=1920, qber_threshold=0.05,
                 sample_fraction=0.1, duty_cycle=1.0, n_frames=n_frames,
                 initial_pool_bits=chips + 200_000,
             ),
-            seeds=Seeds(alice=301, bob=302, channel=303),
         )
         report, alice, _ = run_session_detailed(spec)
         assert report.total_pulses > 9e7
@@ -211,10 +220,13 @@ class _Edit:
         self._inner.close()
 
 
-def _grow_meta(payload, key, delta):
-    meta = wire.decode_frame_meta(payload)
-    meta[key] += delta
-    return wire.encode_frame_meta(*meta.values())
+def _renumber_meta(payload):
+    return wire.encode_frame_meta(wire.decode_frame_meta(payload) + 1)
+
+
+def _shift_quantum_start(payload):
+    start, classes, bases, bits = wire.decode_quantum(payload)
+    return wire.encode_quantum(start + 5, classes, bases, bits)
 
 
 def _cut_announce(payload):
@@ -259,8 +271,8 @@ class TestMessageOrder:
     @pytest.mark.parametrize(
         "msg,rewrite,message",
         [
-            (wire.FRAME_META, lambda p: _grow_meta(p, "n_pulses", 5), "QUANTUM pulse range"),
-            (wire.FRAME_META, lambda p: _grow_meta(p, "n_chips", 1), "does not match the ratios"),
+            (wire.FRAME_META, _renumber_meta, "FRAME_META frame_id"),
+            (wire.QUANTUM, _shift_quantum_start, "QUANTUM start"),
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
             (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
