@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
-from .rng import split_seed, uniforms, uniforms_at
+from .rng import below, raw64, split_seed, uniforms_at
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
@@ -64,7 +64,7 @@ class PulsePlan:
         total = float(sum(mix_ratio))
         p_sig = mix_ratio[0] / total
         p_dec = mix_ratio[1] / total
-        schedule = draw_classes(uniforms(split_seed(seed, 0), n_pulses), p_sig, p_dec)
+        schedule = draw_classes(raw64(split_seed(seed, 0), n_pulses), p_sig, p_dec)
         return cls(n_pulses=n_pulses, seed=seed, intensity_schedule=schedule)
 
 
@@ -115,12 +115,12 @@ class BatchStats:
     vacuum: ClassCounts
 
 
-def draw_classes(u: np.ndarray, p_sig: float, p_dec: float) -> np.ndarray:
-    """Intensity class per uniform: signal below p_sig, decoy below
-    p_sig + p_dec, vacuum otherwise."""
-    classes = np.full(len(u), CLASS_VACUUM, dtype=np.uint8)
-    classes[u < p_sig + p_dec] = CLASS_DECOY
-    classes[u < p_sig] = CLASS_SIGNAL
+def draw_classes(z: np.ndarray, p_sig: float, p_dec: float) -> np.ndarray:
+    """Intensity class per raw draw z (rng.raw64): signal where its uniform
+    is below p_sig, decoy below p_sig + p_dec, vacuum otherwise."""
+    # the class is the number of the two thresholds the uniform is not below
+    classes = (~below(z, p_sig)).view(np.uint8)
+    classes += ~below(z, p_sig + p_dec)
     return classes
 
 
@@ -146,13 +146,18 @@ def detect(
 ) -> tuple:
     """Click and error flags for pulses of the given intensity classes.
 
-    Pulse i reads draw i of the click_seed stream and, only if it clicked,
-    draw i of the error_seed stream; errors only occur on clicks.
+    Every pulse reads its class and draw i of the click_seed stream, which
+    it compares as a raw integer with its class's click threshold (see
+    rng.below). Only a pulse that clicked reads draw i of the error_seed
+    stream, so errors only occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
-    p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities])
+    p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
     p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
-    clicks = uniforms(click_seed, len(classes)) < p_click[classes]
+    z = raw64(click_seed, len(classes))
+    clicks = np.zeros(len(classes), dtype=bool)
+    for c, p in enumerate(p_click):  # one compare per class, not a per-pulse gather
+        clicks |= below(z, p) & (classes == c)
     hit = np.flatnonzero(clicks)
     errors = np.zeros_like(clicks)
     errors[hit] = uniforms_at(error_seed, hit) < p_err[classes[hit]]

@@ -6,7 +6,8 @@ decoy and vacuum pulses, and the receiver (Bob) measures in random bases.
 The classical exchange per frame:
 
     A -> B  FRAME_META, QUANTUM (simulated photon stream)
-    B -> A  BASIS_ANNOUNCE (bases + click flags for the pulse range)
+    B -> A  BASIS_ANNOUNCE (click flags for the pulse range, then the
+                            bases of the clicked pulses)
     A -> B  SAMPLE_REQUEST (kept signal events to disclose)
     B -> A  SAMPLE_DISCLOSE
     A -> B  ABORT            if the sampled QBER exceeds the threshold
@@ -23,6 +24,9 @@ Key accounting: each chip debits one pad bit when its frame is encoded;
 pad bits on positions Bob never kept are recycled; kept positions mint
 fresh key, except disclosed check bits which are consumed and not
 regenerated.
+
+Each endpoint's basis for pulse i is draw i of its basis stream for the
+frame, and it is drawn (rng.random_bits_at) only where pulse i clicked.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -44,7 +48,7 @@ from ..errors import FrameCorrupt, FrameLost, ProtocolError, TransportClosed
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, detect, draw_classes
 from ..optics import jitter_step, transmittance
 from ..rates import SourceConfig
-from ..rng import random_bits, random_bits_at, random_bytes, split_seed, uniforms
+from ..rng import random_bits, random_bits_at, random_bytes, raw64, split_seed, uniforms
 from . import wire
 from .framing import PAYLOAD_BITS, Frame, decode, preprocess
 from .ledger import FrameAccounting, KeyLedger, ledger_commit
@@ -158,7 +162,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     need = n_chips
     while True:
         size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
-        c = draw_classes(uniforms(seed, size, offset), p_sig, p_dec)
+        c = draw_classes(raw64(seed, size, offset), p_sig, p_dec)
         signal = np.flatnonzero(c == CLASS_SIGNAL)
         if len(signal) >= need:
             chunks.append(c[: signal[need - 1] + 1])
@@ -210,24 +214,24 @@ class AliceSession:
             signal_mask = classes == CLASS_SIGNAL
             bits = np.zeros(n_pulses, dtype=np.uint8)  # non-signal pulses carry 0
             bits[signal_mask] = chips
-            bases = random_bits(
-                split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), n_pulses
-            )
 
             transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
-            transport.send(
-                wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bases, bits)
-            )
+            transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bits))
 
             _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
-            announced, bob_bases, clicks = wire.decode_basis_announce(payload_bytes)
+            announced, clicks, bob_bases = wire.decode_basis_announce(payload_bytes)
             if (announced, len(clicks)) != (start_pulse, n_pulses):
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
             self._counts += class_counts(classes, clicks)
 
-            matched = bases == bob_bases
-            kept = clicks & matched
-            kept_sig_idx = np.flatnonzero(kept & signal_mask)
+            hit = np.flatnonzero(clicks)
+            bases = random_bits_at(
+                split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), hit
+            )
+            kept_sig = np.zeros(n_pulses, dtype=bool)  # clicked, bases matched, signal
+            kept_sig[hit[bases == bob_bases]] = True
+            kept_sig &= signal_mask
+            kept_sig_idx = np.flatnonzero(kept_sig)
 
             sample_idx = _sample_positions(
                 kept_sig_idx,
@@ -256,9 +260,8 @@ class AliceSession:
                 break
 
             # decode map: kept signal chips minus disclosed check bits
-            decode_pulse_mask = kept & signal_mask
-            decode_pulse_mask[sample_idx] = False
-            chip_map = decode_pulse_mask[signal_mask]
+            kept_sig[sample_idx] = False
+            chip_map = kept_sig[signal_mask]
             transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
 
             ledger_commit(
@@ -340,7 +343,7 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
             _, payload = _recv(transport, wire.QUANTUM)
-            start, classes, alice_bases, alice_bits = wire.decode_quantum(payload)
+            start, classes, alice_bits = wire.decode_quantum(payload)
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
@@ -357,11 +360,11 @@ class BobSession:
                 split_seed(split_seed(spec.seeds.channel, _S_CLICK), f),
                 split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
             )
-            bob_bases = random_bits(split_seed(spec.seeds.bob, f), n_pulses)
+            bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), np.flatnonzero(clicks))
             bob_bits = alice_bits ^ errors.astype(np.uint8)
 
             transport.send(
-                wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, bob_bases, clicks)
+                wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, clicks, bob_bases)
             )
 
             _, payload = _recv(transport, wire.SAMPLE_REQUEST)

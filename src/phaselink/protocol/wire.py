@@ -9,9 +9,12 @@ Frame layout:
 Message types (the classical channel is assumed authenticated and
 reliable; no cryptography is applied here):
 
-    0x01 BASIS_ANNOUNCE   receiver's per-gate bases and click flags for a
-                          pulse range: u64 start, u32 count, packed basis
-                          bits (MSB-first), packed click bits
+    0x01 BASIS_ANNOUNCE   receiver's click flags for a pulse range and its
+                          bases at the clicked pulses: u64 start, u32
+                          count n, n packed click bits (MSB-first), then
+                          the packed bases (0=Z, 1=X) of the k clicked
+                          pulses in pulse order: 12 + ceil(n/8) +
+                          ceil(k/8) bytes
     0x02 SAMPLE_REQUEST   u32 n, then n x u32 pulse offsets (relative to
                           the announced range start)
     0x03 SAMPLE_DISCLOSE  u32 n, packed measured bits in request order
@@ -23,16 +26,20 @@ reliable; no cryptography is applied here):
     0x06 ABORT            UTF-8 reason
     0x07 REPORT           UTF-8 JSON object
     0x10 QUANTUM          u64 start, u32 count, one byte per pulse:
-                          bit0 encoded bit, bit1 basis (0=Z, 1=X),
-                          bits 2-3 intensity class. The pair maps onto
-                          the pulse phase as Z: 0 -> 0, 1 -> pi and
-                          X: 0 -> pi/2, 1 -> 3pi/2. Simulation stand-in
-                          for the photon stream; a real deployment has no
-                          such classical message.
+                          bit0 encoded bit, bit1 always 0, bits 2-3
+                          intensity class 0-2, bits 4-7 zero (a byte
+                          above class 2 is rejected). Simulation
+                          stand-in for the photon stream; a real
+                          deployment has no such classical message. The
+                          sender's basis, which sets the pulse phase with
+                          the bit (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
+                          1 -> 3pi/2), is not sent: the receiver's
+                          detection does not read it.
 
 Decoders of payloads with a declared count or a fixed layout raise
-ProtocolError unless the payload is exactly as long as that requires;
-the REPORT decoder raises it unless the payload is a UTF-8 JSON object.
+ProtocolError unless the payload is exactly as long as that requires (for
+BASIS_ANNOUNCE, the count and the number of set click flags); the REPORT
+decoder raises it unless the payload is a UTF-8 JSON object.
 
 Messages travel over a connected stream socket (SocketTransport; pair()
 joins two endpoints in one process with a socketpair). Every send and
@@ -79,7 +86,7 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
 def decode_header(header: bytes) -> tuple:
     length, msg_type = HEADER.unpack(header)
     if length > MAX_PAYLOAD:
-        raise ValueError(f"payload too large: {length}")
+        raise ProtocolError(f"declared payload too large: {length}")
     return length, msg_type
 
 
@@ -93,30 +100,41 @@ def _unpack_bits(data: bytes, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
+def _mismatch(payload: bytes) -> ProtocolError:
+    return ProtocolError(f"{len(payload)}-byte payload does not match its declared count")
+
+
 def _payload_head(payload: bytes, head: str, body_bytes) -> tuple:
     """Header fields of a payload whose body is body_bytes(n) bytes long,
     n being the header's last field."""
     size = struct.calcsize(head)
     fields = struct.unpack_from(head, payload) if len(payload) >= size else None
     if fields is None or len(payload) != size + body_bytes(fields[-1]):
-        raise ProtocolError(f"{len(payload)}-byte payload does not match its declared count")
+        raise _mismatch(payload)
     return fields
 
 
-def encode_basis_announce(start: int, bases: np.ndarray, clicks: np.ndarray) -> bytes:
-    n = len(bases)
-    if len(clicks) != n:
-        raise ValueError("bases and clicks must have equal length")
-    head = struct.pack("!QI", start, n)
-    return head + _pack_bits(bases) + _pack_bits(clicks)
+def encode_basis_announce(start: int, clicks: np.ndarray, bases: np.ndarray) -> bytes:
+    """clicks flags every pulse of the range; bases holds one basis per
+    set flag, in pulse order."""
+    if len(bases) != np.count_nonzero(clicks):
+        raise ValueError("need one basis per set click flag")
+    return struct.pack("!QI", start, len(clicks)) + _pack_bits(clicks) + _pack_bits(bases)
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
-    start, n = _payload_head(payload, "!QI", lambda n: 2 * ((n + 7) // 8))
-    nbytes = (n + 7) // 8
-    bases = _unpack_bits(payload[12 : 12 + nbytes], n)
-    clicks = _unpack_bits(payload[12 + nbytes :], n)
-    return start, bases, clicks.astype(bool)
+    """(start, click flags as bool, bases of the clicked pulses)."""
+    if len(payload) < 12:
+        raise _mismatch(payload)
+    start, n = struct.unpack_from("!QI", payload)
+    end = 12 + (n + 7) // 8
+    if len(payload) < end:
+        raise _mismatch(payload)
+    clicks = _unpack_bits(payload[12:end], n).view(bool)
+    k = np.count_nonzero(clicks)
+    if len(payload) != end + (k + 7) // 8:
+        raise _mismatch(payload)
+    return start, clicks, _unpack_bits(payload[end:], k)
 
 
 def encode_sample_request(offsets: np.ndarray) -> bytes:
@@ -157,23 +175,19 @@ def decode_frame_meta(payload: bytes) -> int:
     return frame_id
 
 
-def encode_quantum(start: int, classes: np.ndarray, bases: np.ndarray, bits: np.ndarray) -> bytes:
-    n = len(classes)
-    packed = (
-        np.asarray(bits, dtype=np.uint8)
-        | (np.asarray(bases, dtype=np.uint8) << 1)
-        | (np.asarray(classes, dtype=np.uint8) << 2)
-    )
-    return struct.pack("!QI", start, n) + packed.tobytes()
+def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytes:
+    packed = np.asarray(classes, dtype=np.uint8) << 2
+    packed |= np.asarray(bits, dtype=np.uint8)
+    return struct.pack("!QI", start, len(classes)) + packed.tobytes()
 
 
 def decode_quantum(payload: bytes) -> tuple:
+    """(start, classes, bits)."""
     start, n = _payload_head(payload, "!QI", lambda n: n)
     packed = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
-    bits = packed & 1
-    bases = (packed >> 1) & 1
-    classes = (packed >> 2) & 3
-    return start, classes, bases, bits
+    if np.any(packed >= 3 << 2):
+        raise ProtocolError("QUANTUM byte beyond intensity class 2")
+    return start, packed >> 2, packed & 1
 
 
 def encode_report(obj: dict) -> bytes:

@@ -18,9 +18,15 @@ Draws can also be addressed by position: ``uniforms_at(s, positions)`` and
 ``random_bits_at(s, positions)`` give exactly the values of the contiguous
 stream indexed at those positions, so a caller that reads a few positions of
 a long stream need not draw the rest.
+
+A uniform is exactly ``(z >> 11) * 2^-53`` of its raw draw z, so
+``below(z, p)`` decides ``uniform < p`` on the raw draws, with no float
+conversion: it holds exactly when ``z < ceil(p * 2^53) << 11``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -109,6 +115,17 @@ def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
 def random_bits_at(seed: int, positions) -> np.ndarray:
     """Bits of the stream at the given non-negative positions."""
     return _to_bits(_draw(seed, np.asarray(positions, dtype=np.uint64) + _U1))
+
+
+def below(z: np.ndarray, p: float) -> np.ndarray:
+    """Flags of the raw draws z whose uniforms are below p, bit-exact with
+    comparing the uniforms; all set for p >= 1 and none for p <= 0."""
+    t = math.ceil(p * 2.0**53)  # scaling by a power of two is exact
+    if t >= 1 << 53:
+        return np.ones(len(z), dtype=bool)
+    if t <= 0:
+        return np.zeros(len(z), dtype=bool)
+    return z < np.uint64(t << 11)
 
 
 def random_bytes(seed: int, n: int) -> bytes:

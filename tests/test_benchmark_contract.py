@@ -1,0 +1,71 @@
+"""What the benchmark under benchmarks/ needs from the program.
+
+benchmarks/tracing.py times the program by patching its module-level names,
+and benchmarks/workloads.py reads the intensity classes out of QUANTUM
+payloads. These tests fail when the program stops providing either, without
+running the benchmark itself.
+"""
+
+import importlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from phaselink.config import load_config
+from phaselink.montecarlo import PulsePlan, class_counts
+from phaselink.protocol import session, wire
+from phaselink.protocol.session import run_session_detailed
+from phaselink.rng import random_bits
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "src" / "phaselink" / "configs" / "desk_session.cfg"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's tracing and workloads modules."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+class _Sink:
+    def send(self, msg_type, payload):
+        pass
+
+
+def test_tracer_patches_existing_names(bench):
+    tracing, _ = bench
+    original = session._draw_schedule
+    tracer = tracing.Tracer()
+    tracer.install()  # raises KeyError for a patched name that is gone
+    try:
+        assert session._draw_schedule is not original
+    finally:
+        tracer.uninstall()
+    assert session._draw_schedule is original
+
+
+def test_sender_probe_counts_quantum_classes(bench):
+    _, workloads = bench
+    classes = PulsePlan.make(5000, (30, 2, 1), seed=3).intensity_schedule
+    counts = []
+    probe = workloads._SenderProbe(_Sink(), [], counts)
+    probe.send(wire.QUANTUM, wire.encode_quantum(17, classes, random_bits(4, 5000)))
+    assert counts[0].tolist() == class_counts(classes)[0].tolist()
+
+
+def test_tracer_counts_session_pulses_from_quantum(bench):
+    # the tracer counts pulses as the length of encode_quantum's second
+    # positional argument, the class array
+    tracing, _ = bench
+    cfg = load_config(CONFIG)
+    spec = replace(cfg, protocol=replace(cfg.protocol, n_frames=2, spread_ratio=8))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report, _, _ = run_session_detailed(spec)
+    finally:
+        tracer.uninstall()
+    pulses = sum(row[7] for row in tracer.rows() if row[2] == "wire.encode_quantum")
+    assert pulses == report.total_pulses > 0

@@ -25,7 +25,7 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import uniforms
+from phaselink.rng import raw64, uniforms
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -53,10 +53,34 @@ class TestPulsePlan:
 
 class TestDrawClasses:
     def test_thresholds(self):
+        # raw draws whose uniforms are exactly u
         u = np.array([0.0, 0.5, 0.59, 0.6, 0.85, 0.9, 0.99])
-        classes = draw_classes(u, 0.6, 0.3)
+        z = (u * 2.0**53).astype(np.uint64) << np.uint64(11)
+        classes = draw_classes(z, 0.6, 0.3)
         assert classes.dtype == np.uint8
         assert list(classes) == [CLASS_SIGNAL] * 3 + [CLASS_DECOY] * 2 + [CLASS_VACUUM] * 2
+
+    @pytest.mark.parametrize(
+        "p_sig,p_dec", [(30 / 33, 2 / 33), (0.75, 0.25), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]
+    )
+    def test_matches_float_reference(self, p_sig, p_dec):
+        # the integer compare gives the classes that comparing uniforms gives,
+        # also with no vacuum share, where p_sig + p_dec is exactly 1.0
+        z = raw64(3, 100_000)
+        z[:3] = [0, 1 << 11, (1 << 64) - 1]
+        u = uniforms(3, 100_000)
+        u[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        reference = np.full(len(u), CLASS_VACUUM, dtype=np.uint8)
+        reference[u < p_sig + p_dec] = CLASS_DECOY
+        reference[u < p_sig] = CLASS_SIGNAL
+        assert np.array_equal(draw_classes(z, p_sig, p_dec), reference)
+        if p_sig + p_dec == 1.0:
+            assert not np.any(reference == CLASS_VACUUM)
+
+    def test_plan_without_vacuum_share(self):
+        schedule = PulsePlan.make(10_000, (1, 1, 0), seed=2).intensity_schedule
+        assert np.count_nonzero(schedule == CLASS_VACUUM) == 0
+        assert 0 < np.count_nonzero(schedule == CLASS_DECOY) < 10_000
 
 
 class TestDetect:
@@ -87,7 +111,11 @@ class TestDetect:
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
         clicks, errors = detect(classes, 0.3, SRC, det, 31, 32)
-        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in (SRC.mu, SRC.nu, 0.0)])
+        intensities = (SRC.mu, SRC.nu, 0.0)
+        p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-0.3 * a) for a in intensities])
+        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
+        # clicks compare raw draws per class; the reference gathers and compares uniforms
+        assert np.array_equal(clicks, uniforms(31, len(classes)) < p_click[classes])
         dense = clicks & (uniforms(32, len(classes)) < p_err[classes])
         assert errors.dtype == bool
         assert np.array_equal(errors, dense)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phaselink import rng
 from phaselink.rng import (
     GOLDEN,
+    below,
     mix64,
     random_bits,
     random_bits_at,
@@ -93,3 +97,41 @@ def test_position_addressed_draws_match_stream(seed, offset, rel):
     assert np.array_equal(random_bits_at(seed, pos), random_bits(seed, 300, offset)[rel])
     assert uniforms_at(seed, pos).dtype == np.float64
     assert random_bits_at(seed, pos).dtype == np.uint8
+
+
+def as_uniforms(z: np.ndarray) -> np.ndarray:
+    """The float-domain reference: the uniform of raw draw z is (z >> 11) 2^-53."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def test_uniforms_are_the_reference_of_raw_draws():
+    assert np.array_equal(uniforms(31, 10_000, 7), as_uniforms(raw64(31, 10_000, 7)))
+
+
+ULP = 2.0**-53
+TOP = (1 << 64) - 1
+EDGE_P = [0.0, 5e-324, ULP / 2, ULP, 3 * ULP, 12345 * ULP, 1 / 3, 0.5, (2**52 + 1) * ULP]
+EDGE_P += [1.0 - ULP, 1.0]
+EDGE_P += [math.nextafter(p, d) for p in EDGE_P[2:-1] for d in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("p", EDGE_P + [-0.0, 1.5])
+def test_below_matches_uniforms_at_edges(p):
+    # raw draws on both sides of the threshold ceil(p 2^53) << 11, and at the ends
+    t = math.ceil(p * 2**53)
+    edges = [0, 1, (1 << 11) - 1, 1 << 11, TOP - (1 << 11), TOP]
+    if 0 < t < 1 << 53:
+        edges += [(t << 11) - 1, t << 11, (t << 11) + 1]
+    z = np.array(edges, dtype=np.uint64)
+    flags = below(z, p)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, as_uniforms(z) < p)
+
+
+@given(
+    z=st.lists(st.integers(0, TOP), max_size=20),
+    p=st.floats(0.0, 1.0, allow_subnormal=True),
+)
+def test_below_matches_uniforms(z, p):
+    z = np.array(z, dtype=np.uint64)
+    assert np.array_equal(below(z, p), as_uniforms(z) < p)

@@ -20,7 +20,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
-from phaselink.rng import uniforms
+from phaselink.rng import raw64
 
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
 BEAM = BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9)
@@ -225,13 +225,13 @@ def _renumber_meta(payload):
 
 
 def _shift_quantum_start(payload):
-    start, classes, bases, bits = wire.decode_quantum(payload)
-    return wire.encode_quantum(start + 5, classes, bases, bits)
+    start, classes, bits = wire.decode_quantum(payload)
+    return wire.encode_quantum(start + 5, classes, bits)
 
 
 def _cut_announce(payload):
-    start, bases, clicks = wire.decode_basis_announce(payload)
-    return wire.encode_basis_announce(start, bases[:1], clicks[:1])
+    start, clicks, bases = wire.decode_basis_announce(payload)
+    return wire.encode_basis_announce(start, clicks[:1], bases[: np.count_nonzero(clicks[:1])])
 
 
 def _shift_sift_start(payload):
@@ -240,10 +240,10 @@ def _shift_sift_start(payload):
 
 
 def _demote_first_signal(payload):
-    start, classes, bases, bits = wire.decode_quantum(payload)
+    start, classes, bits = wire.decode_quantum(payload)
     classes = classes.copy()
     classes[np.argmax(classes == CLASS_SIGNAL)] = CLASS_DECOY
-    return wire.encode_quantum(start, classes, bases, bits)
+    return wire.encode_quantum(start, classes, bits)
 
 
 def _renumber_report(payload):
@@ -313,6 +313,18 @@ class _Faulty(wire.SocketTransport):
             self.close()
 
 
+class _Stalled(_Faulty):
+    """Socket transport whose send of one message type writes the header
+    and half the payload, then stalls with its end left open."""
+
+    def __init__(self, sock, msg):
+        super().__init__(sock, msg, 0, False)
+
+    def send(self, msg_type, payload):
+        self._keep = wire.HEADER.size + len(payload) // 2
+        super().send(msg_type, payload)
+
+
 class TestSocketSession:
     def test_socketpair_matches_loopback(self):
         spec = small_spec(n_frames=4, spread=64)
@@ -351,6 +363,29 @@ class TestSocketSession:
         assert time.perf_counter() - t0 < (timeouts + 0.5) * wire.TIMEOUT_S
         assert set(threading.enumerate()) <= before
 
+    @pytest.mark.parametrize("side,msg", [(0, wire.QUANTUM), (1, wire.BASIS_ANNOUNCE)])
+    def test_stalled_peer_ends_typed(self, monkeypatch, side, msg):
+        # the peer that reads the half payload waits one timeout, then the
+        # stalled peer's next read sees the other end closed
+        monkeypatch.setattr(wire, "TIMEOUT_S", 1.0)
+        before = set(threading.enumerate())
+        socks = socket.socketpair()
+        transports = tuple(
+            _Stalled(s, msg) if i == side else wire.SocketTransport(s)
+            for i, s in enumerate(socks)
+        )
+        watchdog = threading.Timer(5.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
+        watchdog.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(TransportClosed):
+                run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+        assert time.perf_counter() - t0 < 1.5 * wire.TIMEOUT_S
+        assert set(threading.enumerate()) <= before
+
 
 class TestScheduleDraw:
     def test_exact_signal_count(self):
@@ -362,11 +397,11 @@ class TestScheduleDraw:
     def test_prefix_of_one_stream(self, monkeypatch):
         # the frame is the start of one class stream however it is read; a
         # negative margin makes the chunks fall short, so several are drawn
-        stream = draw_classes(uniforms(42, 6000), SRC.signal_fraction, SRC.decoy_fraction)
+        stream = draw_classes(raw64(42, 6000), SRC.signal_fraction, SRC.decoy_fraction)
         frame = stream[: np.flatnonzero(stream == CLASS_SIGNAL)[4999] + 1]
         assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
         calls = []
-        monkeypatch.setattr(session, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
+        monkeypatch.setattr(session, "raw64", lambda *a: calls.append(a) or raw64(*a))
         monkeypatch.setattr(session, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
         assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
         assert len(calls) > 1

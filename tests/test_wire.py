@@ -1,11 +1,29 @@
 import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselink.errors import ProtocolError, TransportClosed
 from phaselink.protocol import wire
+
+U32 = st.integers(0, (1 << 32) - 1)
+U64 = st.integers(0, (1 << 64) - 1)
+BITS = st.lists(st.integers(0, 1), max_size=200).map(lambda b: np.array(b, dtype=np.uint8))
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8))
+
+
+def only_whole_payload_decodes(decoder, payload: bytes) -> None:
+    """Every cut of the payload and the payload with one more byte raise
+    ProtocolError."""
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError):
+            decoder(payload[:cut])
+    with pytest.raises(ProtocolError):
+        decoder(payload + b"\x00")
 
 
 class TestFrameEncoding:
@@ -32,13 +50,15 @@ class TestFrameEncoding:
 
 class TestCodecs:
     def test_basis_announce_roundtrip(self):
-        bases = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0], dtype=np.uint8)
+        # click flags for the range, then one basis per clicked pulse only
         clicks = np.array([1, 0, 0, 0, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
-        payload = wire.encode_basis_announce(777, bases, clicks)
-        start, b2, c2 = wire.decode_basis_announce(payload)
+        bases = np.array([0, 1, 1, 0], dtype=np.uint8)
+        payload = wire.encode_basis_announce(777, clicks, bases)
+        assert len(payload) == 12 + 2 + 1
+        start, c2, b2 = wire.decode_basis_announce(payload)
         assert start == 777
-        assert np.array_equal(b2, bases)
         assert np.array_equal(c2, clicks.astype(bool))
+        assert np.array_equal(b2, bases)
 
     def test_sample_roundtrip(self):
         idx = np.array([3, 17, 99, 100000], dtype=np.int64)
@@ -59,12 +79,13 @@ class TestCodecs:
 
     def test_quantum_roundtrip(self):
         classes = np.array([0, 1, 2, 0, 0], dtype=np.uint8)
-        bases = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         bits = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-        start, c2, ba2, bi2 = wire.decode_quantum(wire.encode_quantum(5, classes, bases, bits))
+        payload = wire.encode_quantum(5, classes, bits)
+        # bit 0 the bit, bit 1 zero, bits 2-3 the class
+        assert list(payload[12:]) == [0, 5, 9, 0, 1]
+        start, c2, bi2 = wire.decode_quantum(payload)
         assert start == 5
         assert np.array_equal(c2, classes)
-        assert np.array_equal(ba2, bases)
         assert np.array_equal(bi2, bits)
 
     def test_report_roundtrip(self):
@@ -86,7 +107,7 @@ class TestTruncatedPayloads:
             (wire.decode_sample_request, wire.encode_sample_request(np.arange(10)), 20),
             (
                 wire.decode_quantum,
-                wire.encode_quantum(0, np.zeros(100), np.ones(100), np.ones(100)),
+                wire.encode_quantum(0, np.zeros(100), np.ones(100)),
                 50,
             ),
             (wire.decode_frame_meta, wire.encode_frame_meta(1), 3),
@@ -103,6 +124,102 @@ class TestTruncatedPayloads:
     def test_report_not_a_json_object_rejected(self, payload):
         with pytest.raises(ProtocolError):
             wire.decode_report(payload)
+
+
+class TestCodecProperties:
+    """Every codec round-trips arbitrary values and its decoder rejects every
+    payload that is not whole."""
+
+    @given(msg_type=st.integers(0, 255), payload=st.binary(max_size=100))
+    def test_frame(self, msg_type, payload):
+        frame = wire.encode_frame(msg_type, payload)
+        assert wire.decode_header(frame[: wire.HEADER.size]) == (len(payload), msg_type)
+        assert frame[wire.HEADER.size :] == payload
+
+    @given(length=st.integers(wire.MAX_PAYLOAD + 1, (1 << 32) - 1), msg_type=st.integers(0, 255))
+    def test_oversized_header_rejected(self, length, msg_type):
+        with pytest.raises(ProtocolError):
+            wire.decode_header(wire.HEADER.pack(length, msg_type))
+
+    @given(start=U64, clicks=BITS, data=st.data())
+    def test_basis_announce(self, start, clicks, data):
+        k = int(np.count_nonzero(clicks))
+        bases = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        payload = wire.encode_basis_announce(start, clicks, bases)
+        assert len(payload) == 12 + (len(clicks) + 7) // 8 + (k + 7) // 8
+        s2, c2, b2 = wire.decode_basis_announce(payload)
+        assert s2 == start and c2.dtype == bool
+        assert np.array_equal(c2, clicks.astype(bool))
+        assert b2.tolist() == bases
+        only_whole_payload_decodes(wire.decode_basis_announce, payload)
+
+    @given(clicks=BITS, extra=st.sampled_from([-1, 1, 2]))
+    def test_basis_announce_needs_one_basis_per_click(self, clicks, extra):
+        k = int(np.count_nonzero(clicks))
+        if k + extra >= 0:
+            with pytest.raises(ValueError):
+                wire.encode_basis_announce(0, clicks, np.zeros(k + extra, np.uint8))
+
+    @given(clicks=BITS, tail=st.binary(max_size=30))
+    def test_basis_announce_tail_must_fit_the_clicks(self, clicks, tail):
+        # header and click flags, then a tail that fits ceil(k/8) or not
+        k = int(np.count_nonzero(clicks))
+        payload = struct.pack("!QI", 9, len(clicks)) + np.packbits(clicks).tobytes() + tail
+        if len(tail) == (k + 7) // 8:
+            assert wire.decode_basis_announce(payload)[2].tolist() == np.unpackbits(
+                np.frombuffer(tail, np.uint8), count=k
+            ).tolist()
+        else:
+            with pytest.raises(ProtocolError):
+                wire.decode_basis_announce(payload)
+
+    @given(offsets=st.lists(U32, max_size=50))
+    def test_sample_request(self, offsets):
+        payload = wire.encode_sample_request(offsets)
+        assert wire.decode_sample_request(payload).tolist() == offsets
+        only_whole_payload_decodes(wire.decode_sample_request, payload)
+
+    @given(bits=BITS)
+    def test_sample_disclose(self, bits):
+        payload = wire.encode_sample_disclose(bits)
+        assert np.array_equal(wire.decode_sample_disclose(payload), bits)
+        only_whole_payload_decodes(wire.decode_sample_disclose, payload)
+
+    @given(start=U64, kept=BITS)
+    def test_sift_map(self, start, kept):
+        payload = wire.encode_sift_map(start, kept)
+        s2, k2 = wire.decode_sift_map(payload)
+        assert s2 == start and np.array_equal(k2, kept.astype(bool))
+        only_whole_payload_decodes(wire.decode_sift_map, payload)
+
+    @given(frame_id=U32)
+    def test_frame_meta(self, frame_id):
+        payload = wire.encode_frame_meta(frame_id)
+        assert wire.decode_frame_meta(payload) == frame_id
+        only_whole_payload_decodes(wire.decode_frame_meta, payload)
+
+    @given(start=U64, pulses=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=200))
+    def test_quantum(self, start, pulses):
+        classes = np.array([c for c, _ in pulses], dtype=np.uint8)
+        bits = np.array([b for _, b in pulses], dtype=np.uint8)
+        payload = wire.encode_quantum(start, classes, bits)
+        s2, c2, b2 = wire.decode_quantum(payload)
+        assert s2 == start
+        assert np.array_equal(c2, classes) and np.array_equal(b2, bits)
+        only_whole_payload_decodes(wire.decode_quantum, payload)
+
+    @given(pulses=st.integers(1, 50), at=st.integers(0, 49), byte=st.integers(12, 255))
+    def test_quantum_beyond_class_2_rejected(self, pulses, at, byte):
+        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses), np.zeros(pulses)))
+        payload[12 + at % pulses] = byte
+        with pytest.raises(ProtocolError):
+            wire.decode_quantum(bytes(payload))
+
+    @given(obj=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5))
+    def test_report(self, obj):
+        payload = wire.encode_report(obj)
+        assert wire.decode_report(payload) == obj
+        only_whole_payload_decodes(wire.decode_report, payload)
 
 
 class TestLoopbackTransport:
