@@ -144,7 +144,8 @@ def detect(
     click_seed: int,
     error_seed: int,
 ) -> tuple:
-    """Click and error flags for pulses of the given intensity classes.
+    """Click and error flags for pulses of the given intensity classes,
+    and the ascending positions of the pulses that clicked.
 
     Every pulse reads its class and draw i of the click_seed stream, which
     it compares as a raw integer with its class's click threshold (see
@@ -161,7 +162,7 @@ def detect(
     hit = np.flatnonzero(clicks)
     errors = np.zeros_like(clicks)
     errors[hit] = uniforms_at(error_seed, hit) < p_err[classes[hit]]
-    return clicks, errors
+    return clicks, errors, hit
 
 
 def simulate_batch(
@@ -174,7 +175,7 @@ def simulate_batch(
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
     sched = plan.intensity_schedule
-    clicked, errored = detect(
+    clicked, errored, _ = detect(
         sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2)
     )
     per_class = class_counts(sched, clicked, errored).T  # one (sent, clicked, errored) per class

@@ -7,6 +7,11 @@ positions mint fresh key material (generated), except the publicly
 disclosed check bits, which are consumed and neither recycled nor
 regenerated.
 
+The ledger is accounting only: it counts bits and holds none. The pad
+bit of chip i of frame f always comes from key-stream position
+f * n_chips + i (see framing), whatever the pool holds; the pool decides
+only whether a frame may be sent (KeyPoolExhausted).
+
 The balance identity  pool = initial + generated + recycled - consumed
 holds exactly after every commit; a violation raises NegativeBalance.
 """
@@ -53,29 +58,18 @@ class KeyLedger:
             raise NegativeBalance("ledger balance out of range")
 
 
-@dataclass(frozen=True)
-class FrameAccounting:
-    """Per-frame counts feeding the ledger: debited chips, kept chip
-    positions, and disclosed check bits (a subset of kept)."""
-
-    chips: int
-    kept: int
-    disclosed: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.disclosed <= self.kept <= self.chips):
-            raise ValueError("require disclosed <= kept <= chips")
-
-
-def ledger_commit(ledger: KeyLedger, frame_stats: FrameAccounting) -> KeyLedger:
-    """Credit recycling and fresh generation for one processed frame.
+def ledger_commit(ledger: KeyLedger, chips: int, kept: int, disclosed: int) -> None:
+    """Credit recycling and fresh generation for one processed frame of
+    chips debited pad bits, kept chip positions and disclosed check bits
+    (a subset of kept).
 
     The frame's chip debit must already have happened (KeyLedger.debit,
     when the frame was encoded).
     """
-    ledger.recycled += frame_stats.chips - frame_stats.kept
-    fresh = frame_stats.kept - frame_stats.disclosed
+    if not (0 <= disclosed <= kept <= chips):
+        raise ValueError("require 0 <= disclosed <= kept <= chips")
+    fresh = kept - disclosed
+    ledger.recycled += chips - kept
     ledger.generated += fresh
-    ledger.pool_bits += (frame_stats.chips - frame_stats.kept) + fresh
+    ledger.pool_bits += (chips - kept) + fresh
     ledger.check()
-    return ledger

@@ -23,7 +23,8 @@ starts at the pulse count of the frames before it.
 Key accounting: each chip debits one pad bit when its frame is encoded;
 pad bits on positions Bob never kept are recycled; kept positions mint
 fresh key, except disclosed check bits which are consumed and not
-regenerated.
+regenerated. The ledger only counts: both endpoints take a frame's pad
+bits from framing, at fixed key-stream positions.
 
 Each endpoint's basis for pulse i is draw i of its basis stream for the
 frame, and it is drawn (rng.random_bits_at) only where pulse i clicked.
@@ -48,10 +49,10 @@ from ..errors import FrameCorrupt, FrameLost, ProtocolError, TransportClosed
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, detect, draw_classes
 from ..optics import jitter_step, transmittance
 from ..rates import SourceConfig
-from ..rng import random_bits, random_bits_at, random_bytes, raw64, split_seed, uniforms
+from ..rng import random_bits_at, random_bytes, raw64, split_seed, uniforms
 from . import wire
-from .framing import PAYLOAD_BITS, Frame, decode, preprocess
-from .ledger import FrameAccounting, KeyLedger, ledger_commit
+from .framing import PAYLOAD_BITS, PAYLOAD_BYTES, chip_count, decode, preprocess
+from .ledger import KeyLedger, ledger_commit
 
 if TYPE_CHECKING:
     from ..config import ScenarioConfig
@@ -186,7 +187,7 @@ class AliceSession:
 
     def _frame_payload(self, frame_id: int) -> bytes:
         seed = split_seed(split_seed(self.spec.seeds.alice, _S_PAYLOAD), frame_id)
-        return random_bytes(seed, 125)
+        return random_bytes(seed, PAYLOAD_BYTES)
 
     def run(self, transport) -> SessionReport:
         spec = self.spec
@@ -200,12 +201,12 @@ class AliceSession:
 
         for f in range(p.n_frames):
             payload = self._frame_payload(f)
-            frame = Frame(payload, f, p.fec_ratio, p.spread_ratio)
             self.sent_payloads.append(payload)
-            n_chips = frame.chip_count
-            key_bits = random_bits(self.key_seed, n_chips, offset=f * n_chips)
+            n_chips = chip_count(p.fec_ratio, p.spread_ratio)
             self.ledger.debit(n_chips)  # one pad bit per chip
-            chips = preprocess(frame, key_bits, self.mask_seed)
+            chips = preprocess(
+                payload, f, p.fec_ratio, p.spread_ratio, self.key_seed, self.mask_seed
+            )
 
             classes = _draw_schedule(
                 split_seed(split_seed(spec.seeds.alice, _S_SCHEDULE), f), n_chips, spec.source
@@ -264,12 +265,7 @@ class AliceSession:
             chip_map = kept_sig[signal_mask]
             transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
 
-            ledger_commit(
-                self.ledger,
-                FrameAccounting(
-                    chips=n_chips, kept=int(len(kept_sig_idx)), disclosed=n_sample
-                ),
-            )
+            ledger_commit(self.ledger, n_chips, len(kept_sig_idx), n_sample)
 
             _, payload_bytes = _recv(transport, wire.REPORT)
             result = wire.decode_report(payload_bytes)
@@ -291,7 +287,7 @@ class AliceSession:
         gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
         self.report = SessionReport(
             qber=disclosed_errors / disclosed_total if disclosed_total else 0.0,
-            comm_rate=frames_ok * 1000 / elapsed if elapsed else 0.0,
+            comm_rate=frames_ok * PAYLOAD_BITS / elapsed if elapsed else 0.0,
             key_gen_rate=led.generated / elapsed if elapsed else 0.0,
             key_cons_rate=(led.consumed - led.recycled) / elapsed if elapsed else 0.0,
             p_rec_empirical=led.p_rec,
@@ -335,7 +331,7 @@ class BobSession:
     def run(self, transport) -> None:
         spec = self.spec
         p = spec.protocol
-        n_chips = PAYLOAD_BITS * p.fec_ratio * p.spread_ratio
+        n_chips = chip_count(p.fec_ratio, p.spread_ratio)
         start_pulse = 0
         for f in range(p.n_frames):
             _, payload = _recv(transport, wire.FRAME_META)
@@ -352,7 +348,7 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
-            clicks, errors = detect(
+            clicks, errors, hit = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
                 spec.source,
@@ -360,7 +356,7 @@ class BobSession:
                 split_seed(split_seed(spec.seeds.channel, _S_CLICK), f),
                 split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
             )
-            bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), np.flatnonzero(clicks))
+            bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
             bob_bits = alice_bits ^ errors.astype(np.uint8)
 
             transport.send(
@@ -382,19 +378,16 @@ class BobSession:
             if (mapped, len(chip_map)) != (start, n_chips):
                 raise ProtocolError(f"frame {f}: SIFT_MAP start or length is not the frame's")
 
-            # decode reads chips and pad bits only where chip_map is set
-            pad_idx = np.flatnonzero(chip_map)
-            key_bits = np.zeros(n_chips, dtype=np.uint8)
-            key_bits[pad_idx] = random_bits_at(self.key_seed, f * n_chips + pad_idx)
+            kept = np.flatnonzero(chip_map)
             try:
                 recovered = decode(
-                    bob_bits[signal_mask],
-                    chip_map,
-                    key_bits,
-                    self.mask_seed,
+                    bob_bits[signal_mask][kept],
+                    kept,
                     f,
                     p.fec_ratio,
                     p.spread_ratio,
+                    self.key_seed,
+                    self.mask_seed,
                 )
                 status, digest = "ok", hashlib.sha256(recovered).hexdigest()
                 self.recovered[f] = recovered

@@ -55,10 +55,8 @@ def test_sender_probe_counts_quantum_classes(bench):
     assert counts[0].tolist() == class_counts(classes)[0].tolist()
 
 
-def test_tracer_counts_session_pulses_from_quantum(bench):
-    # the tracer counts pulses as the length of encode_quantum's second
-    # positional argument, the class array
-    tracing, _ = bench
+def _traced_session(tracing) -> tuple:
+    """Report and tracer rows of a traced 2-frame desk session."""
     cfg = load_config(CONFIG)
     spec = replace(cfg, protocol=replace(cfg.protocol, n_frames=2, spread_ratio=8))
     tracer = tracing.Tracer()
@@ -67,5 +65,28 @@ def test_tracer_counts_session_pulses_from_quantum(bench):
         report, _, _ = run_session_detailed(spec)
     finally:
         tracer.uninstall()
-    pulses = sum(row[7] for row in tracer.rows() if row[2] == "wire.encode_quantum")
+    return report, tracer.rows()
+
+
+def test_tracer_counts_session_pulses_from_quantum(bench):
+    # the tracer counts pulses as the length of encode_quantum's second
+    # positional argument, the class array
+    tracing, _ = bench
+    report, rows = _traced_session(tracing)
+    pulses = sum(row[7] for row in rows if row[2] == "wire.encode_quantum")
     assert pulses == report.total_pulses > 0
+
+
+def test_tracer_sees_each_frame_preprocess_and_decode(bench):
+    # framing.preprocess_s and framing.decode_s read the spans of the
+    # session's module-level preprocess and decode; a call that went around
+    # them would leave those metrics at 0
+    tracing, _ = bench
+    _, rows = _traced_session(tracing)
+    calls = {}
+    for role, _, name, _, _, n, _, _ in rows:
+        calls[role, name] = calls.get((role, name), 0) + n
+    assert calls.get(("alice", "session.preprocess")) == 2
+    assert calls.get(("bob", "session.decode")) == 2
+    assert ("bob", "session.preprocess") not in calls
+    assert ("alice", "session.decode") not in calls

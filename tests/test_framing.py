@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from phaselink.errors import FrameCorrupt, FrameLost, KeyPoolExhausted
-from phaselink.protocol.framing import (
-    Frame,
-    decode,
-    mask_stream,
-    payload_to_bits,
-    preprocess,
-)
+from phaselink.protocol.framing import chip_count, decode, preprocess
 from phaselink.protocol.ledger import KeyLedger
 from phaselink.rng import random_bits, random_bytes, split_seed
 
@@ -18,50 +14,48 @@ def make_payload(seed):
     return random_bytes(split_seed(0xF00D, seed), 125)
 
 
+def all_chips(fec, spread):
+    return np.arange(chip_count(fec, spread))
+
+
 class TestFrame:
     def test_payload_length_enforced(self):
         with pytest.raises(ValueError):
-            Frame(payload=b"x" * 124, frame_id=0)
+            preprocess(b"x" * 124, 0, 1, 1, key_seed=1, mask_seed=2)
         with pytest.raises(ValueError):
-            Frame(payload=b"x" * 126, frame_id=0)
+            preprocess(b"x" * 126, 0, 1, 1, key_seed=1, mask_seed=2)
 
     def test_chip_count_spread_1920(self):
-        frame = Frame(payload=bytes(125), frame_id=0, fec_ratio=1, spread_ratio=1920)
-        assert frame.chip_count == 1_920_000
+        assert chip_count(1, 1920) == 1_920_000
+        assert len(preprocess(bytes(125), 0, 1, 1920, key_seed=1, mask_seed=2)) == 1_920_000
+        with pytest.raises(ValueError):
+            chip_count(0, 1920)
 
 
 class TestPreprocess:
     def test_identity_pipeline(self):
-        # unit ratios, zero key, mask XORed back out: chips are the payload bits
+        # unit ratios: removing key[f*n + i] and mask_f[i] leaves the payload bits
         payload = make_payload(1)
-        frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=1)
-        zero_key = np.zeros(frame.chip_count, dtype=np.uint8)
-        chips = preprocess(frame, zero_key, mask_seed=9)
-        chips ^= mask_stream(9, 0, frame.chip_count)
-        assert np.array_equal(chips, payload_to_bits(payload))
+        n = chip_count(1, 1)
+        chips = preprocess(payload, 3, 1, 1, key_seed=4, mask_seed=9)
+        chips ^= random_bits(4, n, offset=3 * n)
+        chips ^= random_bits(split_seed(9, 3), n)
+        assert np.array_equal(chips, np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
 
     def test_invertible(self):
         payload = make_payload(2)
-        frame = Frame(payload, frame_id=3, fec_ratio=2, spread_ratio=5)
-        key = random_bits(42, frame.chip_count)
-        chips = preprocess(frame, key, mask_seed=9)
-        kept = np.ones(frame.chip_count, dtype=bool)
-        assert decode(chips, kept, key, 9, 3, 2, 5) == payload
-
-    def test_key_stream_too_short(self):
-        frame = Frame(make_payload(3), frame_id=0, spread_ratio=4)
-        with pytest.raises(KeyPoolExhausted):
-            preprocess(frame, np.zeros(10, dtype=np.uint8), mask_seed=0)
+        chips = preprocess(payload, 3, 2, 5, key_seed=42, mask_seed=9)
+        assert decode(chips, all_chips(2, 5), 3, 2, 5, 42, 9) == payload
 
     def test_ledger_debit(self):
         # the sender debits one pad bit per chip of each frame it encodes
-        frame = Frame(make_payload(4), frame_id=0, spread_ratio=2)
-        ledger = KeyLedger.with_initial(frame.chip_count + 5)
-        ledger.debit(frame.chip_count)
-        assert ledger.consumed == frame.chip_count
+        n = chip_count(1, 2)
+        ledger = KeyLedger.with_initial(n + 5)
+        ledger.debit(n)
+        assert ledger.consumed == n
         assert ledger.pool_bits == 5
         with pytest.raises(KeyPoolExhausted):
-            ledger.debit(frame.chip_count)
+            ledger.debit(n)
 
 
 class TestDecode:
@@ -69,35 +63,46 @@ class TestDecode:
         # lossless channel: decode(preprocess(x)) == x
         for i in range(1000):
             payload = make_payload(100 + i)
-            frame = Frame(payload, frame_id=i, fec_ratio=1, spread_ratio=4)
-            key = random_bits(split_seed(5, i), frame.chip_count)
-            chips = preprocess(frame, key, mask_seed=77)
-            kept = np.ones(frame.chip_count, dtype=bool)
-            assert decode(chips, kept, key, 77, i, 1, 4) == payload
+            chips = preprocess(payload, i, 1, 4, split_seed(5, i), 77)
+            assert decode(chips, all_chips(1, 4), i, 1, 4, split_seed(5, i), 77) == payload
 
-    def test_reads_only_kept_positions(self):
-        # garbage in chips and key_bits outside sift_map does not change the payload
-        payload = make_payload(9)
-        frame = Frame(payload, frame_id=3, fec_ratio=3, spread_ratio=8)
-        key = random_bits(split_seed(7, 3), frame.chip_count)
-        chips = preprocess(frame, key, mask_seed=11)
-        kept = np.random.default_rng(1).random(frame.chip_count) < 0.5
-        kept[::8] = True  # every coded-bit group keeps a chip
-        assert decode(chips, kept, key, 11, 3, 3, 8) == payload
-        noise = np.random.default_rng(2).integers(0, 256, frame.chip_count, dtype=np.uint8)
-        bad_chips = np.where(kept, chips, noise)
-        bad_key = np.where(kept, key, noise[::-1])
-        assert decode(bad_chips, kept, bad_key, 11, 3, 3, 8) == payload
+    @settings(max_examples=40, deadline=None)
+    @given(
+        frame_id=st.integers(0, 2**20),
+        fec=st.integers(1, 3),
+        spread=st.integers(1, 9),
+        p_keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_survivor_subsets_decode(self, frame_id, fec, spread, p_keep, seed):
+        # decode draws the pad at the survivors only; for any ascending
+        # survivor set that keeps a chip of every coded-bit group, it agrees
+        # with the whole-frame pad that preprocess drew
+        payload = make_payload(seed % 1000)
+        chips = preprocess(payload, frame_id, fec, spread, seed, seed + 1)
+        rng = np.random.default_rng(seed)
+        kept = rng.random(len(chips)) < p_keep
+        n_groups = len(chips) // spread
+        kept[np.arange(n_groups) * spread + rng.integers(0, spread, n_groups)] = True
+        P = np.flatnonzero(kept)
+        assert decode(chips[P], P, frame_id, fec, spread, seed, seed + 1) == payload
+        P = all_chips(fec, spread)
+        assert decode(chips[P], P, frame_id, fec, spread, seed, seed + 1) == payload
+
+    def test_positions_checked(self):
+        chips = preprocess(make_payload(9), 0, 1, 2, 7, 11)
+        P = all_chips(1, 2)
+        with pytest.raises(ValueError):
+            decode(chips[:-1], P, 0, 1, 2, 7, 11)
+        with pytest.raises(ValueError):
+            decode(np.append(chips, 0), np.append(P, len(P)), 0, 1, 2, 7, 11)
 
     def test_no_redundancy_any_loss_fails(self):
         payload = make_payload(5)
-        frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=1)
-        key = random_bits(8, frame.chip_count)
-        chips = preprocess(frame, key, mask_seed=0)
-        kept = np.ones(frame.chip_count, dtype=bool)
-        kept[17] = False
+        chips = preprocess(payload, 0, 1, 1, 8, 0)
+        P = np.delete(all_chips(1, 1), 17)
         with pytest.raises(FrameLost):
-            decode(chips, kept, key, 0, 0, 1, 1)
+            decode(chips[P], P, 0, 1, 1, 8, 0)
 
     def test_erasure_tolerance_matches_binomial_oracle(self):
         # survival p per chip; a frame survives iff every 64-chip group keeps
@@ -110,13 +115,10 @@ class TestDecode:
         successes = 0
         for i in range(n_trials):
             payload = make_payload(2000 + i)
-            frame = Frame(payload, frame_id=i, fec_ratio=1, spread_ratio=spread)
-            key = random_bits(split_seed(6, i), frame.chip_count)
-            chips = preprocess(frame, key, mask_seed=3)
-            u = np.random.default_rng(i).random(frame.chip_count)
-            kept = u < p
+            chips = preprocess(payload, i, 1, spread, split_seed(6, i), 3)
+            P = np.flatnonzero(np.random.default_rng(i).random(len(chips)) < p)
             try:
-                assert decode(chips, kept, key, 3, i, 1, spread) == payload
+                assert decode(chips[P], P, i, 1, spread, split_seed(6, i), 3) == payload
                 successes += 1
             except FrameLost:
                 pass
@@ -129,43 +131,44 @@ class TestDecode:
         p_zero_group = (1.0 - p) ** 64
         assert p_zero_group > 0.96
         payload = make_payload(4000)
-        frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=64)
-        key = random_bits(14, frame.chip_count)
-        chips = preprocess(frame, key, mask_seed=0)
-        kept = np.random.default_rng(0).random(frame.chip_count) < p
+        chips = preprocess(payload, 0, 1, 64, 14, 0)
+        P = np.flatnonzero(np.random.default_rng(0).random(len(chips)) < p)
         with pytest.raises(FrameLost):
-            decode(chips, kept, key, 0, 0, 1, 64)
+            decode(chips[P], P, 0, 1, 64, 14, 0)
 
     def test_majority_vote_corrects_flips(self):
         payload = make_payload(6)
-        frame = Frame(payload, frame_id=0, fec_ratio=1, spread_ratio=9)
-        key = random_bits(21, frame.chip_count)
-        chips = preprocess(frame, key, mask_seed=5)
+        chips = preprocess(payload, 0, 1, 9, 21, 5)
         # flip 2 of every 9 chips: strict minority, vote still correct
-        flip = np.zeros(frame.chip_count, dtype=np.uint8)
+        flip = np.zeros(len(chips), dtype=np.uint8)
         flip[::9] = 1
         flip[1::9] = 1
-        kept = np.ones(frame.chip_count, dtype=bool)
-        assert decode(chips ^ flip, kept, key, 5, 0, 1, 9) == payload
+        assert decode(chips ^ flip, all_chips(1, 9), 0, 1, 9, 21, 5) == payload
 
     def test_fec_tie_raises_corrupt(self):
         payload = make_payload(7)
-        frame = Frame(payload, frame_id=0, fec_ratio=2, spread_ratio=1)
-        key = np.zeros(frame.chip_count, dtype=np.uint8)
-        chips = preprocess(frame, key, mask_seed=0)
+        chips = preprocess(payload, 0, 2, 1, 13, 0)
         # flip one copy of the first coded bit: 1-1 tie at the FEC stage
-        flip = np.zeros(frame.chip_count, dtype=np.uint8)
+        flip = np.zeros(len(chips), dtype=np.uint8)
         flip[0] = 1
-        kept = np.ones(frame.chip_count, dtype=bool)
         with pytest.raises(FrameCorrupt):
-            decode(chips ^ flip, kept, key, 0, 0, 2, 1)
+            decode(chips ^ flip, all_chips(2, 1), 0, 2, 1, 13, 0)
 
 
 class TestMaskStream:
     def test_keyed_and_per_frame(self):
-        a = mask_stream(1, 0, 1000)
-        b = mask_stream(1, 1, 1000)
-        c = mask_stream(2, 0, 1000)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert np.array_equal(a, mask_stream(1, 0, 1000))
+        # with the payload bits and key[f*n + i] removed, the chips leave
+        # the frame's mask; it depends on mask_seed and frame id only
+        payload = make_payload(8)
+        n = chip_count(1, 1)
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+
+        def mask(mask_seed, frame_id):
+            chips = preprocess(payload, frame_id, 1, 1, key_seed=3, mask_seed=mask_seed)
+            return chips ^ bits ^ random_bits(3, n, offset=frame_id * n)
+
+        a = mask(1, 0)
+        assert not np.array_equal(a, mask(1, 1))
+        assert not np.array_equal(a, mask(2, 0))
+        assert np.array_equal(a, mask(1, 0))
+        assert np.array_equal(a, random_bits(split_seed(1, 0), n))

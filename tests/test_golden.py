@@ -3,7 +3,9 @@
 The CSV text that cli.cmd_link_budget, cmd_rate_sweep, cmd_simulate and
 cmd_session produce for each bundled config the command accepts is pinned
 by its sha256, and so are the JSON text of the first three commands and
-each config's config_hash. A refactor or speed-up must keep every digest.
+each config's config_hash. The session table counts frames only, so the
+desk session's per-frame decode statuses and recovered payloads are pinned
+too, at the bundled seeds and at --seed 5. A refactor or speed-up must keep every digest.
 A deliberate change of the random-stream layout (or of any number in a
 table) updates the digests here and is noted in CHANGES.md.
 """
@@ -15,6 +17,7 @@ import pytest
 
 from phaselink import cli
 from phaselink.config import config_hash, load_config
+from phaselink.protocol.session import run_session_detailed
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 
@@ -43,6 +46,12 @@ CONFIG_HASH = {
     "desk_session": "c004de3f85eec5b7de1a53ef60baf8f73ada1377686810b687b52e342d4049e6",
     "measured_link": "f0c6f981b7b92c687b1b6a2405b1e8f4d6d1c8340bfe864258c3b2a22b2aefa3",
     "upgraded_link": "2b336b14c358c5bc20b3bec048dbefe954103b98a29af3d082a6f29245136cfc",
+}
+
+# sha256 of one "frame,status,sha256(recovered payload)" line per frame
+RECOVERED = {
+    None: "880e92dcc4ed3e5975eee18707f8c3e9d9ca91117588fdb1d3fb248e48e09b07",
+    5: "9bcf5d04e1d24a4d2066813e030649cf250f64ad3dc589361a9500fa1db782d8",
 }
 
 
@@ -75,3 +84,14 @@ def test_every_accepted_output_is_pinned():
         accepted |= {"rate_sweep"} if cfg.sweep else set()
         accepted |= {"simulate"} if cfg.montecarlo else set()
         assert accepted == {cmd for name, cmd in GOLDEN if name == path.stem}
+
+
+@pytest.mark.parametrize("seed", sorted(RECOVERED, key=str))
+def test_recovered_payload_digest(seed):
+    cfg = cli._apply_seed_override(load_config(CONFIG_DIR / "desk_session.cfg"), seed)
+    _, _, bob = run_session_detailed(cfg)
+    lines = ""
+    for f, status in sorted(bob.statuses.items()):
+        digest = hashlib.sha256(bob.recovered[f]).hexdigest() if f in bob.recovered else ""
+        lines += f"{f},{status},{digest}\n"
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == RECOVERED[seed]

@@ -87,8 +87,9 @@ class TestDetect:
     def test_errors_only_on_clicks(self):
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(100_000, (1, 1, 1), seed=4).intensity_schedule
-        clicks, errors = detect(classes, 0.5, SRC, det, 1, 2)
+        clicks, errors, hit = detect(classes, 0.5, SRC, det, 1, 2)
         assert clicks.dtype == bool and len(clicks) == len(classes)
+        assert np.array_equal(hit, np.flatnonzero(clicks))
         assert not np.any(errors & ~clicks)
         assert 0 < np.count_nonzero(errors) < np.count_nonzero(clicks)
 
@@ -98,7 +99,7 @@ class TestDetect:
         det = DetectorConfig(p_d=0.2, eta_d=0.2, visibility=0.9847)
         n = 200_000
         classes = np.full(n, CLASS_SIGNAL, dtype=np.uint8)
-        clicks, _ = detect(classes, 0.5, SRC, det, 11, 12)
+        clicks, _, _ = detect(classes, 0.5, SRC, det, 11, 12)
         union = 1.0 - (1.0 - det.y0) * math.exp(-0.5 * SRC.mu)
         additive = det.y0 - math.expm1(-0.5 * SRC.mu)
         gain = np.count_nonzero(clicks) / n
@@ -110,7 +111,7 @@ class TestDetect:
         # full error stream holds there
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
-        clicks, errors = detect(classes, 0.3, SRC, det, 31, 32)
+        clicks, errors, _ = detect(classes, 0.3, SRC, det, 31, 32)
         intensities = (SRC.mu, SRC.nu, 0.0)
         p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-0.3 * a) for a in intensities])
         p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
@@ -127,7 +128,7 @@ class TestDetect:
         for cls_, a in ((CLASS_VACUUM, 0.0), (CLASS_SIGNAL, SRC.mu)):
             e = gain_and_qber(1.0, a, det)[1]
             classes = np.full(1_000_000, cls_, dtype=np.uint8)
-            clicks, errors = detect(classes, 1.0, SRC, det, 21, 22)
+            clicks, errors, _ = detect(classes, 1.0, SRC, det, 21, 22)
             n_clicks = np.count_nonzero(clicks)
             assert abs(np.count_nonzero(errors) / n_clicks - e) < 4 * closed_form_se(e, n_clicks)
         assert e > 0.0287  # dark clicks add to the misalignment error

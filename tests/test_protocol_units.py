@@ -6,7 +6,7 @@ from phaselink.config import ScenarioConfig
 from phaselink.errors import NegativeBalance
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.protocol import session
-from phaselink.protocol.ledger import FrameAccounting, KeyLedger, ledger_commit
+from phaselink.protocol.ledger import KeyLedger, ledger_commit
 from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
@@ -124,7 +124,7 @@ class TestKeyLedger:
     def test_conservation_identity(self):
         ledger = KeyLedger.with_initial(10_000)
         ledger.debit(4000)
-        ledger_commit(ledger, FrameAccounting(chips=4000, kept=900, disclosed=90))
+        ledger_commit(ledger, chips=4000, kept=900, disclosed=90)
         assert ledger.pool_bits == ledger.initial_bits + ledger.generated + ledger.recycled - ledger.consumed
         assert ledger.consumed == 4000
         assert ledger.recycled == 3100
@@ -134,7 +134,7 @@ class TestKeyLedger:
     def test_zero_detections_full_recycling(self):
         ledger = KeyLedger.with_initial(5000)
         ledger.debit(1000)
-        ledger_commit(ledger, FrameAccounting(chips=1000, kept=0, disclosed=0))
+        ledger_commit(ledger, chips=1000, kept=0, disclosed=0)
         assert ledger.recycled == ledger.consumed
         assert ledger.p_rec == 1.0
 
@@ -142,7 +142,7 @@ class TestKeyLedger:
         # every pulse detected and basis-matched: nothing comes back
         ledger = KeyLedger.with_initial(5000)
         ledger.debit(1000)
-        ledger_commit(ledger, FrameAccounting(chips=1000, kept=1000, disclosed=0))
+        ledger_commit(ledger, chips=1000, kept=1000, disclosed=0)
         assert ledger.recycled == 0
         assert ledger.p_rec == 0.0
 
@@ -154,7 +154,9 @@ class TestKeyLedger:
             ledger.check()
 
     def test_invalid_accounting(self):
-        with pytest.raises(ValueError):
-            FrameAccounting(chips=10, kept=11)
-        with pytest.raises(ValueError):
-            FrameAccounting(chips=10, kept=5, disclosed=6)
+        ledger = KeyLedger.with_initial(100)
+        ledger.debit(10)
+        for chips, kept, disclosed in ((10, 11, 0), (10, 5, 6), (10, 5, -1)):
+            with pytest.raises(ValueError):
+                ledger_commit(ledger, chips, kept, disclosed)
+        assert (ledger.recycled, ledger.generated, ledger.pool_bits) == (0, 0, 90)
