@@ -26,7 +26,7 @@ fresh key, except disclosed check bits which are consumed and not
 regenerated. The ledger only counts: both endpoints take a frame's pad
 bits from framing, at fixed key-stream positions.
 
-Each endpoint's basis for pulse i is draw i of its basis stream for the
+Each endpoint's basis for pulse i is bit i of its basis stream for the
 frame, and it is drawn (rng.random_bits_at) only where pulse i clicked.
 
 A session is fully deterministic given (seed_alice, seed_bob,
@@ -164,12 +164,22 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     while True:
         size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
         c = draw_classes(raw64(seed, size, offset), p_sig, p_dec)
-        signal = np.flatnonzero(c == CLASS_SIGNAL)
-        if len(signal) >= need:
-            chunks.append(c[: signal[need - 1] + 1])
+        signal = c == CLASS_SIGNAL
+        n_signal = int(np.count_nonzero(signal))
+        if n_signal >= need:
+            after = n_signal - need  # signal pulses past the frame's last pulse
+            # find the frame's last pulse in tails of doubling width, not
+            # among the positions of every signal pulse
+            start, width = len(c), after + 1
+            while True:
+                start, width = max(start - width, 0), 2 * width
+                tail = np.flatnonzero(signal[start:])
+                if len(tail) > after:
+                    break
+            chunks.append(c[: start + tail[len(tail) - after - 1] + 1])
             return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
         chunks.append(c)
-        need -= len(signal)
+        need -= n_signal
         offset += size
 
 

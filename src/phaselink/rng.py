@@ -14,10 +14,14 @@ Because ``i -> s + (i+1)*GOLDEN`` is a bijection on 64-bit integers (GOLDEN
 is odd) and the mix is invertible, distinct indices of one stream can never
 collide.
 
+Bit streams pack 64 bits per draw: bit i of stream s is bit ``i % 64``
+(least significant first) of draw ``i // 64``, so n bits cost about n / 64
+draws. The bits do not depend on host byte order.
+
 Draws can also be addressed by position: ``uniforms_at(s, positions)`` and
 ``random_bits_at(s, positions)`` give exactly the values of the contiguous
 stream indexed at those positions, so a caller that reads a few positions of
-a long stream need not draw the rest.
+a long stream need not draw the rest. Positions must be non-negative.
 
 A uniform is exactly ``(z >> 11) * 2^-53`` of its raw draw z, so
 ``below(z, p)`` decides ``uniform < p`` on the raw draws, with no float
@@ -38,7 +42,7 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
+_U1, _U6, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 6, 11, 27, 30, 31))
 _INV_2_53 = 1.0 / (1 << 53)
 _BLOCK = 1 << 17  # draws mixed per pass: a block and its scratch (2 MiB) stay in cache
 
@@ -85,9 +89,12 @@ def _to_uniforms(z: np.ndarray) -> np.ndarray:
     return u
 
 
-def _to_bits(z: np.ndarray) -> np.ndarray:
-    z &= _U1
-    return z.astype(np.uint8)
+def _positions(positions) -> np.ndarray:
+    """A fresh uint64 copy of non-negative stream positions."""
+    p = np.asarray(positions)
+    if np.any(p < 0):
+        raise ValueError("positions must be non-negative")
+    return p.astype(np.uint64)
 
 
 def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -104,17 +111,32 @@ def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
 
 def uniforms_at(seed: int, positions) -> np.ndarray:
     """Uniforms of the stream at the given non-negative positions."""
-    return _to_uniforms(_draw(seed, np.asarray(positions, dtype=np.uint64) + _U1))
+    counters = _positions(positions)
+    counters += _U1
+    return _to_uniforms(_draw(seed, counters))
 
 
 def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """n unbiased bits as a uint8 array of 0/1."""
-    return _to_bits(raw64(seed, n, offset))
+    """n unbiased bits (uint8 0/1) of the bit stream, starting at bit offset."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    start = offset & 63
+    words = raw64(seed, (start + n + 63) >> 6, offset >> 6)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return bits[start : start + n]
 
 
 def random_bits_at(seed: int, positions) -> np.ndarray:
-    """Bits of the stream at the given non-negative positions."""
-    return _to_bits(_draw(seed, np.asarray(positions, dtype=np.uint64) + _U1))
+    """Bits of the bit stream at the given non-negative positions."""
+    z = _positions(positions)
+    shift = z.astype(np.uint8)  # the low byte; one small array, not a second uint64 one
+    shift &= 63
+    z >>= _U6
+    z += _U1
+    _draw(seed, z)
+    z >>= shift
+    z &= _U1
+    return z.astype(np.uint8)
 
 
 def below(z: np.ndarray, p: float) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from phaselink import rng
 from phaselink.errors import FrameCorrupt, FrameLost, KeyPoolExhausted
 from phaselink.protocol.framing import chip_count, decode, preprocess
 from phaselink.protocol.ledger import KeyLedger
@@ -46,6 +47,21 @@ class TestPreprocess:
         payload = make_payload(2)
         chips = preprocess(payload, 3, 2, 5, key_seed=42, mask_seed=9)
         assert decode(chips, all_chips(2, 5), 3, 2, 5, 42, 9) == payload
+
+    @pytest.mark.parametrize("frame_id,spread", [(3, 1920), (5, 3)])
+    def test_pad_draws_packed_bits(self, monkeypatch, frame_id, spread):
+        # the key and mask streams cost one draw per 64 chips, plus one
+        # for a key offset that is not a multiple of 64
+        payload, drawn, draw = make_payload(6), [], rng._draw
+
+        def counting(seed, counters):
+            drawn.append(len(counters))
+            return draw(seed, counters)
+
+        monkeypatch.setattr(rng, "_draw", counting)
+        n = chip_count(1, spread)
+        preprocess(payload, frame_id, 1, spread, key_seed=4, mask_seed=9)
+        assert 0 < sum(drawn) <= 2 * (-(-n // 64) + 1)
 
     def test_ledger_debit(self):
         # the sender debits one pad bit per chip of each frame it encodes

@@ -23,14 +23,14 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "config
 
 GOLDEN = {
     ("desk_session", "link_budget"): "dad5195d9c34eb2216617a8dc082daafb18e36b3b607c20c9d941941b0929d27",
-    ("desk_session", "session"): "32b34cf2a7ea561ee3ed3cc49f4cae9d281e3f813832784d9cba9984ba78082a",
+    ("desk_session", "session"): "e81b3b02889f23e70dd30a186ca778568e08e15d81b9e9c7e9f1ce492cbcd1f0",
     ("measured_link", "link_budget"): "85fb1dbaeb304a356d55a47a1e47dae2d4df0e478c1baa8d34f04f690d2a92dc",
     ("measured_link", "rate_sweep"): "434e9f8e84dafbb23ab28a16aa36de1c952cb9e780a24a9f34b62a5cb4a185e2",
     ("measured_link", "simulate"): "e4cad0e55bb8541fb26e90cb7ecd9b82c69a41829a4496c01cfc8a196c8d3eae",
-    ("measured_link", "session"): "9bc412a32a97aa328d9bdf0827b3a94325e2efeea52ec1b140009553f23404fc",
+    ("measured_link", "session"): "117882ab2fd456890ea50cc3fbdb56221b67fad310d7e49e3a4df970dedc7b09",
     ("upgraded_link", "link_budget"): "46a54e51bd59c39c3cff5024e8838b643a5ebac7f772b1286bed276ad105e1dc",
     ("upgraded_link", "rate_sweep"): "2c3c612e1cdaab831c0b802e695ae400f8bea5e32c1f3b2f53c59f74f3de5c65",
-    ("upgraded_link", "session"): "d54f95ff705231b5e740feecee83363686109745729b40bafbfe38d2b2af12e4",
+    ("upgraded_link", "session"): "9f8ca21f880e2b1c68b05c7bb67b1b81c66085bc59ce8a98463a8dd1e9499532",
 }
 
 GOLDEN_JSON = {

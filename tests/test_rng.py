@@ -99,6 +99,43 @@ def test_position_addressed_draws_match_stream(seed, offset, rel):
     assert random_bits_at(seed, pos).dtype == np.uint8
 
 
+@pytest.mark.parametrize(
+    "offset,n", [(0, 0), (5, 0), (0, 64), (3, 61), (3, 62), (63, 2), (70, 200), (1 << 40, 130)]
+)
+def test_bits_are_packed_64_per_draw(offset, n):
+    # bit i of the stream is bit i % 64, least significant first, of draw i // 64
+    first = offset >> 6
+    words = raw64(77, n // 64 + 2, first).tolist()
+    bits = random_bits(77, n, offset)
+    assert bits.dtype == np.uint8 and len(bits) == n
+    for i in range(offset, offset + n):
+        assert bits[i - offset] == (words[(i >> 6) - first] >> (i & 63)) & 1
+
+
+def test_negative_bit_count_raises():
+    with pytest.raises(ValueError):
+        random_bits(3, -1)
+
+
+def test_bit_lanes_and_neighbours_are_fair():
+    # each of the 64 bit positions of a draw, and agreement of adjacent bits,
+    # sit at 1/2 within 4 standard errors; a lost shift would repeat a bit
+    bits = random_bits(2027, 1 << 20, offset=5 * 64)
+    lanes = bits.reshape(-1, 64).mean(axis=0)
+    assert np.all(np.abs(lanes - 0.5) < 4 * 0.5 / np.sqrt(len(bits) // 64))
+    same = np.mean(bits[1:] == bits[:-1])
+    assert abs(same - 0.5) < 4 * 0.5 / np.sqrt(len(bits) - 1)
+
+
+@pytest.mark.parametrize("draw", [uniforms_at, random_bits_at])
+def test_negative_positions_raise(draw):
+    for bad in (np.array([-1]), [3, -2], np.array([0, -(1 << 62)], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            draw(5, bad)
+    top = np.array([(1 << 64) - 1], dtype=np.uint64)
+    assert len(draw(5, top)) == 1
+
+
 def as_uniforms(z: np.ndarray) -> np.ndarray:
     """The float-domain reference: the uniform of raw draw z is (z >> 11) 2^-53."""
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
