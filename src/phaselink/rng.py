@@ -18,6 +18,11 @@ Bit streams pack 64 bits per draw: bit i of stream s is bit ``i % 64``
 (least significant first) of draw ``i // 64``, so n bits cost about n / 64
 draws. The bits do not depend on host byte order.
 
+Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
+``raw64_blocks`` hands out each block as soon as it is mixed, in one reused
+buffer, so a per-pulse kernel can consume a long stream without building
+its full-length uint64 array.
+
 Draws can also be addressed by position: ``uniforms_at(s, positions)`` and
 ``random_bits_at(s, positions)`` give exactly the values of the contiguous
 stream indexed at those positions, so a caller that reads a few positions of
@@ -44,7 +49,9 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U1, _U6, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 6, 11, 27, 30, 31))
 _INV_2_53 = 1.0 / (1 << 53)
-_BLOCK = 1 << 17  # draws mixed per pass: a block and its scratch (2 MiB) stay in cache
+_BLOCK = 1 << 16  # draws mixed per pass: a block and its scratch (1 MiB) stay in L2 cache
+_COUNTERS = np.arange(1, _BLOCK + 1, dtype=np.uint64)  # 1-based counters of one block
+_COUNTERS.flags.writeable = False
 
 
 def mix64(x: int) -> int:
@@ -102,6 +109,27 @@ def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _draw(seed, np.arange(offset + 1, offset + n + 1, dtype=np.uint64))
+
+
+def raw64_blocks(seed: int, n: int, offset: int = 0):
+    """Iterator over the n raw draws from position offset, one block at a time.
+
+    Yields (start, draws) for consecutive blocks of at most _BLOCK draws;
+    draws equals raw64(seed, n, offset)[start : start + len(draws)]. Every
+    block is mixed into one buffer that the next block overwrites, so a
+    caller consumes or copies each block before asking for the next.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return _blocks(seed, n, offset)
+
+
+def _blocks(seed: int, n: int, offset: int):
+    buf = np.empty(min(n, _BLOCK), dtype=np.uint64)
+    for start in range(0, n, _BLOCK):
+        z = buf[: min(_BLOCK, n - start)]
+        np.add(_COUNTERS[: len(z)], np.uint64(offset + start), out=z)
+        yield start, _draw(seed, z)
 
 
 def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from phaselink.montecarlo import (
     BatchStats,
     ClassCounts,
     PulsePlan,
+    class_counts,
+    class_schedule,
     detect,
     draw_classes,
     simulate_batch,
@@ -25,11 +28,13 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import raw64, uniforms
+from phaselink.rng import _BLOCK, below, raw64, uniforms
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
 ETA_MEASURED = 10 ** (-17.83 / 10) * 10 ** (-6.5 / 10) * 0.2
+# pulse counts on both sides of the edges of the rng blocks the kernels stream
+BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]
 
 
 def closed_form_se(p, n):
@@ -83,6 +88,41 @@ class TestDrawClasses:
         assert 0 < np.count_nonzero(schedule == CLASS_DECOY) < 10_000
 
 
+class TestClassSchedule:
+    @pytest.mark.parametrize("offset", [0, 5, _BLOCK - 3, 3 * _BLOCK + 11])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_matches_full_length_draw(self, n, offset):
+        # drawn block by block, the schedule is draw_classes of the whole slice
+        reference = draw_classes(raw64(17, n, offset), 0.6, 0.3)
+        schedule = class_schedule(17, n, 0.6, 0.3, offset)
+        assert schedule.dtype == np.uint8
+        assert np.array_equal(schedule, reference)
+
+
+class TestClassCounts:
+    @staticmethod
+    def reference(classes, *positions):
+        rows = [classes] + [classes[pos] for pos in positions]
+        return np.array([np.bincount(row, minlength=3) for row in rows])
+
+    def test_matches_bincount(self):
+        classes = class_schedule(9, 10_000, 0.5, 0.3)
+        hit = np.flatnonzero(uniforms(10, 10_000) < 0.2)
+        empty = np.empty(0, dtype=np.int64)
+        for positions in ((), (hit,), (empty,), (hit, hit[::3], empty)):
+            counts = class_counts(classes, *positions)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, self.reference(classes, *positions))
+
+    def test_absent_class(self):
+        for classes in (class_schedule(9, 1000, 0.5, 0.5), np.full(100, CLASS_DECOY, np.uint8)):
+            hit = np.arange(0, len(classes), 7)
+            counts = class_counts(classes, hit)
+            assert not counts[:, CLASS_VACUUM].any()
+            assert np.array_equal(counts, self.reference(classes, hit))
+        assert class_counts(np.empty(0, np.uint8)).tolist() == [[0, 0, 0]]
+
+
 class TestDetect:
     def test_errors_only_on_clicks(self):
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
@@ -121,6 +161,23 @@ class TestDetect:
         assert errors.dtype == bool
         assert np.array_equal(errors, dense)
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_matches_full_length_compare(self, n):
+        # clicks compared block by block are the per-class compare on the
+        # whole click stream; errors read the error stream at the clicks
+        det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
+        classes = class_schedule(6, n, 0.4, 0.3)
+        clicks, errors, hit = detect(classes, 0.3, SRC, det, 41, 42)
+        intensities = (SRC.mu, SRC.nu, 0.0)
+        z = raw64(41, n)
+        reference = np.zeros(n, dtype=bool)
+        for c, a in enumerate(intensities):
+            reference |= below(z, 1.0 - (1.0 - det.y0) * math.exp(-0.3 * a)) & (classes == c)
+        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
+        assert np.array_equal(clicks, reference)
+        assert np.array_equal(hit, np.flatnonzero(reference))
+        assert np.array_equal(errors, reference & (uniforms(42, n) < p_err[classes]))
+
     def test_flip_rate_statistics(self):
         # clicked vacuum pulses are background clicks, wrong half the time;
         # clicked signal pulses flip at the closed-form conditional QBER
@@ -157,6 +214,23 @@ class TestSimulateBatch:
         s1 = simulate_batch(plan, ETA_MEASURED, SRC, DET)
         s2 = simulate_batch(plan, ETA_MEASURED, SRC, DET)
         assert s1 == s2
+
+    def test_memory_stays_within_blocks(self):
+        # the schedule holds its byte of classes per pulse and the batch its
+        # click and error flags; neither builds a full-length array of draws
+        n = 1 << 21
+        tracemalloc.start()
+        try:
+            plan = PulsePlan.make(n, SRC.mix_ratio, seed=3)
+            plan_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_batch(plan, ETA_MEASURED, SRC, DET)
+            batch_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert plan_peak <= 3 * n
+        assert batch_peak <= 4 * n
 
     def test_matches_closed_form_at_measured_eta(self):
         # 1e7 pulses against the closed-form gains within 4 standard errors

@@ -14,6 +14,7 @@ from phaselink.rng import (
     random_bits_at,
     random_bytes,
     raw64,
+    raw64_blocks,
     split_seed,
     uniforms,
     uniforms_at,
@@ -48,6 +49,30 @@ def test_blocks_agree_with_scalar():
     vec = raw64(seed, 2 * block + 5, offset)
     for i in (0, block - 1, block, 2 * block - 1, 2 * block, 2 * block + 4):
         assert int(vec[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
+
+
+BLOCK_SIZES = [0, 1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 2 * rng._BLOCK + 5]
+
+
+@pytest.mark.parametrize("offset", [0, 3, rng._BLOCK - 2, 5 * rng._BLOCK + 7])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_block_iterator_concatenates_to_stream(n, offset):
+    # consecutive blocks of at most _BLOCK draws, each the stream's slice
+    seed, starts, parts = 8088, [], []
+    for start, z in raw64_blocks(seed, n, offset):
+        assert z.dtype == np.uint64 and 0 < len(z) <= rng._BLOCK
+        starts.append(start)
+        parts.append(z.copy())  # the next block reuses the buffer
+    assert starts == list(range(0, n, rng._BLOCK))
+    draws = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    assert np.array_equal(draws, raw64(seed, n, offset))
+    for i in [0, n - 1] if n else []:
+        assert int(draws[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
+
+
+def test_block_iterator_rejects_negative_count():
+    with pytest.raises(ValueError):
+        raw64_blocks(3, -1)
 
 
 def test_uniform_stream_statistics():

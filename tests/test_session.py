@@ -9,7 +9,7 @@ import pytest
 
 from phaselink.config import ScenarioConfig
 from phaselink.errors import ProtocolError, TransportClosed
-from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, draw_classes
+from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_schedule, draw_classes
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
 from phaselink.protocol.session import (
@@ -401,7 +401,9 @@ class TestScheduleDraw:
         frame = stream[: np.flatnonzero(stream == CLASS_SIGNAL)[4999] + 1]
         assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
         calls = []
-        monkeypatch.setattr(session, "raw64", lambda *a: calls.append(a) or raw64(*a))
+        monkeypatch.setattr(
+            session, "class_schedule", lambda *a: calls.append(a) or class_schedule(*a)
+        )
         monkeypatch.setattr(session, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
         assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
         assert len(calls) > 1
