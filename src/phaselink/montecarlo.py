@@ -15,9 +15,10 @@ and parallel batches can use split_seed for independent streams.
 The per-pulse kernels stream: the class schedule and the click compare
 mix their draws one rng block at a time (rng.raw64_blocks) and consume
 each block while it is in cache, so no full-length uint64 array is built.
-Pulse i still reads draw i of each stream. Class tallies after detection
-gather the classes at the click positions instead of passing over every
-pulse again.
+Pulse i still reads draw i of each stream. detect returns the click
+positions and one error flag per click, never a per-pulse mask, so its
+output scales with the clicks, not the pulses; class tallies after
+detection gather the classes at those positions.
 """
 
 from __future__ import annotations
@@ -163,27 +164,27 @@ def detect(
     click_seed: int,
     error_seed: int,
 ) -> tuple:
-    """Click and error flags for pulses of the given intensity classes,
-    and the ascending positions of the pulses that clicked.
+    """(hit, err): the ascending int64 positions of the pulses that clicked,
+    and one error flag per click.
 
     Every pulse i reads its class and draw i of the click_seed stream,
     which it compares as a raw integer with its class's click threshold
-    (see rng.below), one rng block at a time. Only a pulse that clicked
-    reads draw i of the error_seed stream, so errors only occur on clicks.
+    (see rng.below), one rng block at a time; each block gives up only its
+    click positions. Only a pulse that clicked reads draw i of the
+    error_seed stream, so errors only occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
     p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
-    clicks = np.zeros(len(classes), dtype=bool)
+    hits = [np.empty(0, dtype=np.int64)]
     for start, z in raw64_blocks(click_seed, len(classes)):
         block = classes[start : start + len(z)]
-        out = clicks[start : start + len(z)]  # a view: |= writes into clicks
+        clicked = np.zeros(len(z), dtype=bool)
         for c, p in enumerate(p_click):  # one compare per class, not a per-pulse gather
-            out |= below(z, p) & (block == c)
-    hit = np.flatnonzero(clicks)
-    errors = np.zeros_like(clicks)
-    errors[hit] = uniforms_at(error_seed, hit) < p_err[classes[hit]]
-    return clicks, errors, hit
+            clicked |= below(z, p) & (block == c)
+        hits.append(np.flatnonzero(clicked) + start)
+    hit = np.concatenate(hits)
+    return hit, uniforms_at(error_seed, hit) < p_err[classes[hit]]
 
 
 def simulate_batch(
@@ -196,10 +197,8 @@ def simulate_batch(
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
     sched = plan.intensity_schedule
-    _, errors, hit = detect(
-        sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2)
-    )
-    per_class = class_counts(sched, hit, hit[errors[hit]]).T  # (sent, clicked, errored) per class
+    hit, err = detect(sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2))
+    per_class = class_counts(sched, hit, hit[err]).T  # (sent, clicked, errored) per class
     return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))
 
 

@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BadJitterSpec, NonTurbulentChannel, RegimeViolation
-from .rng import uniforms
 
 __all__ = [
     "AtmosphereParams",
@@ -31,7 +28,6 @@ __all__ = [
     "effective_waist",
     "transmittance",
     "jitter_step",
-    "loss_trace",
 ]
 
 
@@ -270,42 +266,15 @@ def jitter_step(x: float, u: float, jitter: JitterSpec, dt: float) -> float:
     The excursion decays toward zero over tau_s, takes a zero-mean,
     unit-variance step scaled by step_db * sqrt(dt), and is reflected at
     +-max_db, so the long-run mean is zero and no value leaves the bound.
+    A value inside the bound is returned as it is; one outside is folded
+    back in one step, however far out it lands. max_db = 0 gives 0.
     """
+    bound = jitter.max_db
+    if bound == 0.0:
+        return 0.0
     step = (2.0 * u - 1.0) * math.sqrt(3.0) * jitter.step_db * math.sqrt(dt)
     x = x * max(0.0, 1.0 - dt / jitter.tau_s) + step
-    bound = jitter.max_db
-    while x > bound or x < -bound:
-        x = 2.0 * bound - x if x > bound else -2.0 * bound - x
+    if abs(x) > bound:
+        # reflection at +-bound repeats with period 4 * bound
+        x = bound - abs((x + bound) % (4.0 * bound) - 2.0 * bound)
     return x
-
-
-def loss_trace(
-    geom: LinkGeometry,
-    atm: AtmosphereParams,
-    beam: BeamParams,
-    jitter: JitterSpec,
-    duration: float,
-    dt: float,
-    seed: int,
-    eta_b: float = 1.0,
-    eta_d: float = 1.0,
-) -> np.ndarray:
-    """Sampled total link loss [dB] under bounded slow jitter.
-
-    The static budget loss is perturbed by the jitter_step walk, one step
-    per sample. Deterministic for a fixed seed.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if duration < dt:
-        raise ValueError("duration must be at least dt")
-    static_db = transmittance(geom, atm, beam, eta_b, eta_d).total_db
-    n = int(round(duration / dt))
-    if jitter.max_db == 0.0:
-        return np.full(n, static_db)
-    out = np.empty(n)
-    x = 0.0
-    for i, u in enumerate(uniforms(seed, n).tolist()):
-        x = jitter_step(x, u, jitter, dt)
-        out[i] = static_db + x
-    return out

@@ -5,7 +5,9 @@ frame, pad bits whose chip positions were never kept by the receiver
 (no click, or basis mismatch) are credited back (recycled); kept
 positions mint fresh key material (generated), except the publicly
 disclosed check bits, which are consumed and neither recycled nor
-regenerated.
+regenerated. A frame whose QBER check aborts the session mints no key:
+it is committed with every kept position counted as disclosed, so its
+never-kept positions are recycled and its kept ones stay consumed.
 
 The ledger is accounting only: it counts bits and holds none. The pad
 bit of chip i of frame f always comes from key-stream position

@@ -6,8 +6,8 @@ decoy and vacuum pulses, and the receiver (Bob) measures in random bases.
 The classical exchange per frame:
 
     A -> B  FRAME_META, QUANTUM (simulated photon stream)
-    B -> A  BASIS_ANNOUNCE (click flags for the pulse range, then the
-                            bases of the clicked pulses)
+    B -> A  BASIS_ANNOUNCE (the clicked pulses of the range, then their
+                            bases)
     A -> B  SAMPLE_REQUEST (kept signal events to disclose)
     B -> A  SAMPLE_DISCLOSE
     A -> B  ABORT            if the sampled QBER exceeds the threshold
@@ -23,11 +23,17 @@ starts at the pulse count of the frames before it.
 Key accounting: each chip debits one pad bit when its frame is encoded;
 pad bits on positions Bob never kept are recycled; kept positions mint
 fresh key, except disclosed check bits which are consumed and not
-regenerated. The ledger only counts: both endpoints take a frame's pad
-bits from framing, at fixed key-stream positions.
+regenerated. A frame that aborts mints no key: its never-kept positions
+are recycled and its kept ones stay consumed. The ledger only counts:
+both endpoints take a frame's pad bits from framing, at fixed key-stream
+positions.
 
-Each endpoint's basis for pulse i is bit i of its basis stream for the
-frame, and it is drawn (rng.random_bits_at) only where pulse i clicked.
+The receiver's detection (montecarlo.detect) gives the click positions
+and one error flag per click. The receiver flips its copy of the sender's
+bits at the erred clicks and announces the positions, which only the wire
+codec turns into a per-pulse bitmap. Each endpoint's basis for pulse i is
+bit i of its basis stream for the frame, and it is drawn
+(rng.random_bits_at) only where pulse i clicked.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -67,6 +73,8 @@ _S_MASK = 101
 _S_CLICK = 1
 _S_ERROR = 2
 _S_JITTER = 3
+
+_GATHER_BLOCK = 1 << 16  # pulses per block of _at_chips: its positions stay in L2 cache
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,19 @@ def _sample_positions(kept_idx: np.ndarray, fraction: float, seed: int) -> np.nd
     take = u < cut
     take[np.flatnonzero(u == cut)[: n_sample - np.count_nonzero(take)]] = True
     return np.sort(kept_idx[take])
+
+
+def _at_chips(values: np.ndarray, signal_mask: np.ndarray) -> np.ndarray:
+    """values[signal_mask] of a frame, gathered one block of pulses at a time.
+
+    A gather beats a boolean index, but the positions of a whole frame's
+    signal pulses take 8 B per chip (15 MB on the measured link), and once
+    freed a block that large lets glibc keep tens of MB more heap in one
+    run than in the next. A block's positions stay small."""
+    return np.concatenate([
+        values[s : s + _GATHER_BLOCK][np.flatnonzero(signal_mask[s : s + _GATHER_BLOCK])]
+        for s in range(0, len(values), _GATHER_BLOCK)
+    ])
 
 
 def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
@@ -230,10 +251,9 @@ class AliceSession:
             transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bits))
 
             _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
-            announced, clicks, bob_bases = wire.decode_basis_announce(payload_bytes)
-            if (announced, len(clicks)) != (start_pulse, n_pulses):
+            announced, n_announced, hit, bob_bases = wire.decode_basis_announce(payload_bytes)
+            if (announced, n_announced) != (start_pulse, n_pulses):
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
-            hit = np.flatnonzero(clicks)
             self._counts += class_counts(classes, hit)
 
             bases = random_bits_at(
@@ -263,18 +283,18 @@ class AliceSession:
                     f"threshold {p.qber_threshold:.4f}"
                 )
                 transport.send(wire.ABORT, reason.encode("utf-8"))
+                # an aborted frame mints no key: only never-kept positions recycle
+                ledger_commit(self.ledger, n_chips, len(kept_sig_idx), len(kept_sig_idx))
                 aborted = True
                 abort_reason = reason
                 start_pulse += n_pulses
                 break
 
-            # decode map: kept signal chips minus disclosed check bits; a
-            # gather at the signal positions beats a boolean index, and the
-            # positions (8 B per chip) are dropped at once, not held
+            # decode map: kept signal chips minus disclosed check bits
             to_decode = np.zeros(n_pulses, dtype=bool)
             to_decode[kept_sig_idx] = True
             to_decode[sample_idx] = False
-            chip_map = to_decode[np.flatnonzero(signal_mask)]
+            chip_map = _at_chips(to_decode, signal_mask)
             transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
 
             ledger_commit(self.ledger, n_chips, len(kept_sig_idx), n_sample)
@@ -351,7 +371,7 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
             _, payload = _recv(transport, wire.QUANTUM)
-            start, classes, alice_bits = wire.decode_quantum(payload)
+            start, classes, bits = wire.decode_quantum(payload)
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
@@ -360,7 +380,7 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
-            clicks, errors, hit = detect(
+            hit, err = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
                 spec.source,
@@ -369,10 +389,10 @@ class BobSession:
                 split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
             )
             bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
-            bob_bits = alice_bits ^ errors.astype(np.uint8)
+            bits[hit[err]] ^= 1  # the sender's bits as measured: flipped where detection erred
 
             transport.send(
-                wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, clicks, bob_bases)
+                wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
             )
 
             _, payload = _recv(transport, wire.SAMPLE_REQUEST)
@@ -380,7 +400,7 @@ class BobSession:
             if np.any(sample_idx >= n_pulses):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the frame")
             transport.send(
-                wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bob_bits[sample_idx])
+                wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bits[sample_idx])
             )
 
             msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
@@ -393,7 +413,7 @@ class BobSession:
             kept = np.flatnonzero(chip_map)
             try:
                 recovered = decode(
-                    bob_bits[np.flatnonzero(signal_mask)[kept]],
+                    _at_chips(bits, signal_mask)[kept],
                     kept,
                     f,
                     p.fec_ratio,

@@ -9,12 +9,14 @@ Frame layout:
 Message types (the classical channel is assumed authenticated and
 reliable; no cryptography is applied here):
 
-    0x01 BASIS_ANNOUNCE   receiver's click flags for a pulse range and its
+    0x01 BASIS_ANNOUNCE   receiver's clicks in a pulse range and its
                           bases at the clicked pulses: u64 start, u32
                           count n, n packed click bits (MSB-first), then
                           the packed bases (0=Z, 1=X) of the k clicked
                           pulses in pulse order: 12 + ceil(n/8) +
-                          ceil(k/8) bytes
+                          ceil(k/8) bytes. The codecs take and give the
+                          click positions; this bitmap is the only
+                          per-pulse click array in the package
     0x02 SAMPLE_REQUEST   u32 n, then n x u32 pulse offsets (relative to
                           the announced range start)
     0x03 SAMPLE_DISCLOSE  u32 n, packed measured bits in request order
@@ -114,27 +116,31 @@ def _payload_head(payload: bytes, head: str, body_bytes) -> tuple:
     return fields
 
 
-def encode_basis_announce(start: int, clicks: np.ndarray, bases: np.ndarray) -> bytes:
-    """clicks flags every pulse of the range; bases holds one basis per
-    set flag, in pulse order."""
-    if len(bases) != np.count_nonzero(clicks):
-        raise ValueError("need one basis per set click flag")
-    return struct.pack("!QI", start, len(clicks)) + _pack_bits(clicks) + _pack_bits(bases)
+def encode_basis_announce(start: int, n: int, hit: np.ndarray, bases: np.ndarray) -> bytes:
+    """hit holds the ascending positions of the clicked pulses among the n
+    of the range, bases one basis per click, in pulse order."""
+    if len(bases) != len(hit):
+        raise ValueError("need one basis per click")
+    if len(hit) and (hit[0] < 0 or hit[-1] >= n or np.any(hit[1:] <= hit[:-1])):
+        raise ValueError("click positions must ascend within the range")
+    clicks = np.zeros(n, dtype=np.uint8)
+    clicks[hit] = 1
+    return struct.pack("!QI", start, n) + _pack_bits(clicks) + _pack_bits(bases)
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
-    """(start, click flags as bool, bases of the clicked pulses)."""
+    """(start, n, ascending click positions, bases of the clicked pulses)."""
     if len(payload) < 12:
         raise _mismatch(payload)
     start, n = struct.unpack_from("!QI", payload)
     end = 12 + (n + 7) // 8
     if len(payload) < end:
         raise _mismatch(payload)
-    clicks = _unpack_bits(payload[12:end], n).view(bool)
-    k = np.count_nonzero(clicks)
-    if len(payload) != end + (k + 7) // 8:
+    # flatnonzero on the bool view: ~8x faster than on the uint8 bits
+    hit = np.flatnonzero(_unpack_bits(payload[12:end], n).view(bool))
+    if len(payload) != end + (len(hit) + 7) // 8:
         raise _mismatch(payload)
-    return start, clicks, _unpack_bits(payload[end:], k)
+    return start, n, hit, _unpack_bits(payload[end:], len(hit))
 
 
 def encode_sample_request(offsets: np.ndarray) -> bytes:
@@ -182,7 +188,7 @@ def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytes:
 
 
 def decode_quantum(payload: bytes) -> tuple:
-    """(start, classes, bits)."""
+    """(start, classes, bits); bits is a fresh array the caller may write."""
     start, n = _payload_head(payload, "!QI", lambda n: n)
     packed = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
     if np.any(packed >= 3 << 2):

@@ -16,7 +16,9 @@ collide.
 
 Bit streams pack 64 bits per draw: bit i of stream s is bit ``i % 64``
 (least significant first) of draw ``i // 64``, so n bits cost about n / 64
-draws. The bits do not depend on host byte order.
+draws. Byte streams are pinned the same way: ``random_bytes(s, n)`` is the
+first n bytes of draws 0, 1, ... each laid out little-endian. Neither
+depends on host byte order.
 
 Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
 ``raw64_blocks`` hands out each block as soon as it is mixed, in one reused
@@ -181,4 +183,4 @@ def below(z: np.ndarray, p: float) -> np.ndarray:
 def random_bytes(seed: int, n: int) -> bytes:
     """n deterministic bytes from the stream."""
     words = raw64(seed, (n + 7) // 8)
-    return words.tobytes()[:n]
+    return words.astype("<u8", copy=False).tobytes()[:n]

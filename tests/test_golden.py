@@ -30,7 +30,7 @@ GOLDEN = {
     ("measured_link", "session"): "117882ab2fd456890ea50cc3fbdb56221b67fad310d7e49e3a4df970dedc7b09",
     ("upgraded_link", "link_budget"): "46a54e51bd59c39c3cff5024e8838b643a5ebac7f772b1286bed276ad105e1dc",
     ("upgraded_link", "rate_sweep"): "2c3c612e1cdaab831c0b802e695ae400f8bea5e32c1f3b2f53c59f74f3de5c65",
-    ("upgraded_link", "session"): "9f8ca21f880e2b1c68b05c7bb67b1b81c66085bc59ce8a98463a8dd1e9499532",
+    ("upgraded_link", "session"): "274715dfd38957329047aee1ff7f918308047284e0a639d34fd058b98fda6ba3",
 }
 
 GOLDEN_JSON = {

@@ -127,11 +127,12 @@ class TestDetect:
     def test_errors_only_on_clicks(self):
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(100_000, (1, 1, 1), seed=4).intensity_schedule
-        clicks, errors, hit = detect(classes, 0.5, SRC, det, 1, 2)
-        assert clicks.dtype == bool and len(clicks) == len(classes)
-        assert np.array_equal(hit, np.flatnonzero(clicks))
-        assert not np.any(errors & ~clicks)
-        assert 0 < np.count_nonzero(errors) < np.count_nonzero(clicks)
+        hit, err = detect(classes, 0.5, SRC, det, 1, 2)
+        assert hit.dtype == np.int64 and err.dtype == bool
+        assert np.all(np.diff(hit) > 0)  # ascending, no repeats
+        assert 0 <= hit[0] and hit[-1] < len(classes)
+        assert len(err) == len(hit)  # one error flag per click
+        assert 0 < np.count_nonzero(err) < len(hit)
 
     def test_union_click_probability(self):
         # with Y0 = 0.4 the union 1 - (1 - Y0) e^(-eta a) and the additive
@@ -139,10 +140,10 @@ class TestDetect:
         det = DetectorConfig(p_d=0.2, eta_d=0.2, visibility=0.9847)
         n = 200_000
         classes = np.full(n, CLASS_SIGNAL, dtype=np.uint8)
-        clicks, _, _ = detect(classes, 0.5, SRC, det, 11, 12)
+        hit, _ = detect(classes, 0.5, SRC, det, 11, 12)
         union = 1.0 - (1.0 - det.y0) * math.exp(-0.5 * SRC.mu)
         additive = det.y0 - math.expm1(-0.5 * SRC.mu)
-        gain = np.count_nonzero(clicks) / n
+        gain = len(hit) / n
         assert abs(gain - union) < 4 * closed_form_se(union, n)
         assert abs(gain - additive) > 50 * closed_form_se(union, n)
 
@@ -151,15 +152,17 @@ class TestDetect:
         # full error stream holds there
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
-        clicks, errors, _ = detect(classes, 0.3, SRC, det, 31, 32)
+        hit, err = detect(classes, 0.3, SRC, det, 31, 32)
         intensities = (SRC.mu, SRC.nu, 0.0)
         p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-0.3 * a) for a in intensities])
         p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
         # clicks compare raw draws per class; the reference gathers and compares uniforms
-        assert np.array_equal(clicks, uniforms(31, len(classes)) < p_click[classes])
+        clicks = uniforms(31, len(classes)) < p_click[classes]
+        assert np.array_equal(hit, np.flatnonzero(clicks))
         dense = clicks & (uniforms(32, len(classes)) < p_err[classes])
-        assert errors.dtype == bool
-        assert np.array_equal(errors, dense)
+        assert err.dtype == bool
+        assert np.array_equal(err, dense[hit])
+        assert np.array_equal(hit[err], np.flatnonzero(dense))
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_matches_full_length_compare(self, n):
@@ -167,16 +170,16 @@ class TestDetect:
         # whole click stream; errors read the error stream at the clicks
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = class_schedule(6, n, 0.4, 0.3)
-        clicks, errors, hit = detect(classes, 0.3, SRC, det, 41, 42)
+        hit, err = detect(classes, 0.3, SRC, det, 41, 42)
         intensities = (SRC.mu, SRC.nu, 0.0)
         z = raw64(41, n)
         reference = np.zeros(n, dtype=bool)
         for c, a in enumerate(intensities):
             reference |= below(z, 1.0 - (1.0 - det.y0) * math.exp(-0.3 * a)) & (classes == c)
         p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
-        assert np.array_equal(clicks, reference)
+        assert hit.dtype == np.int64
         assert np.array_equal(hit, np.flatnonzero(reference))
-        assert np.array_equal(errors, reference & (uniforms(42, n) < p_err[classes]))
+        assert np.array_equal(err, (uniforms(42, n) < p_err[classes])[hit])
 
     def test_flip_rate_statistics(self):
         # clicked vacuum pulses are background clicks, wrong half the time;
@@ -185,9 +188,8 @@ class TestDetect:
         for cls_, a in ((CLASS_VACUUM, 0.0), (CLASS_SIGNAL, SRC.mu)):
             e = gain_and_qber(1.0, a, det)[1]
             classes = np.full(1_000_000, cls_, dtype=np.uint8)
-            clicks, errors, _ = detect(classes, 1.0, SRC, det, 21, 22)
-            n_clicks = np.count_nonzero(clicks)
-            assert abs(np.count_nonzero(errors) / n_clicks - e) < 4 * closed_form_se(e, n_clicks)
+            hit, err = detect(classes, 1.0, SRC, det, 21, 22)
+            assert abs(np.count_nonzero(err) / len(hit) - e) < 4 * closed_form_se(e, len(hit))
         assert e > 0.0287  # dark clicks add to the misalignment error
 
 
@@ -216,8 +218,8 @@ class TestSimulateBatch:
         assert s1 == s2
 
     def test_memory_stays_within_blocks(self):
-        # the schedule holds its byte of classes per pulse and the batch its
-        # click and error flags; neither builds a full-length array of draws
+        # the schedule holds its byte of classes per pulse; detection builds
+        # no full-length array of draws or flags, only per-click arrays
         n = 1 << 21
         tracemalloc.start()
         try:
@@ -230,7 +232,7 @@ class TestSimulateBatch:
         finally:
             tracemalloc.stop()
         assert plan_peak <= 3 * n
-        assert batch_peak <= 4 * n
+        assert batch_peak <= 2 * n
 
     def test_matches_closed_form_at_measured_eta(self):
         # 1e7 pulses against the closed-form gains within 4 standard errors

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from phaselink.optics import (
     critical_distance,
     effective_waist,
     jitter_step,
-    loss_trace,
     rayleigh_length,
     rytov_variance,
     transmittance,
 )
+from phaselink.rng import uniforms
 
 # measured-system constants used throughout
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
@@ -203,33 +204,38 @@ class TestTransmittance:
             prev = capture
 
 
+def jitter_walk(spec, n, dt, seed):
+    """Excursions [dB] of n jitter_step samples dt apart, from 0."""
+    out = np.empty(n)
+    x = 0.0
+    for i, u in enumerate(uniforms(seed, n).tolist()):
+        x = jitter_step(x, u, spec, dt)
+        out[i] = x
+    return out
+
+
+def returns_within(seconds, fn, *args):
+    """fn(*args), run in a daemon thread; fails unless it returns in time."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert result, f"no return within {seconds} s"
+    return result[0]
+
+
 class TestLossTrace:
-    def test_zero_jitter_constant(self):
-        trace = loss_trace(GEOM, ATM, BEAM, JitterSpec(max_db=0.0), 10.0, 0.5, seed=1)
-        static = transmittance(GEOM, ATM, BEAM, 1.0, 1.0).total_db
-        assert np.all(trace == static)
-        assert len(trace) == 20
+    """The jitter walk that perturbs the static loss, one jitter_step per
+    sample."""
 
     def test_bounded_excursions(self):
         # 3.2 dB bound mirrors the largest measured fluctuation envelope
-        spec = JitterSpec(max_db=3.2)
-        trace = loss_trace(GEOM, ATM, BEAM, spec, 600.0, 0.5, seed=3)
-        static = transmittance(GEOM, ATM, BEAM, 1.0, 1.0).total_db
-        assert np.max(np.abs(trace - static)) <= 3.2 + 1e-12
+        walk = jitter_walk(JitterSpec(max_db=3.2), 1200, 0.5, seed=3)
+        assert np.max(np.abs(walk)) <= 3.2 + 1e-12
 
     def test_long_run_mean(self):
-        spec = JitterSpec(max_db=3.2)
-        trace = loss_trace(GEOM, ATM, BEAM, spec, 6000.0, 0.5, seed=5)
-        static = transmittance(GEOM, ATM, BEAM, 1.0, 1.0).total_db
-        assert abs(float(np.mean(trace)) - static) < 0.1
-
-    def test_deterministic(self):
-        spec = JitterSpec(max_db=2.0)
-        t1 = loss_trace(GEOM, ATM, BEAM, spec, 50.0, 0.1, seed=9)
-        t2 = loss_trace(GEOM, ATM, BEAM, spec, 50.0, 0.1, seed=9)
-        assert np.array_equal(t1, t2)
-        t3 = loss_trace(GEOM, ATM, BEAM, spec, 50.0, 0.1, seed=10)
-        assert not np.array_equal(t1, t3)
+        walk = jitter_walk(JitterSpec(max_db=3.2), 12000, 0.5, seed=5)
+        assert abs(float(np.mean(walk))) < 0.1
 
     def test_jitter_step_reflects(self):
         # u = 1 gives the largest step, sqrt(3) * step_db * sqrt(dt) = 2.5 dB;
@@ -241,15 +247,30 @@ class TestLossTrace:
         fast = JitterSpec(max_db=1.0, tau_s=1.0, step_db=0.0)
         assert jitter_step(0.9, 0.3, fast, 1.0) == 0.0
 
+    # no step, and a decay factor 1 - dt / tau_s that rounds to exactly 1
+    STILL = JitterSpec(max_db=1.0, tau_s=1e300, step_db=0.0)
+
+    def test_jitter_step_keeps_values_inside_the_bound(self):
+        for x in (-1.0, -0.3, 0.1, 1.0):
+            assert jitter_step(x, 0.5, self.STILL, 1.0) == x
+
+    @pytest.mark.parametrize("overshoot", [2.5, 4.5, 7.25, 1e3 + 0.5])
+    def test_jitter_step_folds_far_overshoots(self, overshoot):
+        # reflection at +-1 dB repeats every 4 dB: 2.5 and 6.5 land on -0.5
+        spec = self.STILL
+        expected = {2.5: -0.5, 4.5: 0.5, 7.25: -0.75, 1e3 + 0.5: 0.5}[overshoot]
+        for sign in (1.0, -1.0):
+            assert jitter_step(sign * overshoot, 0.5, spec, 1.0) == pytest.approx(sign * expected)
+
+    @pytest.mark.parametrize("max_db", [0.0, 1e-12])
+    def test_jitter_step_returns_at_tiny_bounds(self, max_db):
+        # a step of ~0.44 dB overshoots a bound of 1e-12 dB 1e11 times over
+        x = returns_within(1.0, jitter_step, 0.0, 0.9, JitterSpec(max_db=max_db), 1.0)
+        assert abs(x) <= max_db
+
     def test_bad_jitter(self):
         with pytest.raises(BadJitterSpec):
             JitterSpec(max_db=-1.0)
-
-    def test_bad_sampling(self):
-        with pytest.raises(ValueError):
-            loss_trace(GEOM, ATM, BEAM, JitterSpec(max_db=1.0), 1.0, 0.0, seed=1)
-        with pytest.raises(ValueError):
-            loss_trace(GEOM, ATM, BEAM, JitterSpec(max_db=1.0), 0.05, 0.1, seed=1)
 
 
 class TestValidation:

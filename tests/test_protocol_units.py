@@ -10,6 +10,7 @@ from phaselink.protocol.ledger import KeyLedger, ledger_commit
 from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
+    _at_chips,
     _sample_positions,
     run_session_detailed,
 )
@@ -59,6 +60,28 @@ class TestSecurityCheck:
         )
         assert report.aborted
         assert "threshold 0.0000" in report.abort_reason
+
+    def test_aborted_frame_recycles_only_never_kept(self, monkeypatch):
+        # the aborted frame mints no key: never-kept positions are recycled,
+        # kept ones (disclosed or not) stay consumed
+        kept = []
+        sample = session._sample_positions
+
+        def spy(kept_idx, *args):
+            kept.append(len(kept_idx))
+            return sample(kept_idx, *args)
+
+        monkeypatch.setattr(session, "_sample_positions", spy)
+        spec = one_frame_spec(sample_fraction=1.0, qber_threshold=0.0)
+        report, alice, _ = run_session_detailed(spec)
+        assert report.aborted and kept[0] > 0
+        chips = 8000
+        led = alice.ledger
+        assert led.consumed == chips
+        assert led.recycled == chips - kept[0]
+        assert led.generated == 0
+        assert led.pool_bits == spec.protocol.initial_pool_bits - kept[0]
+        assert report.key_cons_rate == pytest.approx(kept[0] / report.elapsed_s)
 
     def test_monotone_in_threshold(self):
         det = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=1.0, e_mis=0.04, eta_b=1.0)
@@ -118,6 +141,12 @@ class TestSecurityCheck:
             n_sample = int(10 * fraction)
             dense = np.sort(kept[np.argsort(u, kind="stable")[:n_sample]])
             assert np.array_equal(_sample_positions(kept, fraction, 0), dense)
+
+    @pytest.mark.parametrize("n", [1, 1000, 65535, 65536, 65537, 3 * 65536 + 5])
+    def test_at_chips_matches_boolean_index(self, n):
+        signal_mask = uniforms(7, n) < 30 / 33
+        values = (uniforms(8, n) < 0.5).astype(np.uint8)
+        assert np.array_equal(_at_chips(values, signal_mask), values[signal_mask])
 
 
 class TestKeyLedger:

@@ -110,6 +110,13 @@ def test_bits_and_bytes():
     assert random_bytes(9, 33)[:17] == random_bytes(9, 17)[:17]
 
 
+def test_bytes_are_little_endian_draws():
+    # byte 8 j + b is byte b, least significant first, of draw j on any host
+    words = b"".join(int(w).to_bytes(8, "little") for w in raw64(9, 3))
+    assert random_bytes(9, 17) == words[:17]
+    assert random_bytes(9, 24) == words
+
+
 @given(
     seed=st.integers(0, (1 << 64) - 1),
     offset=st.integers(0, 1 << 40),

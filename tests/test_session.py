@@ -230,8 +230,9 @@ def _shift_quantum_start(payload):
 
 
 def _cut_announce(payload):
-    start, clicks, bases = wire.decode_basis_announce(payload)
-    return wire.encode_basis_announce(start, clicks[:1], bases[: np.count_nonzero(clicks[:1])])
+    start, _, hit, bases = wire.decode_basis_announce(payload)
+    first = hit < 1  # the clicks of a one-pulse range
+    return wire.encode_basis_announce(start, 1, hit[first], bases[first])
 
 
 def _shift_sift_start(payload):

@@ -51,13 +51,14 @@ class TestFrameEncoding:
 class TestCodecs:
     def test_basis_announce_roundtrip(self):
         # click flags for the range, then one basis per clicked pulse only
-        clicks = np.array([1, 0, 0, 0, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
+        hit = np.array([0, 4, 5, 9])
         bases = np.array([0, 1, 1, 0], dtype=np.uint8)
-        payload = wire.encode_basis_announce(777, clicks, bases)
-        assert len(payload) == 12 + 2 + 1
-        start, c2, b2 = wire.decode_basis_announce(payload)
-        assert start == 777
-        assert np.array_equal(c2, clicks.astype(bool))
+        payload = wire.encode_basis_announce(777, 10, hit, bases)
+        # the flags 1000110001 packed MSB-first, then the bases 0110
+        assert payload == struct.pack("!QI", 777, 10) + bytes([0b10001100, 0b01000000, 0b01100000])
+        start, n, h2, b2 = wire.decode_basis_announce(payload)
+        assert (start, n) == (777, 10)
+        assert h2.dtype == np.int64 and np.array_equal(h2, hit)
         assert np.array_equal(b2, bases)
 
     def test_sample_roundtrip(self):
@@ -99,7 +100,7 @@ class TestTruncatedPayloads:
         [
             (
                 wire.decode_basis_announce,
-                wire.encode_basis_announce(0, np.ones(100, np.uint8), np.ones(100, np.uint8)),
+                wire.encode_basis_announce(0, 100, np.arange(100), np.ones(100, np.uint8)),
                 20,
             ),
             (wire.decode_sift_map, wire.encode_sift_map(0, np.ones(100, bool)), 14),
@@ -143,22 +144,34 @@ class TestCodecProperties:
 
     @given(start=U64, clicks=BITS, data=st.data())
     def test_basis_announce(self, start, clicks, data):
-        k = int(np.count_nonzero(clicks))
+        hit = np.flatnonzero(clicks)
+        k = len(hit)
         bases = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-        payload = wire.encode_basis_announce(start, clicks, bases)
-        assert len(payload) == 12 + (len(clicks) + 7) // 8 + (k + 7) // 8
-        s2, c2, b2 = wire.decode_basis_announce(payload)
-        assert s2 == start and c2.dtype == bool
-        assert np.array_equal(c2, clicks.astype(bool))
+        payload = wire.encode_basis_announce(start, len(clicks), hit, bases)
+        # the click bitmap packed MSB-first, then the packed bases
+        assert payload == (
+            struct.pack("!QI", start, len(clicks))
+            + np.packbits(clicks).tobytes()
+            + np.packbits(np.array(bases, np.uint8)).tobytes()
+        )
+        s2, n2, h2, b2 = wire.decode_basis_announce(payload)
+        assert (s2, n2) == (start, len(clicks)) and h2.dtype == np.int64
+        assert np.array_equal(h2, hit)
         assert b2.tolist() == bases
         only_whole_payload_decodes(wire.decode_basis_announce, payload)
 
     @given(clicks=BITS, extra=st.sampled_from([-1, 1, 2]))
     def test_basis_announce_needs_one_basis_per_click(self, clicks, extra):
-        k = int(np.count_nonzero(clicks))
-        if k + extra >= 0:
+        hit = np.flatnonzero(clicks)
+        if len(hit) + extra >= 0:
+            bases = np.zeros(len(hit) + extra, np.uint8)
             with pytest.raises(ValueError):
-                wire.encode_basis_announce(0, clicks, np.zeros(k + extra, np.uint8))
+                wire.encode_basis_announce(0, len(clicks), hit, bases)
+
+    @pytest.mark.parametrize("hit", [[3, 1], [2, 2], [-1, 2], [0, 5]])
+    def test_basis_announce_needs_ascending_positions_in_range(self, hit):
+        with pytest.raises(ValueError):
+            wire.encode_basis_announce(0, 5, np.array(hit), np.zeros(2, np.uint8))
 
     @given(clicks=BITS, tail=st.binary(max_size=30))
     def test_basis_announce_tail_must_fit_the_clicks(self, clicks, tail):
@@ -166,7 +179,7 @@ class TestCodecProperties:
         k = int(np.count_nonzero(clicks))
         payload = struct.pack("!QI", 9, len(clicks)) + np.packbits(clicks).tobytes() + tail
         if len(tail) == (k + 7) // 8:
-            assert wire.decode_basis_announce(payload)[2].tolist() == np.unpackbits(
+            assert wire.decode_basis_announce(payload)[3].tolist() == np.unpackbits(
                 np.frombuffer(tail, np.uint8), count=k
             ).tolist()
         else:
