@@ -12,13 +12,40 @@ Batches are reproducible: all draws come from counter-based streams keyed
 by the plan seed (see rng), so identical inputs give identical statistics
 and parallel batches can use split_seed for independent streams.
 
-The per-pulse kernels stream: the class schedule and the click compare
-mix their draws one rng block at a time (rng.raw64_blocks) and consume
-each block while it is in cache, so no full-length uint64 array is built.
-Pulse i still reads draw i of each stream. detect returns the click
-positions and one error flag per click, never a per-pulse mask, so its
-output scales with the clicks, not the pulses; class tallies after
-detection gather the classes at those positions.
+The per-pulse kernels stream: the class schedule and the dense click
+compare mix their draws one rng block at a time (rng.raw64_blocks) and
+consume each block while it is in cache, so no full-length uint64 array is
+built. detect returns the click positions and one error flag per click,
+never a per-pulse mask, so its output scales with the clicks, not the
+pulses; class tallies after detection gather the classes at those
+positions.
+
+detect samples clicks on one of two paths, chosen by sparse_clicks from
+the highest class click probability p_max: sparse when a 64-pulse word
+expects at most SPARSE_WORD_MEAN (1) candidates, 64 p_max <= 1, dense
+otherwise. The two took equal time near 64 p_max = 3 to 4 on a 2.1 M-pulse
+frame (2 vCPU VM, one pinned CPU). Both are exact in distribution, to the
+2^-53 resolution of a uniform.
+
+- Dense (desk-scale links): pulse i reads draw i of the click_seed stream
+  and clicks when that draw is below its class's click probability
+  (rng.below).
+- Sparse (lossy links), skip sampling (Devroye, Non-Uniform Random Variate
+  Generation, 1986, ch. X). Word w holds pulses 64 w .. 64 w + 63. Three
+  child streams of click_seed (split_seed indices 0, 1, 2) are read:
+  - counts: draw w gives word w's candidate count k ~ Binomial(64, p_max),
+    found by an integer search of its top 53 bits in count_thresholds;
+  - slots: a word with k >= 1 reads draws 64 w .. 64 w + k - 1 to pick k
+    distinct slots by Floyd's algorithm; slots at or beyond len(classes)
+    are dropped;
+  - thinning: the candidate at pulse i reads draw i and is kept with
+    probability p_c / p_max for its class c.
+  Each pulse is then a candidate in an independent Bernoulli(p_max)
+  trial, and a pulse of class c clicks with probability p_c. That costs
+  about 1/64 + 2 p_max draws per pulse instead of 1.
+
+On both paths only a pulse i that clicked reads draw i of the error_seed
+stream.
 """
 
 from __future__ import annotations
@@ -30,11 +57,16 @@ import numpy as np
 
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
-from .rng import below, raw64_blocks, split_seed, uniforms_at
+from .rng import below, raw64, raw64_at, raw64_blocks, split_seed, uniforms_at
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
 CLASS_VACUUM = 2
+
+SPARSE_WORD_MEAN = 1.0  # candidates a 64-pulse word may expect on the sparse click path
+_TWO_53 = float(1 << 53)
+_U11 = np.uint64(11)
+_U53 = np.uint64(53)
 
 __all__ = [
     "CLASS_SIGNAL",
@@ -47,6 +79,8 @@ __all__ = [
     "class_schedule",
     "class_counts",
     "detect",
+    "sparse_clicks",
+    "count_thresholds",
     "simulate_batch",
     "stats_to_observables",
     "split_seed",
@@ -156,6 +190,83 @@ def class_counts(classes: np.ndarray, *positions: np.ndarray) -> np.ndarray:
     return counts
 
 
+def sparse_clicks(p_max: float) -> bool:
+    """Whether detect samples clicks by skipping, given the highest class
+    click probability: when a 64-pulse word expects at most
+    SPARSE_WORD_MEAN candidates (64 * p_max <= SPARSE_WORD_MEAN)."""
+    return 64.0 * p_max <= SPARSE_WORD_MEAN
+
+
+def count_thresholds(p: float) -> np.ndarray:
+    """The 64 thresholds of a word's candidate count k ~ Binomial(64, p):
+    entry k is ceil(P(K <= k) * 2^53), at most 2^53, so a word draw's top
+    53 bits are below entry k exactly when its uniform is below P(K <= k),
+    and k is the number of entries at or below them. The CDF is built with
+    IEEE products, quotients and sums only (no pow, exp or log), so every
+    host gets the same integers. Needs 0 <= p < 1."""
+    q = 1.0 - p
+    pmf = q
+    for _ in range(6):
+        pmf *= pmf  # q^64 by six squarings
+    cdf = 0.0
+    table = []
+    for k in range(64):
+        cdf += pmf
+        table.append(min(math.ceil(cdf * _TWO_53), 1 << 53))
+        pmf = pmf * (64 - k) / (k + 1) * p / q
+    return np.array(table, dtype=np.uint64)
+
+
+def _below_per_class(z: np.ndarray, classes: np.ndarray, probs) -> np.ndarray:
+    """Flags of the raw draws z below the probability of their pulse's class."""
+    flags = np.zeros(len(z), dtype=bool)
+    for c, p in enumerate(probs):  # one compare per class, not a per-pulse gather
+        flags |= below(z, p) & (classes == c)
+    return flags
+
+
+def _dense_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
+    hits = [np.empty(0, dtype=np.int64)]
+    for start, z in raw64_blocks(click_seed, len(classes)):
+        clicked = _below_per_class(z, classes[start : start + len(z)], p_click)
+        hits.append(np.flatnonzero(clicked) + start)
+    return np.concatenate(hits)
+
+
+def _distinct_slots(seed: int, words: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Ascending pulse positions of k[j] distinct slots of each 64-pulse
+    word words[j], by Floyd's algorithm: step i of a word with k slots
+    reads draw 64 * word + i of the seed's stream as t uniform on
+    0 .. 64 - k + i, and takes slot t, or slot 64 - k + i if t is taken."""
+    by_k = np.argsort(-k, kind="stable")  # the words still drawing at step i lead
+    words, k = words[by_k], k[by_k]
+    slots = np.full((len(k), int(k.max(initial=0))), 64, dtype=np.int64)  # 64: no slot
+    for i in range(slots.shape[1]):
+        m = np.count_nonzero(k > i)
+        top = 64 - k[:m] + i
+        u53 = raw64_at(seed, 64 * words[:m] + i) >> _U11
+        t = (u53 * (top + 1).astype(np.uint64) >> _U53).astype(np.int64)  # floor(u * (top + 1))
+        taken = np.any(slots[:m, :i] == t[:, None], axis=1)
+        slots[:m, i] = np.where(taken, top, t)
+    return np.sort((64 * words[:, None] + slots)[slots < 64])
+
+
+def _sparse_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
+    n = len(classes)
+    p_max = max(p_click)
+    if p_max == 0.0:
+        return np.empty(0, dtype=np.int64)
+    table = count_thresholds(p_max)
+    u53 = raw64(split_seed(click_seed, 0), -(-n // 64))
+    u53 >>= _U11
+    words = np.flatnonzero(u53 >= table[0])  # k >= 1; the search runs on these only
+    k = np.searchsorted(table, u53[words], side="right")
+    pos = _distinct_slots(split_seed(click_seed, 1), words, k)
+    pos = pos[pos < n]
+    ratios = [p / p_max for p in p_click]
+    return pos[_below_per_class(raw64_at(split_seed(click_seed, 2), pos), classes[pos], ratios)]
+
+
 def detect(
     classes: np.ndarray,
     eta: float,
@@ -167,23 +278,21 @@ def detect(
     """(hit, err): the ascending int64 positions of the pulses that clicked,
     and one error flag per click.
 
-    Every pulse i reads its class and draw i of the click_seed stream,
-    which it compares as a raw integer with its class's click threshold
-    (see rng.below), one rng block at a time; each block gives up only its
-    click positions. Only a pulse that clicked reads draw i of the
-    error_seed stream, so errors only occur on clicks.
+    Clicks take one of two paths, chosen by sparse_clicks of the highest
+    class click probability p_max (module docstring). Dense: every pulse i
+    compares draw i of the click_seed stream as a raw integer with its
+    class's click threshold (see rng.below), one rng block at a time, and
+    each block gives up only its click positions. Sparse: each 64-pulse
+    word draws its candidate count, then that many distinct slots, and a
+    candidate of class c is kept with probability p_c / p_max. Only a pulse
+    that clicked reads draw i of the error_seed stream, so errors only
+    occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
     p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
-    hits = [np.empty(0, dtype=np.int64)]
-    for start, z in raw64_blocks(click_seed, len(classes)):
-        block = classes[start : start + len(z)]
-        clicked = np.zeros(len(z), dtype=bool)
-        for c, p in enumerate(p_click):  # one compare per class, not a per-pulse gather
-            clicked |= below(z, p) & (block == c)
-        hits.append(np.flatnonzero(clicked) + start)
-    hit = np.concatenate(hits)
+    hits = _sparse_hits if sparse_clicks(max(p_click)) else _dense_hits
+    hit = hits(classes, p_click, click_seed)
     return hit, uniforms_at(error_seed, hit) < p_err[classes[hit]]
 
 

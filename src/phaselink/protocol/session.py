@@ -10,7 +10,7 @@ The classical exchange per frame:
                             bases)
     A -> B  SAMPLE_REQUEST (kept signal events to disclose)
     B -> A  SAMPLE_DISCLOSE
-    A -> B  ABORT            if the sampled QBER exceeds the threshold
+    A -> B  ABORT            if the QBER check below fails
             SIFT_MAP         otherwise: kept-for-decode chip positions
                              (kept minus disclosed)
     B -> A  REPORT (decode status + payload digest)
@@ -19,6 +19,14 @@ Both endpoints hold the same scenario (config.ScenarioConfig). Bob takes
 the frame count and the pipeline ratios from its protocol section, and
 checks that each FRAME_META carries the next frame id and each QUANTUM
 starts at the pulse count of the frames before it.
+
+The QBER check: after each frame the sender adds the frame's disclosed
+bits and their errors to the session's running totals, and aborts when the
+one-sided Clopper-Pearson lower bound on the cumulative error rate, at
+level QBER_EPSILON / n_frames, exceeds qber_threshold (qber_exceeds). If
+the link's true QBER is at most the threshold, each of the n_frames looks
+aborts with probability at most QBER_EPSILON / n_frames, so by the union
+bound the session aborts by chance with probability at most QBER_EPSILON.
 
 Key accounting: each chip debits one pad bit when its frame is encoded;
 pad bits on positions Bob never kept are recycled; kept positions mint
@@ -73,6 +81,8 @@ _S_MASK = 101
 _S_CLICK = 1
 _S_ERROR = 2
 _S_JITTER = 3
+
+QBER_EPSILON = 1e-3  # bound on the chance that a session over a link within the threshold aborts
 
 _GATHER_BLOCK = 1 << 16  # pulses per block of _at_chips: its positions stay in L2 cache
 
@@ -154,6 +164,43 @@ def _sample_positions(kept_idx: np.ndarray, fraction: float, seed: int) -> np.nd
     take = u < cut
     take[np.flatnonzero(u == cut)[: n_sample - np.count_nonzero(take)]] = True
     return np.sort(kept_idx[take])
+
+
+def _upper_tail(k: int, n: int, p: float) -> float:
+    """P(X >= k) for X ~ Binomial(n, p), given n * p < k <= n.
+
+    The terms fall from j = k on, since k exceeds the mean; they are summed
+    relative to the first one until they stop adding to the sum."""
+    if p <= 0.0:
+        return 0.0
+    log_first = (
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    total, term = 0.0, 1.0
+    for j in range(k, n + 1):
+        total += term
+        term *= (n - j) / (j + 1) * p / (1.0 - p)
+        if term <= total * 1e-17:
+            break
+    return math.exp(log_first) * total
+
+
+def qber_exceeds(errors: int, samples: int, threshold: float, n_frames: int) -> bool:
+    """Whether the QBER check of a session of n_frames frames fails on its
+    cumulative `errors` among `samples` disclosed bits: whether the
+    one-sided Clopper-Pearson lower bound on their error rate, at level
+    QBER_EPSILON / n_frames, exceeds threshold.
+
+    The bound exceeds threshold exactly when P(Bin(samples, threshold) >=
+    errors) is below that level, which is what is computed. A point
+    estimate errors / samples at or below threshold bounds the lower bound
+    too, so then nothing is computed. A link whose true QBER is at most
+    threshold fails one such check with probability at most the level.
+    """
+    if not samples or errors / samples <= threshold:
+        return False
+    return _upper_tail(errors, samples, threshold) < QBER_EPSILON / n_frames
 
 
 def _at_chips(values: np.ndarray, signal_mask: np.ndarray) -> np.ndarray:
@@ -274,13 +321,13 @@ class AliceSession:
             if len(disclosed_bits) != n_sample:
                 raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
 
-            frame_errors = int(np.count_nonzero(disclosed_bits != bits[sample_idx]))
             disclosed_total += n_sample
-            disclosed_errors += frame_errors
-            if n_sample and frame_errors / n_sample > p.qber_threshold:
+            disclosed_errors += int(np.count_nonzero(disclosed_bits != bits[sample_idx]))
+            if qber_exceeds(disclosed_errors, disclosed_total, p.qber_threshold, p.n_frames):
                 reason = (
-                    f"frame {f}: sampled QBER {frame_errors / n_sample:.4f} exceeds "
-                    f"threshold {p.qber_threshold:.4f}"
+                    f"frame {f}: QBER lower bound exceeds threshold {p.qber_threshold:.4f} "
+                    f"({disclosed_errors} errors in {disclosed_total} sampled bits, "
+                    f"level {QBER_EPSILON / p.n_frames:.3g})"
                 )
                 transport.send(wire.ABORT, reason.encode("utf-8"))
                 # an aborted frame mints no key: only never-kept positions recycle
@@ -312,6 +359,9 @@ class AliceSession:
             else:
                 frames_failed += 1
             start_pulse += n_pulses
+            # drop the frame's per-pulse arrays before the next frame builds
+            # its own: freed heap that glibc keeps would otherwise hold both
+            del chips, classes, signal_mask, bits, to_decode, chip_map
 
         elapsed = start_pulse / (spec.source.rep_rate * p.duty_cycle)
         led = self.ledger
@@ -433,6 +483,7 @@ class BobSession:
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
             start_pulse += n_pulses
+            del classes, bits, signal_mask, kept, chip_map  # as in AliceSession.run
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:

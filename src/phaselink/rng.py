@@ -25,10 +25,11 @@ Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
 buffer, so a per-pulse kernel can consume a long stream without building
 its full-length uint64 array.
 
-Draws can also be addressed by position: ``uniforms_at(s, positions)`` and
-``random_bits_at(s, positions)`` give exactly the values of the contiguous
-stream indexed at those positions, so a caller that reads a few positions of
-a long stream need not draw the rest. Positions must be non-negative.
+Draws can also be addressed by position: ``raw64_at(s, positions)``,
+``uniforms_at(s, positions)`` and ``random_bits_at(s, positions)`` give
+exactly the values of the contiguous stream indexed at those positions, so
+a caller that reads a few positions of a long stream need not draw the
+rest. Positions must be non-negative.
 
 A uniform is exactly ``(z >> 11) * 2^-53`` of its raw draw z, so
 ``below(z, p)`` decides ``uniform < p`` on the raw draws, with no float
@@ -139,11 +140,16 @@ def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
     return _to_uniforms(raw64(seed, n, offset))
 
 
-def uniforms_at(seed: int, positions) -> np.ndarray:
-    """Uniforms of the stream at the given non-negative positions."""
+def raw64_at(seed: int, positions) -> np.ndarray:
+    """Raw draws of the stream at the given non-negative positions."""
     counters = _positions(positions)
     counters += _U1
-    return _to_uniforms(_draw(seed, counters))
+    return _draw(seed, counters)
+
+
+def uniforms_at(seed: int, positions) -> np.ndarray:
+    """Uniforms of the stream at the given non-negative positions."""
+    return _to_uniforms(raw64_at(seed, positions))
 
 
 def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:

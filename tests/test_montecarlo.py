@@ -3,20 +3,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from phaselink.errors import InsufficientStatistics
+from phaselink import montecarlo, rng
 from phaselink.montecarlo import (
     CLASS_DECOY,
     CLASS_SIGNAL,
     CLASS_VACUUM,
     BatchStats,
     ClassCounts,
+    SPARSE_WORD_MEAN,
     PulsePlan,
     class_counts,
     class_schedule,
+    count_thresholds,
     detect,
     draw_classes,
     simulate_batch,
+    sparse_clicks,
     split_seed,
     stats_to_observables,
 )
@@ -28,7 +33,7 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import _BLOCK, below, raw64, uniforms
+from phaselink.rng import _BLOCK, below, raw64, uniforms, uniforms_at
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -193,6 +198,119 @@ class TestDetect:
         assert e > 0.0287  # dark clicks add to the misalignment error
 
 
+class TestSparseClicks:
+    """The skip-sampling click path that detect takes on lossy links."""
+
+    @staticmethod
+    def counting_draws(monkeypatch):
+        drawn, draw = [], rng._draw
+
+        def counting(seed, counters):
+            drawn.append(len(counters))
+            return draw(seed, counters)
+
+        monkeypatch.setattr(rng, "_draw", counting)
+        return drawn
+
+    def test_switch(self):
+        # sparse while a 64-pulse word expects at most SPARSE_WORD_MEAN candidates
+        edge = SPARSE_WORD_MEAN / 64
+        assert sparse_clicks(0.0) and sparse_clicks(edge)
+        assert not sparse_clicks(math.nextafter(edge, 1.0))
+        assert sparse_clicks(ETA_MEASURED * SRC.mu)  # the measured link
+        assert not sparse_clicks(0.5)  # a desk-scale link
+
+    @pytest.mark.parametrize(
+        "p,head,n_below",
+        [
+            (1 / 64, [3287506349160228, 6627195338783316, 8297039833594860], 64),
+            (4.5e-4, [8751435051622703, 9003589850769053, 9007165754203498], 6),
+        ],
+    )
+    def test_count_thresholds_pinned(self, p, head, n_below):
+        # IEEE products and sums only: the same integers on every host
+        table = count_thresholds(p)
+        assert table.dtype == np.uint64 and len(table) == 64
+        assert table[:3].tolist() == head
+        assert np.count_nonzero(table < 1 << 53) == n_below
+        assert np.all(np.diff(table.astype(np.int64)) >= 0)
+        reference = binom.cdf(np.arange(64), 64, p)
+        assert np.allclose(table / 2.0**53, reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1 / 64, 4.5e-4])
+    def test_word_counts_follow_table(self, p):
+        # with no thinning, a word's clicks are its candidates: their count
+        # per word k = 0, 1, 2 and >= 3 against the table's probabilities,
+        # each by exact binomial tails at two-sided significance 1e-4
+        n_words = 1 << 16
+        classes = np.zeros(64 * n_words, dtype=np.uint8)
+        hit = montecarlo._sparse_hits(classes, [p, p, p], 51)
+        per_word = np.bincount(hit // 64, minlength=n_words)
+        cdf = count_thresholds(p) / 2.0**53
+        probs = [cdf[0], cdf[1] - cdf[0], cdf[2] - cdf[1], 1.0 - cdf[2]]
+        seen = [np.count_nonzero(per_word == k) for k in range(3)]
+        seen.append(n_words - sum(seen))
+        for observed, prob in zip(seen, probs):
+            assert binom.cdf(observed, n_words, prob) > 5e-5
+            assert binom.sf(observed - 1, n_words, prob) > 5e-5
+
+    def test_thinned_class_gains(self):
+        # each class keeps candidates at p_c / p_max: its gain is p_c within 4 SE
+        n = 3 << 20
+        classes = class_schedule(8, n, 1 / 3, 1 / 3)
+        p_click = [1 / 64, 0.5 / 64, 0.1 / 64]
+        hit = montecarlo._sparse_hits(classes, p_click, 61)
+        counts = class_counts(classes, hit)
+        for c, p in enumerate(p_click):
+            gain = counts[1, c] / counts[0, c]
+            assert abs(gain - p) < 4 * closed_form_se(p, counts[0, c])
+
+    def test_slots_uniform_within_words(self):
+        # distinct slots drawn by Floyd's algorithm favour no slot of a word,
+        # also when most words hold many candidates
+        n_words, p = 20_000, 0.5
+        hit = montecarlo._sparse_hits(np.zeros(64 * n_words, np.uint8), [p, p, p], 71)
+        lanes = np.bincount(hit % 64, minlength=64) / n_words
+        assert np.all(np.abs(lanes - p) < 4 * closed_form_se(p, n_words))
+
+    @pytest.mark.parametrize("p", [4.5e-4, 1 / 64, 0.3])
+    @pytest.mark.parametrize("n", BLOCK_SIZES + [63, 65, 1000])
+    def test_positions_ascending_and_distinct(self, n, p):
+        # strictly ascending positions are distinct slots within each word,
+        # and slots at or beyond len(classes) of the last word are dropped
+        hit = montecarlo._sparse_hits(class_schedule(9, n, 0.5, 0.3), [p, p / 2, p / 4], 91)
+        assert hit.dtype == np.int64
+        assert np.all(np.diff(hit) > 0)
+        assert np.all((0 <= hit) & (hit < n))
+
+    def test_no_clicks_without_light_or_dark(self, monkeypatch):
+        classes = class_schedule(3, 10_000, 0.5, 0.3)
+        drawn = self.counting_draws(monkeypatch)
+        assert len(montecarlo._sparse_hits(classes, [0.0, 0.0, 0.0], 5)) == 0
+        assert sum(drawn) == 0
+
+    @pytest.mark.parametrize("p", [4.5e-4, 1 / 64])
+    def test_draw_budget(self, monkeypatch, p):
+        # one count draw per word, then one slot and one thinning draw per
+        # candidate: at most n/64 + 3 p_max n + O(1) draws, not one per pulse
+        n = 1 << 20
+        classes = class_schedule(4, n, 30 / 33, 2 / 33)
+        drawn = self.counting_draws(monkeypatch)
+        montecarlo._sparse_hits(classes, [p, p / 2, p / 100], 101)
+        assert sum(drawn) <= n / 64 + 3 * p * n + 8
+
+    def test_detect_takes_the_sparse_path(self):
+        # at the measured eta detect's clicks are the sparse kernel's, and
+        # its errors still read the error stream at the clicks
+        classes = class_schedule(10, 500_000, 30 / 33, 2 / 33)
+        hit, err = detect(classes, ETA_MEASURED, SRC, DET, 111, 112)
+        intensities = (SRC.mu, SRC.nu, 0.0)
+        p_click = [1.0 - (1.0 - DET.y0) * math.exp(-ETA_MEASURED * a) for a in intensities]
+        assert np.array_equal(hit, montecarlo._sparse_hits(classes, p_click, 111))
+        p_err = np.array([gain_and_qber(ETA_MEASURED, a, DET)[1] for a in intensities])
+        assert np.array_equal(err, uniforms_at(112, hit) < p_err[classes[hit]])
+
+
 class TestSimulateBatch:
     def test_no_light_no_dark_no_clicks(self):
         det = DetectorConfig(p_d=0.0, eta_d=0.2, visibility=0.9847)
@@ -278,15 +396,35 @@ class TestSimulateBatch:
 
 class TestStatsToObservables:
     def test_pipeline_at_measured_eta(self):
+        # q1 is linear in the three class gains (rates.decoy_estimate), so the
+        # decoy q1 of a 1e7-pulse batch strays from the asymptotic q1 by at
+        # most the sum of |dq1/dgain| times each gain's stray. Each class's
+        # click count is held to its exact two-sided 1e-4 binomial quantiles
+        # at the model's gain (the vacuum class expects under one click), so
+        # the test fails with probability at most 3e-4.
         from phaselink.rates import decoy_estimate
 
         plan = PulsePlan.make(10_000_000, SRC.mix_ratio, seed=314159)
         stats = simulate_batch(plan, ETA_MEASURED, SRC, DET)
-        obs = stats_to_observables(stats)
-        est = decoy_estimate(obs, SRC)
-        asymptotic = decoy_estimate(forward_gains(ETA_MEASURED, SRC, DET), SRC)
+        est = decoy_estimate(stats_to_observables(stats), SRC)
+        model = forward_gains(ETA_MEASURED, SRC, DET)
+        asymptotic = decoy_estimate(model, SRC)
+        mu, nu = SRC.mu, SRC.nu
+        scale = mu**2 * math.exp(-mu) / (mu * nu - nu**2)
+        slopes = (
+            scale * math.exp(mu) * nu**2 / mu**2,
+            scale * math.exp(nu),
+            scale * (mu**2 - nu**2) / mu**2,
+        )
+        bound = 0.0
+        for counts, gain, slope in zip(
+            (stats.signal, stats.decoy, stats.vacuum), (model.q_mu, model.q_nu, model.y0), slopes
+        ):
+            low = binom.ppf(5e-5, counts.sent, gain) / counts.sent
+            high = binom.isf(5e-5, counts.sent, gain) / counts.sent
+            bound += slope * max(gain - low, high - gain)
         assert est.q1 > 0.0
-        assert abs(est.q1 - asymptotic.q1) / asymptotic.q1 < 0.10
+        assert abs(est.q1 - asymptotic.q1) < bound
 
     def test_all_zero_clicks(self):
         stats = BatchStats(

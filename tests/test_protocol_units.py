@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from phaselink.config import ScenarioConfig
 from phaselink.errors import NegativeBalance
@@ -36,6 +36,60 @@ def one_frame_spec(det=None, conv_loss_db=0.0, **protocol):
     )
 
 
+def first_abort(samples, threshold, n_frames):
+    """The fewest errors in `samples` disclosed bits that fail the QBER check
+    of a session of n_frames frames."""
+    return next(
+        x for x in range(samples + 2)
+        if x > samples or session.qber_exceeds(x, samples, threshold, n_frames)
+    )
+
+
+def session_abort_probability(n_frames, per_frame, qber, threshold=0.05):
+    """Exact probability that a session of n_frames frames, each disclosing
+    per_frame bits that err independently with probability qber, aborts:
+    the distribution of the cumulative error count is carried from frame to
+    frame, and at each frame the mass at or above the first failing count
+    aborts."""
+    frame = binom.pmf(np.arange(per_frame + 1), per_frame, qber)
+    alive, aborted = np.array([1.0]), []
+    for t in range(1, n_frames + 1):
+        alive = np.convolve(alive, frame)
+        first = first_abort(t * per_frame, threshold, n_frames)
+        aborted.append(alive[first:].sum())
+        alive[first:] = 0.0
+    return np.cumsum(aborted)
+
+
+class TestQberCheck:
+    """qber_exceeds: the Clopper-Pearson test of the cumulative sampled QBER."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 43, 430, 2021, 100_000])
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.11, 0.5])
+    def test_matches_clopper_pearson(self, samples, threshold):
+        # the lower bound is the level-quantile of Beta(x, samples - x + 1)
+        level = session.QBER_EPSILON / 47
+        for x in sorted({0, 1, min(2, samples), samples // 20, samples // 5, samples}):
+            lower = beta.ppf(level, x, samples - x + 1) if x else 0.0
+            assert session.qber_exceeds(x, samples, threshold, 47) == (lower > threshold)
+
+    def test_no_samples_pass(self):
+        assert not session.qber_exceeds(0, 0, 0.05, 1)
+        assert not session.qber_exceeds(0, 10, 0.0, 1)
+
+    def test_honest_link_false_abort_bound(self):
+        # 47 frames of 43 disclosed bits, the 1e8-pulse measured-link session,
+        # at the paper's 2.38% average QBER: computed exactly, not sampled
+        assert session_abort_probability(47, 43, 0.0238)[-1] <= session.QBER_EPSILON
+        # at the threshold itself the union bound over the looks still holds
+        assert session_abort_probability(47, 43, 0.05)[-1] <= session.QBER_EPSILON
+
+    def test_attack_aborts(self):
+        # an intercept-resend share pushing the QBER to 10% trips the check
+        # within the same 47 frames with probability at least 0.99
+        assert session_abort_probability(47, 43, 0.10)[-1] >= 0.99
+
+
 class TestSecurityCheck:
     """The sampled QBER check of AliceSession.run and its disclosed sample."""
 
@@ -46,8 +100,9 @@ class TestSecurityCheck:
         assert report.qber == 0.0
 
     def test_injected_flips_abort(self):
-        # ~10% flips, 5% threshold, ~1000 samples: abort probability > 0.999
-        assert binom.cdf(50, 1000, 0.10) < 1e-8
+        # ~10% flips, 5% threshold, ~1000 samples: abort probability > 0.998
+        first = first_abort(1000, 0.05, n_frames=1)
+        assert binom.cdf(first - 1, 1000, 0.10) < 2e-3
         noisy = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=1.0, e_mis=0.1, eta_b=1.0)
         report, _, _ = run_session_detailed(one_frame_spec(det=noisy, sample_fraction=0.5))
         assert report.aborted

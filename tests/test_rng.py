@@ -14,6 +14,7 @@ from phaselink.rng import (
     random_bits_at,
     random_bytes,
     raw64,
+    raw64_at,
     raw64_blocks,
     split_seed,
     uniforms,
@@ -125,6 +126,7 @@ def test_bytes_are_little_endian_draws():
 def test_position_addressed_draws_match_stream(seed, offset, rel):
     # any positions, repeated or unordered, read the contiguous stream
     pos = offset + np.array(rel, dtype=np.int64)
+    assert np.array_equal(raw64_at(seed, pos), raw64(seed, 300, offset)[rel])
     assert np.array_equal(uniforms_at(seed, pos), uniforms(seed, 300, offset)[rel])
     assert np.array_equal(random_bits_at(seed, pos), random_bits(seed, 300, offset)[rel])
     assert uniforms_at(seed, pos).dtype == np.float64
@@ -159,7 +161,7 @@ def test_bit_lanes_and_neighbours_are_fair():
     assert abs(same - 0.5) < 4 * 0.5 / np.sqrt(len(bits) - 1)
 
 
-@pytest.mark.parametrize("draw", [uniforms_at, random_bits_at])
+@pytest.mark.parametrize("draw", [raw64_at, uniforms_at, random_bits_at])
 def test_negative_positions_raise(draw):
     for bad in (np.array([-1]), [3, -2], np.array([0, -(1 << 62)], dtype=np.int64)):
         with pytest.raises(ValueError):
