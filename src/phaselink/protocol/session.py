@@ -40,7 +40,7 @@ The receiver's detection (montecarlo.detect) gives the click positions
 and one error flag per click. The receiver flips its copy of the sender's
 bits at the erred clicks and announces the positions, which only the wire
 codec turns into a per-pulse bitmap. Each endpoint's basis for pulse i is
-bit i of its basis stream for the frame, and it is drawn
+bit i of its basis stream for the frame, and it is read
 (rng.random_bits_at) only where pulse i clicked.
 
 A session is fully deterministic given (seed_alice, seed_bob,

@@ -20,6 +20,14 @@ draws. Byte streams are pinned the same way: ``random_bytes(s, n)`` is the
 first n bytes of draws 0, 1, ... each laid out little-endian. Neither
 depends on host byte order.
 
+Byte lanes: a per-pulse decision that needs about 8 bits reads byte lane
+i of stream s, byte ``i % 8`` of draw ``i // 8`` in that little-endian
+order (byte i of the byte stream), so 8 pulses share one draw. The lane
+is the top 8 bits of a 61-bit uniform. Where it cannot decide alone
+(it equals the threshold's own top byte), the low 53 bits come from draw
+i of the child stream ``split_seed(s, 0)``, compared by ``below``; the
+class schedule (montecarlo.draw_classes) reads its pulses this way.
+
 Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
 ``raw64_blocks`` hands out each block as soon as it is mixed, in one reused
 buffer, so a per-pulse kernel can consume a long stream without building
@@ -163,8 +171,18 @@ def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
 
 
 def random_bits_at(seed: int, positions) -> np.ndarray:
-    """Bits of the bit stream at the given non-negative positions."""
-    z = _positions(positions)
+    """Bits of the bit stream at the given non-negative positions.
+
+    Dense positions, at least one per 8 bits of their span, are gathered
+    from the covering words drawn contiguously and unpacked (at most the 8
+    bytes per position that a uint64 copy of the positions takes); sparser
+    ones draw each position's word alone."""
+    p = np.asarray(positions)
+    if p.size:
+        lo, hi = int(p.min()), int(p.max())
+        if lo >= 0 and 8 * p.size > hi - lo:
+            return random_bits(seed, hi + 1 - lo, lo)[p - lo]
+    z = _positions(p)
     shift = z.astype(np.uint8)  # the low byte; one small array, not a second uint64 one
     shift &= 63
     z >>= _U6

@@ -1,0 +1,61 @@
+"""Helpers shared by the test modules, handed out as fixtures so that every
+module reaches them under any pytest import mode."""
+
+import math
+
+import numpy as np
+import pytest
+
+from phaselink import rng
+from phaselink.montecarlo import split_seed
+from phaselink.rng import raw64
+
+
+def _lanes_of(seed, n, offset=0):
+    """Byte lanes offset .. offset + n - 1 of the seed's stream: byte i % 8,
+    least significant first, of draw i // 8."""
+    first = offset // 8
+    words = raw64(seed, (offset + n + 7) // 8 - first, first)
+    lanes = bytearray(b"".join(int(w).to_bytes(8, "little") for w in words))
+    return np.frombuffer(lanes, np.uint8)[offset - 8 * first : offset - 8 * first + n]
+
+
+def _reference_classes(seed, n, p_sig, p_dec, offset=0):
+    """The schedule from raw draws alone: pulse i's 61-bit uniform U has byte
+    lane i of the seed's stream over the top 53 bits of draw i of the
+    split_seed(seed, 0) stream, and its class counts the thresholds t with
+    U >= ceil(t * 2^61)."""
+    u61 = _lanes_of(seed, n, offset).astype(np.uint64) << np.uint64(53)
+    u61 |= raw64(split_seed(seed, 0), n, offset) >> np.uint64(11)
+    classes = np.zeros(n, dtype=np.uint8)
+    for t in (p_sig, p_sig + p_dec):
+        classes += u61 >= np.uint64(math.ceil(t * 2.0**61))
+    return classes
+
+
+@pytest.fixture
+def lanes_of():
+    return _lanes_of
+
+
+@pytest.fixture
+def reference_classes():
+    return _reference_classes
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """Call it to start recording the length of the counter array of every
+    rng._draw call; it returns the list that the calls fill."""
+
+    def start():
+        drawn, draw = [], rng._draw
+
+        def counting(seed, counters):
+            drawn.append(len(counters))
+            return draw(seed, counters)
+
+        monkeypatch.setattr(rng, "_draw", counting)
+        return drawn
+
+    return start

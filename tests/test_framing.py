@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from phaselink import rng
 from phaselink.errors import FrameCorrupt, FrameLost, KeyPoolExhausted
 from phaselink.protocol.framing import chip_count, decode, preprocess
 from phaselink.protocol.ledger import KeyLedger
@@ -49,16 +48,10 @@ class TestPreprocess:
         assert decode(chips, all_chips(2, 5), 3, 2, 5, 42, 9) == payload
 
     @pytest.mark.parametrize("frame_id,spread", [(3, 1920), (5, 3)])
-    def test_pad_draws_packed_bits(self, monkeypatch, frame_id, spread):
+    def test_pad_draws_packed_bits(self, count_draws, frame_id, spread):
         # the key and mask streams cost one draw per 64 chips, plus one
         # for a key offset that is not a multiple of 64
-        payload, drawn, draw = make_payload(6), [], rng._draw
-
-        def counting(seed, counters):
-            drawn.append(len(counters))
-            return draw(seed, counters)
-
-        monkeypatch.setattr(rng, "_draw", counting)
+        payload, drawn = make_payload(6), count_draws()
         n = chip_count(1, spread)
         preprocess(payload, frame_id, 1, spread, key_seed=4, mask_seed=9)
         assert 0 < sum(drawn) <= 2 * (-(-n // 64) + 1)

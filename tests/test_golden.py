@@ -23,21 +23,21 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "config
 
 GOLDEN = {
     ("desk_session", "link_budget"): "dad5195d9c34eb2216617a8dc082daafb18e36b3b607c20c9d941941b0929d27",
-    ("desk_session", "session"): "e81b3b02889f23e70dd30a186ca778568e08e15d81b9e9c7e9f1ce492cbcd1f0",
+    ("desk_session", "session"): "224edaf54a5c83860dfcae0f4e84239f8d6f73e3aafb352aef1601c1883de5a1",
     ("measured_link", "link_budget"): "85fb1dbaeb304a356d55a47a1e47dae2d4df0e478c1baa8d34f04f690d2a92dc",
     ("measured_link", "rate_sweep"): "434e9f8e84dafbb23ab28a16aa36de1c952cb9e780a24a9f34b62a5cb4a185e2",
-    ("measured_link", "simulate"): "5964c2b5d87c0c8bf47c85f79c07168e44a19b278223dd5dc41d1c156cc38f26",
-    ("measured_link", "session"): "2b9a3ca04c7f589ac1d71192e48cda63f50ddb1d2089a2e677fe9c56b1f1c179",
+    ("measured_link", "simulate"): "8e4be20e2664b1dc6bc506d6b56da7497c82bc949689ca36bb93ff784f6daa42",
+    ("measured_link", "session"): "c4f9e62e16c141ff01e63ed840cbff2c62dada4882128f13813bc663b43fb9f3",
     ("upgraded_link", "link_budget"): "46a54e51bd59c39c3cff5024e8838b643a5ebac7f772b1286bed276ad105e1dc",
     ("upgraded_link", "rate_sweep"): "2c3c612e1cdaab831c0b802e695ae400f8bea5e32c1f3b2f53c59f74f3de5c65",
-    ("upgraded_link", "session"): "a465289e51554f8e02063743164a7ab101e1e24c72f4b8e84cab92308f0f0e97",
+    ("upgraded_link", "session"): "3973e03f72a1d77c0f3fa3bdaced23d6301453557533c428548b2b643dda8a9a",
 }
 
 GOLDEN_JSON = {
     ("desk_session", "link_budget"): "2d5fef283c522f2b7f75cf0d93074d59a077a362d1cd335e117f0571c40084dc",
     ("measured_link", "link_budget"): "7018f38c3eafa9ed61502b224722c9683279f1c2e7c50ec6cc5396f72167d817",
     ("measured_link", "rate_sweep"): "0668d7bb03c01edc86f53c60e32023a4ee384bf7ffd008bb729dbf4c4c127405",
-    ("measured_link", "simulate"): "c0acf8c6245b3124435387f2d688971a57b552982367283242b08419f322799d",
+    ("measured_link", "simulate"): "66f89c580abf945cd356268836d4506b035d2e0651956969d555cae1bbe5354d",
     ("upgraded_link", "link_budget"): "bbe4099854af35e77f6723d3e817574ba3931a013e20c8b1def35d3f78f54b9e",
     ("upgraded_link", "rate_sweep"): "46230a22303e761e7143f1555c494887d878fe619d8af01c3ce08c919a79c016",
 }

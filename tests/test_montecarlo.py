@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 from phaselink.errors import InsufficientStatistics
-from phaselink import montecarlo, rng
+from phaselink import montecarlo
 from phaselink.montecarlo import (
     CLASS_DECOY,
     CLASS_SIGNAL,
@@ -33,7 +34,7 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import _BLOCK, below, raw64, uniforms, uniforms_at
+from phaselink.rng import _BLOCK, below, raw64, raw64_at, uniforms, uniforms_at
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -61,31 +62,68 @@ class TestPulsePlan:
         assert np.array_equal(p1.intensity_schedule, p2.intensity_schedule)
 
 
+# (p_sig, p_dec): fractional boundaries, 256 t an integer (a tied lane is
+# never below t), the mixes (1, 1, 0) and (0, 1, 1), t = 1 (b = 256 meets a
+# uint8 lane) and t = 0, and fractions 256 t - b near 0 and near 1
+MIXES = [
+    (0.6, 0.3),
+    (30 / 33, 2 / 33),
+    (0.5, 0.25),
+    (0.5, 0.5),
+    (0.0, 0.5),
+    (1.0, 0.0),
+    (0.0, 1.0),
+    ((100 + 2.0**-30) / 256, 99 / 256),
+]
+
+
 class TestDrawClasses:
     def test_thresholds(self):
-        # raw draws whose uniforms are exactly u
-        u = np.array([0.0, 0.5, 0.59, 0.6, 0.85, 0.9, 0.99])
-        z = (u * 2.0**53).astype(np.uint64) << np.uint64(11)
-        classes = draw_classes(z, 0.6, 0.3)
+        # every lane value at p_sig = 0.6 (b = 153) and p_sig + p_dec = 0.9
+        # (b = 230); a tied lane is decided by its tie draw's uniform
+        lanes = np.arange(256, dtype=np.uint8)
+        classes = draw_classes(lanes, 0.6, 0.3, 7, 1000)
         assert classes.dtype == np.uint8
-        assert list(classes) == [CLASS_SIGNAL] * 3 + [CLASS_DECOY] * 2 + [CLASS_VACUUM] * 2
+        expect = [CLASS_SIGNAL] * 153 + [-1] + [CLASS_DECOY] * 76 + [-1] + [CLASS_VACUUM] * 25
+        u_tie = uniforms_at(7, [1153, 1230])
+        expect[153] = CLASS_SIGNAL if u_tie[0] < 256 * 0.6 - 153 else CLASS_DECOY
+        expect[230] = CLASS_DECOY if u_tie[1] < 256 * 0.9 - 230 else CLASS_VACUUM
+        assert classes.tolist() == expect
 
     @pytest.mark.parametrize(
         "p_sig,p_dec", [(30 / 33, 2 / 33), (0.75, 0.25), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]
     )
-    def test_matches_float_reference(self, p_sig, p_dec):
-        # the integer compare gives the classes that comparing uniforms gives,
-        # also with no vacuum share, where p_sig + p_dec is exactly 1.0
-        z = raw64(3, 100_000)
-        z[:3] = [0, 1 << 11, (1 << 64) - 1]
-        u = uniforms(3, 100_000)
-        u[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
-        reference = np.full(len(u), CLASS_VACUUM, dtype=np.uint8)
-        reference[u < p_sig + p_dec] = CLASS_DECOY
-        reference[u < p_sig] = CLASS_SIGNAL
-        assert np.array_equal(draw_classes(z, p_sig, p_dec), reference)
+    def test_matches_float_reference(self, lanes_of, p_sig, p_dec):
+        # the byte compare and the tie refinement give the classes that
+        # comparing the 61-bit uniforms gives, also with no vacuum share,
+        # where p_sig + p_dec is exactly 1.0, and at the extreme lanes
+        n = 100_000
+        lanes = lanes_of(3, n)
+        lanes[:4] = [0, 255, math.floor(256 * p_sig) % 256, math.floor(256 * (p_sig + p_dec)) % 256]
+        u61 = lanes.astype(np.uint64) << np.uint64(53)
+        u61 |= raw64(11, n) >> np.uint64(11)
+        reference = np.full(n, CLASS_VACUUM, dtype=np.uint8)
+        reference[u61 < np.uint64(math.ceil((p_sig + p_dec) * 2.0**61))] = CLASS_DECOY
+        reference[u61 < np.uint64(math.ceil(p_sig * 2.0**61))] = CLASS_SIGNAL
+        assert np.array_equal(draw_classes(lanes, p_sig, p_dec, 11), reference)
         if p_sig + p_dec == 1.0:
             assert not np.any(reference == CLASS_VACUUM)
+
+    @pytest.mark.parametrize("p_sig,p_dec", MIXES)
+    def test_ties_exact(self, p_sig, p_dec):
+        # lanes at and next to both boundary bytes, so most pulses tie,
+        # against exact rational compares of U / 2^61 with each threshold
+        bounds = [math.floor(256 * t) for t in (p_sig, p_sig + p_dec)]
+        near = [v for b in bounds for v in (b - 1, b, b, b, b + 1) if 0 <= v < 256] + [0, 255]
+        lanes = np.resize(np.array(near, dtype=np.uint8), 4000)
+        first = 1 << 40
+        z = raw64_at(13, first + np.arange(len(lanes))).tolist()
+        thresholds = [Fraction(t) for t in (p_sig, p_sig + p_dec)]
+        expect = [
+            sum(Fraction((int(lane) << 53) + (w >> 11), 1 << 61) >= t for t in thresholds)
+            for lane, w in zip(lanes, z)
+        ]
+        assert draw_classes(lanes, p_sig, p_dec, 13, first).tolist() == expect
 
     def test_plan_without_vacuum_share(self):
         schedule = PulsePlan.make(10_000, (1, 1, 0), seed=2).intensity_schedule
@@ -96,12 +134,45 @@ class TestDrawClasses:
 class TestClassSchedule:
     @pytest.mark.parametrize("offset", [0, 5, _BLOCK - 3, 3 * _BLOCK + 11])
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_matches_full_length_draw(self, n, offset):
-        # drawn block by block, the schedule is draw_classes of the whole slice
-        reference = draw_classes(raw64(17, n, offset), 0.6, 0.3)
+    def test_matches_full_length_draw(self, reference_classes, n, offset):
+        # drawn block by block, the schedule is the reference rule applied to
+        # the whole slice of raw draws
         schedule = class_schedule(17, n, 0.6, 0.3, offset)
         assert schedule.dtype == np.uint8
-        assert np.array_equal(schedule, reference)
+        assert np.array_equal(schedule, reference_classes(17, n, 0.6, 0.3, offset))
+
+    @pytest.mark.parametrize("skip", range(1, 8))
+    def test_lane_offsets_and_block_edges(self, reference_classes, skip):
+        # an offset inside a draw, and slices cut inside draws and at draw
+        # edges, read the lanes that one whole slice reads; the whole slice,
+        # and a part that starts inside a draw, each span two rng blocks
+        offset = 8 * 1000 + skip
+        n = 8 * _BLOCK + 40
+        whole = class_schedule(5, n, 0.6, 0.3, offset)
+        assert np.array_equal(whole, reference_classes(5, n, 0.6, 0.3, offset))
+        cuts = [0, 1, 8 - skip, 11 - skip, n - 9, n]
+        parts = [class_schedule(5, b - a, 0.6, 0.3, offset + a) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("p_sig,p_dec", MIXES)
+    def test_draw_budget(self, lanes_of, count_draws, p_sig, p_dec):
+        # one draw per 8 pulses, and one more per pulse whose lane ties
+        n, offset = 100_003, 13
+        lanes = lanes_of(6, n, offset)
+        bounds = [math.floor(256 * t) for t in (p_sig, p_sig + p_dec)]
+        ties = np.count_nonzero(np.isin(lanes, bounds))
+        drawn = count_draws()
+        class_schedule(6, n, p_sig, p_dec, offset)
+        assert sum(drawn) <= -(-(n + 7) // 8) + ties + 8
+
+    @pytest.mark.parametrize("p_sig,p_dec", [(30 / 33, 2 / 33), (0.6, 0.3), (1 / 3, 1 / 3)])
+    def test_class_frequencies(self, p_sig, p_dec):
+        # each class count within its exact two-sided 1e-4 binomial tails
+        n = 1_000_003
+        counts = np.bincount(class_schedule(21, n, p_sig, p_dec, 3), minlength=3)
+        for observed, prob in zip(counts, (p_sig, p_dec, 1.0 - p_sig - p_dec)):
+            assert binom.cdf(observed, n, prob) > 5e-5
+            assert binom.sf(observed - 1, n, prob) > 5e-5
 
 
 class TestClassCounts:
@@ -201,17 +272,6 @@ class TestDetect:
 class TestSparseClicks:
     """The skip-sampling click path that detect takes on lossy links."""
 
-    @staticmethod
-    def counting_draws(monkeypatch):
-        drawn, draw = [], rng._draw
-
-        def counting(seed, counters):
-            drawn.append(len(counters))
-            return draw(seed, counters)
-
-        monkeypatch.setattr(rng, "_draw", counting)
-        return drawn
-
     def test_switch(self):
         # sparse while a 64-pulse word expects at most SPARSE_WORD_MEAN candidates
         edge = SPARSE_WORD_MEAN / 64
@@ -283,19 +343,19 @@ class TestSparseClicks:
         assert np.all(np.diff(hit) > 0)
         assert np.all((0 <= hit) & (hit < n))
 
-    def test_no_clicks_without_light_or_dark(self, monkeypatch):
+    def test_no_clicks_without_light_or_dark(self, count_draws):
         classes = class_schedule(3, 10_000, 0.5, 0.3)
-        drawn = self.counting_draws(monkeypatch)
+        drawn = count_draws()
         assert len(montecarlo._sparse_hits(classes, [0.0, 0.0, 0.0], 5)) == 0
         assert sum(drawn) == 0
 
     @pytest.mark.parametrize("p", [4.5e-4, 1 / 64])
-    def test_draw_budget(self, monkeypatch, p):
+    def test_draw_budget(self, count_draws, p):
         # one count draw per word, then one slot and one thinning draw per
         # candidate: at most n/64 + 3 p_max n + O(1) draws, not one per pulse
         n = 1 << 20
         classes = class_schedule(4, n, 30 / 33, 2 / 33)
-        drawn = self.counting_draws(monkeypatch)
+        drawn = count_draws()
         montecarlo._sparse_hits(classes, [p, p / 2, p / 100], 101)
         assert sum(drawn) <= n / 64 + 3 * p * n + 8
 

@@ -133,6 +133,27 @@ def test_position_addressed_draws_match_stream(seed, offset, rel):
     assert random_bits_at(seed, pos).dtype == np.uint8
 
 
+SPAN = 70_403
+
+
+@pytest.mark.parametrize("n_pos", [SPAN // 2, -(-SPAN // 8), SPAN // 8 - 1, SPAN // 200])
+def test_bits_at_dense_and_sparse_positions(count_draws, n_pos):
+    # on both sides of the density rule (a position per 8 bits of the span,
+    # 8801 and 8799 positions here), unordered and repeated positions far
+    # into the stream read the contiguous bits; dense sets draw the
+    # covering words once
+    first = (1 << 40) + 29
+    rel = np.random.default_rng(3).choice(SPAN, n_pos - 50, replace=False)
+    rel[:2] = 0, SPAN - 1
+    rel = np.concatenate([rel, rel[:50]])
+    drawn = count_draws()
+    bits = random_bits_at(8, first + rel)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, random_bits(8, SPAN, first)[rel])
+    words = -(-(first + SPAN) // 64) - first // 64
+    assert drawn[0] == (words if 8 * n_pos >= SPAN else n_pos)
+
+
 @pytest.mark.parametrize(
     "offset,n", [(0, 0), (5, 0), (0, 64), (3, 61), (3, 62), (63, 2), (70, 200), (1 << 40, 130)]
 )

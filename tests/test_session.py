@@ -9,7 +9,7 @@ import pytest
 
 from phaselink.config import ScenarioConfig
 from phaselink.errors import ProtocolError, TransportClosed
-from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_schedule, draw_classes
+from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_schedule
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
 from phaselink.protocol.session import (
@@ -20,7 +20,6 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
-from phaselink.rng import raw64
 
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
 BEAM = BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9)
@@ -395,10 +394,10 @@ class TestScheduleDraw:
             assert np.count_nonzero(classes == CLASS_SIGNAL) == n_chips
             assert classes[-1] == CLASS_SIGNAL
 
-    def test_prefix_of_one_stream(self, monkeypatch):
+    def test_prefix_of_one_stream(self, monkeypatch, reference_classes):
         # the frame is the start of one class stream however it is read; a
         # negative margin makes the chunks fall short, so several are drawn
-        stream = draw_classes(raw64(42, 6000), SRC.signal_fraction, SRC.decoy_fraction)
+        stream = reference_classes(42, 6000, SRC.signal_fraction, SRC.decoy_fraction)
         frame = stream[: np.flatnonzero(stream == CLASS_SIGNAL)[4999] + 1]
         assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
         calls = []

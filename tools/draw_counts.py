@@ -8,6 +8,10 @@ session of each bundled config and one for simulate on measured_link.cfg:
     python3 tools/draw_counts.py                 # this checkout
     python3 tools/draw_counts.py --repo OTHER    # another checkout
 
+Under each run's line, one line per stage splits the count: each draw is
+charged to the first function outside rng.py on the call stack, named by
+its module and qualified name (montecarlo.class_schedule, for one).
+
 Runs that abort still count the draws made up to the abort.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 CONFIGS = ("desk_session", "measured_link", "upgraded_link")
@@ -33,23 +38,35 @@ def main(argv=None) -> int:
     drawn = []  # list.append is atomic, so both endpoint threads may count
     draw = rng._draw
 
+    def stage() -> str:
+        frame = sys._getframe(2)  # the rng function that called _draw
+        while frame.f_code.co_filename == rng.__file__:
+            frame = frame.f_back
+        return f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}"
+
     def counting(seed, counters):
-        drawn.append(len(counters))
+        drawn.append((stage(), len(counters)))
         return draw(seed, counters)
+
+    def report(name: str, pulses: int) -> None:
+        total = sum(n for _, n in drawn)
+        print(f"{name}: {total / pulses:.4f} draws/pulse ({total} draws, {pulses} pulses)")
+        per_stage = Counter()
+        for caller, n in drawn:
+            per_stage[caller] += n
+        for caller, n in per_stage.most_common():
+            print(f"  {caller}: {n / pulses:.4f} draws/pulse ({n} draws)")
 
     rng._draw = counting
     config_dir = args.repo / "src" / "phaselink" / "configs"
     for config in CONFIGS:
         drawn.clear()
-        report, _, _ = run_session_detailed(load_config(config_dir / f"{config}.cfg"))
-        print(f"session {config}: {sum(drawn) / report.total_pulses:.4f} draws/pulse "
-              f"({sum(drawn)} draws, {report.total_pulses} pulses)")
+        result, _, _ = run_session_detailed(load_config(config_dir / f"{config}.cfg"))
+        report(f"session {config}", result.total_pulses)
     cfg = load_config(config_dir / "measured_link.cfg")
     drawn.clear()
     cli.cmd_simulate(cfg, "csv")
-    n = cfg.montecarlo.n_pulses
-    print(f"simulate measured_link: {sum(drawn) / n:.4f} draws/pulse "
-          f"({sum(drawn)} draws, {n} pulses)")
+    report("simulate measured_link", cfg.montecarlo.n_pulses)
     return 0
 
 
