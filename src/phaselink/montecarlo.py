@@ -12,17 +12,21 @@ Batches are reproducible: all draws come from counter-based streams keyed
 by the plan seed (see rng), so identical inputs give identical statistics
 and parallel batches can use split_seed for independent streams.
 
-The class schedule reads byte lanes (see rng): pulse i of a schedule
-stream s reads byte i % 8 of draw i // 8 of s, so 8 pulses share a draw.
-A lane equal to a threshold's boundary byte floor(256 t), about 2 pulses
-in 256, also reads draw i of split_seed(s, 0) for the 53 bits below it
-(draw_classes). That is exact to the 2^-61 resolution of the pulse's
-uniform and costs about 1/8 + 2/256 draws per pulse instead of 1.
+Every per-pulse decision that about 8 bits can make reads byte lanes (see
+rng): pulse i of a stream s reads byte i % 8 of draw i // 8 of s, so 8
+pulses share a draw. A lane equal to a probability's boundary byte
+floor(256 p), about 1 pulse in 256 per probability, also reads draw i of
+the tie stream split_seed(s, 0) for the 53 bits below it
+(rng.lanes_not_below, the one tie rule). That is exact to the 2^-61
+resolution of the pulse's uniform and costs about 1/8 + 1/256 draws per
+pulse and probability instead of 1. Three decisions read lanes this way: the class schedule
+(draw_classes, two thresholds per pulse), the dense click compare and the
+error flags (one probability per pulse, its class's).
 
 The per-pulse kernels stream: the class schedule and the dense click
-compare mix their draws one rng block at a time (rng.raw64_blocks) and
-consume each block while it is in cache, so no full-length uint64 array is
-built. detect returns the click positions and one error flag per click,
+compare mix their draws one rng block at a time (rng.byte_lane_blocks) and
+consume each block while it is in cache, so no full-length array of draws
+is built. detect returns the click positions and one error flag per click,
 never a per-pulse mask, so its output scales with the clicks, not the
 pulses; class tallies after detection gather the classes at those
 positions.
@@ -31,12 +35,13 @@ detect samples clicks on one of two paths, chosen by sparse_clicks from
 the highest class click probability p_max: sparse when a 64-pulse word
 expects at most SPARSE_WORD_MEAN (1) candidates, 64 p_max <= 1, dense
 otherwise. The two took equal time near 64 p_max = 3 to 4 on a 2.1 M-pulse
-frame (2 vCPU VM, one pinned CPU). Both are exact in distribution, to the
-2^-53 resolution of a uniform.
+frame (2 vCPU VM, one pinned CPU). Both are exact in distribution, the
+dense path to the 2^-61 resolution of a lane's uniform and the sparse one
+to the 2^-53 resolution of a draw's.
 
-- Dense (desk-scale links): pulse i reads draw i of the click_seed stream
-  and clicks when that draw is below its class's click probability
-  (rng.below).
+- Dense (desk-scale links): pulse i reads byte lane i of the click_seed
+  stream, and on a tie draw i of split_seed(click_seed, 0), and clicks
+  when that uniform is below its class's click probability.
 - Sparse (lossy links), skip sampling (Devroye, Non-Uniform Random Variate
   Generation, 1986, ch. X). Word w holds pulses 64 w .. 64 w + 63. Three
   child streams of click_seed (split_seed indices 0, 1, 2) are read:
@@ -46,13 +51,21 @@ frame (2 vCPU VM, one pinned CPU). Both are exact in distribution, to the
     distinct slots by Floyd's algorithm; slots at or beyond len(classes)
     are dropped;
   - thinning: the candidate at pulse i reads draw i and is kept with
-    probability p_c / p_max for its class c.
+    probability p_c / p_max for its class c (rng.below).
   Each pulse is then a candidate in an independent Bernoulli(p_max)
   trial, and a pulse of class c clicks with probability p_c. That costs
   about 1/64 + 2 p_max draws per pulse instead of 1.
+  The dense path's tie stream and the sparse path's count stream are the
+  same child, but one detect call takes one path, so no call reads it
+  twice.
 
-On both paths only a pulse i that clicked reads draw i of the error_seed
-stream.
+Error flags, on both paths: only a pulse i that clicked reads byte lane i
+of the error_seed stream, and on a tie draw i of split_seed(error_seed, 0),
+against its class's error probability. rng.byte_lanes_at gathers the lanes
+from the covering words, drawn in one run, where the clicks are dense (at
+least one per 8 pulses of their span, as on a desk link); where they are
+sparse, as on lossy links, each click's word is drawn alone, one draw per
+click.
 """
 
 from __future__ import annotations
@@ -64,7 +77,15 @@ import numpy as np
 
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
-from .rng import below, raw64, raw64_at, raw64_blocks, split_seed, uniforms_at
+from .rng import (
+    below,
+    byte_lane_blocks,
+    byte_lanes_at,
+    lanes_not_below,
+    raw64,
+    raw64_at,
+    split_seed,
+)
 
 CLASS_SIGNAL = 0
 CLASS_DECOY = 1
@@ -169,29 +190,11 @@ def draw_classes(
     lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, first: int = 0
 ) -> np.ndarray:
     """Intensity class per byte lane (uint8) of the pulses first, first + 1,
-    ...: signal where the pulse's uniform is below p_sig, decoy below
-    p_sig + p_dec, vacuum otherwise.
-
-    The uniform of pulse i has 61 bits, U = lane * 2^53 + (z >> 11), with z
-    draw i of the tie_seed stream, and z is read only where the lane alone
-    cannot decide. For a threshold t, let b = floor(256 t): a lane below b
-    is below t and a lane above b is not, and a lane equal to b ties and is
-    below t exactly when rng.below(z, 256 t - b). So U < ceil(t * 2^61)
-    decides each threshold: t >= 1 is never reached (b >= 256) and t = 0
-    always is."""
+    ...: signal where the pulse's 61-bit uniform is below p_sig, decoy below
+    p_sig + p_dec, vacuum otherwise. A lane that ties a threshold reads
+    draw i of the tie_seed stream (rng.lanes_not_below)."""
     # the class is the number of the two thresholds the uniform is not below
-    thresholds = (p_sig, p_sig + p_dec)
-    b_sig, b_dec = bounds = [math.floor(256.0 * t) for t in thresholds]
-    classes = (lanes > b_sig).view(np.uint8)
-    classes += (lanes > b_dec).view(np.uint8)
-    tie = lanes == b_sig
-    tie |= lanes == b_dec
-    ties = np.flatnonzero(tie)  # about 2 lanes in 256
-    z = raw64_at(tie_seed, ties + first)
-    for t, b in zip(thresholds, bounds):
-        # 256 t and its fraction 256 t - b are exact in IEEE arithmetic
-        classes[ties] += (lanes[ties] == b) & ~below(z, 256.0 * t - b)
-    return classes
+    return lanes_not_below(lanes, (p_sig, p_sig + p_dec), tie_seed, first)
 
 
 def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
@@ -201,14 +204,9 @@ def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 
     that lane ties, draw i of the split_seed(seed, 0) stream
     (draw_classes). The result does not depend on how a caller splits the
     pulses into calls."""
-    skip = offset & 7  # lanes of the first draw before pulse offset
     classes = np.empty(n, dtype=np.uint8)
     tie_seed = split_seed(seed, 0)
-    for start, z in raw64_blocks(seed, (skip + n + 7) >> 3, offset >> 3):
-        lanes = z.astype("<u8", copy=False).view(np.uint8)
-        first = 8 * start - skip  # index in the result of the block's first lane
-        lo = max(first, 0)
-        lanes = lanes[lo - first : n - first]
+    for lo, lanes in byte_lane_blocks(seed, n, offset):
         classes[lo : lo + len(lanes)] = draw_classes(lanes, p_sig, p_dec, tie_seed, offset + lo)
     return classes
 
@@ -262,11 +260,20 @@ def _below_per_class(z: np.ndarray, classes: np.ndarray, probs) -> np.ndarray:
     return flags
 
 
+def _lane_flags(lanes, classes, probs, seed: int, at) -> np.ndarray:
+    """Flags of the byte lanes of the seed's stream whose uniform is below
+    the probability of their pulse's class; ties read split_seed(seed, 0)."""
+    # one compare per class, not a per-pulse gather; the classes' masks are
+    # disjoint and cover classes 0-2, so every count is 0 or 1
+    where = [classes == c for c in range(len(probs))]
+    return ~lanes_not_below(lanes, probs, split_seed(seed, 0), at, where).view(bool)
+
+
 def _dense_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
     hits = [np.empty(0, dtype=np.int64)]
-    for start, z in raw64_blocks(click_seed, len(classes)):
-        clicked = _below_per_class(z, classes[start : start + len(z)], p_click)
-        hits.append(np.flatnonzero(clicked) + start)
+    for lo, lanes in byte_lane_blocks(click_seed, len(classes)):
+        clicked = _lane_flags(lanes, classes[lo : lo + len(lanes)], p_click, click_seed, lo)
+        hits.append(np.flatnonzero(clicked) + lo)
     return np.concatenate(hits)
 
 
@@ -317,20 +324,20 @@ def detect(
 
     Clicks take one of two paths, chosen by sparse_clicks of the highest
     class click probability p_max (module docstring). Dense: every pulse i
-    compares draw i of the click_seed stream as a raw integer with its
-    class's click threshold (see rng.below), one rng block at a time, and
-    each block gives up only its click positions. Sparse: each 64-pulse
-    word draws its candidate count, then that many distinct slots, and a
-    candidate of class c is kept with probability p_c / p_max. Only a pulse
-    that clicked reads draw i of the error_seed stream, so errors only
+    compares byte lane i of the click_seed stream with its class's click
+    probability (rng.lanes_not_below), one rng block at a time, and each block
+    gives up only its click positions. Sparse: each 64-pulse word draws its
+    candidate count, then that many distinct slots, and a candidate of
+    class c is kept with probability p_c / p_max. Only a pulse i that
+    clicked reads byte lane i of the error_seed stream, so errors only
     occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
-    p_err = np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
+    p_err = [gain_and_qber(eta, a, det)[1] for a in intensities]
     hits = _sparse_hits if sparse_clicks(max(p_click)) else _dense_hits
     hit = hits(classes, p_click, click_seed)
-    return hit, uniforms_at(error_seed, hit) < p_err[classes[hit]]
+    return hit, _lane_flags(byte_lanes_at(error_seed, hit), classes[hit], p_err, error_seed, hit)
 
 
 def simulate_batch(

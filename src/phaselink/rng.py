@@ -25,8 +25,11 @@ i of stream s, byte ``i % 8`` of draw ``i // 8`` in that little-endian
 order (byte i of the byte stream), so 8 pulses share one draw. The lane
 is the top 8 bits of a 61-bit uniform. Where it cannot decide alone
 (it equals the threshold's own top byte), the low 53 bits come from draw
-i of the child stream ``split_seed(s, 0)``, compared by ``below``; the
-class schedule (montecarlo.draw_classes) reads its pulses this way.
+i of the child stream ``split_seed(s, 0)``, compared by ``below``.
+``lanes_not_below`` is that one rule; the class schedule, the dense click
+compare and the error flags of montecarlo all decide on byte lanes
+through it. ``byte_lane_blocks`` streams consecutive lanes and
+``byte_lanes_at`` reads them at given positions.
 
 Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
 ``raw64_blocks`` hands out each block as soon as it is mixed, in one reused
@@ -34,7 +37,7 @@ buffer, so a per-pulse kernel can consume a long stream without building
 its full-length uint64 array.
 
 Draws can also be addressed by position: ``raw64_at(s, positions)``,
-``uniforms_at(s, positions)`` and ``random_bits_at(s, positions)`` give
+``random_bits_at(s, positions)`` and ``byte_lanes_at(s, positions)`` give
 exactly the values of the contiguous stream indexed at those positions, so
 a caller that reads a few positions of a long stream need not draw the
 rest. Positions must be non-negative.
@@ -58,7 +61,7 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_U1, _U6, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 6, 11, 27, 30, 31))
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 _INV_2_53 = 1.0 / (1 << 53)
 _BLOCK = 1 << 16  # draws mixed per pass: a block and its scratch (1 MiB) stay in L2 cache
 _COUNTERS = np.arange(1, _BLOCK + 1, dtype=np.uint64)  # 1-based counters of one block
@@ -155,11 +158,6 @@ def raw64_at(seed: int, positions) -> np.ndarray:
     return _draw(seed, counters)
 
 
-def uniforms_at(seed: int, positions) -> np.ndarray:
-    """Uniforms of the stream at the given non-negative positions."""
-    return _to_uniforms(raw64_at(seed, positions))
-
-
 def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n unbiased bits (uint8 0/1) of the bit stream, starting at bit offset."""
     if n < 0:
@@ -171,26 +169,60 @@ def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
 
 
 def random_bits_at(seed: int, positions) -> np.ndarray:
-    """Bits of the bit stream at the given non-negative positions.
+    """Bits (uint8 0/1) of the bit stream at the given non-negative positions."""
+    return _lanes_at(seed, positions, 1)
 
-    Dense positions, at least one per 8 bits of their span, are gathered
-    from the covering words drawn contiguously and unpacked (at most the 8
-    bytes per position that a uint64 copy of the positions takes); sparser
-    ones draw each position's word alone."""
+
+def byte_lanes_at(seed: int, positions) -> np.ndarray:
+    """Byte lanes (uint8) of the stream at the given non-negative positions."""
+    return _lanes_at(seed, positions, 8)
+
+
+def _lanes_at(seed: int, positions, width: int) -> np.ndarray:
+    """Lanes of width bits (1 or 8) at positions: lane i is bits
+    width * (i % k) and up, least significant first, of draw i // k, with
+    k = 64 // width lanes per draw.
+
+    Dense positions, at least one per 8 lanes of their span, are gathered
+    from the covering draws made contiguously (and unpacked, for bits): at
+    most the 8 bytes per position that a uint64 copy of the positions takes,
+    and no more draws than positions. Sparser ones draw each position's word
+    alone."""
+    per_draw = 64 // width
     p = np.asarray(positions)
     if p.size:
         lo, hi = int(p.min()), int(p.max())
         if lo >= 0 and 8 * p.size > hi - lo:
-            return random_bits(seed, hi + 1 - lo, lo)[p - lo]
+            first = lo // per_draw
+            words = raw64(seed, hi // per_draw + 1 - first, first)
+            lanes = words.astype("<u8", copy=False).view(np.uint8)
+            if width == 1:
+                lanes = np.unpackbits(lanes, bitorder="little")
+            return lanes[p - first * per_draw]
     z = _positions(p)
     shift = z.astype(np.uint8)  # the low byte; one small array, not a second uint64 one
-    shift &= 63
-    z >>= _U6
+    shift &= per_draw - 1
+    shift *= width
+    z >>= np.uint64(per_draw.bit_length() - 1)
     z += _U1
     _draw(seed, z)
     z >>= shift
-    z &= _U1
+    z &= np.uint64((1 << width) - 1)
     return z.astype(np.uint8)
+
+
+def byte_lane_blocks(seed: int, n: int, offset: int = 0):
+    """Iterator over the n byte lanes offset .. offset + n - 1 of the
+    stream, one rng block of draws at a time.
+
+    Yields (start, lanes): lanes (uint8) are the lanes offset + start
+    onward. As with raw64_blocks, every block is a view of one buffer that
+    the next block overwrites."""
+    skip = offset & 7  # lanes of the first draw before lane offset
+    for start, z in raw64_blocks(seed, (skip + n + 7) >> 3, offset >> 3):
+        first = 8 * start - skip  # index of the block's first lane among the n
+        lo = max(first, 0)
+        yield lo, z.astype("<u8", copy=False).view(np.uint8)[lo - first : n - first]
 
 
 def below(z: np.ndarray, p: float) -> np.ndarray:
@@ -202,6 +234,49 @@ def below(z: np.ndarray, p: float) -> np.ndarray:
     if t <= 0:
         return np.zeros(len(z), dtype=bool)
     return z < np.uint64(t << 11)
+
+
+def lanes_not_below(lanes: np.ndarray, probs, tie_seed: int, at, where=None) -> np.ndarray:
+    """Per byte lane, the number (uint8) of the probabilities p in probs
+    that its 61-bit uniform is not below, counting probs[k] only at the
+    lanes where where[k] is set (at every lane when where is None).
+
+    at gives the lanes' stream positions: an int for consecutive lanes
+    at, at + 1, ..., or an array with one position per lane. The uniform of
+    the lane at position i is U = lane * 2^53 + (z >> 11), z draw i of the
+    tie_seed stream, and z is read only where the lane alone cannot decide.
+    For p, let b = floor(256 p): a lane above b is not below p and a lane
+    below b is, and a lane equal to b ties and is below p exactly when
+    below(z, 256 p - b). So U >= ceil(p * 2^61) decides each p: p >= 1
+    never counts (b >= 256) and p <= 0 always does."""
+    bounds = [math.floor(256.0 * p) for p in probs]
+    masks = [None] * len(bounds) if where is None else where
+    # the first probability's flags become the totals, and each later
+    # temporary is freed at once: one more block-sized array alive at a
+    # time made draw_classes 1.3x slower, from fresh pages alone
+    counts = tie = None
+    for b, mask in zip(bounds, masks):
+        if counts is None:
+            counts = _masked(lanes > b, mask).view(np.uint8)
+            tie = _masked(lanes == b, mask)
+        else:
+            counts += _masked(lanes > b, mask).view(np.uint8)
+            tie |= _masked(lanes == b, mask)
+    ties = np.flatnonzero(tie)  # about 1 lane in 256 per probability
+    z = raw64_at(tie_seed, ties + at if np.ndim(at) == 0 else at[ties])
+    for p, b, mask in zip(probs, bounds, masks):
+        tied = lanes[ties] == b
+        if mask is not None:
+            tied &= mask[ties]
+        # 256 p and its fraction 256 p - b are exact in IEEE arithmetic
+        counts[ties] += tied & ~below(z, 256.0 * p - b)
+    return counts
+
+
+def _masked(flags: np.ndarray, mask) -> np.ndarray:
+    if mask is not None:
+        flags &= mask
+    return flags
 
 
 def random_bytes(seed: int, n: int) -> bytes:

@@ -33,7 +33,20 @@ def _reference_classes(seed, n, p_sig, p_dec, offset=0):
     return classes
 
 
-@pytest.fixture
+def _reference_below(seed, positions, p):
+    """Flags of the pulses at positions whose 61-bit uniform is below p (one
+    probability per position), from raw draws alone: pulse i's U has byte
+    lane i of the seed's stream over the top 53 bits of draw i of the
+    split_seed(seed, 0) stream, and it is below p when U < ceil(p * 2^61)."""
+    positions = np.asarray(positions, dtype=np.int64)
+    n = int(positions.max(initial=-1)) + 1
+    u61 = _lanes_of(seed, n)[positions].astype(np.uint64) << np.uint64(53)
+    u61 |= (raw64(split_seed(seed, 0), n) >> np.uint64(11))[positions]
+    # scaling by 2^61 is exact, and so is the ceiling of at most 2^61
+    return u61 < np.ceil(np.asarray(p, dtype=np.float64) * 2.0**61).astype(np.uint64)
+
+
+@pytest.fixture(scope="session")  # session-wide, so hypothesis tests may take it too
 def lanes_of():
     return _lanes_of
 
@@ -41,6 +54,11 @@ def lanes_of():
 @pytest.fixture
 def reference_classes():
     return _reference_classes
+
+
+@pytest.fixture
+def reference_below():
+    return _reference_below
 
 
 @pytest.fixture

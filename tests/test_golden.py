@@ -23,21 +23,21 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "config
 
 GOLDEN = {
     ("desk_session", "link_budget"): "dad5195d9c34eb2216617a8dc082daafb18e36b3b607c20c9d941941b0929d27",
-    ("desk_session", "session"): "224edaf54a5c83860dfcae0f4e84239f8d6f73e3aafb352aef1601c1883de5a1",
+    ("desk_session", "session"): "a623a94e9ee2d31459536d5726973d11814811ca06c7868be02d4bf3a6f377e5",
     ("measured_link", "link_budget"): "85fb1dbaeb304a356d55a47a1e47dae2d4df0e478c1baa8d34f04f690d2a92dc",
     ("measured_link", "rate_sweep"): "434e9f8e84dafbb23ab28a16aa36de1c952cb9e780a24a9f34b62a5cb4a185e2",
-    ("measured_link", "simulate"): "8e4be20e2664b1dc6bc506d6b56da7497c82bc949689ca36bb93ff784f6daa42",
-    ("measured_link", "session"): "c4f9e62e16c141ff01e63ed840cbff2c62dada4882128f13813bc663b43fb9f3",
+    ("measured_link", "simulate"): "9b880e46ca290a719283e8ddd9c17960c8e4731c7c80033b88c335410c74cdab",
+    ("measured_link", "session"): "9abb3b1a8b968246ccadcdfb3a132ed77949578c9ed5dd314738e65338427d08",
     ("upgraded_link", "link_budget"): "46a54e51bd59c39c3cff5024e8838b643a5ebac7f772b1286bed276ad105e1dc",
     ("upgraded_link", "rate_sweep"): "2c3c612e1cdaab831c0b802e695ae400f8bea5e32c1f3b2f53c59f74f3de5c65",
-    ("upgraded_link", "session"): "3973e03f72a1d77c0f3fa3bdaced23d6301453557533c428548b2b643dda8a9a",
+    ("upgraded_link", "session"): "dc73e3f56dfc10fd815781d59ff431d0e498e4330698bdf6b5d51144f68bce04",
 }
 
 GOLDEN_JSON = {
     ("desk_session", "link_budget"): "2d5fef283c522f2b7f75cf0d93074d59a077a362d1cd335e117f0571c40084dc",
     ("measured_link", "link_budget"): "7018f38c3eafa9ed61502b224722c9683279f1c2e7c50ec6cc5396f72167d817",
     ("measured_link", "rate_sweep"): "0668d7bb03c01edc86f53c60e32023a4ee384bf7ffd008bb729dbf4c4c127405",
-    ("measured_link", "simulate"): "66f89c580abf945cd356268836d4506b035d2e0651956969d555cae1bbe5354d",
+    ("measured_link", "simulate"): "2fdade04412db763aae0af256600c7d6f7d42fe6991afd6724ddf2664c1d1960",
     ("upgraded_link", "link_budget"): "bbe4099854af35e77f6723d3e817574ba3931a013e20c8b1def35d3f78f54b9e",
     ("upgraded_link", "rate_sweep"): "46230a22303e761e7143f1555c494887d878fe619d8af01c3ce08c919a79c016",
 }

@@ -34,13 +34,20 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import _BLOCK, below, raw64, raw64_at, uniforms, uniforms_at
+from phaselink.rng import _BLOCK, raw64, raw64_at, uniforms
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
 ETA_MEASURED = 10 ** (-17.83 / 10) * 10 ** (-6.5 / 10) * 0.2
 # pulse counts on both sides of the edges of the rng blocks the kernels stream
 BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]
+
+
+def link_probabilities(eta, det):
+    """Click and error probabilities of the signal, decoy and vacuum classes."""
+    intensities = (SRC.mu, SRC.nu, 0.0)
+    p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
+    return np.array(p_click), np.array([gain_and_qber(eta, a, det)[1] for a in intensities])
 
 
 def closed_form_se(p, n):
@@ -85,7 +92,7 @@ class TestDrawClasses:
         classes = draw_classes(lanes, 0.6, 0.3, 7, 1000)
         assert classes.dtype == np.uint8
         expect = [CLASS_SIGNAL] * 153 + [-1] + [CLASS_DECOY] * 76 + [-1] + [CLASS_VACUUM] * 25
-        u_tie = uniforms_at(7, [1153, 1230])
+        u_tie = (raw64_at(7, [1153, 1230]) >> np.uint64(11)) * 2.0**-53
         expect[153] = CLASS_SIGNAL if u_tie[0] < 256 * 0.6 - 153 else CLASS_DECOY
         expect[230] = CLASS_DECOY if u_tie[1] < 256 * 0.9 - 230 else CLASS_VACUUM
         assert classes.tolist() == expect
@@ -223,39 +230,68 @@ class TestDetect:
         assert abs(gain - union) < 4 * closed_form_se(union, n)
         assert abs(gain - additive) > 50 * closed_form_se(union, n)
 
-    def test_errors_match_dense_draws(self):
-        # error draws are made only at clicked pulses, with the values the
+    def test_errors_match_dense_draws(self, reference_below):
+        # error lanes are read only at clicked pulses, with the values the
         # full error stream holds there
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
         hit, err = detect(classes, 0.3, SRC, det, 31, 32)
-        intensities = (SRC.mu, SRC.nu, 0.0)
-        p_click = np.array([1.0 - (1.0 - det.y0) * math.exp(-0.3 * a) for a in intensities])
-        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
-        # clicks compare raw draws per class; the reference gathers and compares uniforms
-        clicks = uniforms(31, len(classes)) < p_click[classes]
+        p_click, p_err = link_probabilities(0.3, det)
+        # the reference compares every pulse's 61-bit uniform with its class's probability
+        pulses = np.arange(len(classes))
+        clicks = reference_below(31, pulses, p_click[classes])
         assert np.array_equal(hit, np.flatnonzero(clicks))
-        dense = clicks & (uniforms(32, len(classes)) < p_err[classes])
+        dense = clicks & reference_below(32, pulses, p_err[classes])
         assert err.dtype == bool
         assert np.array_equal(err, dense[hit])
         assert np.array_equal(hit[err], np.flatnonzero(dense))
 
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_matches_full_length_compare(self, n):
-        # clicks compared block by block are the per-class compare on the
-        # whole click stream; errors read the error stream at the clicks
+    @pytest.mark.parametrize("n", BLOCK_SIZES + [8 * _BLOCK - 1, 8 * _BLOCK + 9])
+    def test_matches_full_length_compare(self, reference_below, n):
+        # clicks compared lane block by lane block are the per-class compare
+        # on the whole click stream; errors read the error stream at the clicks
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = class_schedule(6, n, 0.4, 0.3)
         hit, err = detect(classes, 0.3, SRC, det, 41, 42)
-        intensities = (SRC.mu, SRC.nu, 0.0)
-        z = raw64(41, n)
-        reference = np.zeros(n, dtype=bool)
-        for c, a in enumerate(intensities):
-            reference |= below(z, 1.0 - (1.0 - det.y0) * math.exp(-0.3 * a)) & (classes == c)
-        p_err = np.array([gain_and_qber(0.3, a, det)[1] for a in intensities])
+        p_click, p_err = link_probabilities(0.3, det)
+        reference = reference_below(41, np.arange(n), p_click[classes])
         assert hit.dtype == np.int64
         assert np.array_equal(hit, np.flatnonzero(reference))
-        assert np.array_equal(err, (uniforms(42, n) < p_err[classes])[hit])
+        assert np.array_equal(err, reference_below(42, hit, p_err[classes[hit]]))
+
+    def test_draw_budget(self, lanes_of, count_draws):
+        # one click word per 8 pulses, the words that cover the clicks' error
+        # lanes, and one tie draw per lane equal to its probability's
+        # boundary byte floor(256 p): not one draw per pulse or per click
+        n = 100_003
+        classes = class_schedule(6, n, 0.4, 0.3)
+        click_lanes, error_lanes = lanes_of(43, n), lanes_of(44, n)
+        p_click, p_err = link_probabilities(1.0, DET)
+        assert not sparse_clicks(p_click.max())
+        drawn = count_draws()
+        hit, _ = detect(classes, 1.0, SRC, DET, 43, 44)
+        assert 8 * len(hit) > hit[-1] - hit[0]  # dense enough to gather the error lanes
+        click_ties = np.count_nonzero(click_lanes == np.floor(256 * p_click[classes]))
+        error_ties = np.count_nonzero(error_lanes[hit] == np.floor(256 * p_err[classes[hit]]))
+        error_words = hit[-1] // 8 - hit[0] // 8 + 1
+        assert sum(drawn) <= -(-n // 8) + error_words + click_ties + error_ties + 8
+
+    @pytest.mark.parametrize(
+        "eta,det", [(0.3, DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)), (1.0, DET)]
+    )
+    def test_class_frequencies(self, eta, det):
+        # clicks per class among the sent pulses, and errors per class among
+        # the clicks, each within its exact two-sided 1e-4 binomial tails
+        n = 1_000_003
+        classes = class_schedule(23, n, 0.4, 0.3)
+        hit, err = detect(classes, eta, SRC, det, 81, 82)
+        sent, clicked, errored = class_counts(classes, hit, hit[err])
+        for observed, trials, probs in zip(
+            (clicked, errored), (sent, clicked), link_probabilities(eta, det)
+        ):
+            for k, m, prob in zip(observed, trials, probs):
+                assert binom.cdf(k, m, prob) > 5e-5
+                assert binom.sf(k - 1, m, prob) > 5e-5
 
     def test_flip_rate_statistics(self):
         # clicked vacuum pulses are background clicks, wrong half the time;
@@ -359,16 +395,14 @@ class TestSparseClicks:
         montecarlo._sparse_hits(classes, [p, p / 2, p / 100], 101)
         assert sum(drawn) <= n / 64 + 3 * p * n + 8
 
-    def test_detect_takes_the_sparse_path(self):
+    def test_detect_takes_the_sparse_path(self, reference_below):
         # at the measured eta detect's clicks are the sparse kernel's, and
-        # its errors still read the error stream at the clicks
+        # its errors still read the error stream's lanes at the clicks
         classes = class_schedule(10, 500_000, 30 / 33, 2 / 33)
         hit, err = detect(classes, ETA_MEASURED, SRC, DET, 111, 112)
-        intensities = (SRC.mu, SRC.nu, 0.0)
-        p_click = [1.0 - (1.0 - DET.y0) * math.exp(-ETA_MEASURED * a) for a in intensities]
+        p_click, p_err = link_probabilities(ETA_MEASURED, DET)
         assert np.array_equal(hit, montecarlo._sparse_hits(classes, p_click, 111))
-        p_err = np.array([gain_and_qber(ETA_MEASURED, a, DET)[1] for a in intensities])
-        assert np.array_equal(err, uniforms_at(112, hit) < p_err[classes[hit]])
+        assert np.array_equal(err, reference_below(112, hit, p_err[classes[hit]]))
 
 
 class TestSimulateBatch:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from phaselink import rng
 from phaselink.rng import (
     GOLDEN,
     below,
+    byte_lanes_at,
+    lanes_not_below,
     mix64,
     random_bits,
     random_bits_at,
@@ -18,7 +21,6 @@ from phaselink.rng import (
     raw64_blocks,
     split_seed,
     uniforms,
-    uniforms_at,
 )
 
 
@@ -123,14 +125,14 @@ def test_bytes_are_little_endian_draws():
     offset=st.integers(0, 1 << 40),
     rel=st.lists(st.integers(0, 299), max_size=50),
 )
-def test_position_addressed_draws_match_stream(seed, offset, rel):
+def test_position_addressed_draws_match_stream(lanes_of, seed, offset, rel):
     # any positions, repeated or unordered, read the contiguous stream
     pos = offset + np.array(rel, dtype=np.int64)
     assert np.array_equal(raw64_at(seed, pos), raw64(seed, 300, offset)[rel])
-    assert np.array_equal(uniforms_at(seed, pos), uniforms(seed, 300, offset)[rel])
     assert np.array_equal(random_bits_at(seed, pos), random_bits(seed, 300, offset)[rel])
-    assert uniforms_at(seed, pos).dtype == np.float64
+    assert np.array_equal(byte_lanes_at(seed, pos), lanes_of(seed, 300, offset)[rel])
     assert random_bits_at(seed, pos).dtype == np.uint8
+    assert byte_lanes_at(seed, pos).dtype == np.uint8
 
 
 SPAN = 70_403
@@ -151,6 +153,23 @@ def test_bits_at_dense_and_sparse_positions(count_draws, n_pos):
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, random_bits(8, SPAN, first)[rel])
     words = -(-(first + SPAN) // 64) - first // 64
+    assert drawn[0] == (words if 8 * n_pos >= SPAN else n_pos)
+
+
+@pytest.mark.parametrize("n_pos", [SPAN // 2, -(-SPAN // 8), SPAN // 8 - 1, SPAN // 200])
+def test_lanes_at_dense_and_sparse_positions(lanes_of, count_draws, n_pos):
+    # the same density rule, a position per 8 lanes of the span: dense sets
+    # draw the covering words once, sparse ones one word per position
+    first = (1 << 40) + 5
+    rel = np.random.default_rng(4).choice(SPAN, n_pos - 50, replace=False)
+    rel[:2] = 0, SPAN - 1
+    rel = np.concatenate([rel, rel[:50]])
+    reference = lanes_of(8, SPAN, first)[rel]
+    drawn = count_draws()
+    lanes = byte_lanes_at(8, first + rel)
+    assert lanes.dtype == np.uint8
+    assert np.array_equal(lanes, reference)
+    words = -(-(first + SPAN) // 8) - first // 8
     assert drawn[0] == (words if 8 * n_pos >= SPAN else n_pos)
 
 
@@ -182,7 +201,7 @@ def test_bit_lanes_and_neighbours_are_fair():
     assert abs(same - 0.5) < 4 * 0.5 / np.sqrt(len(bits) - 1)
 
 
-@pytest.mark.parametrize("draw", [raw64_at, uniforms_at, random_bits_at])
+@pytest.mark.parametrize("draw", [raw64_at, byte_lanes_at, random_bits_at])
 def test_negative_positions_raise(draw):
     for bad in (np.array([-1]), [3, -2], np.array([0, -(1 << 62)], dtype=np.int64)):
         with pytest.raises(ValueError):
@@ -227,3 +246,29 @@ def test_below_matches_uniforms_at_edges(p):
 def test_below_matches_uniforms(z, p):
     z = np.array(z, dtype=np.uint64)
     assert np.array_equal(below(z, p), as_uniforms(z) < p)
+
+
+TIE_P = [0.0, 1.0, 0.5, 3 / 256, 255 / 256, 1 / 3, 5e-324, 2.0**-62, 2.0**-61, 3 * 2.0**-61]
+TIE_P += [1e-6, 1.0 - ULP, math.nextafter(1.0, 0.0), 1.0 - 1e-6]
+
+
+@pytest.mark.parametrize("p", TIE_P)
+def test_lanes_not_below_exact_at_ties(p):
+    # lanes b - 1, b and b + 1 around the boundary byte b = floor(256 p),
+    # at consecutive positions and at unordered ones, against exact rational
+    # compares of U / 2^61 with p; a second probability under a mask
+    b = math.floor(256 * p)
+    near = [v for v in (b - 1, b, b, b + 1) if 0 <= v < 256]
+    lanes = np.resize(np.array(near, dtype=np.uint8), 4000)
+    first = 1 << 40
+    z = raw64(split_seed(13, 0), len(lanes), first).tolist()
+    u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(lanes, z)]
+    expect = [x >= Fraction(p) for x in u]
+    assert lanes_not_below(lanes, [p], split_seed(13, 0), first).tolist() == expect
+    order = np.random.default_rng(5).permutation(len(lanes))
+    counts = lanes_not_below(lanes[order], [p], split_seed(13, 0), first + order)
+    assert counts.tolist() == [expect[i] for i in order]
+    odd = np.arange(len(lanes)) % 2 == 1
+    counts = lanes_not_below(lanes, [p, 0.3], split_seed(13, 0), first, [odd, ~odd])
+    assert counts.dtype == np.uint8
+    assert counts.tolist() == [x >= Fraction(p if k % 2 else 0.3) for k, x in enumerate(u)]

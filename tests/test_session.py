@@ -113,9 +113,9 @@ class TestLoopbackSession:
         # bookkeeping form of the recycling law
         assert abs(report.p_rec_empirical - (1 - report.q_mu_hat / 2)) < 1e-2
 
-    def test_sift_discards_equal_mismatch_plus_noclick(self):
+    def test_sift_discards_equal_mismatch_plus_noclick(self, reference_below):
         # reconstruct one frame's streams and check the discard set exactly
-        from phaselink.rng import random_bits, split_seed, uniforms
+        from phaselink.rng import random_bits, split_seed
 
         spec = small_spec(n_frames=1, spread=8)
         report, alice, bob = run_session_detailed(spec)
@@ -128,7 +128,8 @@ class TestLoopbackSession:
         p_click = np.array(
             [1.0 - (1.0 - spec.detector.y0) * math.exp(-eta * a) for a in (SRC.mu, SRC.nu, 0.0)]
         )
-        clicks = uniforms(split_seed(split_seed(spec.seeds.channel, 1), 0), n) < p_click[classes]
+        click_seed = split_seed(split_seed(spec.seeds.channel, 1), 0)
+        clicks = reference_below(click_seed, np.arange(n), p_click[classes])
         a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
         b_bases = random_bits(split_seed(spec.seeds.bob, 0), n)
         kept = clicks & (a_bases == b_bases)
