@@ -61,9 +61,9 @@ def _parse_grid(text: str) -> SweepGrid:
         raise ConfigError("--grid expects start:stop:step")
     try:
         start, stop, step = (float(p) for p in parts)
+        return SweepGrid(d_fs_start=start, d_fs_stop=stop, d_fs_step=step)
     except ValueError as exc:
         raise ConfigError(f"bad --grid value: {exc}") from exc
-    return SweepGrid(d_fs_start=start, d_fs_stop=stop, d_fs_step=step)
 
 
 def _csv(header: str, rows) -> str:

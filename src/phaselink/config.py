@@ -53,8 +53,10 @@ class SweepGrid:
     d_fs_step: float
 
     def __post_init__(self):
-        if self.d_fs_step <= 0:
-            raise ValueError("d_fs_step must be positive")
+        if not all(map(math.isfinite, (self.d_fs_start, self.d_fs_stop, self.d_fs_step))):
+            raise ValueError("sweep grid values must be finite")
+        if self.d_fs_start < 0 or self.d_fs_step <= 0:
+            raise ValueError("d_fs_start must be non-negative and d_fs_step positive")
 
     def points(self) -> list:
         """Ascending grid start + i * step; empty when stop < start."""

@@ -8,11 +8,13 @@ The classical exchange per frame:
     A -> B  FRAME_META, QUANTUM (simulated photon stream)
     B -> A  BASIS_ANNOUNCE (the clicked pulses of the range, then their
                             bases)
-    A -> B  SAMPLE_REQUEST (kept signal events to disclose)
+    A -> B  SAMPLE_REQUEST (indices, into the announced clicks, of kept
+                            signal clicks to disclose)
     B -> A  SAMPLE_DISCLOSE
     A -> B  ABORT            if the QBER check below fails
-            SIFT_MAP         otherwise: kept-for-decode chip positions
-                             (kept minus disclosed)
+            SIFT_MAP         otherwise: one kept-for-decode flag per
+                             announced click (kept signal clicks minus
+                             disclosed ones)
     B -> A  REPORT (decode status + payload digest)
 
 Both endpoints hold the same scenario (config.ScenarioConfig). Bob takes
@@ -41,7 +43,10 @@ and one error flag per click. The receiver flips its copy of the sender's
 bits at the erred clicks and announces the positions, which only the wire
 codec turns into a per-pulse bitmap. Each endpoint's basis for pulse i is
 bit i of its basis stream for the frame, and it is read
-(rng.random_bits_at) only where pulse i clicked.
+(rng.random_bits_at) only where pulse i clicked. After BASIS_ANNOUNCE both
+endpoints hold the same ascending click positions, so sifting speaks in
+indices into them. A kept click's chip index is its pulse position less
+the number of non-signal pulses before it.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -83,8 +88,6 @@ _S_ERROR = 2
 _S_JITTER = 3
 
 QBER_EPSILON = 1e-3  # bound on the chance that a session over a link within the threshold aborts
-
-_GATHER_BLOCK = 1 << 16  # pulses per block of _at_chips: its positions stay in L2 cache
 
 
 @dataclass(frozen=True)
@@ -203,19 +206,6 @@ def qber_exceeds(errors: int, samples: int, threshold: float, n_frames: int) -> 
     return _upper_tail(errors, samples, threshold) < QBER_EPSILON / n_frames
 
 
-def _at_chips(values: np.ndarray, signal_mask: np.ndarray) -> np.ndarray:
-    """values[signal_mask] of a frame, gathered one block of pulses at a time.
-
-    A gather beats a boolean index, but the positions of a whole frame's
-    signal pulses take 8 B per chip (15 MB on the measured link), and once
-    freed a block that large lets glibc keep tens of MB more heap in one
-    run than in the next. A block's positions stay small."""
-    return np.concatenate([
-        values[s : s + _GATHER_BLOCK][np.flatnonzero(signal_mask[s : s + _GATHER_BLOCK])]
-        for s in range(0, len(values), _GATHER_BLOCK)
-    ])
-
-
 def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     """Class schedule covering exactly n_chips signal slots.
 
@@ -290,9 +280,8 @@ class AliceSession:
                 split_seed(split_seed(spec.seeds.alice, _S_SCHEDULE), f), n_chips, spec.source
             )
             n_pulses = len(classes)
-            signal_mask = classes == CLASS_SIGNAL
             bits = np.zeros(n_pulses, dtype=np.uint8)  # non-signal pulses carry 0
-            bits[signal_mask] = chips
+            bits[classes == CLASS_SIGNAL] = chips
 
             transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
             transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bits))
@@ -306,23 +295,23 @@ class AliceSession:
             bases = random_bits_at(
                 split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), hit
             )
-            kept = hit[bases == bob_bases]
-            kept_sig_idx = kept[classes[kept] == CLASS_SIGNAL]  # clicked, bases matched, signal
+            keep = (bases == bob_bases) & (classes[hit] == CLASS_SIGNAL)  # one flag per click
+            kept = np.flatnonzero(keep)  # indices into hit
 
-            sample_idx = _sample_positions(
-                kept_sig_idx,
+            sample = _sample_positions(
+                kept,
                 p.sample_fraction,
                 split_seed(split_seed(spec.seeds.alice, _S_SAMPLE), f),
             )
-            n_sample = len(sample_idx)
-            transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample_idx))
+            n_sample = len(sample)
+            transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample))
             _, payload_bytes = _recv(transport, wire.SAMPLE_DISCLOSE)
             disclosed_bits = wire.decode_sample_disclose(payload_bytes)
             if len(disclosed_bits) != n_sample:
                 raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
 
             disclosed_total += n_sample
-            disclosed_errors += int(np.count_nonzero(disclosed_bits != bits[sample_idx]))
+            disclosed_errors += int(np.count_nonzero(disclosed_bits != bits[hit[sample]]))
             if qber_exceeds(disclosed_errors, disclosed_total, p.qber_threshold, p.n_frames):
                 reason = (
                     f"frame {f}: QBER lower bound exceeds threshold {p.qber_threshold:.4f} "
@@ -331,20 +320,16 @@ class AliceSession:
                 )
                 transport.send(wire.ABORT, reason.encode("utf-8"))
                 # an aborted frame mints no key: only never-kept positions recycle
-                ledger_commit(self.ledger, n_chips, len(kept_sig_idx), len(kept_sig_idx))
+                ledger_commit(self.ledger, n_chips, len(kept), len(kept))
                 aborted = True
                 abort_reason = reason
                 start_pulse += n_pulses
                 break
 
-            # decode map: kept signal chips minus disclosed check bits
-            to_decode = np.zeros(n_pulses, dtype=bool)
-            to_decode[kept_sig_idx] = True
-            to_decode[sample_idx] = False
-            chip_map = _at_chips(to_decode, signal_mask)
-            transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, chip_map))
+            keep[sample] = False  # decode the kept clicks but the disclosed ones
+            transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, keep))
 
-            ledger_commit(self.ledger, n_chips, len(kept_sig_idx), n_sample)
+            ledger_commit(self.ledger, n_chips, len(kept), n_sample)
 
             _, payload_bytes = _recv(transport, wire.REPORT)
             result = wire.decode_report(payload_bytes)
@@ -361,7 +346,7 @@ class AliceSession:
             start_pulse += n_pulses
             # drop the frame's per-pulse arrays before the next frame builds
             # its own: freed heap that glibc keeps would otherwise hold both
-            del chips, classes, signal_mask, bits, to_decode, chip_map
+            del chips, classes, bits
 
         elapsed = start_pulse / (spec.source.rep_rate * p.duty_cycle)
         led = self.ledger
@@ -425,8 +410,8 @@ class BobSession:
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
-            signal_mask = classes == CLASS_SIGNAL
-            if np.count_nonzero(signal_mask) != n_chips:
+            non_signal = np.flatnonzero(classes != CLASS_SIGNAL)
+            if n_pulses - len(non_signal) != n_chips:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
@@ -446,25 +431,27 @@ class BobSession:
             )
 
             _, payload = _recv(transport, wire.SAMPLE_REQUEST)
-            sample_idx = wire.decode_sample_request(payload)
-            if np.any(sample_idx >= n_pulses):
-                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the frame")
+            sample = wire.decode_sample_request(payload)
+            if np.any(sample >= len(hit)):
+                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
             transport.send(
-                wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bits[sample_idx])
+                wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bits[hit[sample]])
             )
 
             msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
                 return
-            mapped, chip_map = wire.decode_sift_map(payload)
-            if (mapped, len(chip_map)) != (start, n_chips):
+            mapped, keep = wire.decode_sift_map(payload)
+            if (mapped, len(keep)) != (start, len(hit)):
                 raise ProtocolError(f"frame {f}: SIFT_MAP start or length is not the frame's")
+            kept = hit[np.flatnonzero(keep)]
+            if np.any(classes[kept] != CLASS_SIGNAL):
+                raise ProtocolError(f"frame {f}: SIFT_MAP keeps a click that carries no chip")
 
-            kept = np.flatnonzero(chip_map)
             try:
                 recovered = decode(
-                    _at_chips(bits, signal_mask)[kept],
-                    kept,
+                    bits[kept],
+                    kept - np.searchsorted(non_signal, kept),  # chip index of each kept pulse
                     f,
                     p.fec_ratio,
                     p.spread_ratio,
@@ -483,7 +470,7 @@ class BobSession:
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
             start_pulse += n_pulses
-            del classes, bits, signal_mask, kept, chip_map  # as in AliceSession.run
+            del classes, bits, non_signal  # as in AliceSession.run
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:

@@ -17,11 +17,12 @@ reliable; no cryptography is applied here):
                           ceil(k/8) bytes. The codecs take and give the
                           click positions; this bitmap is the only
                           per-pulse click array in the package
-    0x02 SAMPLE_REQUEST   u32 n, then n x u32 pulse offsets (relative to
-                          the announced range start)
+    0x02 SAMPLE_REQUEST   u32 n, then n x u32 indices into the announced
+                          clicks (0 is the range's first clicked pulse)
     0x03 SAMPLE_DISCLOSE  u32 n, packed measured bits in request order
-    0x04 SIFT_MAP         u64 start, u32 count, packed kept-for-decode
-                          bits over the range
+    0x04 SIFT_MAP         u64 start, u32 count k, then k packed
+                          kept-for-decode flags, one per announced click
+                          in pulse order: 12 + ceil(k/8) bytes
     0x05 FRAME_META       u32 frame_id; opens each frame. The frame count
                           and pipeline ratios are scenario settings both
                           endpoints hold, so they are not sent
@@ -144,8 +145,10 @@ def decode_basis_announce(payload: bytes) -> tuple:
 
 
 def encode_sample_request(offsets: np.ndarray) -> bytes:
-    arr = np.asarray(offsets, dtype=">u4")
-    return struct.pack("!I", len(arr)) + arr.tobytes()
+    arr = np.asarray(offsets)
+    if len(arr) and (arr.min() < 0 or arr.max() >= 1 << 32):
+        raise ValueError("sample offsets must lie in [0, 2**32)")
+    return struct.pack("!I", len(arr)) + arr.astype(">u4").tobytes()
 
 
 def decode_sample_request(payload: bytes) -> np.ndarray:

@@ -57,6 +57,13 @@ class TestRateSweep:
         assert lines[0] == "d_fs_m,key_gen_rate_bps,cs_raw,q_mu,e_mu,q1,e1,collapsed"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("grid", ["0:10:0", "-10:0:10", "0:10:nan", "0:inf:10"])
+    def test_bad_grid_is_config_error(self, grid, capsys):
+        # a zero step, a negative start and non-finite values; an infinite
+        # stop would otherwise grow the grid without end
+        assert run_cli(["rate-sweep", "--config", MEASURED, f"--grid={grid}"]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_empty_grid_header_only(self, capsys):
         assert run_cli(["rate-sweep", "--config", MEASURED, "--grid", "10:5:10"]) == 0
         out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from phaselink.protocol.ledger import KeyLedger, ledger_commit
 from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
-    _at_chips,
     _sample_positions,
     run_session_detailed,
 )
@@ -196,12 +195,6 @@ class TestSecurityCheck:
             n_sample = int(10 * fraction)
             dense = np.sort(kept[np.argsort(u, kind="stable")[:n_sample]])
             assert np.array_equal(_sample_positions(kept, fraction, 0), dense)
-
-    @pytest.mark.parametrize("n", [1, 1000, 65535, 65536, 65537, 3 * 65536 + 5])
-    def test_at_chips_matches_boolean_index(self, n):
-        signal_mask = uniforms(7, n) < 30 / 33
-        values = (uniforms(8, n) < 0.5).astype(np.uint8)
-        assert np.array_equal(_at_chips(values, signal_mask), values[signal_mask])
 
 
 class TestKeyLedger:

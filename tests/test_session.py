@@ -1,7 +1,9 @@
+import functools
 import math
 import socket
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
+from phaselink.rng import random_bits, split_seed
 
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
 BEAM = BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9)
@@ -115,8 +118,6 @@ class TestLoopbackSession:
 
     def test_sift_discards_equal_mismatch_plus_noclick(self, reference_below):
         # reconstruct one frame's streams and check the discard set exactly
-        from phaselink.rng import random_bits, split_seed
-
         spec = small_spec(n_frames=1, spread=8)
         report, alice, bob = run_session_detailed(spec)
         n_chips = 1000 * 8
@@ -236,8 +237,35 @@ def _cut_announce(payload):
 
 
 def _shift_sift_start(payload):
-    start, chip_map = wire.decode_sift_map(payload)
-    return wire.encode_sift_map(start + 7, chip_map)
+    start, keep = wire.decode_sift_map(payload)
+    return wire.encode_sift_map(start + 7, keep)
+
+
+def _keep_every_click(payload):
+    return payload[:12] + b"\xff" * (len(payload) - 12)  # decoy and vacuum clicks too
+
+
+def _sent_messages(spec) -> dict:
+    """The payloads each message type carried in a session of spec, in order."""
+    sent = {}
+
+    def record(t, p):
+        sent.setdefault(t, []).append(p)
+        return t, p
+
+    transports = tuple(_Edit(t, record) for t in wire.SocketTransport.pair())
+    run_session_detailed(spec, transports=transports)
+    return sent
+
+
+@functools.lru_cache(maxsize=None)
+def _first_frame_clicks() -> int:
+    announce = _sent_messages(small_spec(n_frames=2, spread=8))[wire.BASIS_ANNOUNCE][0]
+    return len(wire.decode_basis_announce(announce)[2])
+
+
+def _request_past_clicks(payload):
+    return wire.encode_sample_request([_first_frame_clicks()])  # one past the last index
 
 
 def _demote_first_signal(payload):
@@ -276,8 +304,10 @@ class TestMessageOrder:
             (wire.QUANTUM, _shift_quantum_start, "QUANTUM start"),
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
             (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
+            (wire.SAMPLE_REQUEST, _request_past_clicks, "offset beyond"),
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
             (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
+            (wire.SIFT_MAP, _keep_every_click, "carries no chip"),
             (wire.BASIS_ANNOUNCE, _cut_announce, "BASIS_ANNOUNCE pulse range"),
             (wire.SAMPLE_DISCLOSE, lambda p: wire.encode_sample_disclose([0]), "SAMPLE_DISCLOSE"),
             (wire.REPORT, _renumber_report, "REPORT frame_id"),
@@ -295,6 +325,60 @@ class TestMessageOrder:
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
         assert set(threading.enumerate()) <= before
+
+
+class TestSift:
+    @pytest.mark.parametrize("conv_loss_db", [0.0, 25.0])
+    def test_decode_inputs(self, monkeypatch, conv_loss_db):
+        # decode gets the kept signal clicks less the disclosed ones, at their
+        # chip indices, with the sender's chips flipped where detection erred
+        seen = {}
+
+        def spy(name):
+            fn = getattr(session, name)
+
+            def wrapped(*args):
+                seen[name] = [args]  # recorded before a lost frame raises
+                seen[name].append(fn(*args))
+                return seen[name][1]
+
+            monkeypatch.setattr(session, name, wrapped)
+
+        for name in ("_draw_schedule", "preprocess", "detect", "decode"):
+            spy(name)
+        spec = small_spec(n_frames=1, spread=64, geom=replace(LOSSLESS, conv_loss_db=conv_loss_db))
+        run_session_detailed(spec)
+        classes, chips, (hit, err) = (
+            seen[k][1] for k in ("_draw_schedule", "preprocess", "detect")
+        )
+        values, positions = seen["decode"][0][:2]
+
+        n = len(classes)
+        signal = classes == CLASS_SIGNAL
+        a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
+        b_bases = random_bits(split_seed(spec.seeds.bob, 0), n)
+        kept = hit[(a_bases[hit] == b_bases[hit]) & signal[hit]]
+        sampled = session._sample_positions(
+            kept, spec.protocol.sample_fraction, split_seed(split_seed(spec.seeds.alice, 5), 0)
+        )
+        pos = np.setdiff1d(kept, sampled)
+        measured = np.zeros(n, dtype=np.uint8)
+        measured[signal] = chips
+        measured[hit[err]] ^= 1
+        assert 0 < len(sampled) < len(pos)
+        assert np.array_equal(positions, np.cumsum(signal)[pos] - 1)
+        assert np.array_equal(values, measured[pos])
+
+    def test_sift_messages_sized_by_clicks(self):
+        # SIFT_MAP has one flag per announced click, SAMPLE_REQUEST one u32
+        # per disclosed click, on a 25 dB frame with a few hundred clicks
+        spec = small_spec(n_frames=1, spread=64, geom=replace(LOSSLESS, conv_loss_db=25.0))
+        sent = {t: p for t, (p,) in _sent_messages(spec).items()}
+        k = len(wire.decode_basis_announce(sent[wire.BASIS_ANNOUNCE])[2])
+        n_sample = len(wire.decode_sample_disclose(sent[wire.SAMPLE_DISCLOSE]))
+        assert 0 < n_sample < k < 1000
+        assert len(sent[wire.SIFT_MAP]) == 12 + (k + 7) // 8
+        assert len(sent[wire.SAMPLE_REQUEST]) == 4 + 4 * n_sample
 
 
 class _Faulty(wire.SocketTransport):

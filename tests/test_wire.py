@@ -173,6 +173,12 @@ class TestCodecProperties:
         with pytest.raises(ValueError):
             wire.encode_basis_announce(0, 5, np.array(hit), np.zeros(2, np.uint8))
 
+    @pytest.mark.parametrize("offsets", [[-1], [2**32], [2**32 + 5], [3, -7], [0, 2**40]])
+    def test_sample_request_needs_u32_offsets(self, offsets):
+        # a wrapped offset would request the wrong bit
+        with pytest.raises(ValueError):
+            wire.encode_sample_request(offsets)
+
     @given(clicks=BITS, tail=st.binary(max_size=30))
     def test_basis_announce_tail_must_fit_the_clicks(self, clicks, tail):
         # header and click flags, then a tail that fits ceil(k/8) or not
