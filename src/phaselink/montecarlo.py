@@ -23,13 +23,24 @@ pulse and probability instead of 1. Three decisions read lanes this way: the cla
 (draw_classes, two thresholds per pulse), the dense click compare and the
 error flags (one probability per pulse, its class's).
 
-The per-pulse kernels stream: the class schedule and the dense click
-compare mix their draws one rng block at a time (rng.byte_lane_blocks) and
-consume each block while it is in cache, so no full-length array of draws
-is built. detect returns the click positions and one error flag per click,
-never a per-pulse mask, so its output scales with the clicks, not the
-pulses; class tallies after detection gather the classes at those
-positions.
+The per-pulse kernels stream: the class schedule, its counts and the
+dense click compare mix their draws one rng block at a time
+(rng.byte_lane_blocks) and consume each block while it is in cache, so no
+full-length array of draws is built. detect returns the click positions
+and one error flag per click, never a per-pulse mask, so its output scales
+with the clicks, not the pulses.
+
+The schedule has three exact reads, each equal to the class array's bit
+for bit: class_schedule streams the classes of a range, classes_at reads
+them at given positions (rng.byte_lanes_at plus draw_classes), and
+schedule_counts tallies a range's classes by counting each block's lanes
+below the two boundary bytes and deciding only the tied lanes.
+simulate_batch builds no class array: it takes the sent tallies from
+schedule_counts, hands detect a SeededSchedule that reads classes from the
+seed wherever detect indexes it (slices on the dense path, positions on the
+sparse path and for the error flags), and gathers the classes once at the
+clicks for the clicked and errored tallies. The session passes detect its
+class array.
 
 detect samples clicks on one of two paths, chosen by sparse_clicks from
 the highest class click probability p_max: sparse when a 64-pulse word
@@ -71,7 +82,7 @@ click.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,10 +112,13 @@ __all__ = [
     "CLASS_DECOY",
     "CLASS_VACUUM",
     "PulsePlan",
+    "SeededSchedule",
     "ClassCounts",
     "BatchStats",
     "draw_classes",
     "class_schedule",
+    "classes_at",
+    "schedule_counts",
     "class_counts",
     "detect",
     "sparse_clicks",
@@ -117,26 +131,61 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PulsePlan:
-    """Pulse count, seed, and the per-pulse intensity class schedule."""
+    """Pulse count, seed and class probabilities of a batch. Its class
+    schedule is drawn from the stream split_seed(seed, 0) and read from
+    that seed only where asked (schedule); no class array is held."""
 
     n_pulses: int
     seed: int
-    intensity_schedule: np.ndarray = field(repr=False)
+    p_sig: float
+    p_dec: float
 
     def __post_init__(self):
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be positive")
-        if len(self.intensity_schedule) != self.n_pulses:
-            raise ValueError("schedule length must equal n_pulses")
 
     @classmethod
     def make(cls, n_pulses: int, mix_ratio, seed: int) -> "PulsePlan":
-        """Draw the class schedule i.i.d. with probabilities mix_ratio."""
+        """A plan whose classes are i.i.d. with probabilities mix_ratio."""
         total = float(sum(mix_ratio))
-        p_sig = mix_ratio[0] / total
-        p_dec = mix_ratio[1] / total
-        schedule = class_schedule(split_seed(seed, 0), n_pulses, p_sig, p_dec)
-        return cls(n_pulses=n_pulses, seed=seed, intensity_schedule=schedule)
+        return cls(n_pulses, seed, mix_ratio[0] / total, mix_ratio[1] / total)
+
+    @property
+    def schedule(self) -> "SeededSchedule":
+        return SeededSchedule(split_seed(self.seed, 0), self.n_pulses, self.p_sig, self.p_dec)
+
+    @property
+    def intensity_schedule(self) -> np.ndarray:
+        """The whole class array, drawn afresh on each access."""
+        return self.schedule[:]
+
+
+@dataclass(frozen=True)
+class SeededSchedule:
+    """The classes class_schedule(seed, n, p_sig, p_dec) would give, read
+    from the seed only where asked. len, a slice (class_schedule at its
+    offset) and an int array of positions (classes_at) give what the class
+    array gives; detect reads classes through these three alone, so it
+    takes this in place of the array. counts() tallies the classes."""
+
+    seed: int
+    n: int
+    p_sig: float
+    p_dec: float
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.n)
+            if step != 1:
+                raise ValueError("only contiguous slices")
+            return class_schedule(self.seed, max(hi - lo, 0), self.p_sig, self.p_dec, lo)
+        return classes_at(self.seed, key, self.p_sig, self.p_dec)
+
+    def counts(self) -> np.ndarray:
+        return schedule_counts(self.seed, self.n, self.p_sig, self.p_dec)
 
 
 @dataclass(frozen=True)
@@ -187,14 +236,15 @@ class BatchStats:
 
 
 def draw_classes(
-    lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, first: int = 0
+    lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, at=0
 ) -> np.ndarray:
-    """Intensity class per byte lane (uint8) of the pulses first, first + 1,
-    ...: signal where the pulse's 61-bit uniform is below p_sig, decoy below
-    p_sig + p_dec, vacuum otherwise. A lane that ties a threshold reads
+    """Intensity class per byte lane (uint8): signal where the pulse's 61-bit
+    uniform is below p_sig, decoy below p_sig + p_dec, vacuum otherwise. at
+    gives the lanes' positions, an int for the pulses at, at + 1, ... or an
+    array with one position per lane. A lane that ties a threshold reads
     draw i of the tie_seed stream (rng.lanes_not_below)."""
     # the class is the number of the two thresholds the uniform is not below
-    return lanes_not_below(lanes, (p_sig, p_sig + p_dec), tie_seed, first)
+    return lanes_not_below(lanes, (p_sig, p_sig + p_dec), tie_seed, at)
 
 
 def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
@@ -211,10 +261,46 @@ def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 
     return classes
 
 
+def classes_at(seed: int, positions, p_sig: float, p_dec: float) -> np.ndarray:
+    """Classes (uint8) of the seed's schedule at the given non-negative
+    positions, in their order, repeats included: class_schedule(seed, n,
+    p_sig, p_dec)[positions] for any n beyond them, without drawing the
+    pulses between them."""
+    positions = np.asarray(positions, dtype=np.int64)
+    lanes = byte_lanes_at(seed, positions)
+    return draw_classes(lanes, p_sig, p_dec, split_seed(seed, 0), positions)
+
+
+def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
+    """Pulses per intensity class (int64, indexed by class) among the n
+    pulses offset .. offset + n - 1 of the seed's schedule: class_counts(
+    class_schedule(seed, n, p_sig, p_dec, offset))[0], with no array of
+    classes. A pulse is signal when its uniform is below t = p_sig and not
+    vacuum when it is below t = p_sig + p_dec, so each rng block counts its
+    lanes below floor(256 t) for each t and decides only the lanes equal to
+    it, about 1 in 256, by their tie draws (rng.lanes_not_below's rule)."""
+    thresholds = (p_sig, p_sig + p_dec)
+    bounds = [math.floor(256.0 * t) for t in thresholds]
+    tie_seed = split_seed(seed, 0)
+    below_t = [0, 0]  # pulses whose uniform is below each threshold
+    for lo, lanes in byte_lane_blocks(seed, n, offset):
+        tie = lanes == bounds[0]
+        tie |= lanes == bounds[1]
+        ties = np.flatnonzero(tie)
+        tied = lanes[ties]
+        z = raw64_at(tie_seed, ties + (offset + lo))
+        for k, (t, b) in enumerate(zip(thresholds, bounds)):
+            # 256 t and its fraction 256 t - b are exact in IEEE arithmetic
+            below_t[k] += np.count_nonzero(lanes < b)
+            below_t[k] += np.count_nonzero((tied == b) & below(z, 256.0 * t - b))
+    signal, not_vacuum = below_t
+    return np.array([signal, not_vacuum - signal, n - not_vacuum], dtype=np.int64)
+
+
 def class_counts(classes: np.ndarray, *positions: np.ndarray) -> np.ndarray:
     """Pulses per intensity class: row 0 counts all pulses, row i + 1 those
-    at the indices positions[i]. Columns are indexed by class, counts are
-    int64."""
+    that positions[i] indexes (an index array or a boolean mask). Columns
+    are indexed by class, counts are int64."""
     counts = np.empty((1 + len(positions), 3), dtype=np.int64)
     # two compares and a subtraction per row: 3-4x faster than np.bincount
     # on the gathered classes of a desk frame, where half the pulses click
@@ -320,7 +406,9 @@ def detect(
     error_seed: int,
 ) -> tuple:
     """(hit, err): the ascending int64 positions of the pulses that clicked,
-    and one error flag per click.
+    and one error flag per click. classes is read only by len, contiguous
+    slices and int-array indexing, so a SeededSchedule may stand in for the
+    class array.
 
     Clicks take one of two paths, chosen by sparse_clicks of the highest
     class click probability p_max (module docstring). Dense: every pulse i
@@ -346,12 +434,17 @@ def simulate_batch(
     src: SourceConfig,
     det: DetectorConfig,
 ) -> BatchStats:
-    """Sample clicks and error flips for every pulse of the plan."""
+    """Sample clicks and error flips for every pulse of the plan. The
+    classes are read from the plan's seed (SeededSchedule): counted for the
+    sent tallies, drawn where detect asks, and gathered once at the clicks
+    for the clicked and errored tallies, so no per-pulse array is built on
+    a lossy link."""
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
-    sched = plan.intensity_schedule
+    sched = plan.schedule
     hit, err = detect(sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2))
-    per_class = class_counts(sched, hit, hit[err]).T  # (sent, clicked, errored) per class
+    # (sent, clicked, errored) per class
+    per_class = np.vstack([sched.counts(), class_counts(sched[hit], err)]).T
     return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))
 
 

@@ -153,11 +153,12 @@ def _recv(transport, *expected: int) -> tuple:
 
 
 def _sample_positions(kept_idx: np.ndarray, fraction: float, seed: int) -> np.ndarray:
-    """Kept positions to disclose for the QBER check, in ascending order.
+    """The entries of kept_idx to disclose for the QBER check, in ascending
+    order; the session passes the indices of the kept announced clicks.
 
-    max(1, floor(len(kept_idx) * fraction)) positions are chosen by the
-    order of one uniform per kept position, ties going to the lower index
-    (the stable-sort order); none when nothing was kept.
+    max(1, floor(len(kept_idx) * fraction)) entries are chosen by the
+    order of one uniform per entry, ties going to the lower index (the
+    stable-sort order); none when nothing was kept.
     """
     if not len(kept_idx):
         return np.empty(0, dtype=np.int64)

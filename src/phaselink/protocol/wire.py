@@ -39,6 +39,9 @@ reliable; no cryptography is applied here):
                           1 -> 3pi/2), is not sent: the receiver's
                           detection does not read it.
 
+Encoders raise ValueError for a header integer outside its field (u8
+type, u32 count or id, u64 start) and for a per-click flag (a basis, a
+disclosed bit, a kept flag) other than 0 or 1, rather than wrapping it.
 Decoders of payloads with a declared count or a fixed layout raise
 ProtocolError unless the payload is exactly as long as that requires (for
 BASIS_ANNOUNCE, the count and the number of set click flags); the REPORT
@@ -83,7 +86,7 @@ MESSAGE_NAMES = {
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload too large: {len(payload)}")
-    return HEADER.pack(len(payload), msg_type) + payload
+    return _pack(HEADER.format, len(payload), msg_type) + payload
 
 
 def decode_header(header: bytes) -> tuple:
@@ -95,8 +98,28 @@ def decode_header(header: bytes) -> tuple:
 
 # --- payload codecs -------------------------------------------------------
 
+def _pack(fmt: str, *fields) -> bytes:
+    """struct.pack of header integers; ValueError for one out of its range."""
+    try:
+        return struct.pack(fmt, *fields)
+    except struct.error as exc:
+        raise ValueError(f"header fields {fields} do not fit {fmt!r}: {exc}") from exc
+
+
 def _pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+
+
+def _pack_flags(flags) -> bytes:
+    """Packed per-click flags; ValueError for a value other than 0 or 1."""
+    flags = np.asarray(flags)
+    if flags.dtype.kind in "iu":  # a min and a max, 5x cheaper than two compares
+        bad = flags.size and (flags.min() < 0 or flags.max() > 1)
+    else:  # bool is 0/1 by type
+        bad = flags.dtype != bool and np.any((flags != 0) & (flags != 1))
+    if bad:
+        raise ValueError("flags must be 0 or 1")
+    return _pack_bits(flags)
 
 
 def _unpack_bits(data: bytes, n: int) -> np.ndarray:
@@ -126,7 +149,7 @@ def encode_basis_announce(start: int, n: int, hit: np.ndarray, bases: np.ndarray
         raise ValueError("click positions must ascend within the range")
     clicks = np.zeros(n, dtype=np.uint8)
     clicks[hit] = 1
-    return struct.pack("!QI", start, n) + _pack_bits(clicks) + _pack_bits(bases)
+    return _pack("!QI", start, n) + _pack_bits(clicks) + _pack_flags(bases)
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
@@ -148,7 +171,7 @@ def encode_sample_request(offsets: np.ndarray) -> bytes:
     arr = np.asarray(offsets)
     if len(arr) and (arr.min() < 0 or arr.max() >= 1 << 32):
         raise ValueError("sample offsets must lie in [0, 2**32)")
-    return struct.pack("!I", len(arr)) + arr.astype(">u4").tobytes()
+    return _pack("!I", len(arr)) + arr.astype(">u4").tobytes()
 
 
 def decode_sample_request(payload: bytes) -> np.ndarray:
@@ -157,7 +180,7 @@ def decode_sample_request(payload: bytes) -> np.ndarray:
 
 
 def encode_sample_disclose(bits: np.ndarray) -> bytes:
-    return struct.pack("!I", len(bits)) + _pack_bits(bits)
+    return _pack("!I", len(bits)) + _pack_flags(bits)
 
 
 def decode_sample_disclose(payload: bytes) -> np.ndarray:
@@ -166,7 +189,7 @@ def decode_sample_disclose(payload: bytes) -> np.ndarray:
 
 
 def encode_sift_map(start: int, kept: np.ndarray) -> bytes:
-    return struct.pack("!QI", start, len(kept)) + _pack_bits(kept)
+    return _pack("!QI", start, len(kept)) + _pack_flags(kept)
 
 
 def decode_sift_map(payload: bytes) -> tuple:
@@ -175,7 +198,7 @@ def decode_sift_map(payload: bytes) -> tuple:
 
 
 def encode_frame_meta(frame_id: int) -> bytes:
-    return struct.pack("!I", frame_id)
+    return _pack("!I", frame_id)
 
 
 def decode_frame_meta(payload: bytes) -> int:
@@ -185,9 +208,10 @@ def decode_frame_meta(payload: bytes) -> int:
 
 
 def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytes:
+    head = _pack("!QI", start, len(classes))  # the per-pulse bytes are not scanned
     packed = np.asarray(classes, dtype=np.uint8) << 2
     packed |= np.asarray(bits, dtype=np.uint8)
-    return struct.pack("!QI", start, len(classes)) + packed.tobytes()
+    return head + packed.tobytes()
 
 
 def decode_quantum(payload: bytes) -> tuple:

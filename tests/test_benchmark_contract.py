@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from phaselink import cli
 from phaselink.config import load_config
 from phaselink.montecarlo import PulsePlan, class_counts
 from phaselink.protocol import session, wire
@@ -20,6 +21,7 @@ from phaselink.rng import random_bits
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "src" / "phaselink" / "configs" / "desk_session.cfg"
+MEASURED = ROOT / "src" / "phaselink" / "configs" / "measured_link.cfg"
 
 
 @pytest.fixture
@@ -90,3 +92,23 @@ def test_tracer_sees_each_frame_preprocess_and_decode(bench):
     assert calls.get(("bob", "session.decode")) == 2
     assert ("bob", "session.preprocess") not in calls
     assert ("alice", "session.decode") not in calls
+
+
+def test_tracer_sees_one_plan_and_one_batch_per_simulate(bench):
+    # montecarlo.plan_s and montecarlo.batch_s read the spans of
+    # PulsePlan.make and of simulate_batch as cli imports it; a simulate
+    # that went around either would leave its metric at 0
+    tracing, _ = bench
+    cfg = load_config(MEASURED)
+    cfg = replace(cfg, montecarlo=replace(cfg.montecarlo, n_pulses=100_000))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.cmd_simulate(cfg, "csv")
+    finally:
+        tracer.uninstall()
+    calls = {}
+    for _, _, name, _, _, n, _, _ in tracer.rows():
+        calls[name] = calls.get(name, 0) + n
+    assert calls.get("montecarlo.PulsePlan.make") == 1
+    assert calls.get("montecarlo.simulate_batch") == 1

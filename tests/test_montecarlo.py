@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from phaselink.errors import InsufficientStatistics
@@ -16,11 +18,14 @@ from phaselink.montecarlo import (
     ClassCounts,
     SPARSE_WORD_MEAN,
     PulsePlan,
+    SeededSchedule,
     class_counts,
     class_schedule,
+    classes_at,
     count_thresholds,
     detect,
     draw_classes,
+    schedule_counts,
     simulate_batch,
     sparse_clicks,
     split_seed,
@@ -180,6 +185,91 @@ class TestClassSchedule:
         for observed, prob in zip(counts, (p_sig, p_dec, 1.0 - p_sig - p_dec)):
             assert binom.cdf(observed, n, prob) > 5e-5
             assert binom.sf(observed - 1, n, prob) > 5e-5
+
+
+# (p_sig, p_dec) with p_sig + p_dec <= 1: anywhere; on boundary bytes k / 256
+# (tie fraction 0, so a tied lane is never below); both thresholds inside one
+# byte; no decoy share; all signal
+ANY_MIX = st.floats(0.0, 1.0).flatmap(lambda p: st.tuples(st.just(p), st.floats(0.0, 1.0 - p)))
+BYTE_MIX = st.tuples(st.integers(0, 256), st.integers(0, 256)).filter(
+    lambda k: sum(k) <= 256
+).map(lambda k: (k[0] / 256, k[1] / 256))
+ONE_BYTE_MIX = (
+    st.tuples(st.integers(0, 255), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0))
+    .map(lambda t: ((t[0] + t[1]) / 256, (1.0 - t[1]) * t[2] / 256))
+    .filter(lambda m: math.floor(256 * m[0]) == math.floor(256 * (m[0] + m[1])))
+)
+MIX = st.one_of(
+    ANY_MIX,
+    BYTE_MIX,
+    ONE_BYTE_MIX,
+    st.floats(0.0, 1.0).map(lambda p: (p, 0.0)),
+    st.just((1.0, 0.0)),
+)
+SEED = st.integers(0, (1 << 64) - 1)
+# pulse counts not multiples of 8, and past one rng block of 8 * _BLOCK lanes
+SPAN = st.one_of(st.integers(0, 300), st.integers(8 * _BLOCK - 9, 8 * _BLOCK + 9))
+
+
+def tied_mix(data, lane: int) -> tuple:
+    """A mix whose one boundary byte is lane, so that lane's pulse ties."""
+    p = (lane + data.draw(st.floats(0.0, 1.0, exclude_max=True))) / 256
+    return data.draw(st.sampled_from([(p, 0.5 * (1.0 - p)), (0.0, p)]))
+
+
+class TestScheduleReads:
+    """schedule_counts and classes_at give what the class array gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEED, n=SPAN, offset=st.integers(0, 3 << 19), mix=MIX)
+    def test_counts_match_class_array(self, seed, n, offset, mix):
+        counts = schedule_counts(seed, n, *mix, offset)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix, offset))[0].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEED, n=st.integers(1, 300), offset=st.integers(0, 3 << 19), data=st.data())
+    def test_counts_match_with_a_tied_lane(self, lanes_of, seed, n, offset, data):
+        # short ranges hold a tied lane only when a boundary byte is one of theirs
+        lane = lanes_of(seed, n, offset)[data.draw(st.integers(0, n - 1))]
+        mix = tied_mix(data, int(lane))
+        counts = schedule_counts(seed, n, *mix, offset)
+        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix, offset))[0].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEED,
+        positions=st.one_of(
+            # sparse, and dense with repeats: byte_lanes_at's two gathers
+            st.lists(st.integers(0, 1 << 22), max_size=20),
+            st.integers(0, 1 << 22).flatmap(lambda b: st.lists(st.integers(b, b + 70), max_size=90)),
+        ),
+        data=st.data(),
+    )
+    def test_classes_at_match_class_array(self, lanes_of, seed, positions, data):
+        pos = np.array(positions, dtype=np.int64)
+        if len(pos) and data.draw(st.booleans()):
+            mix = tied_mix(data, int(lanes_of(seed, 1, int(pos[0]))[0]))
+        else:
+            mix = data.draw(MIX)
+        got = classes_at(seed, pos, *mix)
+        assert got.dtype == np.uint8 and len(got) == len(pos)
+        if len(pos):
+            lo, hi = int(pos.min()), int(pos.max()) + 1
+            assert np.array_equal(got, class_schedule(seed, hi - lo, *mix, lo)[pos - lo])
+
+    def test_seeded_schedule_reads_as_the_array(self):
+        n = 8 * _BLOCK + 13
+        view = SeededSchedule(5, n, 0.6, 0.3)
+        classes = class_schedule(5, n, 0.6, 0.3)
+        pos = np.array([n - 1, 0, 7, 7, 8 * _BLOCK])
+        assert len(view) == n
+        assert np.array_equal(view[:], classes)
+        assert np.array_equal(view[3 : n - 5], classes[3 : n - 5])
+        assert np.array_equal(view[pos], classes[pos])
+        assert view.counts().tolist() == class_counts(classes)[0].tolist()
+        with pytest.raises(ValueError):
+            view[::2]
 
 
 class TestClassCounts:
@@ -430,21 +520,37 @@ class TestSimulateBatch:
         assert s1 == s2
 
     def test_memory_stays_within_blocks(self):
-        # the schedule holds its byte of classes per pulse; detection builds
-        # no full-length array of draws or flags, only per-click arrays
-        n = 1 << 21
+        # no per-pulse array: the schedule is counted and read at positions,
+        # and detection builds only per-block and per-click arrays, so a
+        # 1e7-pulse measured-link batch peaks far below the 9.5 MiB that its
+        # class array alone would take
         tracemalloc.start()
         try:
-            plan = PulsePlan.make(n, SRC.mix_ratio, seed=3)
-            plan_peak = tracemalloc.get_traced_memory()[1]
+            plan = PulsePlan.make(10_000_000, SRC.mix_ratio, seed=3)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             simulate_batch(plan, ETA_MEASURED, SRC, DET)
             batch_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert plan_peak <= 3 * n
-        assert batch_peak <= 2 * n
+        assert batch_peak < 4 << 20
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, (1 << 64) - 1),
+        n=st.one_of(st.integers(1, 5000), st.integers(8 * _BLOCK - 9, 3 << 19)),
+        mix_ratio=st.sampled_from([SRC.mix_ratio, (1, 1, 1), (1, 0, 1)]),
+    )
+    @pytest.mark.parametrize("eta", [0.3, ETA_MEASURED])
+    def test_matches_class_array(self, eta, seed, n, mix_ratio):
+        # the dense link reads slices of the schedule, the lossy one positions;
+        # either way the tallies are the class array's
+        plan = PulsePlan.make(n, mix_ratio, seed)
+        classes = plan.intensity_schedule
+        hit, err = detect(classes, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        stats = simulate_batch(plan, eta, SRC, DET)
+        got = [[c.sent, c.clicked, c.errored] for c in (stats.signal, stats.decoy, stats.vacuum)]
+        assert got == class_counts(classes, hit, hit[err]).T.tolist()
 
     def test_matches_closed_form_at_measured_eta(self):
         # 1e7 pulses against the closed-form gains within 4 standard errors

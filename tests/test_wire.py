@@ -241,6 +241,67 @@ class TestCodecProperties:
         only_whole_payload_decodes(wire.decode_report, payload)
 
 
+OUT_U32 = st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 32))
+OUT_U64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 64))
+NOT_A_FLAG = st.one_of(
+    st.integers().filter(lambda v: v not in (0, 1)),
+    st.floats(allow_nan=False).filter(lambda v: v not in (0.0, 1.0)),
+)
+
+
+class TestEncoderRejections:
+    """Encoders raise ValueError for a value their layout cannot carry,
+    rather than raising struct.error or sending another value."""
+
+    @given(frame_id=OUT_U32)
+    def test_frame_id_outside_u32(self, frame_id):
+        with pytest.raises(ValueError):
+            wire.encode_frame_meta(frame_id)
+
+    @given(msg_type=st.one_of(st.integers(max_value=-1), st.integers(min_value=256)))
+    def test_message_type_outside_u8(self, msg_type):
+        with pytest.raises(ValueError):
+            wire.encode_frame(msg_type, b"")
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            lambda start: wire.encode_sift_map(start, np.ones(3, bool)),
+            lambda start: wire.encode_quantum(start, np.zeros(3), np.zeros(3)),
+            lambda start: wire.encode_basis_announce(start, 4, np.array([1]), np.array([1])),
+        ],
+        ids=["sift_map", "quantum", "basis_announce"],
+    )
+    @given(start=OUT_U64)
+    def test_start_outside_u64(self, encode, start):
+        with pytest.raises(ValueError):
+            encode(start)
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            wire.encode_sample_disclose,
+            lambda flags: wire.encode_sift_map(0, flags),
+            lambda flags: wire.encode_basis_announce(0, len(flags), np.arange(len(flags)), flags),
+        ],
+        ids=["sample_disclose", "sift_map", "basis_announce"],
+    )
+    @given(flags=BITS, value=NOT_A_FLAG, data=st.data())
+    def test_flag_other_than_0_or_1(self, encode, flags, value, data):
+        # one bad flag among 0/1 ones, as a list and as an array of its type
+        bad = flags.tolist()
+        bad.insert(data.draw(st.integers(0, len(bad))), value)
+        with pytest.raises(ValueError):
+            encode(bad)
+        with pytest.raises(ValueError):
+            encode(np.array(bad))
+
+    def test_disclosed_bits_are_not_folded_to_1(self):
+        # 2, 3 and 1 once round-tripped as 1, 1, 1
+        with pytest.raises(ValueError):
+            wire.encode_sample_disclose([2, 3, 1])
+
+
 class TestLoopbackTransport:
     """SocketTransport.pair(): two endpoints joined in one process."""
 
