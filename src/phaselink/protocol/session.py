@@ -45,8 +45,10 @@ codec turns into a per-pulse bitmap. Each endpoint's basis for pulse i is
 bit i of its basis stream for the frame, and it is read
 (rng.random_bits_at) only where pulse i clicked. After BASIS_ANNOUNCE both
 endpoints hold the same ascending click positions, so sifting speaks in
-indices into them. A kept click's chip index is its pulse position less
-the number of non-signal pulses before it.
+indices into them. A kept click's chip index is the number of signal
+pulses before it, its rank among them: the receiver packs the frame's
+signal flags into 64-bit words and adds a prefix count of the whole words
+before the click to the popcount of its word's bits below it.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -371,6 +373,28 @@ class AliceSession:
         return self.report
 
 
+def _signal_rank(classes: np.ndarray) -> tuple:
+    """(n_signal, chip_index): the number of signal pulses in classes, and a
+    function giving, for each of an int array of positions, the number of
+    signal pulses before it, which is the chip index of a signal pulse there.
+
+    The signal flags are packed little-endian into uint64 words, the last
+    one zero-padded, with an exclusive prefix sum of their popcounts; a
+    position's rank is its word's prefix plus the popcount of the word's
+    bits below it. No per-pulse index array is built.
+    """
+    packed = np.zeros(-(-len(classes) // 64) * 8, dtype=np.uint8)
+    packed[: (len(classes) + 7) // 8] = np.packbits(classes == CLASS_SIGNAL, bitorder="little")
+    words = packed.view("<u8")
+    before = np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
+
+    def chip_index(positions: np.ndarray) -> np.ndarray:
+        w, below = positions >> 6, (np.uint64(1) << (positions & 63).astype(np.uint64)) - 1
+        return before[w] + np.bitwise_count(words[w] & below)
+
+    return int(before[-1]), chip_index
+
+
 class BobSession:
     """Receiver endpoint: detection simulation, announcements, decoding."""
 
@@ -411,8 +435,8 @@ class BobSession:
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
-            non_signal = np.flatnonzero(classes != CLASS_SIGNAL)
-            if n_pulses - len(non_signal) != n_chips:
+            n_signal, chip_index = _signal_rank(classes)
+            if n_signal != n_chips:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
@@ -448,11 +472,13 @@ class BobSession:
             kept = hit[np.flatnonzero(keep)]
             if np.any(classes[kept] != CLASS_SIGNAL):
                 raise ProtocolError(f"frame {f}: SIFT_MAP keeps a click that carries no chip")
+            if np.any(keep[sample]):
+                raise ProtocolError(f"frame {f}: SIFT_MAP keeps a disclosed click")
 
             try:
                 recovered = decode(
                     bits[kept],
-                    kept - np.searchsorted(non_signal, kept),  # chip index of each kept pulse
+                    chip_index(kept),
                     f,
                     p.fec_ratio,
                     p.spread_ratio,
@@ -471,7 +497,7 @@ class BobSession:
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
             start_pulse += n_pulses
-            del classes, bits, non_signal  # as in AliceSession.run
+            del classes, bits, chip_index  # as in AliceSession.run
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:

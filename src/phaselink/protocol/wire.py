@@ -44,8 +44,10 @@ type, u32 count or id, u64 start) and for a per-click flag (a basis, a
 disclosed bit, a kept flag) other than 0 or 1, rather than wrapping it.
 Decoders of payloads with a declared count or a fixed layout raise
 ProtocolError unless the payload is exactly as long as that requires (for
-BASIS_ANNOUNCE, the count and the number of set click flags); the REPORT
-decoder raises it unless the payload is a UTF-8 JSON object.
+BASIS_ANNOUNCE, the count and the number of set click flags), and unless
+the pad bits after each packed bit field (the click bitmap, the bases,
+the disclosed bits, the kept flags) are zero; the REPORT decoder raises
+it unless the payload is a UTF-8 JSON object.
 
 Messages travel over a connected stream socket (SocketTransport; pair()
 joins two endpoints in one process with a socketpair). Every send and
@@ -123,6 +125,10 @@ def _pack_flags(flags) -> bytes:
 
 
 def _unpack_bits(data: bytes, n: int) -> np.ndarray:
+    """The first n bits of data, which holds exactly ceil(n/8) bytes;
+    ProtocolError if a pad bit past them is set."""
+    if n % 8 and data[-1] & (0xFF >> n % 8):
+        raise ProtocolError(f"packed {n}-bit field has a set pad bit")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
@@ -209,7 +215,7 @@ def decode_frame_meta(payload: bytes) -> int:
 
 def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytes:
     head = _pack("!QI", start, len(classes))  # the per-pulse bytes are not scanned
-    packed = np.asarray(classes, dtype=np.uint8) << 2
+    packed = np.asarray(classes, dtype=np.uint8) * 4  # numpy has no fast uint8 <<
     packed |= np.asarray(bits, dtype=np.uint8)
     return head + packed.tobytes()
 

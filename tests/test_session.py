@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import socket
 import threading
@@ -8,10 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselink.config import ScenarioConfig
 from phaselink.errors import ProtocolError, TransportClosed
-from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_schedule
+from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, class_schedule
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
 from phaselink.protocol.session import (
@@ -19,6 +22,7 @@ from phaselink.protocol.session import (
     ProtocolParams,
     Seeds,
     _draw_schedule,
+    _signal_rank,
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
@@ -242,7 +246,8 @@ def _shift_sift_start(payload):
 
 
 def _keep_every_click(payload):
-    return payload[:12] + b"\xff" * (len(payload) - 12)  # decoy and vacuum clicks too
+    start, keep = wire.decode_sift_map(payload)
+    return wire.encode_sift_map(start, np.ones(len(keep), bool))  # decoy and vacuum clicks too
 
 
 def _sent_messages(spec) -> dict:
@@ -259,13 +264,28 @@ def _sent_messages(spec) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
+def _unedited_session() -> dict:
+    """_sent_messages of the spec test_inconsistent_frame_raises runs."""
+    return _sent_messages(small_spec(n_frames=2, spread=8))
+
+
+def _first_frame_sent(msg) -> bytes:
+    return _unedited_session()[msg][0]
+
+
 def _first_frame_clicks() -> int:
-    announce = _sent_messages(small_spec(n_frames=2, spread=8))[wire.BASIS_ANNOUNCE][0]
-    return len(wire.decode_basis_announce(announce)[2])
+    return len(wire.decode_basis_announce(_first_frame_sent(wire.BASIS_ANNOUNCE))[2])
 
 
 def _request_past_clicks(payload):
     return wire.encode_sample_request([_first_frame_clicks()])  # one past the last index
+
+
+def _keep_sampled_click(payload):
+    start, keep = wire.decode_sift_map(payload)
+    keep = keep.copy()
+    keep[wire.decode_sample_request(_first_frame_sent(wire.SAMPLE_REQUEST))] = True
+    return wire.encode_sift_map(start, keep)
 
 
 def _demote_first_signal(payload):
@@ -308,6 +328,7 @@ class TestMessageOrder:
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
             (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
             (wire.SIFT_MAP, _keep_every_click, "carries no chip"),
+            (wire.SIFT_MAP, _keep_sampled_click, "keeps a disclosed click"),
             (wire.BASIS_ANNOUNCE, _cut_announce, "BASIS_ANNOUNCE pulse range"),
             (wire.SAMPLE_DISCLOSE, lambda p: wire.encode_sample_disclose([0]), "SAMPLE_DISCLOSE"),
             (wire.REPORT, _renumber_report, "REPORT frame_id"),
@@ -368,6 +389,46 @@ class TestSift:
         assert 0 < len(sampled) < len(pos)
         assert np.array_equal(positions, np.cumsum(signal)[pos] - 1)
         assert np.array_equal(values, measured[pos])
+
+    @pytest.mark.parametrize(
+        "conv_loss_db,digests",
+        [
+            (
+                0.0,
+                {
+                    "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+                    "QUANTUM": "86aea27f9de5d8afcd9e0e34200581a5a6d8cd66285b3644902fd268f4547d7c",
+                    "BASIS_ANNOUNCE": "296b059559922346e11b9404828467ee8d534b897fcca2b45d228f7b06fa00bc",
+                    "SAMPLE_REQUEST": "3579e04d405f2c7a721016f8b10a76bcec0791023b53b88f217f10b04b0a2b99",
+                    "SAMPLE_DISCLOSE": "6ba6aed168f4ff09d63be4771f540f17b55261261a7addf3507cf07d7e6214cb",
+                    "SIFT_MAP": "34bdc1c5bf77679761ab59cf9541c5d05fc5b2f23a660d7adcd0c7b4646c7cc7",
+                    "REPORT": "7f57a2bf29ffc30607b2c6eea99c006e40b233eb01a7e6c23bd166d299c59c2e",
+                },
+            ),
+            (
+                25.0,
+                {
+                    "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+                    "QUANTUM": "86aea27f9de5d8afcd9e0e34200581a5a6d8cd66285b3644902fd268f4547d7c",
+                    "BASIS_ANNOUNCE": "4f51432c17758636a140b8eb89755494a5dcdbc006b0b221e55a0318f8cd575b",
+                    "SAMPLE_REQUEST": "69427921e36a88798e3fa58261a2c863bd54e05ada9bdcc8f9b22b99c3f339dc",
+                    "SAMPLE_DISCLOSE": "6e3f6438512d1ea138a7d61a301b3cefee8393ac466ff0d87cc9654bfcf6eca3",
+                    "SIFT_MAP": "d6f4794666194fb4f5818f6d18660ba7b72d510ea8b10c8d44b7878133a19676",
+                    "REPORT": "5c4bbc1486e84adfd8e5f02e383107728f4d300fcb8619f45e64b37977d97983",
+                },
+            ),
+        ],
+    )
+    def test_wire_bytes_pinned(self, conv_loss_db, digests):
+        # the sha256 of every payload both endpoints send in the sessions of
+        # test_decode_inputs, dense and sparse clicks: a change to any wire
+        # layout, or to what the endpoints put in it, moves one
+        spec = small_spec(n_frames=1, spread=64, geom=replace(LOSSLESS, conv_loss_db=conv_loss_db))
+        sent = {
+            wire.MESSAGE_NAMES[t]: hashlib.sha256(p).hexdigest()
+            for t, (p,) in _sent_messages(spec).items()
+        }
+        assert sent == digests
 
     def test_sift_messages_sized_by_clicks(self):
         # SIFT_MAP has one flag per announced click, SAMPLE_REQUEST one u32
@@ -497,3 +558,35 @@ class TestScheduleDraw:
         classes = _draw_schedule(7, 100_000, SRC)
         frac_sig = np.count_nonzero(classes == CLASS_SIGNAL) / len(classes)
         assert abs(frac_sig - 30 / 33) < 0.01
+
+
+class TestSignalRank:
+    @given(
+        classes=st.lists(
+            st.sampled_from([CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM]), max_size=300
+        ).map(lambda c: np.array(c, dtype=np.uint8)),
+        data=st.data(),
+    )
+    def test_matches_non_signal_search(self, classes, data):
+        # the chip index of each position is the position less the number
+        # of non-signal pulses before it; every length and both extremes
+        n = len(classes)
+        n_signal, chip_index = _signal_rank(classes)
+        assert n_signal == np.count_nonzero(classes == CLASS_SIGNAL)
+        edges = [p for p in (0, 63, 64, n - 1) if 0 <= p < n]
+        drawn = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=20)) if n else []
+        positions = np.array(edges + drawn, dtype=np.int64)
+        reference = positions - np.searchsorted(np.flatnonzero(classes != CLASS_SIGNAL), positions)
+        assert np.array_equal(chip_index(positions), reference)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 63, 64, 65, 300])
+    @pytest.mark.parametrize("cls", [CLASS_SIGNAL, CLASS_DECOY])
+    def test_uniform_frames(self, n, cls):
+        # all-signal and no-signal frames, and an empty position array
+        classes = np.full(n, cls, dtype=np.uint8)
+        n_signal, chip_index = _signal_rank(classes)
+        positions = np.arange(n)
+        expected = positions if cls == CLASS_SIGNAL else np.zeros(n, dtype=np.int64)
+        assert n_signal == (n if cls == CLASS_SIGNAL else 0)
+        assert np.array_equal(chip_index(positions), expected)
+        assert chip_index(np.empty(0, dtype=np.int64)).tolist() == []

@@ -181,10 +181,11 @@ class TestCodecProperties:
 
     @given(clicks=BITS, tail=st.binary(max_size=30))
     def test_basis_announce_tail_must_fit_the_clicks(self, clicks, tail):
-        # header and click flags, then a tail that fits ceil(k/8) or not
+        # header and click flags, then a tail that fits ceil(k/8) bytes with
+        # clear pad bits, or not
         k = int(np.count_nonzero(clicks))
         payload = struct.pack("!QI", 9, len(clicks)) + np.packbits(clicks).tobytes() + tail
-        if len(tail) == (k + 7) // 8:
+        if len(tail) == (k + 7) // 8 and not (k % 8 and tail[-1] & (0xFF >> k % 8)):
             assert wire.decode_basis_announce(payload)[3].tolist() == np.unpackbits(
                 np.frombuffer(tail, np.uint8), count=k
             ).tolist()
@@ -300,6 +301,37 @@ class TestEncoderRejections:
         # 2, 3 and 1 once round-tripped as 1, 1, 1
         with pytest.raises(ValueError):
             wire.encode_sample_disclose([2, 3, 1])
+
+
+class TestPadBitRejections:
+    """Decoders raise ProtocolError for a set bit in the zero padding after
+    a packed bit field, which they would otherwise decode as if clear."""
+
+    @pytest.mark.parametrize(
+        "encode,decode,last",
+        [
+            # payload of n packed bits; offset of the field's last byte
+            (
+                lambda b: wire.encode_basis_announce(0, len(b), np.flatnonzero(b), b[b == 1]),
+                wire.decode_basis_announce,
+                lambda b: 12 + (len(b) + 7) // 8 - 1,
+            ),
+            (
+                lambda b: wire.encode_basis_announce(0, len(b), np.arange(len(b)), b),
+                wire.decode_basis_announce,
+                lambda b: -1,
+            ),
+            (wire.encode_sample_disclose, wire.decode_sample_disclose, lambda b: -1),
+            (lambda b: wire.encode_sift_map(0, b), wire.decode_sift_map, lambda b: -1),
+        ],
+        ids=["basis_announce_clicks", "basis_announce_bases", "sample_disclose", "sift_map"],
+    )
+    @given(bits=BITS.filter(lambda b: len(b) % 8), data=st.data())
+    def test_set_pad_bit_rejected(self, encode, decode, last, bits, data):
+        payload = bytearray(encode(bits))
+        payload[last(bits)] |= 1 << data.draw(st.integers(0, 7 - len(bits) % 8))
+        with pytest.raises(ProtocolError, match="pad bit"):
+            decode(bytes(payload))
 
 
 class TestLoopbackTransport:
