@@ -26,21 +26,20 @@ error flags (one probability per pulse, its class's).
 The per-pulse kernels stream: the class schedule, its counts and the
 dense click compare mix their draws one rng block at a time
 (rng.byte_lane_blocks) and consume each block while it is in cache, so no
-full-length array of draws is built. detect returns the click positions
-and one error flag per click, never a per-pulse mask, so its output scales
-with the clicks, not the pulses.
+full-length array of draws is built. detect returns the click positions,
+one error flag per click and the clicks' classes, never a per-pulse mask,
+so its output scales with the clicks, not the pulses.
 
 The schedule has three exact reads, each equal to the class array's bit
-for bit: class_schedule streams the classes of a range, classes_at reads
-them at given positions (rng.byte_lanes_at plus draw_classes), and
-schedule_counts tallies a range's classes by counting each block's lanes
-below the two boundary bytes and deciding only the tied lanes.
-simulate_batch builds no class array: it takes the sent tallies from
-schedule_counts, hands detect a SeededSchedule that reads classes from the
-seed wherever detect indexes it (slices on the dense path, positions on the
-sparse path and for the error flags), and gathers the classes once at the
-clicks for the clicked and errored tallies. The session passes detect its
-class array.
+for bit: class_schedule streams a range's classes, classes_at reads them
+at given positions, and schedule_counts tallies a range by counting each
+block's lanes below the signal boundary byte and above the vacuum one,
+classifying only the tied lanes with draw_classes. A PulsePlan is a
+batch's seeded schedule and answers through these reads, so detect takes
+it in place of a class array and simulate_batch builds none. detect reads
+classes once, where it looks (slices on the dense path, candidates on the
+sparse one), and returns the clicks' classes with the clicks. The session
+passes detect its class array.
 
 detect samples clicks on one of two paths, chosen by sparse_clicks from
 the highest class click probability p_max: sparse when a 64-pulse word
@@ -112,7 +111,6 @@ __all__ = [
     "CLASS_DECOY",
     "CLASS_VACUUM",
     "PulsePlan",
-    "SeededSchedule",
     "ClassCounts",
     "BatchStats",
     "draw_classes",
@@ -131,9 +129,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PulsePlan:
-    """Pulse count, seed and class probabilities of a batch. Its class
-    schedule is drawn from the stream split_seed(seed, 0) and read from
-    that seed only where asked (schedule); no class array is held."""
+    """Pulse count, seed and class probabilities of a batch, and its class
+    schedule class_schedule(split_seed(seed, 0), n_pulses, p_sig, p_dec),
+    read from the seed only where asked: len, contiguous slices and int
+    arrays of positions read as the class array does, and counts() tallies
+    it (schedule_counts)."""
 
     n_pulses: int
     seed: int
@@ -150,42 +150,20 @@ class PulsePlan:
         total = float(sum(mix_ratio))
         return cls(n_pulses, seed, mix_ratio[0] / total, mix_ratio[1] / total)
 
-    @property
-    def schedule(self) -> "SeededSchedule":
-        return SeededSchedule(split_seed(self.seed, 0), self.n_pulses, self.p_sig, self.p_dec)
-
-    @property
-    def intensity_schedule(self) -> np.ndarray:
-        """The whole class array, drawn afresh on each access."""
-        return self.schedule[:]
-
-
-@dataclass(frozen=True)
-class SeededSchedule:
-    """The classes class_schedule(seed, n, p_sig, p_dec) would give, read
-    from the seed only where asked. len, a slice (class_schedule at its
-    offset) and an int array of positions (classes_at) give what the class
-    array gives; detect reads classes through these three alone, so it
-    takes this in place of the array. counts() tallies the classes."""
-
-    seed: int
-    n: int
-    p_sig: float
-    p_dec: float
-
     def __len__(self) -> int:
-        return self.n
+        return self.n_pulses
 
     def __getitem__(self, key) -> np.ndarray:
+        seed = split_seed(self.seed, 0)
         if isinstance(key, slice):
-            lo, hi, step = key.indices(self.n)
+            lo, hi, step = key.indices(self.n_pulses)
             if step != 1:
                 raise ValueError("only contiguous slices")
-            return class_schedule(self.seed, max(hi - lo, 0), self.p_sig, self.p_dec, lo)
-        return classes_at(self.seed, key, self.p_sig, self.p_dec)
+            return class_schedule(seed, max(hi - lo, 0), self.p_sig, self.p_dec, lo)
+        return classes_at(seed, key, self.p_sig, self.p_dec)
 
     def counts(self) -> np.ndarray:
-        return schedule_counts(self.seed, self.n, self.p_sig, self.p_dec)
+        return schedule_counts(split_seed(self.seed, 0), self.n_pulses, self.p_sig, self.p_dec)
 
 
 @dataclass(frozen=True)
@@ -275,26 +253,23 @@ def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float, offset: int =
     """Pulses per intensity class (int64, indexed by class) among the n
     pulses offset .. offset + n - 1 of the seed's schedule: class_counts(
     class_schedule(seed, n, p_sig, p_dec, offset))[0], with no array of
-    classes. A pulse is signal when its uniform is below t = p_sig and not
-    vacuum when it is below t = p_sig + p_dec, so each rng block counts its
-    lanes below floor(256 t) for each t and decides only the lanes equal to
-    it, about 1 in 256, by their tie draws (rng.lanes_not_below's rule)."""
-    thresholds = (p_sig, p_sig + p_dec)
-    bounds = [math.floor(256.0 * t) for t in thresholds]
+    classes. Each rng block counts its lanes below the signal boundary byte
+    floor(256 p_sig) as signal and those above the vacuum boundary byte
+    floor(256 (p_sig + p_dec)) as vacuum, and classifies only the lanes
+    equal to either, about 1 in 128, with draw_classes; the rest are decoy."""
+    bounds = [math.floor(256.0 * t) for t in (p_sig, p_sig + p_dec)]
     tie_seed = split_seed(seed, 0)
-    below_t = [0, 0]  # pulses whose uniform is below each threshold
+    counts = np.zeros(3, dtype=np.int64)
     for lo, lanes in byte_lane_blocks(seed, n, offset):
+        counts[CLASS_SIGNAL] += np.count_nonzero(lanes < bounds[0])
+        counts[CLASS_VACUUM] += np.count_nonzero(lanes > bounds[1])
         tie = lanes == bounds[0]
         tie |= lanes == bounds[1]
         ties = np.flatnonzero(tie)
-        tied = lanes[ties]
-        z = raw64_at(tie_seed, ties + (offset + lo))
-        for k, (t, b) in enumerate(zip(thresholds, bounds)):
-            # 256 t and its fraction 256 t - b are exact in IEEE arithmetic
-            below_t[k] += np.count_nonzero(lanes < b)
-            below_t[k] += np.count_nonzero((tied == b) & below(z, 256.0 * t - b))
-    signal, not_vacuum = below_t
-    return np.array([signal, not_vacuum - signal, n - not_vacuum], dtype=np.int64)
+        tied = draw_classes(lanes[ties], p_sig, p_dec, tie_seed, ties + (offset + lo))
+        counts += class_counts(tied)[0]
+    counts[CLASS_DECOY] = n - counts[CLASS_SIGNAL] - counts[CLASS_VACUUM]
+    return counts
 
 
 def class_counts(classes: np.ndarray, *positions: np.ndarray) -> np.ndarray:
@@ -355,12 +330,14 @@ def _lane_flags(lanes, classes, probs, seed: int, at) -> np.ndarray:
     return ~lanes_not_below(lanes, probs, split_seed(seed, 0), at, where).view(bool)
 
 
-def _dense_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
-    hits = [np.empty(0, dtype=np.int64)]
+def _dense_hits(classes, p_click, click_seed: int) -> tuple:
+    hits, classes_hit = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
     for lo, lanes in byte_lane_blocks(click_seed, len(classes)):
-        clicked = _lane_flags(lanes, classes[lo : lo + len(lanes)], p_click, click_seed, lo)
-        hits.append(np.flatnonzero(clicked) + lo)
-    return np.concatenate(hits)
+        block = classes[lo : lo + len(lanes)]
+        clicked = np.flatnonzero(_lane_flags(lanes, block, p_click, click_seed, lo))
+        hits.append(clicked + lo)
+        classes_hit.append(block[clicked])
+    return np.concatenate(hits), np.concatenate(classes_hit)
 
 
 def _distinct_slots(seed: int, words: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -381,11 +358,11 @@ def _distinct_slots(seed: int, words: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.sort((64 * words[:, None] + slots)[slots < 64])
 
 
-def _sparse_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
+def _sparse_hits(classes, p_click, click_seed: int) -> tuple:
     n = len(classes)
     p_max = max(p_click)
     if p_max == 0.0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     table = count_thresholds(p_max)
     u53 = raw64(split_seed(click_seed, 0), -(-n // 64))
     u53 >>= _U11
@@ -393,39 +370,44 @@ def _sparse_hits(classes: np.ndarray, p_click, click_seed: int) -> np.ndarray:
     k = np.searchsorted(table, u53[words], side="right")
     pos = _distinct_slots(split_seed(click_seed, 1), words, k)
     pos = pos[pos < n]
+    classes_pos = classes[pos]
     ratios = [p / p_max for p in p_click]
-    return pos[_below_per_class(raw64_at(split_seed(click_seed, 2), pos), classes[pos], ratios)]
+    keep = _below_per_class(raw64_at(split_seed(click_seed, 2), pos), classes_pos, ratios)
+    return pos[keep], classes_pos[keep]
 
 
 def detect(
-    classes: np.ndarray,
+    classes,
     eta: float,
     src: SourceConfig,
     det: DetectorConfig,
     click_seed: int,
     error_seed: int,
 ) -> tuple:
-    """(hit, err): the ascending int64 positions of the pulses that clicked,
-    and one error flag per click. classes is read only by len, contiguous
-    slices and int-array indexing, so a SeededSchedule may stand in for the
-    class array.
+    """(hit, err, cls): the ascending int64 positions of the pulses that
+    clicked, one error flag per click, and the class of each click
+    (classes[hit]). classes is a class array or a PulsePlan, read only by
+    len and by one gather of the pulses the click path looks at: a
+    contiguous slice per rng block (dense), or the candidates' positions as
+    an int array (sparse). The clicks' classes come from that gather, so
+    none is read twice.
 
     Clicks take one of two paths, chosen by sparse_clicks of the highest
     class click probability p_max (module docstring). Dense: every pulse i
     compares byte lane i of the click_seed stream with its class's click
     probability (rng.lanes_not_below), one rng block at a time, and each block
-    gives up only its click positions. Sparse: each 64-pulse word draws its
-    candidate count, then that many distinct slots, and a candidate of
-    class c is kept with probability p_c / p_max. Only a pulse i that
-    clicked reads byte lane i of the error_seed stream, so errors only
-    occur on clicks.
+    gives up only its click positions and their classes. Sparse: each
+    64-pulse word draws its candidate count, then that many distinct slots,
+    and a candidate of class c is kept with probability p_c / p_max. Only a
+    pulse i that clicked reads byte lane i of the error_seed stream, so
+    errors only occur on clicks.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]
     p_err = [gain_and_qber(eta, a, det)[1] for a in intensities]
     hits = _sparse_hits if sparse_clicks(max(p_click)) else _dense_hits
-    hit = hits(classes, p_click, click_seed)
-    return hit, _lane_flags(byte_lanes_at(error_seed, hit), classes[hit], p_err, error_seed, hit)
+    hit, cls = hits(classes, p_click, click_seed)
+    return hit, _lane_flags(byte_lanes_at(error_seed, hit), cls, p_err, error_seed, hit), cls
 
 
 def simulate_batch(
@@ -434,17 +416,15 @@ def simulate_batch(
     src: SourceConfig,
     det: DetectorConfig,
 ) -> BatchStats:
-    """Sample clicks and error flips for every pulse of the plan. The
-    classes are read from the plan's seed (SeededSchedule): counted for the
-    sent tallies, drawn where detect asks, and gathered once at the clicks
-    for the clicked and errored tallies, so no per-pulse array is built on
-    a lossy link."""
+    """Sample clicks and error flips for every pulse of the plan. The plan's
+    classes are counted for the sent tallies (plan.counts()) and read where
+    detect asks, which hands back the clicks' classes for the clicked and
+    errored tallies, so no per-pulse array is built on a lossy link."""
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
-    sched = plan.schedule
-    hit, err = detect(sched, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2))
+    _, err, cls = detect(plan, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2))
     # (sent, clicked, errored) per class
-    per_class = np.vstack([sched.counts(), class_counts(sched[hit], err)]).T
+    per_class = np.vstack([plan.counts(), class_counts(cls, err)]).T
     return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))
 
 

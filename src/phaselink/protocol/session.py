@@ -78,14 +78,16 @@ from .ledger import KeyLedger, ledger_commit
 if TYPE_CHECKING:
     from ..config import ScenarioConfig
 
-# stream ids for seed derivation
-_S_PAYLOAD = 1
+# stream ids: frame f reads stream S of a base seed at _frame_seed(base, S, f);
+# the key pool and mask are split_seed(seeds.alice, S), and the receiver's
+# basis stream of frame f is split_seed(seeds.bob, f)
+_S_PAYLOAD = 1  # under seeds.alice
 _S_SCHEDULE = 2
 _S_ALICE_BASIS = 4
 _S_SAMPLE = 5
 _S_KEYPOOL = 100
 _S_MASK = 101
-_S_CLICK = 1
+_S_CLICK = 1  # under seeds.channel
 _S_ERROR = 2
 _S_JITTER = 3
 
@@ -142,6 +144,11 @@ class SessionReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _frame_seed(base: int, stream: int, frame_id: int) -> int:
+    """Seed of frame frame_id's draws in the numbered stream of a base seed."""
+    return split_seed(split_seed(base, stream), frame_id)
 
 
 def _recv(transport, *expected: int) -> tuple:
@@ -257,7 +264,7 @@ class AliceSession:
         self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
 
     def _frame_payload(self, frame_id: int) -> bytes:
-        seed = split_seed(split_seed(self.spec.seeds.alice, _S_PAYLOAD), frame_id)
+        seed = _frame_seed(self.spec.seeds.alice, _S_PAYLOAD, frame_id)
         return random_bytes(seed, PAYLOAD_BYTES)
 
     def run(self, transport) -> SessionReport:
@@ -280,7 +287,7 @@ class AliceSession:
             )
 
             classes = _draw_schedule(
-                split_seed(split_seed(spec.seeds.alice, _S_SCHEDULE), f), n_chips, spec.source
+                _frame_seed(spec.seeds.alice, _S_SCHEDULE, f), n_chips, spec.source
             )
             n_pulses = len(classes)
             bits = np.zeros(n_pulses, dtype=np.uint8)  # non-signal pulses carry 0
@@ -295,16 +302,14 @@ class AliceSession:
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
             self._counts += class_counts(classes, hit)
 
-            bases = random_bits_at(
-                split_seed(split_seed(spec.seeds.alice, _S_ALICE_BASIS), f), hit
-            )
+            bases = random_bits_at(_frame_seed(spec.seeds.alice, _S_ALICE_BASIS, f), hit)
             keep = (bases == bob_bases) & (classes[hit] == CLASS_SIGNAL)  # one flag per click
             kept = np.flatnonzero(keep)  # indices into hit
 
             sample = _sample_positions(
                 kept,
                 p.sample_fraction,
-                split_seed(split_seed(spec.seeds.alice, _S_SAMPLE), f),
+                _frame_seed(spec.seeds.alice, _S_SAMPLE, f),
             )
             n_sample = len(sample)
             transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample))
@@ -396,7 +401,12 @@ def _signal_rank(classes: np.ndarray) -> tuple:
 
 
 class BobSession:
-    """Receiver endpoint: detection simulation, announcements, decoding."""
+    """Receiver endpoint: detection simulation, announcements, decoding.
+
+    statuses holds the receiver's decode outcome per frame: "ok", "lost",
+    or "corrupt" on a repetition-vote tie. Delivery is the sender's verdict
+    by the REPORT's digest, so an "ok" frame whose decode returned a wrong
+    payload still counts as failed."""
 
     def __init__(self, spec: ScenarioConfig):
         self.spec = spec
@@ -413,9 +423,7 @@ class BobSession:
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
         jit = self.spec.jitter
         if jit is not None and jit.max_db > 0.0:
-            u = uniforms(
-                split_seed(split_seed(self.spec.seeds.channel, _S_JITTER), frame_id), 1
-            )[0]
+            u = uniforms(_frame_seed(self.spec.seeds.channel, _S_JITTER, frame_id), 1)[0]
             self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
             return self.static_db + self._jitter_x
         return self.static_db
@@ -440,13 +448,13 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
-            hit, err = detect(
+            hit, err, _ = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
                 spec.source,
                 spec.detector,
-                split_seed(split_seed(spec.seeds.channel, _S_CLICK), f),
-                split_seed(split_seed(spec.seeds.channel, _S_ERROR), f),
+                _frame_seed(spec.seeds.channel, _S_CLICK, f),
+                _frame_seed(spec.seeds.channel, _S_ERROR, f),
             )
             bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
             bits[hit[err]] ^= 1  # the sender's bits as measured: flipped where detection erred
@@ -459,6 +467,8 @@ class BobSession:
             sample = wire.decode_sample_request(payload)
             if np.any(sample >= len(hit)):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
+            if np.any(sample[1:] <= sample[:-1]):  # each click is disclosed at most once
+                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offsets do not strictly ascend")
             transport.send(
                 wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bits[hit[sample]])
             )

@@ -263,13 +263,17 @@ def lanes_not_below(lanes: np.ndarray, probs, tie_seed: int, at, where=None) -> 
             counts += _masked(lanes > b, mask).view(np.uint8)
             tie |= _masked(lanes == b, mask)
     ties = np.flatnonzero(tie)  # about 1 lane in 256 per probability
+    tied = lanes[ties]
     z = raw64_at(tie_seed, ties + at if np.ndim(at) == 0 else at[ties])
+    tie_counts = np.zeros(len(ties), dtype=np.uint8)
     for p, b, mask in zip(probs, bounds, masks):
-        tied = lanes[ties] == b
+        flags = tied == b
         if mask is not None:
-            tied &= mask[ties]
+            flags &= mask[ties]
         # 256 p and its fraction 256 p - b are exact in IEEE arithmetic
-        counts[ties] += tied & ~below(z, 256.0 * p - b)
+        flags &= ~below(z, 256.0 * p - b)
+        tie_counts += flags
+    counts[ties] += tie_counts
     return counts
 
 

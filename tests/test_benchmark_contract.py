@@ -50,7 +50,7 @@ def test_tracer_patches_existing_names(bench):
 
 def test_sender_probe_counts_quantum_classes(bench):
     _, workloads = bench
-    classes = PulsePlan.make(5000, (30, 2, 1), seed=3).intensity_schedule
+    classes = PulsePlan.make(5000, (30, 2, 1), seed=3)[:]
     counts = []
     probe = workloads._SenderProbe(_Sink(), [], counts)
     probe.send(wire.QUANTUM, wire.encode_quantum(17, classes, random_bits(4, 5000)))

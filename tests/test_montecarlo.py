@@ -18,7 +18,6 @@ from phaselink.montecarlo import (
     ClassCounts,
     SPARSE_WORD_MEAN,
     PulsePlan,
-    SeededSchedule,
     class_counts,
     class_schedule,
     classes_at,
@@ -63,7 +62,7 @@ def closed_form_se(p, n):
 class TestPulsePlan:
     def test_schedule_frequencies(self):
         plan = PulsePlan.make(1_000_000, (30, 2, 1), seed=1)
-        counts = np.bincount(plan.intensity_schedule, minlength=3)
+        counts = np.bincount(plan[:], minlength=3)
         for c, expect in zip(counts, (30 / 33, 2 / 33, 1 / 33)):
             p_hat = c / plan.n_pulses
             assert abs(p_hat - expect) < 4 * closed_form_se(expect, plan.n_pulses)
@@ -71,7 +70,22 @@ class TestPulsePlan:
     def test_deterministic(self):
         p1 = PulsePlan.make(10_000, (30, 2, 1), seed=7)
         p2 = PulsePlan.make(10_000, (30, 2, 1), seed=7)
-        assert np.array_equal(p1.intensity_schedule, p2.intensity_schedule)
+        assert np.array_equal(p1[:], p2[:])
+
+    def test_reads_as_the_class_array(self):
+        # len, contiguous slices, positions and counts() read the schedule
+        # split_seed(seed, 0) from the seed, with no class array held
+        n = 8 * _BLOCK + 13
+        plan = PulsePlan(n, 5, 0.6, 0.3)
+        classes = class_schedule(split_seed(5, 0), n, 0.6, 0.3)
+        pos = np.array([n - 1, 0, 7, 7, 8 * _BLOCK])
+        assert len(plan) == n
+        assert np.array_equal(plan[:], classes)
+        assert np.array_equal(plan[3 : n - 5], classes[3 : n - 5])
+        assert np.array_equal(plan[pos], classes[pos])
+        assert plan.counts().tolist() == class_counts(classes)[0].tolist()
+        with pytest.raises(ValueError):
+            plan[::2]
 
 
 # (p_sig, p_dec): fractional boundaries, 256 t an integer (a tied lane is
@@ -138,7 +152,7 @@ class TestDrawClasses:
         assert draw_classes(lanes, p_sig, p_dec, 13, first).tolist() == expect
 
     def test_plan_without_vacuum_share(self):
-        schedule = PulsePlan.make(10_000, (1, 1, 0), seed=2).intensity_schedule
+        schedule = PulsePlan.make(10_000, (1, 1, 0), seed=2)[:]
         assert np.count_nonzero(schedule == CLASS_VACUUM) == 0
         assert 0 < np.count_nonzero(schedule == CLASS_DECOY) < 10_000
 
@@ -258,20 +272,6 @@ class TestScheduleReads:
             lo, hi = int(pos.min()), int(pos.max()) + 1
             assert np.array_equal(got, class_schedule(seed, hi - lo, *mix, lo)[pos - lo])
 
-    def test_seeded_schedule_reads_as_the_array(self):
-        n = 8 * _BLOCK + 13
-        view = SeededSchedule(5, n, 0.6, 0.3)
-        classes = class_schedule(5, n, 0.6, 0.3)
-        pos = np.array([n - 1, 0, 7, 7, 8 * _BLOCK])
-        assert len(view) == n
-        assert np.array_equal(view[:], classes)
-        assert np.array_equal(view[3 : n - 5], classes[3 : n - 5])
-        assert np.array_equal(view[pos], classes[pos])
-        assert view.counts().tolist() == class_counts(classes)[0].tolist()
-        with pytest.raises(ValueError):
-            view[::2]
-
-
 class TestClassCounts:
     @staticmethod
     def reference(classes, *positions):
@@ -299,8 +299,8 @@ class TestClassCounts:
 class TestDetect:
     def test_errors_only_on_clicks(self):
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
-        classes = PulsePlan.make(100_000, (1, 1, 1), seed=4).intensity_schedule
-        hit, err = detect(classes, 0.5, SRC, det, 1, 2)
+        classes = PulsePlan.make(100_000, (1, 1, 1), seed=4)[:]
+        hit, err, _ = detect(classes, 0.5, SRC, det, 1, 2)
         assert hit.dtype == np.int64 and err.dtype == bool
         assert np.all(np.diff(hit) > 0)  # ascending, no repeats
         assert 0 <= hit[0] and hit[-1] < len(classes)
@@ -313,7 +313,7 @@ class TestDetect:
         det = DetectorConfig(p_d=0.2, eta_d=0.2, visibility=0.9847)
         n = 200_000
         classes = np.full(n, CLASS_SIGNAL, dtype=np.uint8)
-        hit, _ = detect(classes, 0.5, SRC, det, 11, 12)
+        hit, _, _ = detect(classes, 0.5, SRC, det, 11, 12)
         union = 1.0 - (1.0 - det.y0) * math.exp(-0.5 * SRC.mu)
         additive = det.y0 - math.expm1(-0.5 * SRC.mu)
         gain = len(hit) / n
@@ -324,8 +324,8 @@ class TestDetect:
         # error lanes are read only at clicked pulses, with the values the
         # full error stream holds there
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
-        classes = PulsePlan.make(50_000, (1, 1, 1), seed=5).intensity_schedule
-        hit, err = detect(classes, 0.3, SRC, det, 31, 32)
+        classes = PulsePlan.make(50_000, (1, 1, 1), seed=5)[:]
+        hit, err, _ = detect(classes, 0.3, SRC, det, 31, 32)
         p_click, p_err = link_probabilities(0.3, det)
         # the reference compares every pulse's 61-bit uniform with its class's probability
         pulses = np.arange(len(classes))
@@ -342,7 +342,7 @@ class TestDetect:
         # on the whole click stream; errors read the error stream at the clicks
         det = DetectorConfig(p_d=1e-2, eta_d=0.2, visibility=0.5)
         classes = class_schedule(6, n, 0.4, 0.3)
-        hit, err = detect(classes, 0.3, SRC, det, 41, 42)
+        hit, err, _ = detect(classes, 0.3, SRC, det, 41, 42)
         p_click, p_err = link_probabilities(0.3, det)
         reference = reference_below(41, np.arange(n), p_click[classes])
         assert hit.dtype == np.int64
@@ -359,7 +359,7 @@ class TestDetect:
         p_click, p_err = link_probabilities(1.0, DET)
         assert not sparse_clicks(p_click.max())
         drawn = count_draws()
-        hit, _ = detect(classes, 1.0, SRC, DET, 43, 44)
+        hit, _, _ = detect(classes, 1.0, SRC, DET, 43, 44)
         assert 8 * len(hit) > hit[-1] - hit[0]  # dense enough to gather the error lanes
         click_ties = np.count_nonzero(click_lanes == np.floor(256 * p_click[classes]))
         error_ties = np.count_nonzero(error_lanes[hit] == np.floor(256 * p_err[classes[hit]]))
@@ -374,7 +374,7 @@ class TestDetect:
         # the clicks, each within its exact two-sided 1e-4 binomial tails
         n = 1_000_003
         classes = class_schedule(23, n, 0.4, 0.3)
-        hit, err = detect(classes, eta, SRC, det, 81, 82)
+        hit, err, _ = detect(classes, eta, SRC, det, 81, 82)
         sent, clicked, errored = class_counts(classes, hit, hit[err])
         for observed, trials, probs in zip(
             (clicked, errored), (sent, clicked), link_probabilities(eta, det)
@@ -390,7 +390,7 @@ class TestDetect:
         for cls_, a in ((CLASS_VACUUM, 0.0), (CLASS_SIGNAL, SRC.mu)):
             e = gain_and_qber(1.0, a, det)[1]
             classes = np.full(1_000_000, cls_, dtype=np.uint8)
-            hit, err = detect(classes, 1.0, SRC, det, 21, 22)
+            hit, err, _ = detect(classes, 1.0, SRC, det, 21, 22)
             assert abs(np.count_nonzero(err) / len(hit) - e) < 4 * closed_form_se(e, len(hit))
         assert e > 0.0287  # dark clicks add to the misalignment error
 
@@ -430,7 +430,7 @@ class TestSparseClicks:
         # each by exact binomial tails at two-sided significance 1e-4
         n_words = 1 << 16
         classes = np.zeros(64 * n_words, dtype=np.uint8)
-        hit = montecarlo._sparse_hits(classes, [p, p, p], 51)
+        hit, _ = montecarlo._sparse_hits(classes, [p, p, p], 51)
         per_word = np.bincount(hit // 64, minlength=n_words)
         cdf = count_thresholds(p) / 2.0**53
         probs = [cdf[0], cdf[1] - cdf[0], cdf[2] - cdf[1], 1.0 - cdf[2]]
@@ -445,7 +445,7 @@ class TestSparseClicks:
         n = 3 << 20
         classes = class_schedule(8, n, 1 / 3, 1 / 3)
         p_click = [1 / 64, 0.5 / 64, 0.1 / 64]
-        hit = montecarlo._sparse_hits(classes, p_click, 61)
+        hit, _ = montecarlo._sparse_hits(classes, p_click, 61)
         counts = class_counts(classes, hit)
         for c, p in enumerate(p_click):
             gain = counts[1, c] / counts[0, c]
@@ -455,7 +455,7 @@ class TestSparseClicks:
         # distinct slots drawn by Floyd's algorithm favour no slot of a word,
         # also when most words hold many candidates
         n_words, p = 20_000, 0.5
-        hit = montecarlo._sparse_hits(np.zeros(64 * n_words, np.uint8), [p, p, p], 71)
+        hit, _ = montecarlo._sparse_hits(np.zeros(64 * n_words, np.uint8), [p, p, p], 71)
         lanes = np.bincount(hit % 64, minlength=64) / n_words
         assert np.all(np.abs(lanes - p) < 4 * closed_form_se(p, n_words))
 
@@ -464,15 +464,18 @@ class TestSparseClicks:
     def test_positions_ascending_and_distinct(self, n, p):
         # strictly ascending positions are distinct slots within each word,
         # and slots at or beyond len(classes) of the last word are dropped
-        hit = montecarlo._sparse_hits(class_schedule(9, n, 0.5, 0.3), [p, p / 2, p / 4], 91)
+        classes = class_schedule(9, n, 0.5, 0.3)
+        hit, cls = montecarlo._sparse_hits(classes, [p, p / 2, p / 4], 91)
         assert hit.dtype == np.int64
+        assert np.array_equal(cls, classes[hit])  # the candidates' classes, kept with them
         assert np.all(np.diff(hit) > 0)
         assert np.all((0 <= hit) & (hit < n))
 
     def test_no_clicks_without_light_or_dark(self, count_draws):
         classes = class_schedule(3, 10_000, 0.5, 0.3)
         drawn = count_draws()
-        assert len(montecarlo._sparse_hits(classes, [0.0, 0.0, 0.0], 5)) == 0
+        hit, cls = montecarlo._sparse_hits(classes, [0.0, 0.0, 0.0], 5)
+        assert len(hit) == len(cls) == 0
         assert sum(drawn) == 0
 
     @pytest.mark.parametrize("p", [4.5e-4, 1 / 64])
@@ -489,9 +492,9 @@ class TestSparseClicks:
         # at the measured eta detect's clicks are the sparse kernel's, and
         # its errors still read the error stream's lanes at the clicks
         classes = class_schedule(10, 500_000, 30 / 33, 2 / 33)
-        hit, err = detect(classes, ETA_MEASURED, SRC, DET, 111, 112)
+        hit, err, _ = detect(classes, ETA_MEASURED, SRC, DET, 111, 112)
         p_click, p_err = link_probabilities(ETA_MEASURED, DET)
-        assert np.array_equal(hit, montecarlo._sparse_hits(classes, p_click, 111))
+        assert np.array_equal(hit, montecarlo._sparse_hits(classes, p_click, 111)[0])
         assert np.array_equal(err, reference_below(112, hit, p_err[classes[hit]]))
 
 
@@ -546,8 +549,14 @@ class TestSimulateBatch:
         # the dense link reads slices of the schedule, the lossy one positions;
         # either way the tallies are the class array's
         plan = PulsePlan.make(n, mix_ratio, seed)
-        classes = plan.intensity_schedule
-        hit, err = detect(classes, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        classes = plan[:]
+        hit, err, cls = detect(classes, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        # detect reads the plan as it reads the array, and hands back the
+        # clicks' classes from that one read
+        from_plan = detect(plan, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        for got, expect in zip(from_plan, (hit, err, cls)):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        assert np.array_equal(cls, classes[hit])
         stats = simulate_batch(plan, eta, SRC, DET)
         got = [[c.sent, c.clicked, c.errored] for c in (stats.signal, stats.decoy, stats.vacuum)]
         assert got == class_counts(classes, hit, hit[err]).T.tolist()

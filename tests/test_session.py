@@ -281,6 +281,15 @@ def _request_past_clicks(payload):
     return wire.encode_sample_request([_first_frame_clicks()])  # one past the last index
 
 
+def _repeat_first_sample(payload):
+    sample = wire.decode_sample_request(payload)
+    return wire.encode_sample_request(np.full_like(sample, sample[0]))  # one click, every time
+
+
+def _reverse_samples(payload):
+    return wire.encode_sample_request(wire.decode_sample_request(payload)[::-1])
+
+
 def _keep_sampled_click(payload):
     start, keep = wire.decode_sift_map(payload)
     keep = keep.copy()
@@ -325,6 +334,8 @@ class TestMessageOrder:
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
             (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
             (wire.SAMPLE_REQUEST, _request_past_clicks, "offset beyond"),
+            (wire.SAMPLE_REQUEST, _repeat_first_sample, "do not strictly ascend"),
+            (wire.SAMPLE_REQUEST, _reverse_samples, "do not strictly ascend"),
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
             (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
             (wire.SIFT_MAP, _keep_every_click, "carries no chip"),
@@ -369,7 +380,7 @@ class TestSift:
             spy(name)
         spec = small_spec(n_frames=1, spread=64, geom=replace(LOSSLESS, conv_loss_db=conv_loss_db))
         run_session_detailed(spec)
-        classes, chips, (hit, err) = (
+        classes, chips, (hit, err, _) = (
             seen[k][1] for k in ("_draw_schedule", "preprocess", "detect")
         )
         values, positions = seen["decode"][0][:2]

@@ -58,6 +58,9 @@ def test_draws_per_pulse(draw_counts):
     # pulses per draw; the lossy link draws per event, not per pulse
     assert draw_counts["session desk_session"][0] <= 0.75
     assert draw_counts["session measured_link"][0] <= 0.19
+    # simulate reads each click's class once, with its candidate; reading
+    # the clicks' classes again costs about 0.0008 draws per pulse more
+    assert draw_counts["simulate measured_link"][0] <= 0.1505
 
 
 def test_cli_digest_runs_listed_without_running(monkeypatch):
