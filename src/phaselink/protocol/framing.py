@@ -45,7 +45,9 @@ def _pad(frame_id: int, n_chips: int, key_seed: int, mask_seed: int, positions=N
     mask = split_seed(mask_seed, frame_id)
     offset = frame_id * n_chips
     if positions is None:
-        return random_bits(key_seed, n_chips, offset=offset) ^ random_bits(mask, n_chips)
+        pad = random_bits(key_seed, n_chips, offset=offset)
+        pad ^= random_bits(mask, n_chips)
+        return pad
     return random_bits_at(key_seed, offset + positions) ^ random_bits_at(mask, positions)
 
 
@@ -57,8 +59,9 @@ def preprocess(
         raise ValueError(f"payload must be exactly {PAYLOAD_BYTES} bytes")
     n_chips = chip_count(fec_ratio, spread_ratio)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    chips = np.repeat(bits, fec_ratio * spread_ratio)
-    chips ^= _pad(frame_id, n_chips, key_seed, mask_seed)
+    chips = _pad(frame_id, n_chips, key_seed, mask_seed)
+    groups = chips.reshape(PAYLOAD_BITS, fec_ratio * spread_ratio)  # a view: chips per payload bit
+    groups ^= bits[:, None]
     return chips
 
 

@@ -48,7 +48,11 @@ endpoints hold the same ascending click positions, so sifting speaks in
 indices into them. A kept click's chip index is the number of signal
 pulses before it, its rank among them: the receiver packs the frame's
 signal flags into 64-bit words and adds a prefix count of the whole words
-before the click to the popcount of its word's bits below it.
+before the click to the popcount of its word's bits below it. The sender
+places its chips by the same rank, a flag byte at a time: each byte of its
+packed signal flags takes the 8 packed chips from the number of signal
+pulses before it, and a 256 x 256 table, built on first use, spreads them
+over the byte's set flags (_deposit). No per-pulse index or mask is built.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -58,6 +62,7 @@ elapsed = pulses / (rep_rate * duty_cycle).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -232,8 +237,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
     while True:
         size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
         c = class_schedule(seed, size, p_sig, p_dec, offset)
-        signal = c == CLASS_SIGNAL
-        n_signal = int(np.count_nonzero(signal))
+        n_signal = len(c) - int(np.count_nonzero(c))  # CLASS_SIGNAL is 0
         if n_signal >= need:
             after = n_signal - need  # signal pulses past the frame's last pulse
             # find the frame's last pulse in tails of doubling width, not
@@ -241,7 +245,7 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
             start, width = len(c), after + 1
             while True:
                 start, width = max(start - width, 0), 2 * width
-                tail = np.flatnonzero(signal[start:])
+                tail = np.flatnonzero(c[start:] == CLASS_SIGNAL)
                 if len(tail) > after:
                     break
             chunks.append(c[: start + tail[len(tail) - after - 1] + 1])
@@ -249,6 +253,62 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
         chunks.append(c)
         need -= n_signal
         offset += size
+
+
+def _signal_flags(classes: np.ndarray) -> np.ndarray:
+    """The signal flags of classes packed little-endian, 8 pulses per byte,
+    the last byte's pad bits clear."""
+    flags = np.packbits(classes, bitorder="little")  # packs class != 0, CLASS_SIGNAL being 0
+    np.invert(flags, out=flags)
+    if len(classes) % 8:
+        flags[-1] &= (1 << len(classes) % 8) - 1
+    return flags
+
+
+@functools.cache
+def _deposit_table() -> np.ndarray:
+    """The deposit table, 256 x 256 uint8 flattened: entry 256 f + c holds
+    the low bits of c, in order, at the set bits of f, and 0 at its clear
+    bits (an 8-bit pdep)."""
+    f = np.arange(256, dtype=np.uint16)[:, None]
+    c = np.arange(256, dtype=np.uint16)
+    table = np.zeros((256, 256), dtype=np.uint16)
+    for j in range(8):
+        rank = np.bitwise_count(f & ((1 << j) - 1))  # set bits of f below bit j
+        table |= ((f >> j) & (c >> rank) & 1) << j
+    table = table.astype(np.uint8).ravel()
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _deposit(classes: np.ndarray, chips: np.ndarray) -> np.ndarray:
+    """Per-pulse bits (uint8 0/1): chip k on the k-th signal pulse of
+    classes, 0 on every other pulse; classes holds len(chips) signal pulses.
+
+    A byte of packed signal flags (_signal_flags) covers 8 pulses, and its
+    set flags take the chips from its rank on, the rank being the number of
+    signal pulses before it: the 8 packed chips at that bit offset, spread
+    over the set flags by _deposit_table. Every array but the result holds
+    one entry per flag byte or per 8 chips.
+    """
+    flags = _signal_flags(classes)
+    counts = np.bitwise_count(flags)
+    rank = np.cumsum(counts, dtype=np.int64)
+    rank -= counts
+    packed = np.zeros(len(chips) // 8 + 2, dtype=np.uint8)  # room to read past the end
+    packed[: (len(chips) + 7) // 8] = np.packbits(chips, bitorder="little")
+    pairs = packed[1:].astype(np.uint16)  # pair k: chips 8k to 8k + 15
+    pairs <<= 8
+    pairs |= packed[:-1]
+    shift = rank.astype(np.uint16)
+    shift &= 7  # a flag byte's first chip is bit rank & 7
+    rank >>= 3  # of pair rank >> 3
+    window = pairs[rank]
+    window >>= shift
+    window &= 0xFF
+    index = np.left_shift(flags, 8, out=rank, dtype=np.int64)  # rank's buffer, now free
+    index |= window
+    return np.unpackbits(_deposit_table()[index], count=len(classes), bitorder="little")
 
 
 class AliceSession:
@@ -290,8 +350,7 @@ class AliceSession:
                 _frame_seed(spec.seeds.alice, _S_SCHEDULE, f), n_chips, spec.source
             )
             n_pulses = len(classes)
-            bits = np.zeros(n_pulses, dtype=np.uint8)  # non-signal pulses carry 0
-            bits[classes == CLASS_SIGNAL] = chips
+            bits = _deposit(classes, chips)
 
             transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
             transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bits))
@@ -389,7 +448,7 @@ def _signal_rank(classes: np.ndarray) -> tuple:
     bits below it. No per-pulse index array is built.
     """
     packed = np.zeros(-(-len(classes) // 64) * 8, dtype=np.uint8)
-    packed[: (len(classes) + 7) // 8] = np.packbits(classes == CLASS_SIGNAL, bitorder="little")
+    packed[: (len(classes) + 7) // 8] = _signal_flags(classes)
     words = packed.view("<u8")
     before = np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
 

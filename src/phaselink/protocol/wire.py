@@ -31,7 +31,9 @@ reliable; no cryptography is applied here):
     0x10 QUANTUM          u64 start, u32 count, one byte per pulse:
                           bit0 encoded bit, bit1 always 0, bits 2-3
                           intensity class 0-2, bits 4-7 zero (a byte
-                          above class 2 is rejected). Simulation
+                          with bit 1 or one of bits 4-7 set, or above
+                          class 2, is rejected; the check is one OR and
+                          one max over the bytes). Simulation
                           stand-in for the photon stream; a real
                           deployment has no such classical message. The
                           sender's basis, which sets the pulse phase with
@@ -47,13 +49,20 @@ ProtocolError unless the payload is exactly as long as that requires (for
 BASIS_ANNOUNCE, the count and the number of set click flags), and unless
 the pad bits after each packed bit field (the click bitmap, the bases,
 the disclosed bits, the kept flags) are zero; the REPORT decoder raises
-it unless the payload is a UTF-8 JSON object.
+it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE decoder
+unpacks the whole click bitmap when at least one of 8 bytes holds a click,
+and otherwise only its nonzero bytes, as rng._lanes_at reads dense and
+sparse positions.
 
 Messages travel over a connected stream socket (SocketTransport; pair()
 joins two endpoints in one process with a socketpair). Every send and
 receive waits at most TIMEOUT_S; a timeout, a socket error or a closed
 peer raises TransportClosed. Each endpoint closes only its own end, so a
 message already sent, such as a final ABORT, stays readable by the peer.
+A payload under SEND_COPY_LIMIT is sent in one call behind its header; a
+larger one, such as a measured-link QUANTUM (which encode_quantum writes
+into one buffer with its head), is sent as it is after the header, not
+copied behind it.
 """
 
 from __future__ import annotations
@@ -85,10 +94,14 @@ MESSAGE_NAMES = {
 }
 
 
+def _frame_header(msg_type: int, length: int) -> bytes:
+    if length > MAX_PAYLOAD:
+        raise ValueError(f"payload too large: {length}")
+    return _pack(HEADER.format, length, msg_type)
+
+
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload too large: {len(payload)}")
-    return _pack(HEADER.format, len(payload), msg_type) + payload
+    return _frame_header(msg_type, len(payload)) + payload
 
 
 def decode_header(header: bytes) -> tuple:
@@ -124,11 +137,17 @@ def _pack_flags(flags) -> bytes:
     return _pack_bits(flags)
 
 
+def _check_pad(data, n: int) -> None:
+    """ProtocolError if a pad bit of data, a packed n-bit field of exactly
+    ceil(n/8) bytes, is set."""
+    if n % 8 and data[-1] & (0xFF >> n % 8):
+        raise ProtocolError(f"packed {n}-bit field has a set pad bit")
+
+
 def _unpack_bits(data: bytes, n: int) -> np.ndarray:
     """The first n bits of data, which holds exactly ceil(n/8) bytes;
     ProtocolError if a pad bit past them is set."""
-    if n % 8 and data[-1] & (0xFF >> n % 8):
-        raise ProtocolError(f"packed {n}-bit field has a set pad bit")
+    _check_pad(data, n)
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
@@ -166,8 +185,15 @@ def decode_basis_announce(payload: bytes) -> tuple:
     end = 12 + (n + 7) // 8
     if len(payload) < end:
         raise _mismatch(payload)
-    # flatnonzero on the bool view: ~8x faster than on the uint8 bits
-    hit = np.flatnonzero(_unpack_bits(payload[12:end], n).view(bool))
+    bitmap = np.frombuffer(payload, dtype=np.uint8, count=end - 12, offset=12)
+    _check_pad(bitmap, n)
+    if 8 * np.count_nonzero(bitmap) > len(bitmap):
+        # dense: flatnonzero on the bool view, ~8x faster than on uint8 bits
+        hit = np.flatnonzero(np.unpackbits(bitmap, count=n).view(bool))
+    else:  # sparse: unpack only the nonzero bytes, found on a bool view too
+        at = np.flatnonzero(bitmap != 0)
+        ones = np.unpackbits(bitmap[at][:, None], axis=1).view(bool)
+        hit = (8 * at[:, None] + np.arange(8))[ones]
     if len(payload) != end + (len(hit) + 7) // 8:
         raise _mismatch(payload)
     return start, n, hit, _unpack_bits(payload[end:], len(hit))
@@ -213,18 +239,24 @@ def decode_frame_meta(payload: bytes) -> int:
     return frame_id
 
 
-def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytes:
-    head = _pack("!QI", start, len(classes))  # the per-pulse bytes are not scanned
-    packed = np.asarray(classes, dtype=np.uint8) * 4  # numpy has no fast uint8 <<
-    packed |= np.asarray(bits, dtype=np.uint8)
-    return head + packed.tobytes()
+def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytearray:
+    """The payload in one buffer: the head, then each pulse's byte written
+    in place behind it; the per-pulse bytes are not scanned."""
+    payload = bytearray(12 + len(classes))
+    payload[:12] = _pack("!QI", start, len(classes))
+    body = np.frombuffer(payload, dtype=np.uint8, offset=12)
+    np.multiply(np.asarray(classes, dtype=np.uint8), 4, out=body)  # numpy has no fast uint8 <<
+    body |= np.asarray(bits, dtype=np.uint8)
+    return payload
 
 
 def decode_quantum(payload: bytes) -> tuple:
     """(start, classes, bits); bits is a fresh array the caller may write."""
     start, n = _payload_head(payload, "!QI", lambda n: n)
     packed = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
-    if np.any(packed >= 3 << 2):
+    if n and np.bitwise_or.reduce(packed) & 0xF2:
+        raise ProtocolError("QUANTUM byte with bit 1 or one of bits 4-7 set")
+    if n and packed.max() >= 3 << 2:
         raise ProtocolError("QUANTUM byte beyond intensity class 2")
     return start, packed >> 2, packed & 1
 
@@ -246,6 +278,7 @@ def decode_report(payload: bytes) -> dict:
 # --- transport -----------------------------------------------------------
 
 TIMEOUT_S = 60.0  # longest wait for one send or receive; a silent peer is gone
+SEND_COPY_LIMIT = 1 << 20  # a smaller payload is copied behind its header and sent in one call
 
 
 class SocketTransport:
@@ -267,7 +300,11 @@ class SocketTransport:
 
     def send(self, msg_type: int, payload: bytes) -> None:
         try:
-            self._sock.sendall(encode_frame(msg_type, payload))
+            if len(payload) < SEND_COPY_LIMIT:
+                self._sock.sendall(encode_frame(msg_type, payload))
+            else:  # sent as it is behind its header, not copied behind it
+                self._sock.sendall(_frame_header(msg_type, len(payload)))
+                self._sock.sendall(payload)
         except OSError as exc:  # includes the timeout
             raise TransportClosed(str(exc)) from exc
 

@@ -56,6 +56,22 @@ class TestPreprocess:
         preprocess(payload, frame_id, 1, spread, key_seed=4, mask_seed=9)
         assert 0 < sum(drawn) <= 2 * (-(-n // 64) + 1)
 
+    @given(seed=st.integers(0, 2**32), frame_id=st.integers(0, 40))
+    def test_matches_repeat_form(self, seed, frame_id):
+        # fec 3, spread 7: 21,000 chips per frame, so the key offset
+        # frame_id * 21,000 falls inside a 64-bit draw for most frames
+        fec, spread = 3, 7
+        n = chip_count(fec, spread)
+        payload = make_payload(seed)
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+        reference = (
+            np.repeat(bits, fec * spread)
+            ^ random_bits(4, n, offset=frame_id * n)
+            ^ random_bits(split_seed(9, frame_id), n)
+        )
+        chips = preprocess(payload, frame_id, fec, spread, key_seed=4, mask_seed=9)
+        assert chips.dtype == np.uint8 and np.array_equal(chips, reference)
+
     def test_ledger_debit(self):
         # the sender debits one pad bit per chip of each frame it encodes
         n = chip_count(1, 2)

@@ -1,10 +1,14 @@
 import functools
 import hashlib
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +25,7 @@ from phaselink.protocol.session import (
     BobSession,
     ProtocolParams,
     Seeds,
+    _deposit,
     _draw_schedule,
     _signal_rank,
     run_session_detailed,
@@ -601,3 +606,60 @@ class TestSignalRank:
         assert n_signal == (n if cls == CLASS_SIGNAL else 0)
         assert np.array_equal(chip_index(positions), expected)
         assert chip_index(np.empty(0, dtype=np.int64)).tolist() == []
+
+
+CLASS_LISTS = st.lists(st.sampled_from([CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM]), max_size=300)
+
+
+def scattered(classes, chips):
+    """The per-pulse bits as the bool-mask scatter gives them."""
+    bits = np.zeros(len(classes), dtype=np.uint8)
+    bits[classes == CLASS_SIGNAL] = chips
+    return bits
+
+
+class TestDeposit:
+    @given(classes=CLASS_LISTS.map(lambda c: np.array(c, dtype=np.uint8)), data=st.data())
+    def test_matches_bool_mask_scatter(self, classes, data):
+        # every length 0-300, not only whole flag bytes, and any chips
+        n_chips = int(np.count_nonzero(classes == CLASS_SIGNAL))
+        chips = np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=n_chips, max_size=n_chips)),
+            dtype=np.uint8,
+        )
+        bits = _deposit(classes, chips)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, scattered(classes, chips))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
+    @pytest.mark.parametrize("cls", [CLASS_SIGNAL, CLASS_VACUUM])
+    def test_uniform_frames(self, n, cls):
+        # all-signal frames take every chip in order, no-signal frames none
+        classes = np.full(n, cls, dtype=np.uint8)
+        chips = random_bits(9, n if cls == CLASS_SIGNAL else 0)
+        assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
+
+    def test_measured_link_frame(self):
+        # 1.92 M chips on about 2.11 M pulses
+        classes = _draw_schedule(5, 1_920_000, SRC)
+        chips = random_bits(11, 1_920_000)
+        assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
+
+    def test_table_built_on_first_use(self):
+        # importing the session builds no table; the first deposit does
+        code = (
+            "import numpy as np\n"
+            "from phaselink.protocol import session\n"
+            "print(session._deposit_table.cache_info().currsize)\n"
+            "session._deposit(np.zeros(3, np.uint8), np.ones(3, np.uint8))\n"
+            "print(session._deposit_table.cache_info().currsize)\n"
+        )
+        src = str(Path(session.__file__).resolve().parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout.split() == ["0", "1"]

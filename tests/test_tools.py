@@ -1,5 +1,6 @@
-"""The scripts under tools/: draw_counts.py runs end to end and its report
-adds up, and cli_digests.py lists the CLI runs that it digests."""
+"""The scripts under tools/: draw_counts.py and stage_times.py run end to
+end and their reports add up, and cli_digests.py lists the CLI runs that it
+digests."""
 
 import importlib.util
 import re
@@ -61,6 +62,45 @@ def test_draws_per_pulse(draw_counts):
     # simulate reads each click's class once, with its candidate; reading
     # the clicks' classes again costs about 0.0008 draws per pulse more
     assert draw_counts["simulate measured_link"][0] <= 0.1505
+
+
+SESSION = re.compile(r"session (\w+): (\d+) frames, (\d+) pulses")
+THREAD = re.compile(r"  (alice|bob): (\d+\.\d{2}) ms, (\d+) minor faults")
+STAGE_TIME = re.compile(r"    ([\w.]+): (\d+\.\d{2}) ms, (-?\d+) minor faults, (\d+) calls")
+
+
+def test_stage_times_rows_within_thread_totals():
+    # each endpoint thread's stage rows (self time and self faults) sum to
+    # no more than its run()'s totals, on the session of every config
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    threads = {}
+    for line in done.stdout.splitlines():
+        if session := SESSION.fullmatch(line):
+            config = session[1]
+        elif thread := THREAD.fullmatch(line):
+            rows = []
+            threads[config, thread[1]] = (float(thread[2]), int(thread[3]), rows)
+        else:
+            stage = STAGE_TIME.fullmatch(line)
+            assert stage and threads, f"unparsed line: {line!r}"
+            rows.append((stage[1], float(stage[2]), int(stage[3]), int(stage[4])))
+    configs = {"desk_session", "measured_link", "upgraded_link"}
+    assert set(threads) == {(c, role) for c in configs for role in ("alice", "bob")}
+    for key, (total_ms, total_faults, rows) in threads.items():
+        names = {name for name, *_ in rows}
+        assert {"SocketTransport.send", "SocketTransport.recv"} <= names, key
+        assert all(ms >= 0 and faults >= 0 and calls > 0 for _, ms, faults, calls in rows), key
+        assert sum(ms for _, ms, _, _ in rows) <= total_ms + 0.005 * len(rows), key
+        assert sum(faults for _, _, faults, _ in rows) <= total_faults, key
+    assert "session._deposit" in {name for name, *_ in threads["measured_link", "alice"][2]}
+    assert "session.detect" in {name for name, *_ in threads["measured_link", "bob"][2]}
 
 
 def test_cli_digest_runs_listed_without_running(monkeypatch):

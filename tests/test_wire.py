@@ -108,7 +108,7 @@ class TestTruncatedPayloads:
             (wire.decode_sample_request, wire.encode_sample_request(np.arange(10)), 20),
             (
                 wire.decode_quantum,
-                wire.encode_quantum(0, np.zeros(100), np.ones(100)),
+                bytes(wire.encode_quantum(0, np.zeros(100), np.ones(100))),  # a bytearray
                 50,
             ),
             (wire.decode_frame_meta, wire.encode_frame_meta(1), 3),
@@ -334,6 +334,91 @@ class TestPadBitRejections:
             decode(bytes(payload))
 
 
+class TestQuantumByteRejections:
+    """decode_quantum raises ProtocolError for a byte with bit 1 or one of
+    bits 4-7 set, which the layout keeps 0, as for a class above 2."""
+
+    @pytest.mark.parametrize("byte", [0b0010, 0b0110, 0b1011, 0b0011, 0b1010, 0x10, 0x80, 0xF1])
+    def test_reserved_bit_rejected(self, byte):
+        payload = bytearray(wire.encode_quantum(0, np.zeros(9), np.zeros(9)))
+        payload[12 + 4] = byte
+        with pytest.raises(ProtocolError, match="bit 1 or one of bits 4-7"):
+            wire.decode_quantum(bytes(payload))
+
+    @given(
+        pulses=st.integers(1, 50),
+        at=st.integers(0, 49),
+        byte=st.integers(0, 255).filter(lambda b: b & 0xF2),
+    )
+    def test_any_reserved_bit_rejected(self, pulses, at, byte):
+        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses), np.zeros(pulses)))
+        payload[12 + at % pulses] = byte
+        with pytest.raises(ProtocolError):
+            wire.decode_quantum(bytes(payload))
+
+    def test_every_valid_byte_decodes(self):
+        valid = [cls * 4 | bit for cls in range(3) for bit in range(2)]
+        payload = struct.pack("!QI", 0, len(valid)) + bytes(valid)
+        _, classes, bits = wire.decode_quantum(payload)
+        assert classes.tolist() == [0, 0, 1, 1, 2, 2] and bits.tolist() == [0, 1] * 3
+
+
+def _clicks(n: int, positions) -> tuple:
+    return n, np.array(sorted(positions), dtype=np.int64)
+
+
+# a click in every byte of the bitmap: the decoder unpacks the whole bitmap
+DENSE_CLICKS = st.integers(1, 400).flatmap(
+    lambda n: st.lists(st.integers(0, 7), min_size=-(-n // 8), max_size=-(-n // 8)).map(
+        lambda bit: _clicks(n, {min(8 * i + b, n - 1) for i, b in enumerate(bit)})
+    )
+)
+# clicks in at most one byte of each 16 (pulses 128k to 128k + 7): the
+# decoder unpacks only the nonzero bytes
+SPARSE_CLICKS = st.integers(64, 3000).flatmap(
+    lambda n: st.dictionaries(st.integers(0, (n - 1) // 128), st.sets(st.integers(0, 7))).map(
+        lambda byte_bits: _clicks(
+            n, {128 * k + b for k, bits in byte_bits.items() for b in bits if 128 * k + b < n}
+        )
+    )
+)
+
+
+class TestBasisAnnounceDensity:
+    """decode_basis_announce on both of its access paths: the whole bitmap
+    unpacked (dense) and only its nonzero bytes (sparse)."""
+
+    @pytest.mark.parametrize("clicks,dense", [(DENSE_CLICKS, True), (SPARSE_CLICKS, False)])
+    @given(data=st.data())
+    def test_matches_unpacked_bitmap(self, clicks, dense, data):
+        n, hit = data.draw(clicks)
+        bases = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(hit), max_size=len(hit))))
+        payload = wire.encode_basis_announce(3, n, hit, bases)
+        bitmap = np.frombuffer(payload, dtype=np.uint8, count=(n + 7) // 8, offset=12)
+        assert (8 * np.count_nonzero(bitmap) > len(bitmap)) == dense  # the path under test
+        start, n2, hit2, bases2 = wire.decode_basis_announce(payload)
+        assert (start, n2) == (3, n) and hit2.dtype == np.int64
+        assert np.array_equal(hit2, np.flatnonzero(np.unpackbits(bitmap, count=n)))
+        assert np.array_equal(hit2, hit) and np.array_equal(bases2, bases)
+
+    @pytest.mark.parametrize("clicks", [DENSE_CLICKS, SPARSE_CLICKS], ids=["dense", "sparse"])
+    @given(data=st.data())
+    def test_set_pad_bit_rejected(self, clicks, data):
+        n, hit = data.draw(clicks.filter(lambda c: c[0] % 8))
+        payload = bytearray(wire.encode_basis_announce(0, n, hit, np.zeros(len(hit))))
+        payload[12 + (n + 7) // 8 - 1] |= 1 << data.draw(st.integers(0, 7 - n % 8))
+        with pytest.raises(ProtocolError, match="pad bit"):
+            wire.decode_basis_announce(bytes(payload))
+
+    def test_measured_link_frame(self):
+        # 2.11 M pulses and about 860 clicks, as a measured-link frame
+        n = 2_110_000
+        hit = np.unique(np.random.default_rng(3).integers(0, n, 860))
+        payload = wire.encode_basis_announce(0, n, hit, hit & 1)
+        _, _, hit2, bases2 = wire.decode_basis_announce(payload)
+        assert np.array_equal(hit2, hit) and np.array_equal(bases2, hit & 1)
+
+
 class TestLoopbackTransport:
     """SocketTransport.pair(): two endpoints joined in one process."""
 
@@ -356,6 +441,22 @@ class TestLoopbackTransport:
 
 
 class TestSocketTransport:
+    @pytest.mark.parametrize("extra", [-1, 0, 3])
+    def test_large_payload_roundtrip(self, extra):
+        # payloads from SEND_COPY_LIMIT up go out behind their header
+        # uncopied; both paths deliver the same frame
+        a, b = wire.SocketTransport.pair()
+        payload = bytearray(np.arange(wire.SEND_COPY_LIMIT + extra, dtype=np.uint8))
+        received = []
+        thread = threading.Thread(target=lambda: received.append(b.recv()))
+        thread.start()
+        a.send(wire.QUANTUM, payload)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert received == [(wire.QUANTUM, payload)]
+        a.close()
+        b.close()
+
     def test_roundtrip_over_socketpair(self):
         s1, s2 = socket.socketpair()
         t1, t2 = wire.SocketTransport(s1), wire.SocketTransport(s2)

@@ -1,0 +1,105 @@
+"""Wall time and minor page faults of each stage of a session, per endpoint.
+
+Runs one session of each bundled config. Every function in the session
+module's namespace, the wire codecs (encode_*, decode_*) and
+SocketTransport.send/recv are wrapped for the run, as draw_counts.py wraps
+rng._draw; nothing under src/ is changed. Each call is timed with
+time.perf_counter and its minor page faults are read with
+getrusage(RUSAGE_THREAD), so each endpoint thread's faults are its own.
+
+    python3 tools/stage_times.py                 # this checkout
+    python3 tools/stage_times.py --repo OTHER    # another checkout
+
+Per config it prints one line for the session, one per endpoint thread with
+the totals of its run(), and under it one line per stage with the stage's
+self time and self faults (those of its calls less those of the wrapped
+calls they made), largest first. So the stage lines of a thread sum to no
+more than its totals; the rest is run()'s own code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import resource
+import sys
+import threading
+import time
+import types
+from collections import defaultdict
+from pathlib import Path
+
+CONFIGS = ("desk_session", "measured_link", "upgraded_link")
+ROLES = {"AliceSession.run": "alice", "BobSession.run": "bob"}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    default_repo = Path(__file__).resolve().parents[1]
+    parser.add_argument("--repo", type=Path, default=default_repo, help="checkout to run")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.repo.resolve() / "src"))
+    from phaselink.config import load_config
+    from phaselink.protocol import session, wire
+
+    local = threading.local()
+    rows = defaultdict(lambda: [0.0, 0, 0])  # (role, name) -> [self s, self faults, calls]
+
+    def wrap(name: str, fn):
+        @functools.wraps(fn)
+        def timed(*a, **kw):
+            stack = local.__dict__.setdefault("stack", [])
+            role = ROLES.get(name) or (stack[-1][0] if stack else None)
+            entry = [role, 0.0, 0]  # role, then the wrapped calls' time and faults
+            stack.append(entry)
+            t0 = time.perf_counter()
+            f0 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            try:
+                return fn(*a, **kw)
+            finally:
+                faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - f0
+                dt = time.perf_counter() - t0
+                stack.pop()
+                if stack:
+                    stack[-1][1] += dt
+                    stack[-1][2] += faults
+                if role is not None:
+                    row = rows[(role, name)]
+                    whole = name in ROLES  # a thread's totals, not its self share
+                    row[0] += dt if whole else dt - entry[1]
+                    row[1] += faults if whole else faults - entry[2]
+                    row[2] += 1
+
+        return timed
+
+    for attr, obj in list(vars(session).items()):
+        if isinstance(obj, types.FunctionType):
+            setattr(session, attr, wrap(f"session.{attr}", obj))
+    for attr, obj in list(vars(wire).items()):
+        if attr.startswith(("encode_", "decode_")) and isinstance(obj, types.FunctionType):
+            setattr(wire, attr, wrap(f"wire.{attr}", obj))
+    for owner, attr in (
+        (session.AliceSession, "run"),
+        (session.BobSession, "run"),
+        (wire.SocketTransport, "send"),
+        (wire.SocketTransport, "recv"),
+    ):
+        setattr(owner, attr, wrap(f"{owner.__name__}.{attr}", vars(owner)[attr]))
+
+    config_dir = args.repo / "src" / "phaselink" / "configs"
+    for config in CONFIGS:
+        rows.clear()
+        report, _, _ = session.run_session_detailed(load_config(config_dir / f"{config}.cfg"))
+        frames = report.frames_ok + report.frames_failed
+        print(f"session {config}: {frames} frames, {report.total_pulses} pulses")
+        for run, role in ROLES.items():
+            total_s, total_faults, _ = rows[(role, run)]
+            print(f"  {role}: {total_s * 1e3:.2f} ms, {total_faults} minor faults")
+            stages = [(k[1], v) for k, v in rows.items() if k[0] == role and k[1] != run]
+            for name, (self_s, faults, calls) in sorted(stages, key=lambda r: -r[1][0]):
+                print(f"    {name}: {self_s * 1e3:.2f} ms, {faults} minor faults, {calls} calls")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
