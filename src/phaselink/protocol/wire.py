@@ -49,10 +49,14 @@ ProtocolError unless the payload is exactly as long as that requires (for
 BASIS_ANNOUNCE, the count and the number of set click flags), and unless
 the pad bits after each packed bit field (the click bitmap, the bases,
 the disclosed bits, the kept flags) are zero; the REPORT decoder raises
-it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE decoder
-unpacks the whole click bitmap when at least one of 8 bytes holds a click,
-and otherwise only its nonzero bytes, as rng._lanes_at reads dense and
-sparse positions.
+it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE encoder
+sets each click's bit in a zeroed bitmap, with no per-pulse array. The
+decoder unpacks the whole click bitmap when at least one of 8 bytes holds
+a click, as on a desk frame, and otherwise only its nonzero bytes, as on
+a measured-link frame. The nonzero-byte path is about 4x faster than the
+whole unpack on a measured-link bitmap and about 10x slower on a desk one,
+so each kind of bitmap takes its own path, as rng._lanes_at reads dense
+and sparse positions.
 
 Messages travel over a connected stream socket (SocketTransport; pair()
 joins two endpoints in one process with a socketpair). Every send and
@@ -172,9 +176,10 @@ def encode_basis_announce(start: int, n: int, hit: np.ndarray, bases: np.ndarray
         raise ValueError("need one basis per click")
     if len(hit) and (hit[0] < 0 or hit[-1] >= n or np.any(hit[1:] <= hit[:-1])):
         raise ValueError("click positions must ascend within the range")
-    clicks = np.zeros(n, dtype=np.uint8)
-    clicks[hit] = 1
-    return _pack("!QI", start, n) + _pack_bits(clicks) + _pack_flags(bases)
+    bitmap = np.zeros((n + 7) // 8, dtype=np.uint8)
+    # each click sets its own bit, so adding the bits of a byte ORs them
+    np.add.at(bitmap, hit >> 3, np.right_shift(np.uint8(0x80), (hit & 7).astype(np.uint8)))
+    return _pack("!QI", start, n) + bitmap.tobytes() + _pack_flags(bases)
 
 
 def decode_basis_announce(payload: bytes) -> tuple:

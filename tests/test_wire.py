@@ -367,14 +367,16 @@ def _clicks(n: int, positions) -> tuple:
     return n, np.array(sorted(positions), dtype=np.int64)
 
 
-# a click in every byte of the bitmap: the decoder unpacks the whole bitmap
+# a click in every byte of the bitmap, as in a desk frame: the decoder
+# unpacks the whole bitmap
 DENSE_CLICKS = st.integers(1, 400).flatmap(
     lambda n: st.lists(st.integers(0, 7), min_size=-(-n // 8), max_size=-(-n // 8)).map(
         lambda bit: _clicks(n, {min(8 * i + b, n - 1) for i, b in enumerate(bit)})
     )
 )
-# clicks in at most one byte of each 16 (pulses 128k to 128k + 7): the
-# decoder unpacks only the nonzero bytes
+# clicks in at most one byte of each 16 (pulses 128k to 128k + 7), so
+# runs of zero bytes lie between the clicked ones, as in a measured-link
+# frame: the decoder unpacks only the nonzero bytes
 SPARSE_CLICKS = st.integers(64, 3000).flatmap(
     lambda n: st.dictionaries(st.integers(0, (n - 1) // 128), st.sets(st.integers(0, 7))).map(
         lambda byte_bits: _clicks(
@@ -382,23 +384,35 @@ SPARSE_CLICKS = st.integers(64, 3000).flatmap(
         )
     )
 )
+# any clicks among 0-300 pulses
+ANY_CLICKS = st.integers(0, 300).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda clicked: _clicks(n, np.flatnonzero(clicked).tolist())
+    )
+)
 
 
-class TestBasisAnnounceDensity:
-    """decode_basis_announce on both of its access paths: the whole bitmap
-    unpacked (dense) and only its nonzero bytes (sparse)."""
+class TestBasisAnnounceBitmap:
+    """The BASIS_ANNOUNCE click bitmap, set a click at a time and read on
+    both of the decoder's paths (the whole bitmap unpacked when dense, only
+    its nonzero bytes when sparse), against a per-pulse array packed and
+    unpacked whole."""
 
-    @pytest.mark.parametrize("clicks,dense", [(DENSE_CLICKS, True), (SPARSE_CLICKS, False)])
+    @pytest.mark.parametrize("clicks,dense", [(DENSE_CLICKS, True), (SPARSE_CLICKS, False),
+                                              (ANY_CLICKS, None)], ids=["dense", "sparse", "any"])
     @given(data=st.data())
-    def test_matches_unpacked_bitmap(self, clicks, dense, data):
+    def test_matches_per_pulse_bitmap(self, clicks, dense, data):
         n, hit = data.draw(clicks)
         bases = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(hit), max_size=len(hit))))
         payload = wire.encode_basis_announce(3, n, hit, bases)
+        per_pulse = np.zeros(n, dtype=np.uint8)
+        per_pulse[hit] = 1
         bitmap = np.frombuffer(payload, dtype=np.uint8, count=(n + 7) // 8, offset=12)
-        assert (8 * np.count_nonzero(bitmap) > len(bitmap)) == dense  # the path under test
+        assert bitmap.tobytes() == np.packbits(per_pulse).tobytes()
+        if dense is not None:  # the decoder path under test
+            assert (8 * np.count_nonzero(bitmap) > len(bitmap)) == dense
         start, n2, hit2, bases2 = wire.decode_basis_announce(payload)
         assert (start, n2) == (3, n) and hit2.dtype == np.int64
-        assert np.array_equal(hit2, np.flatnonzero(np.unpackbits(bitmap, count=n)))
         assert np.array_equal(hit2, hit) and np.array_equal(bases2, bases)
 
     @pytest.mark.parametrize("clicks", [DENSE_CLICKS, SPARSE_CLICKS], ids=["dense", "sparse"])
