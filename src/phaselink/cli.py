@@ -7,11 +7,13 @@ Subcommands:
     simulate      Monte Carlo pulse batch vs the closed-form model
     session       full two-endpoint protocol run over a socketpair
 
-Exit codes: 0 success, 2 configuration error, 3 regime violation,
-4 session abort, 1 anything else. Outputs are UTF-8 CSV or JSON; CSV
-bytes are deterministic for fixed seeds. With --out, a sidecar
-<out>.record.json stores the scenario id, config hash, timestamp, and
-the emitted tables.
+Exit codes: 0 success, 2 configuration error (a key pool smaller than one
+frame's chips among them), 3 regime violation, 4 session abort, 5 key
+pool exhausted mid-session (disclosed check bits are never credited
+back; a message on stderr, no table), 1 anything else. Outputs are UTF-8
+CSV or JSON; CSV bytes are deterministic for fixed seeds. With --out, a
+sidecar <out>.record.json stores the scenario id, config hash,
+timestamp, and the emitted tables.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import ScenarioConfig, SweepGrid, config_hash, format_value, load_config
-from .errors import ConfigError, EstimatorCollapse, InsufficientStatistics, RegimeViolation
+from .errors import ConfigError, EstimatorCollapse, InsufficientStatistics
+from .errors import KeyPoolExhausted, RegimeViolation
 from .montecarlo import PulsePlan, simulate_batch, stats_to_observables
 from .optics import transmittance
 from .protocol.session import Seeds, run_session_detailed
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_ABORT = 4
+EXIT_POOL = 5
 
 LINK_BUDGET_HEADER = "item,value"
 RATE_SWEEP_HEADER = "d_fs_m,key_gen_rate_bps,cs_raw,q_mu,e_mu,q1,e1,collapsed"
@@ -228,6 +232,9 @@ def main(argv=None) -> int:
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except KeyPoolExhausted as exc:
+        print(f"key pool exhausted: {exc}", file=sys.stderr)
+        return EXIT_POOL
 
 
 if __name__ == "__main__":

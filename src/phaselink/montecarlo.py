@@ -23,23 +23,13 @@ pulse and probability instead of 1. Three decisions read lanes this way: the cla
 (draw_classes, two thresholds per pulse), the dense click compare and the
 error flags (one probability per pulse, its class's).
 
-The per-pulse kernels stream: the class schedule, its counts and the
-dense click compare mix their draws one rng block at a time
-(rng.byte_lane_blocks) and consume each block while it is in cache, so no
-full-length array of draws is built. detect returns the click positions,
-one error flag per click and the clicks' classes, never a per-pulse mask,
-so its output scales with the clicks, not the pulses.
-
-The schedule has three exact reads, each equal to the class array's bit
-for bit: class_schedule streams a range's classes, classes_at reads them
-at given positions, and schedule_counts tallies a range by counting each
-block's lanes below the signal boundary byte and above the vacuum one,
-classifying only the tied lanes with draw_classes. A PulsePlan is a
-batch's seeded schedule and answers through these reads, so detect takes
-it in place of a class array and simulate_batch builds none. detect reads
-classes once, where it looks (slices on the dense path, candidates on the
-sparse one), and returns the clicks' classes with the clicks. The session
-passes detect its class array.
+The per-pulse kernels consume their draws one rng block at a time
+(rng.byte_lane_blocks), while it is in cache, and detect's output is per
+click, never a per-pulse mask. The schedule's three exact reads,
+class_schedule, classes_at and schedule_counts, each equal the class
+array bit for bit. A PulsePlan answers through them, so simulate_batch
+builds no class array; the session passes detect its class array, and
+detect reads each pulse's class at most once, where it looks.
 
 detect samples clicks on one of two paths, chosen by sparse_clicks from
 the highest class click probability p_max: sparse when a 64-pulse word

@@ -10,11 +10,15 @@ Forward direction (preprocess):
                  -> XOR with a pad bit per chip
 
 The pad bit of chip i of frame f is key[f * n_chips + i] XOR mask_f[i]:
-key is the key stream of key_seed, read at a fixed position per chip
+key is the bit stream of key_seed, read at a fixed position per chip
 whatever the key pool holds (the ledger only counts bits), and mask_f is
 the keyed mask stream of mask_seed and f. Because undetected chip
 positions never leave the masked domain, their pad bits reveal nothing
 and can be recycled.
+
+preprocess returns the chips packed little-endian (chip i at bit i % 8 of
+byte i // 8); n_chips is a multiple of 8, so frame f's key starts at a
+whole byte and the pad is the two streams' bytes XORed (random_bytes).
 
 Decoding inverts the pipeline on the surviving chip positions only, with
 a majority vote over the survivors of each coded-bit group (ties resolve
@@ -26,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FrameCorrupt, FrameLost
-from ..rng import random_bits, random_bits_at, split_seed
+from ..rng import random_bits_at, random_bytes, split_seed
 
 PAYLOAD_BYTES = 125
 PAYLOAD_BITS = PAYLOAD_BYTES * 8
@@ -41,27 +45,26 @@ def chip_count(fec_ratio: int, spread_ratio: int) -> int:
 
 def _pad(frame_id: int, n_chips: int, key_seed: int, mask_seed: int, positions=None):
     """Pad bits (uint8 0/1) of the frame's chips at the given positions,
-    or of every chip, drawn contiguously, when positions is None."""
+    or of every chip, packed little-endian, when positions is None."""
     mask = split_seed(mask_seed, frame_id)
-    offset = frame_id * n_chips
     if positions is None:
-        pad = random_bits(key_seed, n_chips, offset=offset)
-        pad ^= random_bits(mask, n_chips)
-        return pad
-    return random_bits_at(key_seed, offset + positions) ^ random_bits_at(mask, positions)
+        size = n_chips // 8
+        pad = np.frombuffer(random_bytes(key_seed, size, offset=frame_id * size), dtype=np.uint8)
+        return pad ^ np.frombuffer(random_bytes(mask, size), dtype=np.uint8)
+    return random_bits_at(key_seed, frame_id * n_chips + positions) ^ random_bits_at(mask, positions)
 
 
 def preprocess(
     payload: bytes, frame_id: int, fec_ratio: int, spread_ratio: int, key_seed: int, mask_seed: int
 ) -> np.ndarray:
-    """Encode a 125-byte payload into its on-air chip sequence (uint8 0/1)."""
+    """Encode a 125-byte payload into its on-air chips, packed little-endian
+    (uint8, n_chips / 8 bytes)."""
     if len(payload) != PAYLOAD_BYTES:
         raise ValueError(f"payload must be exactly {PAYLOAD_BYTES} bytes")
     n_chips = chip_count(fec_ratio, spread_ratio)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     chips = _pad(frame_id, n_chips, key_seed, mask_seed)
-    groups = chips.reshape(PAYLOAD_BITS, fec_ratio * spread_ratio)  # a view: chips per payload bit
-    groups ^= bits[:, None]
+    chips ^= np.packbits(np.repeat(bits, fec_ratio * spread_ratio), bitorder="little")
     return chips
 
 

@@ -22,37 +22,27 @@ the frame count and the pipeline ratios from its protocol section, and
 checks that each FRAME_META carries the next frame id and each QUANTUM
 starts at the pulse count of the frames before it.
 
-The QBER check: after each frame the sender adds the frame's disclosed
-bits and their errors to the session's running totals, and aborts when the
-one-sided Clopper-Pearson lower bound on the cumulative error rate, at
-level QBER_EPSILON / n_frames, exceeds qber_threshold (qber_exceeds). If
-the link's true QBER is at most the threshold, each of the n_frames looks
-aborts with probability at most QBER_EPSILON / n_frames, so by the union
-bound the session aborts by chance with probability at most QBER_EPSILON.
+The QBER check (qber_exceeds) runs after each frame on the session's
+cumulative disclosed bits, at level QBER_EPSILON / n_frames, so by the
+union bound over the n_frames looks a session over a link within
+qber_threshold aborts by chance with probability at most QBER_EPSILON.
 
-Key accounting: each chip debits one pad bit when its frame is encoded;
-pad bits on positions Bob never kept are recycled; kept positions mint
-fresh key, except disclosed check bits which are consumed and not
-regenerated. A frame that aborts mints no key: its never-kept positions
-are recycled and its kept ones stay consumed. The ledger only counts:
-both endpoints take a frame's pad bits from framing, at fixed key-stream
-positions.
+Key accounting (debit per chip, recycling of never-kept positions, an
+aborted frame minting no key) is protocol.ledger's.
 
-The receiver's detection (montecarlo.detect) gives the click positions
-and one error flag per click. The receiver flips its copy of the sender's
-bits at the erred clicks and announces the positions, which only the wire
-codec turns into a per-pulse bitmap. Each endpoint's basis for pulse i is
-bit i of its basis stream for the frame, and it is read
-(rng.random_bits_at) only where pulse i clicked. After BASIS_ANNOUNCE both
-endpoints hold the same ascending click positions, so sifting speaks in
-indices into them. A kept click's chip index is the number of signal
-pulses before it, its rank among them: the receiver packs the frame's
-signal flags into 64-bit words and adds a prefix count of the whole words
-before the click to the popcount of its word's bits below it. The sender
-places its chips by the same rank, a flag byte at a time: each byte of its
-packed signal flags takes the 8 packed chips from the number of signal
-pulses before it, and a 256 x 256 table, built on first use, spreads them
-over the byte's set flags (_deposit). No per-pulse index or mask is built.
+The receiver's detection (montecarlo.detect) gives the click positions,
+one error flag per click and the clicks' classes. The receiver reads the
+sender's bits from QUANTUM's bytes at its clicks only, flips the erred
+ones, and announces the positions, which only the wire codec turns into a
+per-pulse bitmap. Each endpoint reads its basis stream for the frame
+(rng.random_bits_at) only where a pulse clicked. From then on sifting
+speaks in indices into the shared ascending click positions. A kept
+click's chip index is its rank, the number of signal pulses before it,
+which both endpoints take from one word-level helper (_signal_rank): the
+receiver at its kept clicks, the sender at every byte of signal flags as
+it places its packed chips (_deposit). The sender's sent tally is the
+chip count, its decoy count and the rest; only its clicks go through
+class_counts.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -120,8 +110,10 @@ class ProtocolParams:
             raise ValueError("qber_threshold must be in [0, 0.5]")
         if not (0.0 < self.duty_cycle <= 1.0):
             raise ValueError("duty_cycle must be in (0, 1]")
-        if self.n_frames < 1 or self.initial_pool_bits < 0:
-            raise ValueError("n_frames must be >= 1 and pool non-negative")
+        if self.n_frames < 1:
+            raise ValueError("n_frames must be >= 1")
+        if self.initial_pool_bits < chip_count(self.fec_ratio, self.spread_ratio):
+            raise ValueError("initial_pool_bits must cover one frame's chips")
 
 
 @dataclass(frozen=True)
@@ -255,14 +247,30 @@ def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
         offset += size
 
 
-def _signal_flags(classes: np.ndarray) -> np.ndarray:
-    """The signal flags of classes packed little-endian, 8 pulses per byte,
-    the last byte's pad bits clear."""
-    flags = np.packbits(classes, bitorder="little")  # packs class != 0, CLASS_SIGNAL being 0
-    np.invert(flags, out=flags)
+def _signal_rank(classes: np.ndarray) -> tuple:
+    """(words, before): the signal flags of classes packed little-endian
+    into uint64 words, the last zero-padded, and the exclusive prefix sum
+    of their popcounts (before[-1] counts all). A pulse's rank, a signal
+    pulse's chip index, is its word's prefix plus the flags below it in
+    the word: at the receiver's kept clicks (_chip_index), at every flag
+    byte of the sender's (_deposit)."""
+    packed = np.zeros(-(-len(classes) // 64) * 8, dtype=np.uint8)
+    flags = packed[: (len(classes) + 7) // 8]
+    # packbits packs class != 0, CLASS_SIGNAL being 0
+    np.invert(np.packbits(classes, bitorder="little"), out=flags)
     if len(classes) % 8:
         flags[-1] &= (1 << len(classes) % 8) - 1
-    return flags
+    words = packed.view("<u8")
+    before = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), out=before[1:])
+    return words, before
+
+
+def _chip_index(words: np.ndarray, before: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rank (_signal_rank) of each of an int array of positions: its
+    word's prefix plus the popcount of the word's flags below it."""
+    w, below = positions >> 6, (np.uint64(1) << (positions & 63).astype(np.uint64)) - 1
+    return before[w] + np.bitwise_count(words[w] & below)
 
 
 @functools.cache
@@ -283,20 +291,23 @@ def _deposit_table() -> np.ndarray:
 
 def _deposit(classes: np.ndarray, chips: np.ndarray) -> np.ndarray:
     """Per-pulse bits (uint8 0/1): chip k on the k-th signal pulse of
-    classes, 0 on every other pulse; classes holds len(chips) signal pulses.
+    classes, 0 elsewhere; chips are packed little-endian (preprocess).
 
-    A byte of packed signal flags (_signal_flags) covers 8 pulses, and its
-    set flags take the chips from its rank on, the rank being the number of
-    signal pulses before it: the 8 packed chips at that bit offset, spread
-    over the set flags by _deposit_table. Every array but the result holds
-    one entry per flag byte or per 8 chips.
+    Each byte of signal flags (_signal_rank) takes the 8 packed chips at its
+    rank, spread over its set flags by _deposit_table. Its rank is its
+    word's prefix plus the flags of the bytes below it in the word: one
+    multiply by 0x0101010101010101 of the word of the 8 bytes' popcounts
+    sums them for all 8 bytes, with no carry since each sum is at most 64.
+    Every array but the result holds one entry per flag byte or per 8 chips.
     """
-    flags = _signal_flags(classes)
-    counts = np.bitwise_count(flags)
-    rank = np.cumsum(counts, dtype=np.int64)
-    rank -= counts
-    packed = np.zeros(len(chips) // 8 + 2, dtype=np.uint8)  # room to read past the end
-    packed[: (len(chips) + 7) // 8] = np.packbits(chips, bitorder="little")
+    words, before = _signal_rank(classes)
+    flags = words.view(np.uint8)
+    below = np.bitwise_count(flags).view("<u8")
+    below *= np.uint64(0x0101010101010101)  # byte k: the flags of bytes 0 to k of the word
+    below <<= np.uint64(8)  # ... of bytes 0 to k - 1
+    rank = (below.view(np.uint8).reshape(-1, 8) + before[:-1, None]).ravel()
+    packed = np.zeros(len(chips) + 2, dtype=np.uint8)  # room to read past the end
+    packed[: len(chips)] = chips
     pairs = packed[1:].astype(np.uint16)  # pair k: chips 8k to 8k + 15
     pairs <<= 8
     pairs |= packed[:-1]
@@ -359,17 +370,17 @@ class AliceSession:
             announced, n_announced, hit, bob_bases = wire.decode_basis_announce(payload_bytes)
             if (announced, n_announced) != (start_pulse, n_pulses):
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
-            self._counts += class_counts(classes, hit)
+            n_decoy = int(np.count_nonzero(classes == CLASS_DECOY))
+            self._counts[0] += n_chips, n_decoy, n_pulses - n_chips - n_decoy
+            hit_classes = classes[hit]
+            self._counts[1] += class_counts(hit_classes)[0]
 
             bases = random_bits_at(_frame_seed(spec.seeds.alice, _S_ALICE_BASIS, f), hit)
-            keep = (bases == bob_bases) & (classes[hit] == CLASS_SIGNAL)  # one flag per click
+            keep = (bases == bob_bases) & (hit_classes == CLASS_SIGNAL)  # one flag per click
             kept = np.flatnonzero(keep)  # indices into hit
 
-            sample = _sample_positions(
-                kept,
-                p.sample_fraction,
-                _frame_seed(spec.seeds.alice, _S_SAMPLE, f),
-            )
+            sample_seed = _frame_seed(spec.seeds.alice, _S_SAMPLE, f)
+            sample = _sample_positions(kept, p.sample_fraction, sample_seed)
             n_sample = len(sample)
             transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample))
             _, payload_bytes = _recv(transport, wire.SAMPLE_DISCLOSE)
@@ -437,28 +448,6 @@ class AliceSession:
         return self.report
 
 
-def _signal_rank(classes: np.ndarray) -> tuple:
-    """(n_signal, chip_index): the number of signal pulses in classes, and a
-    function giving, for each of an int array of positions, the number of
-    signal pulses before it, which is the chip index of a signal pulse there.
-
-    The signal flags are packed little-endian into uint64 words, the last
-    one zero-padded, with an exclusive prefix sum of their popcounts; a
-    position's rank is its word's prefix plus the popcount of the word's
-    bits below it. No per-pulse index array is built.
-    """
-    packed = np.zeros(-(-len(classes) // 64) * 8, dtype=np.uint8)
-    packed[: (len(classes) + 7) // 8] = _signal_flags(classes)
-    words = packed.view("<u8")
-    before = np.concatenate(([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
-
-    def chip_index(positions: np.ndarray) -> np.ndarray:
-        w, below = positions >> 6, (np.uint64(1) << (positions & 63).astype(np.uint64)) - 1
-        return before[w] + np.bitwise_count(words[w] & below)
-
-    return int(before[-1]), chip_index
-
-
 class BobSession:
     """Receiver endpoint: detection simulation, announcements, decoding.
 
@@ -498,16 +487,16 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
             _, payload = _recv(transport, wire.QUANTUM)
-            start, classes, bits = wire.decode_quantum(payload)
+            start, classes, body = wire.decode_quantum(payload)
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
-            n_signal, chip_index = _signal_rank(classes)
-            if n_signal != n_chips:
+            words, before = _signal_rank(classes)
+            if before[-1] != n_chips:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
-            hit, err, _ = detect(
+            hit, err, hit_classes = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
                 spec.source,
@@ -516,7 +505,7 @@ class BobSession:
                 _frame_seed(spec.seeds.channel, _S_ERROR, f),
             )
             bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
-            bits[hit[err]] ^= 1  # the sender's bits as measured: flipped where detection erred
+            measured = (body[hit] & 1) ^ err  # the sender's bits at the clicks, flipped if erred
 
             transport.send(
                 wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
@@ -528,9 +517,7 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
             if np.any(sample[1:] <= sample[:-1]):  # each click is disclosed at most once
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offsets do not strictly ascend")
-            transport.send(
-                wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(bits[hit[sample]])
-            )
+            transport.send(wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(measured[sample]))
 
             msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
@@ -538,16 +525,16 @@ class BobSession:
             mapped, keep = wire.decode_sift_map(payload)
             if (mapped, len(keep)) != (start, len(hit)):
                 raise ProtocolError(f"frame {f}: SIFT_MAP start or length is not the frame's")
-            kept = hit[np.flatnonzero(keep)]
-            if np.any(classes[kept] != CLASS_SIGNAL):
+            kept = np.flatnonzero(keep)  # indices into hit
+            if np.any(hit_classes[kept] != CLASS_SIGNAL):
                 raise ProtocolError(f"frame {f}: SIFT_MAP keeps a click that carries no chip")
             if np.any(keep[sample]):
                 raise ProtocolError(f"frame {f}: SIFT_MAP keeps a disclosed click")
 
             try:
                 recovered = decode(
-                    bits[kept],
-                    chip_index(kept),
+                    measured[kept],
+                    _chip_index(words, before, hit[kept]),
                     f,
                     p.fec_ratio,
                     p.spread_ratio,
@@ -566,7 +553,7 @@ class BobSession:
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
             start_pulse += n_pulses
-            del classes, bits, chip_index  # as in AliceSession.run
+            del classes, body, words  # as in AliceSession.run
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:

@@ -33,7 +33,9 @@ reliable; no cryptography is applied here):
                           intensity class 0-2, bits 4-7 zero (a byte
                           with bit 1 or one of bits 4-7 set, or above
                           class 2, is rejected; the check is one OR and
-                          one max over the bytes). Simulation
+                          one max over the bytes). The decoder returns
+                          the classes and the bytes as sent, which the
+                          receiver reads at its clicks only. Simulation
                           stand-in for the photon stream; a real
                           deployment has no such classical message. The
                           sender's basis, which sets the pulse phase with
@@ -49,11 +51,10 @@ ProtocolError unless the payload is exactly as long as that requires (for
 BASIS_ANNOUNCE, the count and the number of set click flags), and unless
 the pad bits after each packed bit field (the click bitmap, the bases,
 the disclosed bits, the kept flags) are zero; the REPORT decoder raises
-it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE encoder
-sets each click's bit in a zeroed bitmap, with no per-pulse array. The
-decoder unpacks the whole click bitmap when at least one of 8 bytes holds
-a click, as on a desk frame, and otherwise only its nonzero bytes, as on
-a measured-link frame. The nonzero-byte path is about 4x faster than the
+it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE decoder
+unpacks the whole click bitmap when at least one of 8 bytes holds a
+click, as on a desk frame, and otherwise only its nonzero bytes, as on a
+measured-link frame. The nonzero-byte path is about 4x faster than the
 whole unpack on a measured-link bitmap and about 10x slower on a desk one,
 so each kind of bitmap takes its own path, as rng._lanes_at reads dense
 and sparse positions.
@@ -256,14 +257,16 @@ def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytearr
 
 
 def decode_quantum(payload: bytes) -> tuple:
-    """(start, classes, bits); bits is a fresh array the caller may write."""
+    """(start, classes, body): body is the per-pulse bytes as sent, a view
+    of payload, so a reader takes a pulse's bit (body[i] & 1) only where it
+    needs it and no per-pulse bit array is built."""
     start, n = _payload_head(payload, "!QI", lambda n: n)
-    packed = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
-    if n and np.bitwise_or.reduce(packed) & 0xF2:
+    body = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
+    if n and np.bitwise_or.reduce(body) & 0xF2:
         raise ProtocolError("QUANTUM byte with bit 1 or one of bits 4-7 set")
-    if n and packed.max() >= 3 << 2:
+    if n and body.max() >= 3 << 2:
         raise ProtocolError("QUANTUM byte beyond intensity class 2")
-    return start, packed >> 2, packed & 1
+    return start, body >> 2, body
 
 
 def encode_report(obj: dict) -> bytes:

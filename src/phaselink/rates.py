@@ -106,6 +106,8 @@ class DetectorConfig:
             raise ValueError("visibility must be in [0, 1]")
         if self.e_mis < 0:
             raise ValueError("e_mis must be non-negative")
+        if self.e_det + self.e_mis > 0.5:  # the same sum that sets each class's QBER
+            raise ValueError("e_det + e_mis, with e_det = (1 - visibility) / 2, must be <= 0.5")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
         if not (0.0 < self.eta_b <= 1.0):

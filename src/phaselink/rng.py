@@ -16,8 +16,10 @@ collide.
 
 Bit streams pack 64 bits per draw: bit i of stream s is bit ``i % 64``
 (least significant first) of draw ``i // 64``, so n bits cost about n / 64
-draws. Byte streams are pinned the same way: ``random_bytes(s, n)`` is the
-first n bytes of draws 0, 1, ... each laid out little-endian. Neither
+draws. Byte streams are pinned the same way: ``random_bytes(s, n, offset)``
+is bytes offset .. offset + n - 1 of draws 0, 1, ... each laid out
+little-endian. Byte j holds bits 8j .. 8j + 7 of the bit stream, least
+significant first, so a byte-aligned run of bits is drawn packed. Neither
 depends on host byte order.
 
 Byte lanes: a per-pulse decision that needs about 8 bits reads byte lane
@@ -31,16 +33,10 @@ compare and the error flags of montecarlo all decide on byte lanes
 through it. ``byte_lane_blocks`` streams consecutive lanes and
 ``byte_lanes_at`` reads them at given positions.
 
-Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time.
-``raw64_blocks`` hands out each block as soon as it is mixed, in one reused
-buffer, so a per-pulse kernel can consume a long stream without building
-its full-length uint64 array.
-
-Draws can also be addressed by position: ``raw64_at(s, positions)``,
-``random_bits_at(s, positions)`` and ``byte_lanes_at(s, positions)`` give
-exactly the values of the contiguous stream indexed at those positions, so
-a caller that reads a few positions of a long stream need not draw the
-rest. Positions must be non-negative.
+Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time
+(raw64_blocks). Draws can also be addressed by non-negative position:
+``raw64_at``, ``random_bits_at`` and ``byte_lanes_at`` give exactly the
+contiguous stream's values there, without drawing the rest.
 
 A uniform is exactly ``(z >> 11) * 2^-53`` of its raw draw z, so
 ``below(z, p)`` decides ``uniform < p`` on the raw draws, with no float
@@ -283,7 +279,8 @@ def _masked(flags: np.ndarray, mask) -> np.ndarray:
     return flags
 
 
-def random_bytes(seed: int, n: int) -> bytes:
-    """n deterministic bytes from the stream."""
-    words = raw64(seed, (n + 7) // 8)
-    return words.astype("<u8", copy=False).tobytes()[:n]
+def random_bytes(seed: int, n: int, offset: int = 0) -> bytes:
+    """n bytes of the byte stream, starting at byte offset."""
+    skip = offset & 7
+    words = raw64(seed, (skip + n + 7) >> 3, offset >> 3)
+    return words.astype("<u8", copy=False).tobytes()[skip : skip + n]

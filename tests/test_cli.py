@@ -1,4 +1,6 @@
 import json
+import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,22 @@ UPGRADED = str(CONFIG_DIR / "upgraded_link.cfg")
 
 def run_cli(args):
     return cli.main(args)
+
+
+def edited_config(tmp_path, name: str, **values) -> str:
+    """The bundled config name with each key set to its value; a key is
+    given with "__" for its dot (protocol__n_frames)."""
+    text = (CONFIG_DIR / name).read_text()
+    for key, value in values.items():
+        key = key.replace("__", ".")
+        text, found = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert found == 1, key
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+COMMANDS = ("link-budget", "rate-sweep", "simulate", "session")
 
 
 class TestLinkBudget:
@@ -152,3 +170,46 @@ class TestSession:
         cfg.write_text(text)
         assert run_cli(["session", "--config", str(cfg)]) == cli.EXIT_ABORT
         assert "abort" in capsys.readouterr().err.lower()
+
+
+class TestTypedExits:
+    """Inputs that once escaped main as a traceback end in a documented exit."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pool_below_one_frame_is_config_error(self, tmp_path, capsys, command):
+        # 1000 bits against 1,920,000 chips per frame: rejected on load
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", protocol__initial_pool_bits=1000)
+        assert run_cli([command, "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "initial_pool_bits" in err
+
+    def test_pool_of_one_frame_loads(self, tmp_path, capsys):
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", protocol__initial_pool_bits=1_920_000)
+        assert run_cli(["link-budget", "--config", cfg]) == cli.EXIT_OK
+
+    def test_pool_exhausted_mid_session(self, tmp_path, capsys):
+        # the pool covers frame 0; its disclosed check bits are not credited
+        # back, so frame 1's debit fails
+        cfg = edited_config(
+            tmp_path,
+            "desk_session.cfg",
+            protocol__n_frames=2,
+            protocol__spread_ratio=8,
+            protocol__initial_pool_bits=8000,
+        )
+        threads = threading.active_count()
+        assert run_cli(["session", "--config", cfg]) == cli.EXIT_POOL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("key pool exhausted: pool holds") and "Traceback" not in err
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("e_mis", ["0.5", "1e308"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_error_rate_above_half_is_config_error(self, tmp_path, capsys, command, e_mis):
+        # e_det + e_mis > 0.5 once failed in rate-sweep's forward model and
+        # overflowed in simulate and session
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", detector__e_mis=e_mis)
+        assert run_cli([command, "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "e_mis" in err

@@ -18,6 +18,11 @@ def all_chips(fec, spread):
     return np.arange(chip_count(fec, spread))
 
 
+def on_air(*args, **kwargs):
+    """preprocess's chips unpacked, one uint8 0/1 per chip."""
+    return np.unpackbits(preprocess(*args, **kwargs), bitorder="little")
+
+
 class TestFrame:
     def test_payload_length_enforced(self):
         with pytest.raises(ValueError):
@@ -27,7 +32,7 @@ class TestFrame:
 
     def test_chip_count_spread_1920(self):
         assert chip_count(1, 1920) == 1_920_000
-        assert len(preprocess(bytes(125), 0, 1, 1920, key_seed=1, mask_seed=2)) == 1_920_000
+        assert len(preprocess(bytes(125), 0, 1, 1920, key_seed=1, mask_seed=2)) == 1_920_000 // 8
         with pytest.raises(ValueError):
             chip_count(0, 1920)
 
@@ -37,14 +42,14 @@ class TestPreprocess:
         # unit ratios: removing key[f*n + i] and mask_f[i] leaves the payload bits
         payload = make_payload(1)
         n = chip_count(1, 1)
-        chips = preprocess(payload, 3, 1, 1, key_seed=4, mask_seed=9)
+        chips = on_air(payload, 3, 1, 1, key_seed=4, mask_seed=9)
         chips ^= random_bits(4, n, offset=3 * n)
         chips ^= random_bits(split_seed(9, 3), n)
         assert np.array_equal(chips, np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
 
     def test_invertible(self):
         payload = make_payload(2)
-        chips = preprocess(payload, 3, 2, 5, key_seed=42, mask_seed=9)
+        chips = on_air(payload, 3, 2, 5, key_seed=42, mask_seed=9)
         assert decode(chips, all_chips(2, 5), 3, 2, 5, 42, 9) == payload
 
     @pytest.mark.parametrize("frame_id,spread", [(3, 1920), (5, 3)])
@@ -59,8 +64,18 @@ class TestPreprocess:
     @given(seed=st.integers(0, 2**32), frame_id=st.integers(0, 40))
     def test_matches_repeat_form(self, seed, frame_id):
         # fec 3, spread 7: 21,000 chips per frame, so the key offset
-        # frame_id * 21,000 falls inside a 64-bit draw for most frames
-        fec, spread = 3, 7
+        # frame_id * 21,000 falls inside a 64-bit draw for most frames, and
+        # a payload bit's 21 chips start inside a chip byte
+        self.check_packed_repeat_form(3, 7, seed, frame_id)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32), frame_id=st.integers(0, 40))
+    def test_matches_repeat_form_spread_1920(self, seed, frame_id):
+        # the measured link's ratios: 240 whole chip bytes per payload bit
+        self.check_packed_repeat_form(1, 1920, seed, frame_id)
+
+    @staticmethod
+    def check_packed_repeat_form(fec, spread, seed, frame_id):
         n = chip_count(fec, spread)
         payload = make_payload(seed)
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
@@ -70,7 +85,8 @@ class TestPreprocess:
             ^ random_bits(split_seed(9, frame_id), n)
         )
         chips = preprocess(payload, frame_id, fec, spread, key_seed=4, mask_seed=9)
-        assert chips.dtype == np.uint8 and np.array_equal(chips, reference)
+        assert chips.dtype == np.uint8 and len(chips) == n // 8
+        assert np.array_equal(chips, np.packbits(reference, bitorder="little"))
 
     def test_ledger_debit(self):
         # the sender debits one pad bit per chip of each frame it encodes
@@ -88,7 +104,7 @@ class TestDecode:
         # lossless channel: decode(preprocess(x)) == x
         for i in range(1000):
             payload = make_payload(100 + i)
-            chips = preprocess(payload, i, 1, 4, split_seed(5, i), 77)
+            chips = on_air(payload, i, 1, 4, split_seed(5, i), 77)
             assert decode(chips, all_chips(1, 4), i, 1, 4, split_seed(5, i), 77) == payload
 
     @settings(max_examples=40, deadline=None)
@@ -104,7 +120,7 @@ class TestDecode:
         # survivor set that keeps a chip of every coded-bit group, it agrees
         # with the whole-frame pad that preprocess drew
         payload = make_payload(seed % 1000)
-        chips = preprocess(payload, frame_id, fec, spread, seed, seed + 1)
+        chips = on_air(payload, frame_id, fec, spread, seed, seed + 1)
         rng = np.random.default_rng(seed)
         kept = rng.random(len(chips)) < p_keep
         n_groups = len(chips) // spread
@@ -115,7 +131,7 @@ class TestDecode:
         assert decode(chips[P], P, frame_id, fec, spread, seed, seed + 1) == payload
 
     def test_positions_checked(self):
-        chips = preprocess(make_payload(9), 0, 1, 2, 7, 11)
+        chips = on_air(make_payload(9), 0, 1, 2, 7, 11)
         P = all_chips(1, 2)
         with pytest.raises(ValueError):
             decode(chips[:-1], P, 0, 1, 2, 7, 11)
@@ -124,7 +140,7 @@ class TestDecode:
 
     def test_no_redundancy_any_loss_fails(self):
         payload = make_payload(5)
-        chips = preprocess(payload, 0, 1, 1, 8, 0)
+        chips = on_air(payload, 0, 1, 1, 8, 0)
         P = np.delete(all_chips(1, 1), 17)
         with pytest.raises(FrameLost):
             decode(chips[P], P, 0, 1, 1, 8, 0)
@@ -140,7 +156,7 @@ class TestDecode:
         successes = 0
         for i in range(n_trials):
             payload = make_payload(2000 + i)
-            chips = preprocess(payload, i, 1, spread, split_seed(6, i), 3)
+            chips = on_air(payload, i, 1, spread, split_seed(6, i), 3)
             P = np.flatnonzero(np.random.default_rng(i).random(len(chips)) < p)
             try:
                 assert decode(chips[P], P, i, 1, spread, split_seed(6, i), 3) == payload
@@ -156,14 +172,14 @@ class TestDecode:
         p_zero_group = (1.0 - p) ** 64
         assert p_zero_group > 0.96
         payload = make_payload(4000)
-        chips = preprocess(payload, 0, 1, 64, 14, 0)
+        chips = on_air(payload, 0, 1, 64, 14, 0)
         P = np.flatnonzero(np.random.default_rng(0).random(len(chips)) < p)
         with pytest.raises(FrameLost):
             decode(chips[P], P, 0, 1, 64, 14, 0)
 
     def test_majority_vote_corrects_flips(self):
         payload = make_payload(6)
-        chips = preprocess(payload, 0, 1, 9, 21, 5)
+        chips = on_air(payload, 0, 1, 9, 21, 5)
         # flip 2 of every 9 chips: strict minority, vote still correct
         flip = np.zeros(len(chips), dtype=np.uint8)
         flip[::9] = 1
@@ -172,7 +188,7 @@ class TestDecode:
 
     def test_fec_tie_raises_corrupt(self):
         payload = make_payload(7)
-        chips = preprocess(payload, 0, 2, 1, 13, 0)
+        chips = on_air(payload, 0, 2, 1, 13, 0)
         # flip one copy of the first coded bit: 1-1 tie at the FEC stage
         flip = np.zeros(len(chips), dtype=np.uint8)
         flip[0] = 1
@@ -189,7 +205,7 @@ class TestMaskStream:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
 
         def mask(mask_seed, frame_id):
-            chips = preprocess(payload, frame_id, 1, 1, key_seed=3, mask_seed=mask_seed)
+            chips = on_air(payload, frame_id, 1, 1, key_seed=3, mask_seed=mask_seed)
             return chips ^ bits ^ random_bits(3, n, offset=frame_id * n)
 
         a = mask(1, 0)

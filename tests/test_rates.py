@@ -72,6 +72,23 @@ class TestForwardGains:
         _, qber_high = gain_and_qber(1.0, 0.71, det)
         assert qber_high == pytest.approx(det.e_det + det.e_mis, rel=1e-3)
 
+    @pytest.mark.parametrize("visibility,e_mis", [(1.0, 0.5), (0.0, 0.0), (0.9847, 0.0)])
+    def test_error_rate_up_to_half_accepted(self, visibility, e_mis):
+        # e_det + e_mis <= 0.5 keeps every class's QBER in [0, 0.5], so
+        # the observables the forward model builds are valid at any eta
+        det = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=visibility, e_mis=e_mis)
+        for eta in np.logspace(-9, 0, 10):
+            obs = forward_gains(float(eta), SRC, det)
+            assert obs.e_mu <= 0.5 and obs.e_nu <= 0.5
+
+    @pytest.mark.parametrize(
+        "visibility,e_mis",
+        [(1.0, math.nextafter(0.5, 1.0)), (0.9847, 0.5), (0.0, 1e-9), (0.9847, 1e308)],
+    )
+    def test_error_rate_above_half_rejected(self, visibility, e_mis):
+        with pytest.raises(ValueError, match="e_mis"):
+            DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=visibility, e_mis=e_mis)
+
     def test_eta_domain(self):
         with pytest.raises(ValueError):
             forward_gains(0.0, SRC, DET)

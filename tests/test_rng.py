@@ -122,6 +122,28 @@ def test_bytes_are_little_endian_draws():
 
 @given(
     seed=st.integers(0, (1 << 64) - 1),
+    offset=st.integers(0, 100),
+    n=st.integers(0, 100),
+    far=st.integers(0, 1 << 40),
+)
+def test_bytes_at_offset_slice_the_stream(seed, offset, n, far):
+    # any byte offset, inside a draw or at its start, and any length
+    assert random_bytes(seed, n, offset=offset) == random_bytes(seed, offset + n)[offset:]
+    far_words = raw64(seed, 2 + n // 8, far // 8)
+    stream = b"".join(int(w).to_bytes(8, "little") for w in far_words)
+    assert random_bytes(seed, n, offset=far) == stream[far % 8 : far % 8 + n]
+
+
+@given(seed=st.integers(0, (1 << 64) - 1), byte=st.integers(0, 1000), n=st.integers(0, 64))
+def test_bytes_are_packed_bits(seed, byte, n):
+    # byte j of the byte stream packs bits 8 j .. 8 j + 7 of the bit stream
+    packed = np.packbits(random_bits(seed, 8 * n, offset=8 * byte), bitorder="little")
+    assert random_bytes(seed, n, offset=byte) == packed.tobytes()
+
+
+
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
     offset=st.integers(0, 1 << 40),
     rel=st.lists(st.integers(0, 299), max_size=50),
 )

@@ -25,6 +25,7 @@ from phaselink.protocol.session import (
     BobSession,
     ProtocolParams,
     Seeds,
+    _chip_index,
     _deposit,
     _draw_schedule,
     _signal_rank,
@@ -235,8 +236,8 @@ def _renumber_meta(payload):
 
 
 def _shift_quantum_start(payload):
-    start, classes, bits = wire.decode_quantum(payload)
-    return wire.encode_quantum(start + 5, classes, bits)
+    start, classes, body = wire.decode_quantum(payload)
+    return wire.encode_quantum(start + 5, classes, body & 1)
 
 
 def _cut_announce(payload):
@@ -303,10 +304,10 @@ def _keep_sampled_click(payload):
 
 
 def _demote_first_signal(payload):
-    start, classes, bits = wire.decode_quantum(payload)
+    start, classes, body = wire.decode_quantum(payload)
     classes = classes.copy()
     classes[np.argmax(classes == CLASS_SIGNAL)] = CLASS_DECOY
-    return wire.encode_quantum(start, classes, bits)
+    return wire.encode_quantum(start, classes, body & 1)
 
 
 def _renumber_report(payload):
@@ -400,7 +401,7 @@ class TestSift:
         )
         pos = np.setdiff1d(kept, sampled)
         measured = np.zeros(n, dtype=np.uint8)
-        measured[signal] = chips
+        measured[signal] = np.unpackbits(chips, bitorder="little")
         measured[hit[err]] ^= 1
         assert 0 < len(sampled) < len(pos)
         assert np.array_equal(positions, np.cumsum(signal)[pos] - 1)
@@ -587,45 +588,51 @@ class TestSignalRank:
         # the chip index of each position is the position less the number
         # of non-signal pulses before it; every length and both extremes
         n = len(classes)
-        n_signal, chip_index = _signal_rank(classes)
-        assert n_signal == np.count_nonzero(classes == CLASS_SIGNAL)
+        words, before = _signal_rank(classes)
+        assert before[-1] == np.count_nonzero(classes == CLASS_SIGNAL)
         edges = [p for p in (0, 63, 64, n - 1) if 0 <= p < n]
         drawn = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=20)) if n else []
         positions = np.array(edges + drawn, dtype=np.int64)
         reference = positions - np.searchsorted(np.flatnonzero(classes != CLASS_SIGNAL), positions)
-        assert np.array_equal(chip_index(positions), reference)
+        assert np.array_equal(_chip_index(words, before, positions), reference)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 63, 64, 65, 300])
     @pytest.mark.parametrize("cls", [CLASS_SIGNAL, CLASS_DECOY])
     def test_uniform_frames(self, n, cls):
         # all-signal and no-signal frames, and an empty position array
         classes = np.full(n, cls, dtype=np.uint8)
-        n_signal, chip_index = _signal_rank(classes)
+        words, before = _signal_rank(classes)
         positions = np.arange(n)
         expected = positions if cls == CLASS_SIGNAL else np.zeros(n, dtype=np.int64)
-        assert n_signal == (n if cls == CLASS_SIGNAL else 0)
-        assert np.array_equal(chip_index(positions), expected)
-        assert chip_index(np.empty(0, dtype=np.int64)).tolist() == []
+        assert before[-1] == (n if cls == CLASS_SIGNAL else 0)
+        assert np.array_equal(_chip_index(words, before, positions), expected)
+        assert _chip_index(words, before, np.empty(0, dtype=np.int64)).tolist() == []
 
 
 CLASS_LISTS = st.lists(st.sampled_from([CLASS_SIGNAL, CLASS_DECOY, CLASS_VACUUM]), max_size=300)
 
 
 def scattered(classes, chips):
-    """The per-pulse bits as the bool-mask scatter gives them."""
+    """The per-pulse bits as the bool-mask scatter gives them, for chips
+    packed little-endian."""
     bits = np.zeros(len(classes), dtype=np.uint8)
-    bits[classes == CLASS_SIGNAL] = chips
+    signal = classes == CLASS_SIGNAL
+    bits[signal] = np.unpackbits(chips, count=np.count_nonzero(signal), bitorder="little")
     return bits
+
+
+def packed(chips):
+    """0/1 chips packed little-endian, as framing.preprocess gives them."""
+    return np.packbits(np.asarray(chips, dtype=np.uint8), bitorder="little")
 
 
 class TestDeposit:
     @given(classes=CLASS_LISTS.map(lambda c: np.array(c, dtype=np.uint8)), data=st.data())
     def test_matches_bool_mask_scatter(self, classes, data):
-        # every length 0-300, not only whole flag bytes, and any chips
+        # every length 0-300, not only whole flag bytes or words, and any chips
         n_chips = int(np.count_nonzero(classes == CLASS_SIGNAL))
-        chips = np.array(
-            data.draw(st.lists(st.integers(0, 1), min_size=n_chips, max_size=n_chips)),
-            dtype=np.uint8,
+        chips = packed(
+            data.draw(st.lists(st.integers(0, 1), min_size=n_chips, max_size=n_chips))
         )
         bits = _deposit(classes, chips)
         assert bits.dtype == np.uint8 and np.array_equal(bits, scattered(classes, chips))
@@ -635,13 +642,13 @@ class TestDeposit:
     def test_uniform_frames(self, n, cls):
         # all-signal frames take every chip in order, no-signal frames none
         classes = np.full(n, cls, dtype=np.uint8)
-        chips = random_bits(9, n if cls == CLASS_SIGNAL else 0)
+        chips = packed(random_bits(9, n if cls == CLASS_SIGNAL else 0))
         assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
 
     def test_measured_link_frame(self):
         # 1.92 M chips on about 2.11 M pulses
         classes = _draw_schedule(5, 1_920_000, SRC)
-        chips = random_bits(11, 1_920_000)
+        chips = packed(random_bits(11, 1_920_000))
         assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
 
     def test_table_built_on_first_use(self):
@@ -650,7 +657,7 @@ class TestDeposit:
             "import numpy as np\n"
             "from phaselink.protocol import session\n"
             "print(session._deposit_table.cache_info().currsize)\n"
-            "session._deposit(np.zeros(3, np.uint8), np.ones(3, np.uint8))\n"
+            "session._deposit(np.zeros(3, np.uint8), np.packbits(np.ones(3, np.uint8), bitorder='little'))\n"
             "print(session._deposit_table.cache_info().currsize)\n"
         )
         src = str(Path(session.__file__).resolve().parents[2])

@@ -1,6 +1,6 @@
 """The scripts under tools/: draw_counts.py and stage_times.py run end to
-end and their reports add up, and cli_digests.py lists the CLI runs that it
-digests."""
+end and their reports add up, stage_times.py --repeat prints per-session
+means, and cli_digests.py lists the CLI runs that it digests."""
 
 import importlib.util
 import re
@@ -101,6 +101,26 @@ def test_stage_times_rows_within_thread_totals():
         assert sum(faults for _, _, faults, _ in rows) <= total_faults, key
     assert "session._deposit" in {name for name, *_ in threads["measured_link", "alice"][2]}
     assert "session.detect" in {name for name, *_ in threads["measured_link", "bob"][2]}
+
+
+def test_stage_times_repeat_prints_means():
+    # one warm-up session, then the means of two more, on every config
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--repeat", "2"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    mean = re.compile(r"^session (\w+): \d+ frames, \d+ pulses \(mean of 2 sessions\)$", re.M)
+    sessions = mean.findall(done.stdout)
+    assert sessions == ["desk_session", "measured_link", "upgraded_link"]
+    lines = [line for line in done.stdout.splitlines() if not line.startswith("session ")]
+    assert lines and all(THREAD.fullmatch(line) or STAGE_TIME.fullmatch(line) for line in lines)
+    # a stage's calls are per session: the measured link's 4 frames
+    measured = done.stdout.split("session measured_link")[1].split("session upgraded_link")[0]
+    assert re.search(r"session\._deposit: [\d.]+ ms, -?\d+ minor faults, 4 calls", measured)
 
 
 def test_cli_digest_runs_listed_without_running(monkeypatch):

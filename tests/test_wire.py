@@ -84,10 +84,11 @@ class TestCodecs:
         payload = wire.encode_quantum(5, classes, bits)
         # bit 0 the bit, bit 1 zero, bits 2-3 the class
         assert list(payload[12:]) == [0, 5, 9, 0, 1]
-        start, c2, bi2 = wire.decode_quantum(payload)
+        start, c2, body = wire.decode_quantum(payload)
         assert start == 5
         assert np.array_equal(c2, classes)
-        assert np.array_equal(bi2, bits)
+        assert body.tolist() == [0, 5, 9, 0, 1]  # the bytes as sent: bits at body & 1
+        assert np.array_equal(body & 1, bits)
 
     def test_report_roundtrip(self):
         obj = {"frame_id": 3, "status": "ok", "sha256": "ab" * 32}
@@ -223,9 +224,10 @@ class TestCodecProperties:
         classes = np.array([c for c, _ in pulses], dtype=np.uint8)
         bits = np.array([b for _, b in pulses], dtype=np.uint8)
         payload = wire.encode_quantum(start, classes, bits)
-        s2, c2, b2 = wire.decode_quantum(payload)
+        s2, c2, body = wire.decode_quantum(payload)
         assert s2 == start
-        assert np.array_equal(c2, classes) and np.array_equal(b2, bits)
+        assert np.array_equal(c2, classes) and np.array_equal(body & 1, bits)
+        assert np.array_equal(body, np.frombuffer(payload, np.uint8, offset=12))
         only_whole_payload_decodes(wire.decode_quantum, payload)
 
     @given(pulses=st.integers(1, 50), at=st.integers(0, 49), byte=st.integers(12, 255))
@@ -359,8 +361,8 @@ class TestQuantumByteRejections:
     def test_every_valid_byte_decodes(self):
         valid = [cls * 4 | bit for cls in range(3) for bit in range(2)]
         payload = struct.pack("!QI", 0, len(valid)) + bytes(valid)
-        _, classes, bits = wire.decode_quantum(payload)
-        assert classes.tolist() == [0, 0, 1, 1, 2, 2] and bits.tolist() == [0, 1] * 3
+        _, classes, body = wire.decode_quantum(payload)
+        assert classes.tolist() == [0, 0, 1, 1, 2, 2] and (body & 1).tolist() == [0, 1] * 3
 
 
 def _clicks(n: int, positions) -> tuple:

@@ -1,6 +1,7 @@
 """Wall time and minor page faults of each stage of a session, per endpoint.
 
-Runs one session of each bundled config. Every function in the session
+Runs one session of each bundled config, or with --repeat N, one to warm
+up and then N, whose means are printed. Every function in the session
 module's namespace, the wire codecs (encode_*, decode_*) and
 SocketTransport.send/recv are wrapped for the run, as draw_counts.py wraps
 rng._draw; nothing under src/ is changed. Each call is timed with
@@ -9,12 +10,18 @@ getrusage(RUSAGE_THREAD), so each endpoint thread's faults are its own.
 
     python3 tools/stage_times.py                 # this checkout
     python3 tools/stage_times.py --repo OTHER    # another checkout
+    python3 tools/stage_times.py --repeat 10     # warm: means of 10 sessions
+
+A single session pays the first touch of every page its arrays use, while a
+long-running process such as the benchmark's reuses freed heap, so the
+warm means are the ones to compare with the benchmark.
 
 Per config it prints one line for the session, one per endpoint thread with
 the totals of its run(), and under it one line per stage with the stage's
 self time and self faults (those of its calls less those of the wrapped
-calls they made), largest first. So the stage lines of a thread sum to no
-more than its totals; the rest is run()'s own code.
+calls they made), largest first; with --repeat, each figure is the mean
+per session. So the stage lines of a thread sum to no more than its
+totals; the rest is run()'s own code.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_repo = Path(__file__).resolve().parents[1]
     parser.add_argument("--repo", type=Path, default=default_repo, help="checkout to run")
+    parser.add_argument(
+        "--repeat", type=int, default=0, metavar="N",
+        help="run each config once to warm up, then N times, and print the means",
+    )
     args = parser.parse_args(argv)
+    if args.repeat < 0:
+        parser.error("--repeat must be non-negative")
+    runs = max(args.repeat, 1)
     sys.path.insert(0, str(args.repo.resolve() / "src"))
     from phaselink.config import load_config
     from phaselink.protocol import session, wire
@@ -88,16 +102,25 @@ def main(argv=None) -> int:
 
     config_dir = args.repo / "src" / "phaselink" / "configs"
     for config in CONFIGS:
+        spec = load_config(config_dir / f"{config}.cfg")
+        if args.repeat:
+            session.run_session_detailed(spec)  # the warm-up, not counted
         rows.clear()
-        report, _, _ = session.run_session_detailed(load_config(config_dir / f"{config}.cfg"))
+        for _ in range(runs):
+            report, _, _ = session.run_session_detailed(spec)
         frames = report.frames_ok + report.frames_failed
-        print(f"session {config}: {frames} frames, {report.total_pulses} pulses")
+        mean = f" (mean of {runs} sessions)" if args.repeat else ""
+        print(f"session {config}: {frames} frames, {report.total_pulses} pulses{mean}")
         for run, role in ROLES.items():
-            total_s, total_faults, _ = rows[(role, run)]
-            print(f"  {role}: {total_s * 1e3:.2f} ms, {total_faults} minor faults")
+            total_s, total_faults, _ = (v / runs for v in rows[(role, run)])
+            print(f"  {role}: {total_s * 1e3:.2f} ms, {total_faults:.0f} minor faults")
             stages = [(k[1], v) for k, v in rows.items() if k[0] == role and k[1] != run]
-            for name, (self_s, faults, calls) in sorted(stages, key=lambda r: -r[1][0]):
-                print(f"    {name}: {self_s * 1e3:.2f} ms, {faults} minor faults, {calls} calls")
+            for name, row in sorted(stages, key=lambda r: -r[1][0]):
+                self_s, faults, calls = (v / runs for v in row)
+                print(
+                    f"    {name}: {self_s * 1e3:.2f} ms, {faults:.0f} minor faults, "
+                    f"{calls:.0f} calls"
+                )
     return 0
 
 
