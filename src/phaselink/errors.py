@@ -14,7 +14,8 @@ class NonTurbulentChannel(PhaselinkError):
 
 
 class RegimeViolation(PhaselinkError):
-    """Free-space distance at or beyond the model's validity limit."""
+    """Link outside the model's range: a free-space distance at or beyond
+    its validity limit, or a link budget out of floating-point range."""
 
 
 class BadJitterSpec(PhaselinkError, ValueError):

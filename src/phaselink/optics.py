@@ -233,28 +233,33 @@ def transmittance(
           * 10^(-adapter_loss / 10)            fiber adapter
           * eta_b * eta_d                      receiver internal, detector
 
-    eta_b, eta_d must lie in (0, 1].
+    eta_b, eta_d must lie in (0, 1]. Raises RegimeViolation when the
+    inputs take the arithmetic out of floating-point range: an overflow, a
+    division by zero, or a transmittance that is not a positive number
+    (one that underflows to 0).
     """
     if not (0.0 < eta_b <= 1.0 and 0.0 < eta_d <= 1.0):
         raise ValueError("eta_b and eta_d must be in (0, 1]")
-    w = effective_waist(atm, beam, geom.d_fs)
-    capture = -math.expm1(-2.0 * geom.a_r**2 / w**2)
-    factors = {
-        "geometric": capture,
-        "atmospheric": 10.0 ** (-atm.alpha_fs * geom.d_fs / 1000.0 / 10.0),
-        "conversion": 10.0 ** (-geom.conv_loss_db / 10.0),
-        "fiber": 10.0 ** (-geom.alpha_fiber * geom.d_fiber / 1000.0 / 10.0),
-        "adapter": 10.0 ** (-geom.adapter_loss_db / 10.0),
-        "receiver": eta_b,
-        "detector": eta_d,
-    }
-    eta_total = 1.0
-    for v in factors.values():
-        eta_total *= v
-    breakdown = {k: _to_db(v) for k, v in factors.items()}
+    try:
+        w = effective_waist(atm, beam, geom.d_fs)
+        capture = -math.expm1(-2.0 * geom.a_r**2 / w**2)
+        factors = {
+            "geometric": capture,
+            "atmospheric": 10.0 ** (-atm.alpha_fs * geom.d_fs / 1000.0 / 10.0),
+            "conversion": 10.0 ** (-geom.conv_loss_db / 10.0),
+            "fiber": 10.0 ** (-geom.alpha_fiber * geom.d_fiber / 1000.0 / 10.0),
+            "adapter": 10.0 ** (-geom.adapter_loss_db / 10.0),
+            "receiver": eta_b,
+            "detector": eta_d,
+        }
+        eta_total = math.prod(factors.values())
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RegimeViolation(f"link budget out of floating-point range: {exc}") from exc
+    if not eta_total > 0.0:  # underflowed to 0, or NaN from inf / inf
+        raise RegimeViolation(f"link budget out of floating-point range: transmittance {eta_total!r}")
     return LinkBudget(
         eta_total=eta_total,
-        breakdown=breakdown,
+        breakdown={k: _to_db(v) for k, v in factors.items()},
         w_eff=w,
         rytov=rytov_variance(atm, beam, geom.d_fs),
     )

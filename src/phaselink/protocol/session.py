@@ -5,7 +5,8 @@ Per frame, the sender (Alice) encodes a 125-byte payload into chips
 decoy and vacuum pulses, and the receiver (Bob) measures in random bases.
 The classical exchange per frame:
 
-    A -> B  FRAME_META, QUANTUM (simulated photon stream)
+    A -> B  FRAME_META, QUANTUM and CHIPS (simulated photon stream: the
+            pulses' classes, then the frame's packed chips)
     B -> A  BASIS_ANNOUNCE (the clicked pulses of the range, then their
                             bases)
     A -> B  SAMPLE_REQUEST (indices, into the announced clicks, of kept
@@ -19,8 +20,9 @@ The classical exchange per frame:
 
 Both endpoints hold the same scenario (config.ScenarioConfig). Bob takes
 the frame count and the pipeline ratios from its protocol section, and
-checks that each FRAME_META carries the next frame id and each QUANTUM
-starts at the pulse count of the frames before it.
+checks that each FRAME_META carries the next frame id, that each QUANTUM
+and CHIPS starts at the pulse count of the frames before it, and that
+CHIPS carries one chip per signal pulse of QUANTUM.
 
 The QBER check (qber_exceeds) runs after each frame on the session's
 cumulative disclosed bits, at level QBER_EPSILON / n_frames, so by the
@@ -31,18 +33,18 @@ Key accounting (debit per chip, recycling of never-kept positions, an
 aborted frame minting no key) is protocol.ledger's.
 
 The receiver's detection (montecarlo.detect) gives the click positions,
-one error flag per click and the clicks' classes. The receiver reads the
-sender's bits from QUANTUM's bytes at its clicks only, flips the erred
-ones, and announces the positions, which only the wire codec turns into a
-per-pulse bitmap. Each endpoint reads its basis stream for the frame
+one error flag per click and the clicks' classes, and the receiver
+announces the positions, which only the wire codec turns into a per-pulse
+bitmap. Each endpoint reads its basis stream for the frame
 (rng.random_bits_at) only where a pulse clicked. From then on sifting
-speaks in indices into the shared ascending click positions. A kept
+speaks in indices into the shared ascending click positions. A signal
 click's chip index is its rank, the number of signal pulses before it,
-which both endpoints take from one word-level helper (_signal_rank): the
-receiver at its kept clicks, the sender at every byte of signal flags as
-it places its packed chips (_deposit). The sender's sent tally is the
-chip count, its decoy count and the rest; only its clicks go through
-class_counts.
+which both endpoints take from one word-level helper (_signal_rank, built
+once per frame) and read out of the packed chips (_chip_bits): the sender
+at its sampled clicks, the receiver at the sampled clicks and the kept
+ones, flipping the erred ones. No per-pulse chip array is built. The
+sender's sent tally is the chip count, its decoy count and the rest; only
+its clicks go through class_counts.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
@@ -52,7 +54,6 @@ elapsed = pulses / (rep_rate * duty_cycle).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import threading
@@ -252,8 +253,7 @@ def _signal_rank(classes: np.ndarray) -> tuple:
     into uint64 words, the last zero-padded, and the exclusive prefix sum
     of their popcounts (before[-1] counts all). A pulse's rank, a signal
     pulse's chip index, is its word's prefix plus the flags below it in
-    the word: at the receiver's kept clicks (_chip_index), at every flag
-    byte of the sender's (_deposit)."""
+    the word (_chip_index)."""
     packed = np.zeros(-(-len(classes) // 64) * 8, dtype=np.uint8)
     flags = packed[: (len(classes) + 7) // 8]
     # packbits packs class != 0, CLASS_SIGNAL being 0
@@ -273,53 +273,10 @@ def _chip_index(words: np.ndarray, before: np.ndarray, positions: np.ndarray) ->
     return before[w] + np.bitwise_count(words[w] & below)
 
 
-@functools.cache
-def _deposit_table() -> np.ndarray:
-    """The deposit table, 256 x 256 uint8 flattened: entry 256 f + c holds
-    the low bits of c, in order, at the set bits of f, and 0 at its clear
-    bits (an 8-bit pdep)."""
-    f = np.arange(256, dtype=np.uint16)[:, None]
-    c = np.arange(256, dtype=np.uint16)
-    table = np.zeros((256, 256), dtype=np.uint16)
-    for j in range(8):
-        rank = np.bitwise_count(f & ((1 << j) - 1))  # set bits of f below bit j
-        table |= ((f >> j) & (c >> rank) & 1) << j
-    table = table.astype(np.uint8).ravel()
-    table.flags.writeable = False  # shared by every caller
-    return table
-
-
-def _deposit(classes: np.ndarray, chips: np.ndarray) -> np.ndarray:
-    """Per-pulse bits (uint8 0/1): chip k on the k-th signal pulse of
-    classes, 0 elsewhere; chips are packed little-endian (preprocess).
-
-    Each byte of signal flags (_signal_rank) takes the 8 packed chips at its
-    rank, spread over its set flags by _deposit_table. Its rank is its
-    word's prefix plus the flags of the bytes below it in the word: one
-    multiply by 0x0101010101010101 of the word of the 8 bytes' popcounts
-    sums them for all 8 bytes, with no carry since each sum is at most 64.
-    Every array but the result holds one entry per flag byte or per 8 chips.
-    """
-    words, before = _signal_rank(classes)
-    flags = words.view(np.uint8)
-    below = np.bitwise_count(flags).view("<u8")
-    below *= np.uint64(0x0101010101010101)  # byte k: the flags of bytes 0 to k of the word
-    below <<= np.uint64(8)  # ... of bytes 0 to k - 1
-    rank = (below.view(np.uint8).reshape(-1, 8) + before[:-1, None]).ravel()
-    packed = np.zeros(len(chips) + 2, dtype=np.uint8)  # room to read past the end
-    packed[: len(chips)] = chips
-    pairs = packed[1:].astype(np.uint16)  # pair k: chips 8k to 8k + 15
-    pairs <<= 8
-    pairs |= packed[:-1]
-    shift = rank.astype(np.uint16)
-    shift &= 7  # a flag byte's first chip is bit rank & 7
-    rank >>= 3  # of pair rank >> 3
-    window = pairs[rank]
-    window >>= shift
-    window &= 0xFF
-    index = np.left_shift(flags, 8, out=rank, dtype=np.int64)  # rank's buffer, now free
-    index |= window
-    return np.unpackbits(_deposit_table()[index], count=len(classes), bitorder="little")
+def _chip_bits(chips: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The chips (uint8 0/1) at an int array of chip indices, from chips
+    packed little-endian (framing.preprocess, wire CHIPS)."""
+    return np.right_shift(chips[index >> 3], (index & 7).astype(np.uint8)) & 1
 
 
 class AliceSession:
@@ -361,10 +318,11 @@ class AliceSession:
                 _frame_seed(spec.seeds.alice, _S_SCHEDULE, f), n_chips, spec.source
             )
             n_pulses = len(classes)
-            bits = _deposit(classes, chips)
+            words, before = _signal_rank(classes)  # before FRAME_META: the round does not wait on it
 
             transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
-            transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes, bits))
+            transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes))
+            transport.send(wire.CHIPS, wire.encode_chips(start_pulse, chips))
 
             _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
             announced, n_announced, hit, bob_bases = wire.decode_basis_announce(payload_bytes)
@@ -389,7 +347,8 @@ class AliceSession:
                 raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
 
             disclosed_total += n_sample
-            disclosed_errors += int(np.count_nonzero(disclosed_bits != bits[hit[sample]]))
+            sent_bits = _chip_bits(chips, _chip_index(words, before, hit[sample]))
+            disclosed_errors += int(np.count_nonzero(disclosed_bits != sent_bits))
             if qber_exceeds(disclosed_errors, disclosed_total, p.qber_threshold, p.n_frames):
                 reason = (
                     f"frame {f}: QBER lower bound exceeds threshold {p.qber_threshold:.4f} "
@@ -424,7 +383,7 @@ class AliceSession:
             start_pulse += n_pulses
             # drop the frame's per-pulse arrays before the next frame builds
             # its own: freed heap that glibc keeps would otherwise hold both
-            del chips, classes, bits
+            del chips, classes, words
 
         elapsed = start_pulse / (spec.source.rep_rate * p.duty_cycle)
         led = self.ledger
@@ -487,13 +446,17 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
             _, payload = _recv(transport, wire.QUANTUM)
-            start, classes, body = wire.decode_quantum(payload)
+            start, classes = wire.decode_quantum(payload)
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
             words, before = _signal_rank(classes)
             if before[-1] != n_chips:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
+            _, payload = _recv(transport, wire.CHIPS)
+            chips_start, n_sent, chips = wire.decode_chips(payload)
+            if (chips_start, n_sent) != (start, n_chips):
+                raise ProtocolError(f"frame {f}: CHIPS start or count is not the frame's")
 
             loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
             hit, err, hit_classes = detect(
@@ -505,7 +468,6 @@ class BobSession:
                 _frame_seed(spec.seeds.channel, _S_ERROR, f),
             )
             bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
-            measured = (body[hit] & 1) ^ err  # the sender's bits at the clicks, flipped if erred
 
             transport.send(
                 wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
@@ -517,7 +479,11 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
             if np.any(sample[1:] <= sample[:-1]):  # each click is disclosed at most once
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offsets do not strictly ascend")
-            transport.send(wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(measured[sample]))
+            if np.any(hit_classes[sample] != CLASS_SIGNAL):
+                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset at a click that carries no chip")
+            # the sender's chips at the clicks, flipped where detection erred
+            disclosed = _chip_bits(chips, _chip_index(words, before, hit[sample])) ^ err[sample]
+            transport.send(wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(disclosed))
 
             msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
@@ -531,10 +497,11 @@ class BobSession:
             if np.any(keep[sample]):
                 raise ProtocolError(f"frame {f}: SIFT_MAP keeps a disclosed click")
 
+            index = _chip_index(words, before, hit[kept])
             try:
                 recovered = decode(
-                    measured[kept],
-                    _chip_index(words, before, hit[kept]),
+                    _chip_bits(chips, index) ^ err[kept],
+                    index,
                     f,
                     p.fec_ratio,
                     p.spread_ratio,
@@ -553,7 +520,7 @@ class BobSession:
                 wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
             )
             start_pulse += n_pulses
-            del classes, body, words  # as in AliceSession.run
+            del classes, chips, words  # as in AliceSession.run
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
@@ -566,9 +533,9 @@ def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
     joined. Neither side closes the other's end, so a message sent just
     before a close is still read.
     """
-    t_alice, t_bob = transports or wire.SocketTransport.pair()
     alice = AliceSession(spec)
-    bob = BobSession(spec)
+    bob = BobSession(spec)  # before the sockets: its link budget may raise
+    t_alice, t_bob = transports or wire.SocketTransport.pair()
     failure = []
 
     def _bob_run():

@@ -28,20 +28,29 @@ reliable; no cryptography is applied here):
                           endpoints hold, so they are not sent
     0x06 ABORT            UTF-8 reason
     0x07 REPORT           UTF-8 JSON object
-    0x10 QUANTUM          u64 start, u32 count, one byte per pulse:
-                          bit0 encoded bit, bit1 always 0, bits 2-3
-                          intensity class 0-2, bits 4-7 zero (a byte
-                          with bit 1 or one of bits 4-7 set, or above
-                          class 2, is rejected; the check is one OR and
-                          one max over the bytes). The decoder returns
-                          the classes and the bytes as sent, which the
-                          receiver reads at its clicks only. Simulation
-                          stand-in for the photon stream; a real
-                          deployment has no such classical message. The
-                          sender's basis, which sets the pulse phase with
-                          the bit (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
-                          1 -> 3pi/2), is not sent: the receiver's
-                          detection does not read it.
+    0x10 QUANTUM          u64 start, u32 count n, then one byte per pulse,
+                          its intensity class 0-2 in bits 2-3 and every
+                          other bit zero (a byte with another bit set, or
+                          above class 2, is rejected; the check is one OR
+                          and one max over the bytes): 12 + n bytes
+    0x11 CHIPS            u64 start, u32 count n, then the frame's n
+                          chips packed little-endian as framing.preprocess
+                          gives them (chip i at bit i % 8 of byte i // 8;
+                          n is a multiple of 8): 12 + n/8 bytes. Chip k
+                          rides on the k-th signal pulse of QUANTUM
+
+QUANTUM and CHIPS are the simulation's stand-in for the photon stream; a
+real deployment has no such classical messages. The sender's basis, which
+sets the pulse phase with the chip (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
+1 -> 3pi/2), is not sent: the receiver's detection does not read it.
+
+Per frame the sender sends FRAME_META (4 bytes), QUANTUM (12 + n_pulses),
+CHIPS (12 + n_chips/8), SAMPLE_REQUEST and SIFT_MAP, and the receiver
+BASIS_ANNOUNCE, SAMPLE_DISCLOSE and REPORT, each behind a 5-byte header.
+Only QUANTUM, CHIPS and BASIS_ANNOUNCE's click bitmap grow with the pulses;
+the rest grow with the clicks. A measured-link frame (2.11 M pulses,
+1.92 M chips, under 1,000 clicks) is about 2.11 MB of QUANTUM, 240 kB of
+CHIPS and 264 kB of click bitmap.
 
 Encoders raise ValueError for a header integer outside its field (u8
 type, u32 count or id, u64 start) and for a per-click flag (a basis, a
@@ -91,11 +100,12 @@ FRAME_META = 0x05
 ABORT = 0x06
 REPORT = 0x07
 QUANTUM = 0x10
+CHIPS = 0x11
 
 MESSAGE_NAMES = {
     BASIS_ANNOUNCE: "BASIS_ANNOUNCE", SAMPLE_REQUEST: "SAMPLE_REQUEST",
     SAMPLE_DISCLOSE: "SAMPLE_DISCLOSE", SIFT_MAP: "SIFT_MAP", FRAME_META: "FRAME_META",
-    ABORT: "ABORT", REPORT: "REPORT", QUANTUM: "QUANTUM",
+    ABORT: "ABORT", REPORT: "REPORT", QUANTUM: "QUANTUM", CHIPS: "CHIPS",
 }
 
 
@@ -245,28 +255,39 @@ def decode_frame_meta(payload: bytes) -> int:
     return frame_id
 
 
-def encode_quantum(start: int, classes: np.ndarray, bits: np.ndarray) -> bytearray:
+def encode_quantum(start: int, classes: np.ndarray) -> bytearray:
     """The payload in one buffer: the head, then each pulse's byte written
     in place behind it; the per-pulse bytes are not scanned."""
     payload = bytearray(12 + len(classes))
     payload[:12] = _pack("!QI", start, len(classes))
     body = np.frombuffer(payload, dtype=np.uint8, offset=12)
     np.multiply(np.asarray(classes, dtype=np.uint8), 4, out=body)  # numpy has no fast uint8 <<
-    body |= np.asarray(bits, dtype=np.uint8)
     return payload
 
 
 def decode_quantum(payload: bytes) -> tuple:
-    """(start, classes, body): body is the per-pulse bytes as sent, a view
-    of payload, so a reader takes a pulse's bit (body[i] & 1) only where it
-    needs it and no per-pulse bit array is built."""
+    """(start, classes)."""
     start, n = _payload_head(payload, "!QI", lambda n: n)
     body = np.frombuffer(payload, dtype=np.uint8, count=n, offset=12)
-    if n and np.bitwise_or.reduce(body) & 0xF2:
-        raise ProtocolError("QUANTUM byte with bit 1 or one of bits 4-7 set")
+    if n and np.bitwise_or.reduce(body) & 0xF3:
+        raise ProtocolError("QUANTUM byte with one of bits 0, 1 or 4-7 set")
     if n and body.max() >= 3 << 2:
         raise ProtocolError("QUANTUM byte beyond intensity class 2")
-    return start, body >> 2, body
+    return start, body >> 2
+
+
+def encode_chips(start: int, chips: np.ndarray) -> bytes:
+    """chips: uint8, 8 chips per byte, packed little-endian."""
+    return _pack("!QI", start, 8 * len(chips)) + np.asarray(chips, dtype=np.uint8).tobytes()
+
+
+def decode_chips(payload: bytes) -> tuple:
+    """(start, n, chips): chips is the packed bytes as sent, a view of
+    payload, so a reader takes only the chips it needs."""
+    start, n = _payload_head(payload, "!QI", lambda n: (n + 7) // 8)
+    if n % 8:
+        raise ProtocolError(f"CHIPS count {n} is not a whole number of bytes")
+    return start, n, np.frombuffer(payload, dtype=np.uint8, offset=12)
 
 
 def encode_report(obj: dict) -> bytes:

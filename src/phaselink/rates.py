@@ -98,8 +98,8 @@ class DetectorConfig:
     eta_b: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.p_d < 1.0):
-            raise ValueError("p_d must be in [0, 1)")
+        if not (0.0 <= self.p_d < 0.5):  # y0 = 2 p_d is a probability below 1
+            raise ValueError("p_d must be in [0, 0.5), so that y0 = 2 p_d is below 1")
         if not (0.0 < self.eta_d <= 1.0):
             raise ValueError("eta_d must be in (0, 1]")
         if not (0.0 <= self.visibility <= 1.0):

@@ -17,7 +17,6 @@ from phaselink.config import load_config
 from phaselink.montecarlo import PulsePlan, class_counts
 from phaselink.protocol import session, wire
 from phaselink.protocol.session import run_session_detailed
-from phaselink.rng import random_bits
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "src" / "phaselink" / "configs" / "desk_session.cfg"
@@ -53,7 +52,7 @@ def test_sender_probe_counts_quantum_classes(bench):
     classes = PulsePlan.make(5000, (30, 2, 1), seed=3)[:]
     counts = []
     probe = workloads._SenderProbe(_Sink(), [], counts)
-    probe.send(wire.QUANTUM, wire.encode_quantum(17, classes, random_bits(4, 5000)))
+    probe.send(wire.QUANTUM, wire.encode_quantum(17, classes))
     assert counts[0].tolist() == class_counts(classes)[0].tolist()
 
 

@@ -204,6 +204,31 @@ class TestTypedExits:
         assert err.startswith("key pool exhausted: pool holds") and "Traceback" not in err
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dark_count_yield_of_one_is_config_error(self, tmp_path, capsys, command):
+        # y0 = 2 p_d = 1 once failed in rate-sweep's forward model; the
+        # measured config has a section for every command
+        cfg = edited_config(tmp_path, "measured_link.cfg", detector__p_d="0.5")
+        assert run_cli([command, "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "p_d" in err
+
+    @pytest.mark.parametrize("command", ("link-budget", "rate-sweep", "session"))
+    @pytest.mark.parametrize(
+        "key,value",
+        [("geometry__d_fiber", "1e9"), ("atmosphere__l0", "1e-308"), ("beam__w0", "1e308")],
+        ids=["fiber_loss_underflows", "inner_scale_divides_by_zero", "waist_overflows"],
+    )
+    def test_link_budget_out_of_float_range_is_regime_violation(
+        self, tmp_path, capsys, command, key, value
+    ):
+        # each once escaped main as a ValueError, ZeroDivisionError or
+        # OverflowError traceback
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", **{key: value})
+        assert run_cli([command, "--config", cfg]) == cli.EXIT_REGIME
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("regime violation: link budget out of floating-point")
+
     @pytest.mark.parametrize("e_mis", ["0.5", "1e308"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_error_rate_above_half_is_config_error(self, tmp_path, capsys, command, e_mis):

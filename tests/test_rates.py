@@ -89,6 +89,16 @@ class TestForwardGains:
         with pytest.raises(ValueError, match="e_mis"):
             DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=visibility, e_mis=e_mis)
 
+    def test_dark_count_yield_below_one_accepted(self):
+        # the largest p_d below 0.5 keeps y0 = 2 p_d, the vacuum gain, below 1
+        det = DetectorConfig(p_d=math.nextafter(0.5, 0.0), eta_d=0.2, visibility=0.9847)
+        assert det.y0 < 1.0
+
+    @pytest.mark.parametrize("p_d", [0.5, 0.75, math.nextafter(1.0, 0.0)])
+    def test_dark_count_yield_of_one_rejected(self, p_d):
+        with pytest.raises(ValueError, match="p_d"):
+            DetectorConfig(p_d=p_d, eta_d=0.2, visibility=0.9847)
+
     def test_eta_domain(self):
         with pytest.raises(ValueError):
             forward_gains(0.0, SRC, DET)

@@ -1,19 +1,15 @@
 import functools
 import hashlib
 import math
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselink.config import ScenarioConfig
@@ -25,8 +21,8 @@ from phaselink.protocol.session import (
     BobSession,
     ProtocolParams,
     Seeds,
+    _chip_bits,
     _chip_index,
-    _deposit,
     _draw_schedule,
     _signal_rank,
     run_session_detailed,
@@ -236,8 +232,24 @@ def _renumber_meta(payload):
 
 
 def _shift_quantum_start(payload):
-    start, classes, body = wire.decode_quantum(payload)
-    return wire.encode_quantum(start + 5, classes, body & 1)
+    start, classes = wire.decode_quantum(payload)
+    return wire.encode_quantum(start + 5, classes)
+
+
+def _set_quantum_bit_0(payload):
+    payload = bytearray(payload)
+    payload[12] |= 1  # the first pulse's byte
+    return bytes(payload)
+
+
+def _shift_chips_start(payload):
+    start, _, chips = wire.decode_chips(payload)
+    return wire.encode_chips(start + 5, chips)
+
+
+def _drop_last_chips(payload):
+    start, _, chips = wire.decode_chips(payload)
+    return wire.encode_chips(start, chips[:-1])  # 8 chips fewer, count and length agreeing
 
 
 def _cut_announce(payload):
@@ -304,10 +316,15 @@ def _keep_sampled_click(payload):
 
 
 def _demote_first_signal(payload):
-    start, classes, body = wire.decode_quantum(payload)
-    classes = classes.copy()
+    start, classes = wire.decode_quantum(payload)
     classes[np.argmax(classes == CLASS_SIGNAL)] = CLASS_DECOY
-    return wire.encode_quantum(start, classes, body & 1)
+    return wire.encode_quantum(start, classes)
+
+
+def _request_chipless_click(payload):
+    _, classes = wire.decode_quantum(_first_frame_sent(wire.QUANTUM))
+    hit = wire.decode_basis_announce(_first_frame_sent(wire.BASIS_ANNOUNCE))[2]
+    return wire.encode_sample_request([np.argmax(classes[hit] != CLASS_SIGNAL)])  # a decoy click
 
 
 def _renumber_report(payload):
@@ -322,6 +339,7 @@ class TestMessageOrder:
             (0, wire.SAMPLE_REQUEST, wire.SIFT_MAP, "expected SAMPLE_REQUEST, received SIFT_MAP"),
             (1, wire.BASIS_ANNOUNCE, wire.REPORT, "expected BASIS_ANNOUNCE, received REPORT"),
             (1, wire.REPORT, 0x42, "expected REPORT, received unknown type 0x42"),
+            (0, wire.CHIPS, wire.SAMPLE_REQUEST, "expected CHIPS, received SAMPLE_REQUEST"),
         ],
     )
     def test_unexpected_type_raises(self, side, old, new, message):
@@ -338,10 +356,15 @@ class TestMessageOrder:
             (wire.FRAME_META, _renumber_meta, "FRAME_META frame_id"),
             (wire.QUANTUM, _shift_quantum_start, "QUANTUM start"),
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
+            (wire.QUANTUM, _set_quantum_bit_0, "one of bits 0, 1 or 4-7"),
+            (wire.CHIPS, _shift_chips_start, "CHIPS start or count"),
+            (wire.CHIPS, _drop_last_chips, "CHIPS start or count"),
+            (wire.CHIPS, lambda p: p[:-1], "does not match its declared count"),
             (wire.SAMPLE_REQUEST, lambda p: wire.encode_sample_request([10**9]), "offset beyond"),
             (wire.SAMPLE_REQUEST, _request_past_clicks, "offset beyond"),
             (wire.SAMPLE_REQUEST, _repeat_first_sample, "do not strictly ascend"),
             (wire.SAMPLE_REQUEST, _reverse_samples, "do not strictly ascend"),
+            (wire.SAMPLE_REQUEST, _request_chipless_click, "SAMPLE_REQUEST offset at a click"),
             (wire.SIFT_MAP, lambda p: p[:8] + wire.encode_sift_map(0, np.ones(7))[8:], "SIFT_MAP"),
             (wire.SIFT_MAP, _shift_sift_start, "SIFT_MAP start"),
             (wire.SIFT_MAP, _keep_every_click, "carries no chip"),
@@ -362,6 +385,63 @@ class TestMessageOrder:
         transports = tuple(_Edit(t, edit) for t in wire.SocketTransport.pair())
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
+        assert set(threading.enumerate()) <= before
+
+
+# every message type a 2-frame session sends, and a fault on one of them
+SENT_TYPES = sorted(set(wire.MESSAGE_NAMES) - {wire.ABORT})
+FAULTS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 24)),  # one bit of the payload
+    st.tuples(st.just("cut"), st.integers(0, 1 << 24)),  # to a shorter length
+    st.tuples(st.just("append"), st.integers(0, 255)),
+    st.tuples(st.just("retype"), st.integers(0, 255)),
+)
+
+
+def _fault(kind, arg, msg_type, payload):
+    """(type, payload) with one fault: a flipped bit, a payload cut short,
+    one byte appended, or another type."""
+    if kind == "flip" and len(payload):
+        payload = bytearray(payload)
+        at = arg % (8 * len(payload))
+        payload[at // 8] ^= 1 << at % 8
+    elif kind == "cut":
+        payload = payload[: arg % max(len(payload), 1)]
+    elif kind == "append":
+        payload = bytes(payload) + bytes([arg])
+    elif kind == "retype" and arg != msg_type:
+        msg_type = arg
+    return msg_type, payload
+
+
+class TestMessageFaults:
+    @settings(max_examples=200, deadline=None)
+    @given(msg=st.sampled_from(SENT_TYPES), frame=st.integers(0, 1), fault=FAULTS)
+    def test_fault_ends_typed_or_completes(self, msg, frame, fault):
+        # one message of either frame is damaged: the session raises
+        # ProtocolError or completes with a report, in bounded time, and no
+        # thread outlives it
+        before = set(threading.enumerate())
+        seen = {}
+
+        def edit(t, p):
+            seen[t] = seen.get(t, -1) + 1
+            return _fault(*fault, t, p) if (t, seen[t]) == (msg, frame) else (t, p)
+
+        socks = socket.socketpair()
+        transports = tuple(_Edit(wire.SocketTransport(s), edit) for s in socks)
+        watchdog = threading.Timer(10.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
+        watchdog.start()
+        t0 = time.perf_counter()
+        try:
+            report, _, _ = run_session_detailed(small_spec(n_frames=2, spread=8), transports)
+            assert report.frames_ok + report.frames_failed == 2 or report.aborted
+        except ProtocolError:
+            pass
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+        assert time.perf_counter() - t0 < 5.0
         assert set(threading.enumerate()) <= before
 
 
@@ -414,7 +494,8 @@ class TestSift:
                 0.0,
                 {
                     "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
-                    "QUANTUM": "86aea27f9de5d8afcd9e0e34200581a5a6d8cd66285b3644902fd268f4547d7c",
+                    "QUANTUM": "f52b6d565d2c26524208c737883ed45d3365fdc2a1f0a84b3e20a6bc2bb896d9",
+                    "CHIPS": "0be3ab6347aba342d56db83cb529e05430f5ac5979e9e351927fdfbcf200467b",
                     "BASIS_ANNOUNCE": "296b059559922346e11b9404828467ee8d534b897fcca2b45d228f7b06fa00bc",
                     "SAMPLE_REQUEST": "3579e04d405f2c7a721016f8b10a76bcec0791023b53b88f217f10b04b0a2b99",
                     "SAMPLE_DISCLOSE": "6ba6aed168f4ff09d63be4771f540f17b55261261a7addf3507cf07d7e6214cb",
@@ -426,7 +507,8 @@ class TestSift:
                 25.0,
                 {
                     "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
-                    "QUANTUM": "86aea27f9de5d8afcd9e0e34200581a5a6d8cd66285b3644902fd268f4547d7c",
+                    "QUANTUM": "f52b6d565d2c26524208c737883ed45d3365fdc2a1f0a84b3e20a6bc2bb896d9",
+                    "CHIPS": "0be3ab6347aba342d56db83cb529e05430f5ac5979e9e351927fdfbcf200467b",
                     "BASIS_ANNOUNCE": "4f51432c17758636a140b8eb89755494a5dcdbc006b0b221e55a0318f8cd575b",
                     "SAMPLE_REQUEST": "69427921e36a88798e3fa58261a2c863bd54e05ada9bdcc8f9b22b99c3f339dc",
                     "SAMPLE_DISCLOSE": "6e3f6438512d1ea138a7d61a301b3cefee8393ac466ff0d87cc9654bfcf6eca3",
@@ -501,6 +583,7 @@ class TestSocketSession:
         "side,msg,keep,close,timeouts",
         [
             (0, wire.QUANTUM, wire.HEADER.size + 100, True, 0),  # cut mid-payload, then closed
+            (0, wire.CHIPS, 0, False, 1),  # dropped: the receiver waits for it
             (0, wire.SAMPLE_REQUEST, 0, False, 1),  # dropped: both ends wait
             (1, wire.SAMPLE_DISCLOSE, 0, True, 0),  # receiver closes mid-frame
         ],
@@ -627,6 +710,16 @@ def packed(chips):
 
 
 class TestDeposit:
+    """Chip k rides on the k-th signal pulse: each endpoint reads a signal
+    pulse's chip as _chip_bits at its _chip_index, which must give what the
+    bool-mask scatter of the packed chips puts on that pulse."""
+
+    @staticmethod
+    def read_at_signal(classes, chips):
+        words, before = _signal_rank(classes)
+        signal = np.flatnonzero(classes == CLASS_SIGNAL)
+        return signal, _chip_bits(chips, _chip_index(words, before, signal))
+
     @given(classes=CLASS_LISTS.map(lambda c: np.array(c, dtype=np.uint8)), data=st.data())
     def test_matches_bool_mask_scatter(self, classes, data):
         # every length 0-300, not only whole flag bytes or words, and any chips
@@ -634,8 +727,8 @@ class TestDeposit:
         chips = packed(
             data.draw(st.lists(st.integers(0, 1), min_size=n_chips, max_size=n_chips))
         )
-        bits = _deposit(classes, chips)
-        assert bits.dtype == np.uint8 and np.array_equal(bits, scattered(classes, chips))
+        signal, bits = self.read_at_signal(classes, chips)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, scattered(classes, chips)[signal])
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
     @pytest.mark.parametrize("cls", [CLASS_SIGNAL, CLASS_VACUUM])
@@ -643,30 +736,13 @@ class TestDeposit:
         # all-signal frames take every chip in order, no-signal frames none
         classes = np.full(n, cls, dtype=np.uint8)
         chips = packed(random_bits(9, n if cls == CLASS_SIGNAL else 0))
-        assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
+        signal, bits = self.read_at_signal(classes, chips)
+        assert np.array_equal(bits, scattered(classes, chips)[signal])
+        assert len(bits) == (n if cls == CLASS_SIGNAL else 0)
 
     def test_measured_link_frame(self):
         # 1.92 M chips on about 2.11 M pulses
         classes = _draw_schedule(5, 1_920_000, SRC)
         chips = packed(random_bits(11, 1_920_000))
-        assert np.array_equal(_deposit(classes, chips), scattered(classes, chips))
-
-    def test_table_built_on_first_use(self):
-        # importing the session builds no table; the first deposit does
-        code = (
-            "import numpy as np\n"
-            "from phaselink.protocol import session\n"
-            "print(session._deposit_table.cache_info().currsize)\n"
-            "session._deposit(np.zeros(3, np.uint8), np.packbits(np.ones(3, np.uint8), bitorder='little'))\n"
-            "print(session._deposit_table.cache_info().currsize)\n"
-        )
-        src = str(Path(session.__file__).resolve().parents[2])
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
-        assert done.stdout.split() == ["0", "1"]
+        signal, bits = self.read_at_signal(classes, chips)
+        assert np.array_equal(bits, scattered(classes, chips)[signal])

@@ -1,6 +1,7 @@
 """The scripts under tools/: draw_counts.py and stage_times.py run end to
 end and their reports add up, stage_times.py --repeat prints per-session
-means, and cli_digests.py lists the CLI runs that it digests."""
+means, and cli_digests.py lists the CLI runs that it digests and, with
+--against, names the runs whose output differs between two checkouts."""
 
 import importlib.util
 import re
@@ -99,7 +100,7 @@ def test_stage_times_rows_within_thread_totals():
         assert all(ms >= 0 and faults >= 0 and calls > 0 for _, ms, faults, calls in rows), key
         assert sum(ms for _, ms, _, _ in rows) <= total_ms + 0.005 * len(rows), key
         assert sum(faults for _, _, faults, _ in rows) <= total_faults, key
-    assert "session._deposit" in {name for name, *_ in threads["measured_link", "alice"][2]}
+    assert "session._signal_rank" in {name for name, *_ in threads["measured_link", "alice"][2]}
     assert "session.detect" in {name for name, *_ in threads["measured_link", "bob"][2]}
 
 
@@ -120,14 +121,18 @@ def test_stage_times_repeat_prints_means():
     assert lines and all(THREAD.fullmatch(line) or STAGE_TIME.fullmatch(line) for line in lines)
     # a stage's calls are per session: the measured link's 4 frames
     measured = done.stdout.split("session measured_link")[1].split("session upgraded_link")[0]
-    assert re.search(r"session\._deposit: [\d.]+ ms, -?\d+ minor faults, 4 calls", measured)
+    assert re.search(r"session\._signal_rank: [\d.]+ ms, -?\d+ minor faults, 4 calls", measured)
 
 
-def test_cli_digest_runs_listed_without_running(monkeypatch):
+@pytest.fixture
+def cli_digests():
     spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "tools" / "cli_digests.py")
-    cli_digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_digests)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_cli_digest_runs_listed_without_running(monkeypatch, cli_digests):
     def no_process(*args, **kwargs):
         raise AssertionError("listing the runs started a subprocess")
 
@@ -138,3 +143,37 @@ def test_cli_digest_runs_listed_without_running(monkeypatch):
     for argv in runs:
         assert argv[0] in cli_digests.COMMANDS
         assert (ROOT / argv[argv.index("--config") + 1]).is_file()
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_cli_digest_against_names_differing_runs(monkeypatch, capsys, cli_digests, differ):
+    # the subprocess is stubbed: checkout OTHER moves one run's stdout and
+    # another's exit code and stderr when differ is set
+    runs = list(cli_digests.runs())
+    moved_out, moved_exit = runs[5], runs[40]
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        cli_args = argv[argv.index("phaselink") + 1:]
+        calls.append((cwd, cli_args))
+        other = differ and cwd == Path("OTHER")
+        return subprocess.CompletedProcess(
+            argv,
+            returncode=3 if other and cli_args == moved_exit else 0,
+            stdout=b"moved" if other and cli_args == moved_out else b"table",
+            stderr=b"why" if other and cli_args == moved_exit else b"",
+        )
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    code = cli_digests.main(["--repo", "THIS", "--against", "OTHER"])
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(calls) == sorted((Path(c), r) for r in runs for c in ("THIS", "OTHER"))
+    if not differ:
+        assert code == 0 and lines == ["48 of 48 runs identical"]
+        return
+    assert code == 1
+    assert lines == [
+        f"differs: {' '.join(moved_out)} (stdout)",
+        f"differs: {' '.join(moved_exit)} (exit, stderr)",
+        "46 of 48 runs identical",
+    ]

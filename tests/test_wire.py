@@ -46,6 +46,8 @@ class TestFrameEncoding:
         assert wire.FRAME_META == 0x05
         assert wire.ABORT == 0x06
         assert wire.REPORT == 0x07
+        assert wire.QUANTUM == 0x10
+        assert wire.CHIPS == 0x11
 
 
 class TestCodecs:
@@ -80,15 +82,20 @@ class TestCodecs:
 
     def test_quantum_roundtrip(self):
         classes = np.array([0, 1, 2, 0, 0], dtype=np.uint8)
-        bits = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-        payload = wire.encode_quantum(5, classes, bits)
-        # bit 0 the bit, bit 1 zero, bits 2-3 the class
-        assert list(payload[12:]) == [0, 5, 9, 0, 1]
-        start, c2, body = wire.decode_quantum(payload)
+        payload = wire.encode_quantum(5, classes)
+        # bits 2-3 the class, every other bit zero
+        assert list(payload[12:]) == [0, 4, 8, 0, 0]
+        start, c2 = wire.decode_quantum(payload)
         assert start == 5
         assert np.array_equal(c2, classes)
-        assert body.tolist() == [0, 5, 9, 0, 1]  # the bytes as sent: bits at body & 1
-        assert np.array_equal(body & 1, bits)
+
+    def test_chips_roundtrip(self):
+        # the chips as framing.preprocess packs them: chip i at bit i % 8 of byte i // 8
+        chips = np.packbits([1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0], bitorder="little")
+        payload = wire.encode_chips(7, chips)
+        assert payload == struct.pack("!QI", 7, 16) + bytes([0x81, 0x02])
+        start, n, c2 = wire.decode_chips(payload)
+        assert (start, n) == (7, 16) and c2.tolist() == [0x81, 0x02]
 
     def test_report_roundtrip(self):
         obj = {"frame_id": 3, "status": "ok", "sha256": "ab" * 32}
@@ -109,9 +116,10 @@ class TestTruncatedPayloads:
             (wire.decode_sample_request, wire.encode_sample_request(np.arange(10)), 20),
             (
                 wire.decode_quantum,
-                bytes(wire.encode_quantum(0, np.zeros(100), np.ones(100))),  # a bytearray
+                bytes(wire.encode_quantum(0, np.ones(100))),  # a bytearray
                 50,
             ),
+            (wire.decode_chips, wire.encode_chips(0, np.arange(13, dtype=np.uint8)), 20),
             (wire.decode_frame_meta, wire.encode_frame_meta(1), 3),
             (wire.decode_report, wire.encode_report({"frame_id": 1, "status": "ok"}), 12),
         ],
@@ -219,20 +227,32 @@ class TestCodecProperties:
         assert wire.decode_frame_meta(payload) == frame_id
         only_whole_payload_decodes(wire.decode_frame_meta, payload)
 
-    @given(start=U64, pulses=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=200))
+    @given(start=U64, pulses=st.lists(st.integers(0, 2), max_size=200))
     def test_quantum(self, start, pulses):
-        classes = np.array([c for c, _ in pulses], dtype=np.uint8)
-        bits = np.array([b for _, b in pulses], dtype=np.uint8)
-        payload = wire.encode_quantum(start, classes, bits)
-        s2, c2, body = wire.decode_quantum(payload)
-        assert s2 == start
-        assert np.array_equal(c2, classes) and np.array_equal(body & 1, bits)
-        assert np.array_equal(body, np.frombuffer(payload, np.uint8, offset=12))
+        classes = np.array(pulses, dtype=np.uint8)
+        payload = wire.encode_quantum(start, classes)
+        s2, c2 = wire.decode_quantum(payload)
+        assert s2 == start and np.array_equal(c2, classes)
+        assert np.array_equal(np.frombuffer(payload, np.uint8, offset=12), classes << 2)
         only_whole_payload_decodes(wire.decode_quantum, payload)
+
+    @given(start=U64, chips=BITS.map(lambda b: np.packbits(b, bitorder="little")))
+    def test_chips(self, start, chips):
+        payload = wire.encode_chips(start, chips)
+        s2, n, c2 = wire.decode_chips(payload)
+        assert (s2, n) == (start, 8 * len(chips)) and np.array_equal(c2, chips)
+        only_whole_payload_decodes(wire.decode_chips, payload)
+
+    @given(start=U64, chip_bytes=st.integers(0, 30), short=st.integers(1, 7))
+    def test_chips_count_not_whole_bytes_rejected(self, start, chip_bytes, short):
+        # a count short of the bytes' 8 chips each, with the length it implies
+        payload = struct.pack("!QI", start, 8 * (chip_bytes + 1) - short) + bytes(chip_bytes + 1)
+        with pytest.raises(ProtocolError, match="whole number of bytes"):
+            wire.decode_chips(payload)
 
     @given(pulses=st.integers(1, 50), at=st.integers(0, 49), byte=st.integers(12, 255))
     def test_quantum_beyond_class_2_rejected(self, pulses, at, byte):
-        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses), np.zeros(pulses)))
+        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses)))
         payload[12 + at % pulses] = byte
         with pytest.raises(ProtocolError):
             wire.decode_quantum(bytes(payload))
@@ -270,10 +290,11 @@ class TestEncoderRejections:
         "encode",
         [
             lambda start: wire.encode_sift_map(start, np.ones(3, bool)),
-            lambda start: wire.encode_quantum(start, np.zeros(3), np.zeros(3)),
+            lambda start: wire.encode_quantum(start, np.zeros(3)),
             lambda start: wire.encode_basis_announce(start, 4, np.array([1]), np.array([1])),
+            lambda start: wire.encode_chips(start, np.zeros(3, np.uint8)),
         ],
-        ids=["sift_map", "quantum", "basis_announce"],
+        ids=["sift_map", "quantum", "basis_announce", "chips"],
     )
     @given(start=OUT_U64)
     def test_start_outside_u64(self, encode, start):
@@ -337,32 +358,34 @@ class TestPadBitRejections:
 
 
 class TestQuantumByteRejections:
-    """decode_quantum raises ProtocolError for a byte with bit 1 or one of
-    bits 4-7 set, which the layout keeps 0, as for a class above 2."""
+    """decode_quantum raises ProtocolError for a byte with one of bits 0, 1
+    or 4-7 set, which the layout keeps 0, as for a class above 2."""
 
-    @pytest.mark.parametrize("byte", [0b0010, 0b0110, 0b1011, 0b0011, 0b1010, 0x10, 0x80, 0xF1])
+    @pytest.mark.parametrize(
+        "byte", [0b0001, 0b0101, 0b1001, 0b0010, 0b0110, 0b1011, 0b0011, 0b1010, 0x10, 0x80, 0xF1]
+    )
     def test_reserved_bit_rejected(self, byte):
-        payload = bytearray(wire.encode_quantum(0, np.zeros(9), np.zeros(9)))
+        payload = bytearray(wire.encode_quantum(0, np.zeros(9)))
         payload[12 + 4] = byte
-        with pytest.raises(ProtocolError, match="bit 1 or one of bits 4-7"):
+        with pytest.raises(ProtocolError, match="one of bits 0, 1 or 4-7"):
             wire.decode_quantum(bytes(payload))
 
     @given(
         pulses=st.integers(1, 50),
         at=st.integers(0, 49),
-        byte=st.integers(0, 255).filter(lambda b: b & 0xF2),
+        byte=st.integers(0, 255).filter(lambda b: b & 0xF3),
     )
     def test_any_reserved_bit_rejected(self, pulses, at, byte):
-        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses), np.zeros(pulses)))
+        payload = bytearray(wire.encode_quantum(0, np.zeros(pulses)))
         payload[12 + at % pulses] = byte
         with pytest.raises(ProtocolError):
             wire.decode_quantum(bytes(payload))
 
     def test_every_valid_byte_decodes(self):
-        valid = [cls * 4 | bit for cls in range(3) for bit in range(2)]
+        valid = [cls * 4 for cls in range(3)]
         payload = struct.pack("!QI", 0, len(valid)) + bytes(valid)
-        _, classes, body = wire.decode_quantum(payload)
-        assert classes.tolist() == [0, 0, 1, 1, 2, 2] and (body & 1).tolist() == [0, 1] * 3
+        _, classes = wire.decode_quantum(payload)
+        assert classes.tolist() == [0, 1, 2]
 
 
 def _clicks(n: int, positions) -> tuple:
