@@ -8,11 +8,13 @@ Subcommands:
     session       full two-endpoint protocol run over a socketpair
 
 Exit codes: 0 success, 2 configuration error (a key pool smaller than one
-frame's chips and a dark count probability p_d of 0.5 or more among
-them), 3 regime violation (a free-space distance at or beyond the
-critical distance, or a link budget whose arithmetic leaves
-floating-point range: an overflow, a division by zero, or a
-transmittance that underflows to 0), 4 session abort, 5 key pool
+frame's chips, a dark count probability p_d of 0.5 or more, and a sweep
+grid whose step does not advance its start or that holds more than
+config.MAX_SWEEP_POINTS points among them), 3 regime violation (a
+free-space distance at or beyond the critical distance, a link budget
+whose arithmetic leaves floating-point range: an overflow, a division by
+zero, or a transmittance that underflows to 0, or a closed-form gain of
+rate-sweep's forward model that is not below 1), 4 session abort, 5 key pool
 exhausted mid-session (disclosed check bits are never credited back; a
 message on stderr, no table), 1 anything else. Outputs are UTF-8
 CSV or JSON; CSV bytes are deterministic for fixed seeds. With --out, a

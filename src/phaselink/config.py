@@ -46,8 +46,15 @@ from .protocol.session import ProtocolParams, Seeds
 from .rates import DetectorConfig, SourceConfig
 
 
+MAX_SWEEP_POINTS = 100_000  # grid points a sweep may hold: 25x the 4,001 of 0-40 km at 10 m
+
+
 @dataclass(frozen=True)
 class SweepGrid:
+    """The free-space distances start + i * step, i = 0, 1, ..., up to stop
+    (within 1e-9 m). A grid whose step does not advance start, or that holds
+    more than MAX_SWEEP_POINTS points, is rejected with ValueError."""
+
     d_fs_start: float
     d_fs_stop: float
     d_fs_step: float
@@ -57,13 +64,30 @@ class SweepGrid:
             raise ValueError("sweep grid values must be finite")
         if self.d_fs_start < 0 or self.d_fs_step <= 0:
             raise ValueError("d_fs_start must be non-negative and d_fs_step positive")
+        if self.d_fs_start + self.d_fs_step == self.d_fs_start:
+            raise ValueError("d_fs_step does not advance d_fs_start")
+        # the division bounds the count before _count takes its floor
+        span = (self.d_fs_stop - self.d_fs_start) / self.d_fs_step
+        if span >= MAX_SWEEP_POINTS or self._count() > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep grid holds more than {MAX_SWEEP_POINTS} points")
+
+    def _point(self, i: int) -> float:
+        return self.d_fs_start + i * self.d_fs_step
+
+    def _count(self) -> int:
+        """The first i whose point lies past stop: the points rise with i, so
+        a division estimates it and comparing points settles it."""
+        limit = self.d_fs_stop + 1e-9
+        n = max(math.floor((limit - self.d_fs_start) / self.d_fs_step) + 1, 0)
+        while n > 0 and self._point(n - 1) > limit:
+            n -= 1
+        while self._point(n) <= limit:
+            n += 1
+        return n
 
     def points(self) -> list:
         """Ascending grid start + i * step; empty when stop < start."""
-        out = []
-        while (d := self.d_fs_start + len(out) * self.d_fs_step) <= self.d_fs_stop + 1e-9:
-            out.append(d)
-        return out
+        return [self._point(i) for i in range(self._count())]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ class NonTurbulentChannel(PhaselinkError):
 
 class RegimeViolation(PhaselinkError):
     """Link outside the model's range: a free-space distance at or beyond
-    its validity limit, or a link budget out of floating-point range."""
+    its validity limit, a link budget out of floating-point range, or a
+    closed-form gain that is not below 1."""
 
 
 class BadJitterSpec(PhaselinkError, ValueError):

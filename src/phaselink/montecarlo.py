@@ -17,9 +17,10 @@ rng): pulse i of a stream s reads byte i % 8 of draw i // 8 of s, so 8
 pulses share a draw. A lane equal to a probability's boundary byte
 floor(256 p), about 1 pulse in 256 per probability, also reads draw i of
 the tie stream split_seed(s, 0) for the 53 bits below it
-(rng.lanes_not_below, the one tie rule). That is exact to the 2^-61
-resolution of the pulse's uniform and costs about 1/8 + 1/256 draws per
-pulse and probability instead of 1. Three decisions read lanes this way: the class schedule
+(rng.ties_not_below, the one tie rule, which rng.lanes_not_below applies
+to a run of lanes). That is exact to the 2^-61 resolution of the pulse's
+uniform and costs about 1/8 + 1/256 draws per pulse and probability
+instead of 1. Three decisions read lanes this way: the class schedule
 (draw_classes, two thresholds per pulse), the dense click compare and the
 error flags (one probability per pulse, its class's).
 
@@ -78,6 +79,7 @@ import numpy as np
 from .errors import InsufficientStatistics
 from .rates import DecoyObservables, DetectorConfig, SourceConfig, E0_BACKGROUND, gain_and_qber
 from .rng import (
+    BLOCK_LANES,
     below,
     byte_lane_blocks,
     byte_lanes_at,
@@ -85,6 +87,7 @@ from .rng import (
     raw64,
     raw64_at,
     split_seed,
+    ties_not_below,
 )
 
 CLASS_SIGNAL = 0
@@ -241,23 +244,41 @@ def classes_at(seed: int, positions, p_sig: float, p_dec: float) -> np.ndarray:
 
 def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
     """Pulses per intensity class (int64, indexed by class) among the n
-    pulses offset .. offset + n - 1 of the seed's schedule: class_counts(
-    class_schedule(seed, n, p_sig, p_dec, offset))[0], with no array of
-    classes. Each rng block counts its lanes below the signal boundary byte
+    pulses offset .. offset + n - 1 of the seed's schedule: the tallies of
+    class_schedule(seed, n, p_sig, p_dec, offset), with no array of classes.
+    Each rng block counts its lanes below the signal boundary byte
     floor(256 p_sig) as signal and those above the vacuum boundary byte
-    floor(256 (p_sig + p_dec)) as vacuum, and classifies only the lanes
-    equal to either, about 1 in 128, with draw_classes; the rest are decoy."""
-    bounds = [math.floor(256.0 * t) for t in (p_sig, p_sig + p_dec)]
+    floor(256 (p_sig + p_dec)) as vacuum, and flags the lanes equal to
+    either byte, about 1 in 128, all in one flag buffer that every block
+    reuses. Only those tied lanes go through the tie rule
+    (rng.ties_not_below); the rest are decoy."""
+    probs = (p_sig, p_sig + p_dec)
+    b_sig, b_vac = (math.floor(256.0 * p) for p in probs)
     tie_seed = split_seed(seed, 0)
     counts = np.zeros(3, dtype=np.int64)
+    flags = None
     for lo, lanes in byte_lane_blocks(seed, n, offset):
-        counts[CLASS_SIGNAL] += np.count_nonzero(lanes < bounds[0])
-        counts[CLASS_VACUUM] += np.count_nonzero(lanes > bounds[1])
-        tie = lanes == bounds[0]
-        tie |= lanes == bounds[1]
-        ties = np.flatnonzero(tie)
-        tied = draw_classes(lanes[ties], p_sig, p_dec, tie_seed, ties + (offset + lo))
-        counts += class_counts(tied)[0]
+        if flags is None:
+            # made after the generator's buffers: in this order the three fit
+            # the heap that detect leaves free (peak RSS about 0.1 MB lower)
+            flags = np.empty(min(n, BLOCK_LANES), dtype=bool)
+        f = flags[: len(lanes)]
+        counts[CLASS_SIGNAL] += np.count_nonzero(np.less(lanes, b_sig, out=f))
+        counts[CLASS_VACUUM] += np.count_nonzero(np.greater(lanes, b_vac, out=f))
+        np.equal(lanes, b_sig, out=f)
+        if b_sig < b_vac < 256:
+            # both bytes' ties in the one buffer: a signal tie's lane plus
+            # b_vac - b_sig is b_vac, so one compare finds every tie
+            shifted = f.view(np.uint8)
+            shifted *= b_vac - b_sig
+            shifted += lanes
+            np.equal(shifted, b_vac, out=f)
+        ties = np.flatnonzero(f)
+        tied = lanes[ties]
+        # a tied lane is above b_sig only when it ties b_vac
+        tied_classes = ties_not_below(tied, probs, tie_seed, ties + (offset + lo))
+        tied_classes += tied > b_sig
+        counts += np.bincount(tied_classes, minlength=3)
     counts[CLASS_DECOY] = n - counts[CLASS_SIGNAL] - counts[CLASS_VACUUM]
     return counts
 

@@ -531,7 +531,9 @@ def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
     none is given. The receiver runs in a thread that closes the receiver
     end when it exits; the sender end is closed here before the thread is
     joined. Neither side closes the other's end, so a message sent just
-    before a close is still read.
+    before a close is still read. A receiver's error is raised over the
+    sender's, and a receiver that ends cleanly while the sender still reads
+    (on a forged ABORT) raises ProtocolError.
     """
     alice = AliceSession(spec)
     bob = BobSession(spec)  # before the sockets: its link budget may raise
@@ -560,5 +562,7 @@ def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
     if failure:
         raise failure[0]
     if closed is not None:
-        raise closed
+        # the receiver ended cleanly while the sender still read: it stopped
+        # on an ABORT that the sender never sent
+        raise ProtocolError("the receiver ended the session before the sender") from closed
     return report, alice, bob

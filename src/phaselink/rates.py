@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateIntensities, DomainError, EstimatorCollapse
+from .errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
 from .optics import AtmosphereParams, BeamParams, LinkGeometry, transmittance
 
 E0_BACKGROUND = 0.5  # error rate of background (dark) clicks
@@ -196,11 +196,16 @@ def gain_and_qber(eta: float, intensity: float, det: DetectorConfig) -> tuple:
 
 
 def forward_gains(eta: float, src: SourceConfig, det: DetectorConfig) -> DecoyObservables:
-    """Closed-form observables for the signal and decoy intensities."""
+    """Closed-form observables for the signal and decoy intensities. Raises
+    RegimeViolation when a gain is not below 1: the additive closed form
+    Y0 + 1 - exp(-eta a) is no probability there (a high dark count
+    probability, or a bright pulse on a short link)."""
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must be in (0, 1]")
     q_mu, e_mu = gain_and_qber(eta, src.mu, det)
     q_nu, e_nu = gain_and_qber(eta, src.nu, det)
+    if max(q_mu, q_nu) >= 1.0:
+        raise RegimeViolation(f"closed-form gain {max(q_mu, q_nu)!r} is not below 1")
     return DecoyObservables(q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=det.y0)
 
 

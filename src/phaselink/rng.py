@@ -28,15 +28,23 @@ order (byte i of the byte stream), so 8 pulses share one draw. The lane
 is the top 8 bits of a 61-bit uniform. Where it cannot decide alone
 (it equals the threshold's own top byte), the low 53 bits come from draw
 i of the child stream ``split_seed(s, 0)``, compared by ``below``.
-``lanes_not_below`` is that one rule; the class schedule, the dense click
+``ties_not_below`` is that one rule, and ``lanes_not_below`` applies it to
+the tied lanes of a run of lanes; the class schedule, the dense click
 compare and the error flags of montecarlo all decide on byte lanes
-through it. ``byte_lane_blocks`` streams consecutive lanes and
+through them. ``byte_lane_blocks`` streams consecutive lanes and
 ``byte_lanes_at`` reads them at given positions.
 
-Contiguous draws are mixed one cache-sized block (_BLOCK draws) at a time
-(raw64_blocks). Draws can also be addressed by non-negative position:
-``raw64_at``, ``random_bits_at`` and ``byte_lanes_at`` give exactly the
-contiguous stream's values there, without drawing the rest.
+Every draw passes through one function, ``_draw``, which mixes started
+values ``s + (i+1)*GOLDEN`` in place one cache-sized block (_BLOCK draws)
+at a time; counting its calls counts every draw. A contiguous block of
+draws from position i starts with one add: the read-only table ``_STEPS``
+holds ``(j+1)*GOLDEN`` for the block's draws j, and the block adds the
+scalar ``s + i*GOLDEN`` (mod 2^64) to it. ``raw64_blocks`` streams such
+blocks through one buffer and one mixing scratch that the generator owns.
+Draws can also be addressed by non-negative position: ``raw64_at``,
+``random_bits_at`` and ``byte_lanes_at`` start each draw from its counter,
+``s + (i+1)*GOLDEN``, and give exactly the contiguous stream's values
+there, without drawing the rest.
 
 A uniform is exactly ``(z >> 11) * 2^-53`` of its raw draw z, so
 ``below(z, p)`` decides ``uniform < p`` on the raw draws, with no float
@@ -57,11 +65,14 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV_2_53 = 1.0 / (1 << 53)
 _BLOCK = 1 << 16  # draws mixed per pass: a block and its scratch (1 MiB) stay in L2 cache
-_COUNTERS = np.arange(1, _BLOCK + 1, dtype=np.uint64)  # 1-based counters of one block
-_COUNTERS.flags.writeable = False
+BLOCK_LANES = 8 * _BLOCK  # byte lanes per block of byte_lane_blocks
+# (j + 1) * GOLDEN mod 2^64: draw j of a block, less the block's start
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+_STEPS *= _U_GOLDEN
+_STEPS.flags.writeable = False
 
 
 def mix64(x: int) -> int:
@@ -81,21 +92,36 @@ def split_seed(seed: int, stream_index: int) -> int:
     return mix64((seed + ((stream_index + 1) * GOLDEN)) & MASK64)
 
 
-def _draw(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Draws at 1-based stream counters (uint64), mixed in place one
-    cache-sized block at a time; overwrites and returns counters."""
-    scratch = np.empty(min(len(counters), _BLOCK), dtype=np.uint64)
-    for i in range(0, len(counters), _BLOCK):
-        z = counters[i : i + _BLOCK]
-        t = scratch[: len(z)]
-        z *= _U_GOLDEN
-        z += np.uint64(seed & MASK64)
+def _draw(z: np.ndarray, scratch=None) -> np.ndarray:
+    """Mixes started draws z (uint64, s + (i+1) * GOLDEN mod 2^64 each) in
+    place, one cache-sized block at a time, and returns z. scratch holds at
+    least min(len(z), _BLOCK) uint64 values; a fresh one is made when None.
+    Every draw of the module passes through here."""
+    if scratch is None:
+        scratch = np.empty(min(len(z), _BLOCK), dtype=np.uint64)
+    for i in range(0, len(z), _BLOCK):
+        block = z[i : i + _BLOCK]
+        t = scratch[: len(block)]
         for shift, mult in ((_U30, _U_MIX1), (_U27, _U_MIX2), (_U31, None)):
-            np.right_shift(z, shift, out=t)
-            z ^= t
+            np.right_shift(block, shift, out=t)
+            block ^= t
             if mult is not None:
-                z *= mult
-    return counters
+                block *= mult
+    return z
+
+
+def _start(seed: int, position: int, z: np.ndarray) -> np.ndarray:
+    """Starts the draws at position, position + 1, ... into z: one add of
+    seed + position * GOLDEN (mod 2^64) to _STEPS; len(z) <= _BLOCK."""
+    return np.add(_STEPS[: len(z)], np.uint64((seed + position * GOLDEN) & MASK64), out=z)
+
+
+def _start_at(seed: int, positions: np.ndarray) -> np.ndarray:
+    """Starts the draws at positions (uint64) in place: the draw at i
+    starts from i * GOLDEN + (seed + GOLDEN)."""
+    positions *= _U_GOLDEN
+    positions += np.uint64((seed + GOLDEN) & MASK64)
+    return positions
 
 
 def _to_uniforms(z: np.ndarray) -> np.ndarray:
@@ -118,7 +144,10 @@ def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n raw 64-bit draws from the stream, starting at position offset."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _draw(seed, np.arange(offset + 1, offset + n + 1, dtype=np.uint64))
+    z = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _BLOCK):
+        _start(seed, offset + start, z[start : start + _BLOCK])
+    return _draw(z)
 
 
 def raw64_blocks(seed: int, n: int, offset: int = 0):
@@ -136,10 +165,10 @@ def raw64_blocks(seed: int, n: int, offset: int = 0):
 
 def _blocks(seed: int, n: int, offset: int):
     buf = np.empty(min(n, _BLOCK), dtype=np.uint64)
+    scratch = np.empty_like(buf)
     for start in range(0, n, _BLOCK):
         z = buf[: min(_BLOCK, n - start)]
-        np.add(_COUNTERS[: len(z)], np.uint64(offset + start), out=z)
-        yield start, _draw(seed, z)
+        yield start, _draw(_start(seed, offset + start, z), scratch)
 
 
 def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -149,9 +178,7 @@ def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
 
 def raw64_at(seed: int, positions) -> np.ndarray:
     """Raw draws of the stream at the given non-negative positions."""
-    counters = _positions(positions)
-    counters += _U1
-    return _draw(seed, counters)
+    return _draw(_start_at(seed, _positions(positions)))
 
 
 def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -200,8 +227,7 @@ def _lanes_at(seed: int, positions, width: int) -> np.ndarray:
     shift &= per_draw - 1
     shift *= width
     z >>= np.uint64(per_draw.bit_length() - 1)
-    z += _U1
-    _draw(seed, z)
+    _draw(_start_at(seed, z))
     z >>= shift
     z &= np.uint64((1 << width) - 1)
     return z.astype(np.uint8)
@@ -259,17 +285,30 @@ def lanes_not_below(lanes: np.ndarray, probs, tie_seed: int, at, where=None) -> 
             counts += _masked(lanes > b, mask).view(np.uint8)
             tie |= _masked(lanes == b, mask)
     ties = np.flatnonzero(tie)  # about 1 lane in 256 per probability
-    tied = lanes[ties]
-    z = raw64_at(tie_seed, ties + at if np.ndim(at) == 0 else at[ties])
-    tie_counts = np.zeros(len(ties), dtype=np.uint8)
-    for p, b, mask in zip(probs, bounds, masks):
+    at_ties = ties + at if np.ndim(at) == 0 else at[ties]
+    where_ties = None if where is None else [mask[ties] for mask in where]
+    counts[ties] += ties_not_below(lanes[ties], probs, tie_seed, at_ties, where_ties)
+    return counts
+
+
+def ties_not_below(tied: np.ndarray, probs, tie_seed: int, at, where=None) -> np.ndarray:
+    """The tie rule of lanes_not_below. Per byte lane tied[i], at stream
+    position at[i], the number (uint8) of the probabilities p in probs whose
+    boundary byte b = floor(256 p) it equals and that its 61-bit uniform is
+    not below, counting probs[k] only where where[k][i] is set (everywhere
+    when where is None). Lane i reads draw at[i] of the tie_seed stream as
+    z, and is not below p exactly when not below(z, 256 p - b). A lane
+    above or below b is not counted for p here."""
+    z = raw64_at(tie_seed, at)
+    counts = np.zeros(len(tied), dtype=np.uint8)
+    for k, p in enumerate(probs):
+        b = math.floor(256.0 * p)
         flags = tied == b
-        if mask is not None:
-            flags &= mask[ties]
+        if where is not None:
+            flags &= where[k]
         # 256 p and its fraction 256 p - b are exact in IEEE arithmetic
         flags &= ~below(z, 256.0 * p - b)
-        tie_counts += flags
-    counts[ties] += tie_counts
+        counts += flags
     return counts
 
 

@@ -63,15 +63,15 @@ def reference_below():
 
 @pytest.fixture
 def count_draws(monkeypatch):
-    """Call it to start recording the length of the counter array of every
-    rng._draw call; it returns the list that the calls fill."""
+    """Call it to start recording the number of draws that every rng._draw
+    call mixes; it returns the list that the calls fill."""
 
     def start():
         drawn, draw = [], rng._draw
 
-        def counting(seed, counters):
-            drawn.append(len(counters))
-            return draw(seed, counters)
+        def counting(z, *rest):
+            drawn.append(len(z))
+            return draw(z, *rest)
 
         monkeypatch.setattr(rng, "_draw", counting)
         return drawn

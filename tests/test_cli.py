@@ -229,6 +229,29 @@ class TestTypedExits:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("regime violation: link budget out of floating-point")
 
+    @pytest.mark.parametrize(
+        "name,key,value,grid",
+        [
+            ("desk_session.cfg", "detector__p_d", "0.3", ["--grid", "0:1000:500"]),
+            ("upgraded_link.cfg", "source__mu", "1e9", []),
+        ],
+        ids=["dark_count_probability", "bright_signal"],
+    )
+    def test_gain_not_below_one_is_regime_violation(self, tmp_path, capsys, name, key, value, grid):
+        # each once escaped main as ValueError: gains must be in (0, 1)
+        cfg = edited_config(tmp_path, name, **{key: value})
+        assert run_cli(["rate-sweep", "--config", cfg, *grid]) == cli.EXIT_REGIME
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("regime violation: closed-form gain")
+
+    def test_sweep_step_of_1e_308_is_config_error(self, tmp_path, capsys):
+        # the grid once appended points past a 10 s limit; now it is counted
+        # and rejected on load
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", sweep__d_fs_step="1e-308")
+        assert run_cli(["rate-sweep", "--config", cfg]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and "points" in err
+
     @pytest.mark.parametrize("e_mis", ["0.5", "1e308"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_error_rate_above_half_is_config_error(self, tmp_path, capsys, command, e_mis):

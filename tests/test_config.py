@@ -1,9 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselink import cli
 from phaselink.config import (
+    MAX_SWEEP_POINTS,
     ScenarioConfig,
     SweepGrid,
     config_hash,
@@ -114,6 +117,41 @@ class TestSweepGrid:
 
     def test_empty_when_stop_below_start(self):
         assert SweepGrid(5.0, 1.0, 1.0).points() == []
+
+    @staticmethod
+    def appended(grid):
+        """The points by appending start + i * step until one passes stop."""
+        out = []
+        while (d := grid.d_fs_start + len(out) * grid.d_fs_step) <= grid.d_fs_stop + 1e-9:
+            out.append(d)
+        return out
+
+    @given(
+        start=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+        step=st.floats(1e-3, 1e3),
+        count=st.integers(0, 300),
+        slack=st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, 1e-10, -1e-10, 0.5, -0.5]),
+    )
+    def test_points_match_appending(self, start, step, count, slack):
+        # counted, not appended, to the same floats, up to stop within 1e-9
+        grid = SweepGrid(start, start + count * step + slack, step)
+        assert grid.points() == self.appended(grid)
+
+    def test_benchmark_grid_points(self):
+        # 0-40 km at 10 m, as the rate_sweep workload sweeps it
+        grid = SweepGrid(0.0, 40_000.0, 10.0)
+        assert grid.points() == self.appended(grid)
+        assert len(grid.points()) == 4001
+
+    def test_point_bound(self):
+        assert len(SweepGrid(0.0, MAX_SWEEP_POINTS - 1, 1.0).points()) == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            SweepGrid(0.0, MAX_SWEEP_POINTS, 1.0)
+
+    def test_step_that_does_not_advance_rejected(self):
+        # 1e-12 is below half an ulp of 1e6, so start + step == start
+        with pytest.raises(ValueError, match="does not advance"):
+            SweepGrid(1e6, 2e6, 1e-12)
 
 
 class TestRoundTrip:

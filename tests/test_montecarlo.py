@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -236,6 +236,10 @@ class TestScheduleReads:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEED, n=SPAN, offset=st.integers(0, 3 << 19), mix=MIX)
+    # both boundary bytes are 128: floor(256 p_sig) == floor(256 (p_sig + p_dec))
+    @example(seed=77, n=8 * _BLOCK + 5, offset=3, mix=(0.5 + 2.0**-10, 2.0**-10))
+    # p_sig + p_dec = 1: the vacuum boundary byte is 256, which no lane equals
+    @example(seed=78, n=8 * _BLOCK + 5, offset=3, mix=(0.75 + 2.0**-10, 0.25 - 2.0**-10))
     def test_counts_match_class_array(self, seed, n, offset, mix):
         counts = schedule_counts(seed, n, *mix, offset)
         assert counts.dtype == np.int64

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phaselink.errors import DegenerateIntensities, DomainError, EstimatorCollapse
+from phaselink.errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.rates import (
     DecoyObservables,
@@ -104,6 +104,16 @@ class TestForwardGains:
             forward_gains(0.0, SRC, DET)
         with pytest.raises(ValueError):
             forward_gains(1.5, SRC, DET)
+
+    @pytest.mark.parametrize(
+        "p_d,mu", [(0.3, SRC.mu), (DET.p_d, 1e9)], ids=["dark_counts", "bright_pulse"]
+    )
+    def test_gain_not_below_one_is_regime_violation(self, p_d, mu):
+        # Y0 + 1 - exp(-eta a) reaches 1 at eta = 1; it once failed later as
+        # an untyped ValueError from DecoyObservables
+        det = DetectorConfig(p_d=p_d, eta_d=DET.eta_d, visibility=DET.visibility)
+        with pytest.raises(RegimeViolation, match="not below 1"):
+            forward_gains(1.0, SourceConfig(mu=mu, nu=SRC.nu), det)
 
 
 class TestDecoyEstimate:

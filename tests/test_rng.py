@@ -20,6 +20,7 @@ from phaselink.rng import (
     raw64_at,
     raw64_blocks,
     split_seed,
+    ties_not_below,
     uniforms,
 )
 
@@ -71,6 +72,22 @@ def test_block_iterator_concatenates_to_stream(n, offset):
     assert np.array_equal(draws, raw64(seed, n, offset))
     for i in [0, n - 1] if n else []:
         assert int(draws[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
+
+
+@pytest.mark.parametrize("offset", [0, 2**61 + 3, 2**64 - 2**17])
+@pytest.mark.parametrize("n", [0, 1, rng._BLOCK, rng._BLOCK + 1])
+def test_block_starts_match_positional_draws(n, offset):
+    # a block starts as _STEPS plus seed + offset * GOLDEN mod 2^64, a draw
+    # at a position from its own counter: the two agree across block edges
+    # and where offset * GOLDEN wraps 2^64
+    seed = 0xFEEDFACECAFEBEEF
+    parts = [z.copy() for _, z in raw64_blocks(seed, n, offset)]
+    blocks = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    positions = np.arange(n, dtype=np.uint64) + np.uint64(offset)
+    assert np.array_equal(blocks, raw64(seed, n, offset))
+    assert np.array_equal(blocks, raw64_at(seed, positions))
+    for i in [0, n - 1] if n else []:
+        assert int(blocks[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
 
 
 def test_block_iterator_rejects_negative_count():
@@ -294,3 +311,28 @@ def test_lanes_not_below_exact_at_ties(p):
     counts = lanes_not_below(lanes, [p, 0.3], split_seed(13, 0), first, [odd, ~odd])
     assert counts.dtype == np.uint8
     assert counts.tolist() == [x >= Fraction(p if k % 2 else 0.3) for k, x in enumerate(u)]
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (3 / 256 + 1e-3, 0.5), (1 / 3, 1 / 3 + 1e-3), (0.0, 1.0)])
+def test_ties_not_below_counts_only_tied_bounds(probs):
+    # each lane counts the probabilities whose boundary byte it equals and
+    # that its 61-bit uniform is not below, exactly, under per-probability
+    # masks; a lane off every boundary byte counts 0
+    bounds = [math.floor(256 * p) for p in probs]
+    near = [v for b in bounds for v in (b - 1, b, b + 1) if 0 <= v < 256]
+    tied = np.resize(np.array(near, dtype=np.uint8), 3000)
+    at = np.random.default_rng(9).permutation(1 << 20)[: len(tied)]
+    masks = [np.arange(len(tied)) % 3 != k for k in range(len(probs))]
+    z = raw64_at(split_seed(21, 0), at).tolist()
+    u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(tied, z)]
+    for where in (None, masks):
+        counts = ties_not_below(tied, probs, split_seed(21, 0), at, where)
+        assert counts.dtype == np.uint8
+        expect = [
+            sum(
+                lane == b and (where is None or where[k][i]) and x >= Fraction(p)
+                for k, (p, b) in enumerate(zip(probs, bounds))
+            )
+            for i, (lane, x) in enumerate(zip(tied.tolist(), u))
+        ]
+        assert counts.tolist() == expect

@@ -55,6 +55,21 @@ def test_draw_counts_lines_add_up(draw_counts):
         assert stages and sum(stages.values()) == draws, name
 
 
+# The exact draws of each run. A change that keeps the stream layout keeps
+# these; one that moves it on purpose updates them and says so.
+DRAWS = {
+    "session desk_session": 7_120_200,
+    "session measured_link": 1_523_795,
+    "session upgraded_link": 1_502_097,
+    "simulate measured_link": 1_501_947,
+}
+
+
+def test_draw_totals_pinned(draw_counts):
+    # an upper bound alone misses draws that stop passing through rng._draw
+    assert {name: run[1] for name, run in draw_counts.items()} == DRAWS
+
+
 def test_draws_per_pulse(draw_counts):
     # desk decides classes, clicks and error flags on byte lanes, about 8
     # pulses per draw; the lossy link draws per event, not per pulse

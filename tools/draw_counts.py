@@ -44,9 +44,11 @@ def main(argv=None) -> int:
             frame = frame.f_back
         return f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}"
 
-    def counting(seed, counters):
-        drawn.append((stage(), len(counters)))
-        return draw(seed, counters)
+    def counting(*args):
+        # the first array argument holds the draws: _draw(z, scratch) here,
+        # _draw(seed, counters) in checkouts that start draws inside _draw
+        drawn.append((stage(), next(len(a) for a in args if hasattr(a, "__len__"))))
+        return draw(*args)
 
     def report(name: str, pulses: int) -> None:
         total = sum(n for _, n in drawn)
