@@ -13,12 +13,14 @@ grid whose step does not advance its start or that holds more than
 config.MAX_SWEEP_POINTS points among them), 3 regime violation (a
 free-space distance at or beyond the critical distance, a link budget
 whose arithmetic leaves floating-point range: an overflow, a division by
-zero, or a transmittance that underflows to 0, or a closed-form gain of
-rate-sweep's forward model that is not below 1), 4 session abort, 5 key pool
-exhausted mid-session (disclosed check bits are never credited back; a
-message on stderr, no table), 1 anything else. Outputs are UTF-8
-CSV or JSON; CSV bytes are deterministic for fixed seeds. With --out, a
-sidecar <out>.record.json stores the scenario id, config hash,
+zero, or a transmittance that underflows to 0, a closed-form gain of
+rate-sweep's forward model that is not below 1, or a session whose
+simulated clock leaves floating-point range: a frame's duration or the
+elapsed pulses / (rep_rate * duty_cycle) that is not finite), 4 session
+abort, 5 key pool exhausted mid-session (disclosed check bits are never
+credited back; a message on stderr, no table), 1 anything else. Outputs
+are UTF-8 CSV or JSON; CSV bytes are deterministic for fixed seeds. With
+--out, a sidecar <out>.record.json stores the scenario id, config hash,
 timestamp, and the emitted tables.
 """
 

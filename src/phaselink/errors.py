@@ -15,8 +15,9 @@ class NonTurbulentChannel(PhaselinkError):
 
 class RegimeViolation(PhaselinkError):
     """Link outside the model's range: a free-space distance at or beyond
-    its validity limit, a link budget out of floating-point range, or a
-    closed-form gain that is not below 1."""
+    its validity limit, a link budget out of floating-point range, a
+    closed-form gain that is not below 1, or a session's simulated clock
+    out of floating-point range."""
 
 
 class BadJitterSpec(PhaselinkError, ValueError):
@@ -24,7 +25,8 @@ class BadJitterSpec(PhaselinkError, ValueError):
 
 
 class EstimatorCollapse(PhaselinkError):
-    """Decoy estimator produced a non-positive single-photon gain bound."""
+    """Decoy estimator produced a non-positive or non-finite single-photon
+    gain bound, or a non-finite error bound."""
 
 
 class DegenerateIntensities(PhaselinkError, ValueError):

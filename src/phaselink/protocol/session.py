@@ -24,6 +24,13 @@ checks that each FRAME_META carries the next frame id, that each QUANTUM
 and CHIPS starts at the pulse count of the frames before it, and that
 CHIPS carries one chip per signal pulse of QUANTUM.
 
+A frame ends at its n_chips-th signal pulse. That rule is one function
+over the frame's packed signal index (_frame_end on _signal_rank): the
+sender cuts its drawn schedule there (_draw_schedule), and the receiver
+rejects a QUANTUM that does not end there, so a stream with too few or
+too many signal pulses, or with pulses after the last chip's, fails at
+the receiver.
+
 The QBER check (qber_exceeds) runs after each frame on the session's
 cumulative disclosed bits, at level QBER_EPSILON / n_frames, so by the
 union bound over the n_frames looks a session over a link within
@@ -49,7 +56,9 @@ its clicks go through class_counts.
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
 from those three seeds. Rates are reported on the simulated clock,
-elapsed = pulses / (rep_rate * duty_cycle).
+elapsed = pulses / (rep_rate * duty_cycle); a clock that leaves
+floating-point range (a frame's duration at rep_rate, or elapsed) raises
+RegimeViolation (_clock_s).
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import FrameCorrupt, FrameLost, ProtocolError, TransportClosed
+from ..errors import FrameCorrupt, FrameLost, ProtocolError, RegimeViolation, TransportClosed
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, class_schedule, detect
 from ..optics import jitter_step, transmittance
 from ..rates import SourceConfig
@@ -149,6 +158,17 @@ def _frame_seed(base: int, stream: int, frame_id: int) -> int:
     return split_seed(split_seed(base, stream), frame_id)
 
 
+def _clock_s(pulses: int, rate: float) -> float:
+    """Seconds that pulses take at rate pulses/s on the simulated clock;
+    RegimeViolation when that is beyond floating-point range."""
+    seconds = pulses / rate if rate else math.inf
+    if not math.isfinite(seconds):
+        raise RegimeViolation(
+            f"simulated clock out of floating-point range: {pulses} pulses at {rate:g}/s"
+        )
+    return seconds
+
+
 def _recv(transport, *expected: int) -> tuple:
     """Next (type, payload) message; ProtocolError unless of an expected type."""
     msg, payload = transport.recv()
@@ -214,38 +234,24 @@ def qber_exceeds(errors: int, samples: int, threshold: float, n_frames: int) -> 
     return _upper_tail(errors, samples, threshold) < QBER_EPSILON / n_frames
 
 
-def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> np.ndarray:
-    """Class schedule covering exactly n_chips signal slots.
+def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> tuple:
+    """(classes, words, before): the frame's class schedule, which ends at
+    its n_chips-th signal pulse (_frame_end), and the _signal_rank of the
+    drawn stream it was cut from, which ranks every pulse of the frame.
 
-    Classes are drawn i.i.d. per the mix ratio; the frame ends at the
-    n_chips-th signal pulse. The stream is read in chunks sized to hold the
-    signal pulses still needed plus a margin of 8 standard deviations, so a
-    second chunk is rare; the result does not depend on the chunking.
+    Classes are drawn i.i.d. per the mix ratio from one chunk sized to hold
+    n_chips signal pulses plus a margin of 8 standard deviations; in the
+    rare case that it holds fewer, the next chunk of the stream is added.
+    The frame does not depend on the chunking.
     """
-    p_sig = src.signal_fraction
-    p_dec = src.decoy_fraction
-    chunks = []
-    offset = 0
-    need = n_chips
-    while True:
-        size = int((need + 8 * math.sqrt(need) + 64) / p_sig)
-        c = class_schedule(seed, size, p_sig, p_dec, offset)
-        n_signal = len(c) - int(np.count_nonzero(c))  # CLASS_SIGNAL is 0
-        if n_signal >= need:
-            after = n_signal - need  # signal pulses past the frame's last pulse
-            # find the frame's last pulse in tails of doubling width, not
-            # among the positions of every signal pulse
-            start, width = len(c), after + 1
-            while True:
-                start, width = max(start - width, 0), 2 * width
-                tail = np.flatnonzero(c[start:] == CLASS_SIGNAL)
-                if len(tail) > after:
-                    break
-            chunks.append(c[: start + tail[len(tail) - after - 1] + 1])
-            return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        chunks.append(c)
-        need -= n_signal
-        offset += size
+    p_sig, p_dec = src.signal_fraction, src.decoy_fraction
+    size = int((n_chips + 8 * math.sqrt(n_chips) + 64) / p_sig)
+    classes = class_schedule(seed, size, p_sig, p_dec)
+    words, before = _signal_rank(classes)
+    while before[-1] < n_chips:
+        classes = np.concatenate((classes, class_schedule(seed, size, p_sig, p_dec, len(classes))))
+        words, before = _signal_rank(classes)
+    return classes[: _frame_end(words, before, n_chips)], words, before
 
 
 def _signal_rank(classes: np.ndarray) -> tuple:
@@ -264,6 +270,18 @@ def _signal_rank(classes: np.ndarray) -> tuple:
     before = np.zeros(len(words) + 1, dtype=np.int64)
     np.cumsum(np.bitwise_count(words), out=before[1:])
     return words, before
+
+
+def _frame_end(words: np.ndarray, before: np.ndarray, n: int) -> Optional[int]:
+    """One past the position of the n-th (n >= 1) signal flag of a
+    _signal_rank, None when it has fewer: the end of a frame of n chips.
+    The flag's word is the last whose prefix is below n, and the flag is
+    that word's (n - prefix)-th set bit."""
+    w = int(np.searchsorted(before, n)) - 1
+    if w == len(words):
+        return None
+    bits = np.flatnonzero(np.unpackbits(words[w : w + 1].view(np.uint8), bitorder="little"))
+    return 64 * w + int(bits[n - before[w] - 1]) + 1
 
 
 def _chip_index(words: np.ndarray, before: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -298,6 +316,7 @@ class AliceSession:
     def run(self, transport) -> SessionReport:
         spec = self.spec
         p = spec.protocol
+        n_chips = chip_count(p.fec_ratio, p.spread_ratio)
         start_pulse = 0
         frames_ok = frames_failed = 0
         disclosed_total = 0
@@ -308,17 +327,15 @@ class AliceSession:
         for f in range(p.n_frames):
             payload = self._frame_payload(f)
             self.sent_payloads.append(payload)
-            n_chips = chip_count(p.fec_ratio, p.spread_ratio)
             self.ledger.debit(n_chips)  # one pad bit per chip
             chips = preprocess(
                 payload, f, p.fec_ratio, p.spread_ratio, self.key_seed, self.mask_seed
             )
 
-            classes = _draw_schedule(
+            classes, words, before = _draw_schedule(
                 _frame_seed(spec.seeds.alice, _S_SCHEDULE, f), n_chips, spec.source
             )
             n_pulses = len(classes)
-            words, before = _signal_rank(classes)  # before FRAME_META: the round does not wait on it
 
             transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
             transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes))
@@ -385,7 +402,7 @@ class AliceSession:
             # its own: freed heap that glibc keeps would otherwise hold both
             del chips, classes, words
 
-        elapsed = start_pulse / (spec.source.rep_rate * p.duty_cycle)
+        elapsed = _clock_s(start_pulse, spec.source.rep_rate * p.duty_cycle)
         led = self.ledger
         sent, clicked = self._counts
         gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
@@ -451,14 +468,14 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
             n_pulses = len(classes)
             words, before = _signal_rank(classes)
-            if before[-1] != n_chips:
-                raise ProtocolError(f"frame {f}: QUANTUM signal pulse count is not n_chips")
+            if _frame_end(words, before, n_chips) != n_pulses:
+                raise ProtocolError(f"frame {f}: QUANTUM signal pulse count or end is not the frame's")
             _, payload = _recv(transport, wire.CHIPS)
             chips_start, n_sent, chips = wire.decode_chips(payload)
             if (chips_start, n_sent) != (start, n_chips):
                 raise ProtocolError(f"frame {f}: CHIPS start or count is not the frame's")
 
-            loss_db = self._frame_loss_db(f, n_pulses / spec.source.rep_rate)
+            loss_db = self._frame_loss_db(f, _clock_s(n_pulses, spec.source.rep_rate))
             hit, err, hit_classes = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),

@@ -32,7 +32,11 @@ reliable; no cryptography is applied here):
                           its intensity class 0-2 in bits 2-3 and every
                           other bit zero (a byte with another bit set, or
                           above class 2, is rejected; the check is one OR
-                          and one max over the bytes): 12 + n bytes
+                          and one max over the bytes): 12 + n bytes. Bit 0
+                          held the pulse's chip before CHIPS carried the
+                          chips; the class stays in bits 2-3 because the
+                          benchmark's sender probe (benchmarks/workloads.py)
+                          reads it there, so moving it starts in benchmarks/
     0x11 CHIPS            u64 start, u32 count n, then the frame's n
                           chips packed little-endian as framing.preprocess
                           gives them (chip i at bit i % 8 of byte i // 8;

@@ -216,7 +216,8 @@ def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
          * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2 - (mu^2 - nu^2)/mu^2 * Y0)
     e1 = mu e^-mu (E_nu Q_nu e^nu - e0 Y0) / (nu Q1)
 
-    Raises EstimatorCollapse when the bound degenerates (Q1 <= 0).
+    Raises EstimatorCollapse when the bound degenerates: Q1 <= 0, or Q1 or
+    e1 not finite (mu nu - nu^2 subnormal, for one).
     e1 is clamped into [0, 1/2]; values outside only occur when the
     single-photon channel carries no usable information anyway.
     """
@@ -233,7 +234,7 @@ def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
             - (mu**2 - nu**2) / mu**2 * obs.y0
         )
     )
-    if q1 <= 0.0:
+    if not 0.0 < q1 < math.inf:
         raise EstimatorCollapse(f"single-photon gain bound is {q1:g}")
     e1 = (
         mu
@@ -241,6 +242,8 @@ def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
         * (obs.e_nu * obs.q_nu * math.exp(nu) - E0_BACKGROUND * obs.y0)
         / (nu * q1)
     )
+    if not math.isfinite(e1):
+        raise EstimatorCollapse(f"single-photon error bound is {e1:g}")
     e1 = min(max(e1, 0.0), 0.5)
     return DecoyEstimate(q1=q1, e1=e1)
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import re
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phaselink import cli
+from phaselink import cli, config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 MEASURED = str(CONFIG_DIR / "measured_link.cfg")
@@ -16,20 +21,25 @@ def run_cli(args):
     return cli.main(args)
 
 
-def edited_config(tmp_path, name: str, **values) -> str:
-    """The bundled config name with each key set to its value; a key is
-    given with "__" for its dot (protocol__n_frames)."""
-    text = (CONFIG_DIR / name).read_text()
+def set_keys(text: str, values: dict) -> str:
+    """Config text with each key's line set to its value; a key is given
+    with "__" for its dot (protocol__n_frames)."""
     for key, value in values.items():
         key = key.replace("__", ".")
         text, found = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
         assert found == 1, key
+    return text
+
+
+def edited_config(tmp_path, name: str, **values) -> str:
+    """The bundled config name with each key set to its value (set_keys)."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(set_keys((CONFIG_DIR / name).read_text(), values))
     return str(path)
 
 
 COMMANDS = ("link-budget", "rate-sweep", "simulate", "session")
+JITTER = "jitter.max_db = 3.0\njitter.tau_s = 0.002\njitter.step_db = 40.0\n"
 
 
 class TestLinkBudget:
@@ -261,3 +271,85 @@ class TestTypedExits:
         assert run_cli([command, "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "e_mis" in err
+
+    @pytest.mark.parametrize(
+        "key,value,jitter",
+        [
+            ("source__rep_rate", "1e-308", True),
+            ("source__rep_rate", "5e-324", True),
+            ("source__rep_rate", "1e-308", False),
+            ("protocol__duty_cycle", "5e-324", False),
+        ],
+        ids=["jitter_step_of_inf_s", "jitter_step_subnormal_rate", "elapsed_inf", "duty_cycle"],
+    )
+    def test_clock_out_of_float_range_is_regime_violation(
+        self, tmp_path, capsys, key, value, jitter
+    ):
+        # a frame of 8,816 pulses lasting inf s once made the jitter step NaN
+        # (ValueError traceback), and without jitter the session printed
+        # elapsed_s=inf with every rate 0.0
+        small = {"protocol__spread_ratio": 8, "protocol__n_frames": 1, key: value}
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", **small)
+        if jitter:
+            Path(cfg).write_text(Path(cfg).read_text() + JITTER)
+        assert run_cli(["session", "--config", cfg]) == cli.EXIT_REGIME
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("regime violation: simulated clock out of floating")
+
+    def test_subnormal_decoy_intensity_collapses(self, tmp_path, capsys):
+        # mu nu - nu^2 is subnormal: the decoy bound was NaN and rate-sweep
+        # exited 1 with DomainError from binary_entropy
+        cfg = edited_config(tmp_path, "upgraded_link.cfg", source__nu="5e-324")
+        assert run_cli(["rate-sweep", "--config", cfg, "--grid", "0:1000:500"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",0.0,0.0,1") for row in rows)
+
+
+def _small_scenario() -> str:
+    """upgraded_link.cfg cut to 2 frames of spread 8, a 5-point 0-2000 m
+    grid and 2e4 MC pulses, with a jitter section: every section present."""
+    small = {
+        "protocol.spread_ratio": 8,
+        "protocol.n_frames": 2,
+        "sweep.d_fs_stop": 2000.0,
+        "sweep.d_fs_step": 500.0,
+    }
+    text = set_keys((CONFIG_DIR / "upgraded_link.cfg").read_text(), small)
+    return text + "montecarlo.n_pulses = 20000\n" + JITTER
+
+
+SMALL_SCENARIO = _small_scenario()
+# edge values per key type; every int is small, so no run holds many
+# frames, pulses or pool bits
+EDGES = {
+    float: (-1.0, 0.0, 5e-324, 1e-308, 1e-6, 0.5, 1 - 2**-53, 1.0, 1.5, 1e9, 1e154, 1e308),
+    int: (-1, 0, 1, 2, 3, 9),
+    tuple: ("1:1:1", "1:0:1", "30:2:0", "-1:2:1", "1:2", "1:9:9"),
+}
+KEYS = [(f"{s}.{k}", kind) for s, keys in config._KEY_TYPES.items() for k, kind in keys.items()]
+EDGE_CASES = st.sampled_from(KEYS).flatmap(
+    lambda case: st.tuples(st.just(case[0]), st.sampled_from(EDGES[case[1]]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=EDGE_CASES, command=st.sampled_from(COMMANDS))
+@example(case=("source.rep_rate", 1e-308), command="session")
+@example(case=("source.rep_rate", 5e-324), command="session")
+@example(case=("protocol.duty_cycle", 5e-324), command="session")
+@example(case=("source.nu", 5e-324), command="rate-sweep")
+def test_config_edge_values_end_in_documented_exit(tmp_path_factory, case, command):
+    # each config key at an edge value, on each command: a documented exit,
+    # no traceback, no thread left running and no non-finite session cell
+    key, value = case
+    path = tmp_path_factory.getbasetemp() / "edge.cfg"  # rewritten by each example
+    path.write_text(set_keys(SMALL_SCENARIO, {key: value}))
+    threads = threading.active_count()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--config", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_REGIME, cli.EXIT_ABORT, cli.EXIT_POOL)
+    assert threading.active_count() == threads
+    if command == "session" and code in (cli.EXIT_OK, cli.EXIT_ABORT):
+        row = out.getvalue().splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in row), row

@@ -142,6 +142,13 @@ class TestDecoyEstimate:
         with pytest.raises(EstimatorCollapse):
             decoy_estimate(obs, SRC)
 
+    def test_collapse_on_subnormal_decoy_intensity(self):
+        # mu nu - nu^2 is subnormal, so the bound was NaN and reached
+        # binary_entropy as a DomainError
+        src = SourceConfig(mu=0.71, nu=5e-324)
+        with pytest.raises(EstimatorCollapse):
+            decoy_estimate(forward_gains(ETA_MEASURED, src, DET), src)
+
     def test_degenerate_intensities(self):
         with pytest.raises(DegenerateIntensities):
             SourceConfig(mu=0.5, nu=0.5)

@@ -24,6 +24,7 @@ from phaselink.protocol.session import (
     _chip_bits,
     _chip_index,
     _draw_schedule,
+    _frame_end,
     _signal_rank,
     run_session_detailed,
 )
@@ -127,7 +128,7 @@ class TestLoopbackSession:
         spec = small_spec(n_frames=1, spread=8)
         report, alice, bob = run_session_detailed(spec)
         n_chips = 1000 * 8
-        classes = _draw_schedule(
+        classes, _, _ = _draw_schedule(
             split_seed(split_seed(spec.seeds.alice, 2), 0), n_chips, SRC
         )
         n = len(classes)
@@ -252,6 +253,11 @@ def _drop_last_chips(payload):
     return wire.encode_chips(start, chips[:-1])  # 8 chips fewer, count and length agreeing
 
 
+def _append_decoy(payload):
+    start, classes = wire.decode_quantum(payload)
+    return wire.encode_quantum(start, np.append(classes, CLASS_DECOY))  # same signal count
+
+
 def _cut_announce(payload):
     start, _, hit, bases = wire.decode_basis_announce(payload)
     first = hit < 1  # the clicks of a one-pulse range
@@ -356,6 +362,7 @@ class TestMessageOrder:
             (wire.FRAME_META, _renumber_meta, "FRAME_META frame_id"),
             (wire.QUANTUM, _shift_quantum_start, "QUANTUM start"),
             (wire.QUANTUM, _demote_first_signal, "signal pulse count"),
+            (wire.QUANTUM, _append_decoy, "QUANTUM"),
             (wire.QUANTUM, _set_quantum_bit_0, "one of bits 0, 1 or 4-7"),
             (wire.CHIPS, _shift_chips_start, "CHIPS start or count"),
             (wire.CHIPS, _drop_last_chips, "CHIPS start or count"),
@@ -468,7 +475,7 @@ class TestSift:
             spy(name)
         spec = small_spec(n_frames=1, spread=64, geom=replace(LOSSLESS, conv_loss_db=conv_loss_db))
         run_session_detailed(spec)
-        classes, chips, (hit, err, _) = (
+        (classes, _, _), chips, (hit, err, _) = (
             seen[k][1] for k in ("_draw_schedule", "preprocess", "detect")
         )
         values, positions = seen["decode"][0][:2]
@@ -635,10 +642,18 @@ class TestSocketSession:
         assert set(threading.enumerate()) <= before
 
 
+def assert_ranks(classes, words, before):
+    """The index ranks every position of classes as TestSignalRank's
+    reference does: the position less the non-signal pulses before it."""
+    positions = np.arange(len(classes))
+    reference = positions - np.searchsorted(np.flatnonzero(classes != CLASS_SIGNAL), positions)
+    assert np.array_equal(_chip_index(words, before, positions), reference)
+
+
 class TestScheduleDraw:
     def test_exact_signal_count(self):
         for n_chips in (100, 1000, 5000):
-            classes = _draw_schedule(42, n_chips, SRC)
+            classes, _, _ = _draw_schedule(42, n_chips, SRC)
             assert np.count_nonzero(classes == CLASS_SIGNAL) == n_chips
             assert classes[-1] == CLASS_SIGNAL
 
@@ -647,17 +662,29 @@ class TestScheduleDraw:
         # negative margin makes the chunks fall short, so several are drawn
         stream = reference_classes(42, 6000, SRC.signal_fraction, SRC.decoy_fraction)
         frame = stream[: np.flatnonzero(stream == CLASS_SIGNAL)[4999] + 1]
-        assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
+        assert np.array_equal(_draw_schedule(42, 5000, SRC)[0], frame)
         calls = []
         monkeypatch.setattr(
             session, "class_schedule", lambda *a: calls.append(a) or class_schedule(*a)
         )
         monkeypatch.setattr(session, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
-        assert np.array_equal(_draw_schedule(42, 5000, SRC), frame)
+        classes, words, before = _draw_schedule(42, 5000, SRC)
+        assert np.array_equal(classes, frame)
         assert len(calls) > 1
+        assert_ranks(frame, words, before)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_chips=st.integers(1, 300),
+        ratio=st.sampled_from([(30, 2, 1), (1, 1, 1), (1, 8, 8)]),
+    )
+    def test_rank_matches_non_signal_search(self, seed, n_chips, ratio):
+        classes, words, before = _draw_schedule(seed, n_chips, SourceConfig(0.71, 0.28, ratio))
+        assert classes[-1] == CLASS_SIGNAL and np.count_nonzero(classes == CLASS_SIGNAL) == n_chips
+        assert_ranks(classes, words, before)
 
     def test_class_frequencies(self):
-        classes = _draw_schedule(7, 100_000, SRC)
+        classes, _, _ = _draw_schedule(7, 100_000, SRC)
         frac_sig = np.count_nonzero(classes == CLASS_SIGNAL) / len(classes)
         assert abs(frac_sig - 30 / 33) < 0.01
 
@@ -711,6 +738,35 @@ def packed(chips):
     return np.packbits(np.asarray(chips, dtype=np.uint8), bitorder="little")
 
 
+def signal_at(n, *positions):
+    """n decoy pulses with a signal pulse at each of the positions."""
+    classes = np.full(n, CLASS_DECOY, dtype=np.uint8)
+    classes[list(positions)] = CLASS_SIGNAL
+    return classes
+
+
+class TestFrameEnd:
+    @pytest.mark.parametrize(
+        "classes,n,end",
+        [
+            (signal_at(200, 5, 64, 100), 2, 65),  # the n-th flag at bit 0 of its word
+            (signal_at(200, 5, 127, 130), 2, 128),  # at bit 63
+            (signal_at(200, 5, 127, 130), 3, 131),  # n is every flag
+            (signal_at(64, 63), 1, 64),  # at bit 63 of the last word
+            (signal_at(200, 5, 127, 130), 4, None),  # fewer flags than n
+            (signal_at(0), 1, None),
+        ],
+    )
+    def test_edges(self, classes, n, end):
+        assert _frame_end(*_signal_rank(classes), n) == end
+
+    @given(classes=CLASS_LISTS.map(lambda c: np.array(c, dtype=np.uint8)), n=st.integers(1, 301))
+    def test_matches_signal_search(self, classes, n):
+        signal = np.flatnonzero(classes == CLASS_SIGNAL)
+        expected = int(signal[n - 1]) + 1 if n <= len(signal) else None
+        assert _frame_end(*_signal_rank(classes), n) == expected
+
+
 class TestDeposit:
     """Chip k rides on the k-th signal pulse: each endpoint reads a signal
     pulse's chip as _chip_bits at its _chip_index, which must give what the
@@ -744,7 +800,7 @@ class TestDeposit:
 
     def test_measured_link_frame(self):
         # 1.92 M chips on about 2.11 M pulses
-        classes = _draw_schedule(5, 1_920_000, SRC)
+        classes, _, _ = _draw_schedule(5, 1_920_000, SRC)
         chips = packed(random_bits(11, 1_920_000))
         signal, bits = self.read_at_signal(classes, chips)
         assert np.array_equal(bits, scattered(classes, chips)[signal])
