@@ -42,7 +42,9 @@ from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
-from .protocol.session import ProtocolParams, Seeds
+from .protocol.framing import chip_count
+from .protocol.session import ProtocolParams, Seeds, frame_pulse_bound
+from .protocol.wire import MAX_CLICKS
 from .rates import DetectorConfig, SourceConfig
 
 
@@ -111,6 +113,15 @@ class ScenarioConfig:
     sweep: Optional[SweepGrid] = None
     montecarlo: Optional[McParams] = None
     jitter: Optional[JitterSpec] = None
+
+    def __post_init__(self):
+        # the wire must carry a frame's BASIS_ANNOUNCE should every pulse click
+        p = self.protocol
+        n = frame_pulse_bound(chip_count(p.fec_ratio, p.spread_ratio), self.source)
+        if n > MAX_CLICKS:
+            raise ConfigError(
+                f"frames of up to {n} pulses: BASIS_ANNOUNCE carries at most {MAX_CLICKS} clicks"
+            )
 
     def session_spec(self) -> ScenarioConfig:
         # The session endpoints take the scenario itself. Kept only for

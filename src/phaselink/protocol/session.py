@@ -41,8 +41,8 @@ aborted frame minting no key) is protocol.ledger's.
 
 The receiver's detection (montecarlo.detect) gives the click positions,
 one error flag per click and the clicks' classes, and the receiver
-announces the positions, which only the wire codec turns into a per-pulse
-bitmap. Each endpoint reads its basis stream for the frame
+announces the positions as they are, an ascending index list. Each
+endpoint reads its basis stream for the frame
 (rng.random_bits_at) only where a pulse clicked. From then on sifting
 speaks in indices into the shared ascending click positions. A signal
 click's chip index is its rank, the number of signal pulses before it,
@@ -56,9 +56,9 @@ its clicks go through class_counts.
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
 from those three seeds. Rates are reported on the simulated clock,
-elapsed = pulses / (rep_rate * duty_cycle); a clock that leaves
-floating-point range (a frame's duration at rep_rate, or elapsed) raises
-RegimeViolation (_clock_s).
+elapsed = pulses / (rep_rate * duty_cycle), and the jitter walk steps by
+each frame's duration on that clock; a clock that leaves floating-point
+range (a frame's duration, or elapsed) raises RegimeViolation (_clock_s).
 """
 
 from __future__ import annotations
@@ -234,18 +234,24 @@ def qber_exceeds(errors: int, samples: int, threshold: float, n_frames: int) -> 
     return _upper_tail(errors, samples, threshold) < QBER_EPSILON / n_frames
 
 
+def frame_pulse_bound(n_chips: int, src: SourceConfig) -> int:
+    """Pulses of the chunk a frame of n_chips chips is drawn from: n_chips
+    signal pulses and a margin of 8 standard deviations, over their share."""
+    return int((n_chips + 8 * math.sqrt(n_chips) + 64) / src.signal_fraction)
+
+
 def _draw_schedule(seed: int, n_chips: int, src: SourceConfig) -> tuple:
     """(classes, words, before): the frame's class schedule, which ends at
     its n_chips-th signal pulse (_frame_end), and the _signal_rank of the
     drawn stream it was cut from, which ranks every pulse of the frame.
 
-    Classes are drawn i.i.d. per the mix ratio from one chunk sized to hold
-    n_chips signal pulses plus a margin of 8 standard deviations; in the
-    rare case that it holds fewer, the next chunk of the stream is added.
+    Classes are drawn i.i.d. per the mix ratio from one chunk of
+    frame_pulse_bound pulses; in the rare case that it holds fewer than
+    n_chips signal pulses, the next chunk of the stream is added.
     The frame does not depend on the chunking.
     """
     p_sig, p_dec = src.signal_fraction, src.decoy_fraction
-    size = int((n_chips + 8 * math.sqrt(n_chips) + 64) / p_sig)
+    size = frame_pulse_bound(n_chips, src)
     classes = class_schedule(seed, size, p_sig, p_dec)
     words, before = _signal_rank(classes)
     while before[-1] < n_chips:
@@ -475,7 +481,7 @@ class BobSession:
             if (chips_start, n_sent) != (start, n_chips):
                 raise ProtocolError(f"frame {f}: CHIPS start or count is not the frame's")
 
-            loss_db = self._frame_loss_db(f, _clock_s(n_pulses, spec.source.rep_rate))
+            loss_db = self._frame_loss_db(f, _clock_s(n_pulses, spec.source.rep_rate * p.duty_cycle))
             hit, err, hit_classes = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
@@ -494,8 +500,6 @@ class BobSession:
             sample = wire.decode_sample_request(payload)
             if np.any(sample >= len(hit)):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
-            if np.any(sample[1:] <= sample[:-1]):  # each click is disclosed at most once
-                raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offsets do not strictly ascend")
             if np.any(hit_classes[sample] != CLASS_SIGNAL):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset at a click that carries no chip")
             # the sender's chips at the clicks, flipped where detection erred

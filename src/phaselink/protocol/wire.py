@@ -10,15 +10,14 @@ Message types (the classical channel is assumed authenticated and
 reliable; no cryptography is applied here):
 
     0x01 BASIS_ANNOUNCE   receiver's clicks in a pulse range and its
-                          bases at the clicked pulses: u64 start, u32
-                          count n, n packed click bits (MSB-first), then
-                          the packed bases (0=Z, 1=X) of the k clicked
-                          pulses in pulse order: 12 + ceil(n/8) +
-                          ceil(k/8) bytes. The codecs take and give the
-                          click positions; this bitmap is the only
-                          per-pulse click array in the package
-    0x02 SAMPLE_REQUEST   u32 n, then n x u32 indices into the announced
-                          clicks (0 is the range's first clicked pulse)
+                          bases at them: u64 start, u32 pulse count n,
+                          the index list of the k clicked pulses'
+                          positions in the range, then their packed bases
+                          (0=Z, 1=X) in pulse order: 16 + 4k + ceil(k/8)
+                          bytes
+    0x02 SAMPLE_REQUEST   the index list of the announced clicks to
+                          disclose (0 is the range's first clicked
+                          pulse): 4 + 4k bytes
     0x03 SAMPLE_DISCLOSE  u32 n, packed measured bits in request order
     0x04 SIFT_MAP         u64 start, u32 count k, then k packed
                           kept-for-decode flags, one per announced click
@@ -43,6 +42,9 @@ reliable; no cryptography is applied here):
                           n is a multiple of 8): 12 + n/8 bytes. Chip k
                           rides on the k-th signal pulse of QUANTUM
 
+An index list is u32 k, then k big-endian u32 indices that strictly
+ascend; BASIS_ANNOUNCE's lie below its pulse count n.
+
 QUANTUM and CHIPS are the simulation's stand-in for the photon stream; a
 real deployment has no such classical messages. The sender's basis, which
 sets the pulse phase with the chip (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
@@ -51,26 +53,23 @@ sets the pulse phase with the chip (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
 Per frame the sender sends FRAME_META (4 bytes), QUANTUM (12 + n_pulses),
 CHIPS (12 + n_chips/8), SAMPLE_REQUEST and SIFT_MAP, and the receiver
 BASIS_ANNOUNCE, SAMPLE_DISCLOSE and REPORT, each behind a 5-byte header.
-Only QUANTUM, CHIPS and BASIS_ANNOUNCE's click bitmap grow with the pulses;
-the rest grow with the clicks. A measured-link frame (2.11 M pulses,
-1.92 M chips, under 1,000 clicks) is about 2.11 MB of QUANTUM, 240 kB of
-CHIPS and 264 kB of click bitmap.
+Only QUANTUM and CHIPS grow with the pulses, BASIS_ANNOUNCE with the
+clicks (4.125 bytes each), the rest with the clicks or fewer. A
+measured-link frame (2.11 M pulses, 1.92 M chips, under 1,000 clicks) is
+about 2.11 MB of QUANTUM, 240 kB of CHIPS and 3.5 kB of BASIS_ANNOUNCE, a
+desk frame (70.4 k pulses, 33.8 k clicks) 140 kB of BASIS_ANNOUNCE. Under
+MAX_PAYLOAD a BASIS_ANNOUNCE holds at most MAX_CLICKS (16,268,811) clicks;
+config rejects a scenario whose frames could hold more pulses.
 
 Encoders raise ValueError for a header integer outside its field (u8
-type, u32 count or id, u64 start) and for a per-click flag (a basis, a
+type, u32 count or id, u64 start), for an index list that does not
+strictly ascend within its range, and for a per-click flag (a basis, a
 disclosed bit, a kept flag) other than 0 or 1, rather than wrapping it.
 Decoders of payloads with a declared count or a fixed layout raise
-ProtocolError unless the payload is exactly as long as that requires (for
-BASIS_ANNOUNCE, the count and the number of set click flags), and unless
-the pad bits after each packed bit field (the click bitmap, the bases,
-the disclosed bits, the kept flags) are zero; the REPORT decoder raises
-it unless the payload is a UTF-8 JSON object. The BASIS_ANNOUNCE decoder
-unpacks the whole click bitmap when at least one of 8 bytes holds a
-click, as on a desk frame, and otherwise only its nonzero bytes, as on a
-measured-link frame. The nonzero-byte path is about 4x faster than the
-whole unpack on a measured-link bitmap and about 10x slower on a desk one,
-so each kind of bitmap takes its own path, as rng._lanes_at reads dense
-and sparse positions.
+ProtocolError unless the payload is exactly as long as that requires, its
+index list strictly ascends within its range, and the pad bits after each
+packed bit field (the bases, the disclosed bits, the kept flags) are zero;
+the REPORT decoder raises it unless the payload is a UTF-8 JSON object.
 
 Messages travel over a connected stream socket (SocketTransport; pair()
 joins two endpoints in one process with a socketpair). Every send and
@@ -95,6 +94,7 @@ from ..errors import ProtocolError, TransportClosed
 
 HEADER = struct.Struct("!IB")
 MAX_PAYLOAD = 64 * 1024 * 1024
+MAX_CLICKS = (MAX_PAYLOAD - 16) * 8 // 33  # the largest k whose BASIS_ANNOUNCE fits
 
 BASIS_ANNOUNCE = 0x01
 SAMPLE_REQUEST = 0x02
@@ -140,10 +140,6 @@ def _pack(fmt: str, *fields) -> bytes:
         raise ValueError(f"header fields {fields} do not fit {fmt!r}: {exc}") from exc
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
 def _pack_flags(flags) -> bytes:
     """Packed per-click flags; ValueError for a value other than 0 or 1."""
     flags = np.asarray(flags)
@@ -153,25 +149,33 @@ def _pack_flags(flags) -> bytes:
         bad = flags.dtype != bool and np.any((flags != 0) & (flags != 1))
     if bad:
         raise ValueError("flags must be 0 or 1")
-    return _pack_bits(flags)
-
-
-def _check_pad(data, n: int) -> None:
-    """ProtocolError if a pad bit of data, a packed n-bit field of exactly
-    ceil(n/8) bytes, is set."""
-    if n % 8 and data[-1] & (0xFF >> n % 8):
-        raise ProtocolError(f"packed {n}-bit field has a set pad bit")
+    return np.packbits(flags.astype(np.uint8)).tobytes()
 
 
 def _unpack_bits(data: bytes, n: int) -> np.ndarray:
     """The first n bits of data, which holds exactly ceil(n/8) bytes;
     ProtocolError if a pad bit past them is set."""
-    _check_pad(data, n)
+    if n % 8 and data[-1] & (0xFF >> n % 8):
+        raise ProtocolError(f"packed {n}-bit field has a set pad bit")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
 
 
-def _mismatch(payload: bytes) -> ProtocolError:
-    return ProtocolError(f"{len(payload)}-byte payload does not match its declared count")
+def _index_list(indices, limit: int) -> bytes:
+    """u32 count k, then the k indices as big-endian u32; ValueError unless
+    they strictly ascend within [0, limit)."""
+    arr = np.asarray(indices)
+    if len(arr) and (arr[0] < 0 or arr[-1] >= limit or np.any(arr[1:] <= arr[:-1])):
+        raise ValueError(f"indices must strictly ascend within [0, {limit})")
+    return _pack("!I", len(arr)) + arr.astype(">u4").tobytes()
+
+
+def _read_indices(payload: bytes, offset: int, k: int, limit: int) -> np.ndarray:
+    """The k indices of an index list whose first one is at offset, as
+    int64; ProtocolError unless they strictly ascend within [0, limit)."""
+    arr = np.frombuffer(payload, dtype=">u4", count=k, offset=offset).astype(np.int64)
+    if k and (arr[-1] >= limit or np.any(arr[1:] <= arr[:-1])):
+        raise ProtocolError(f"indices do not strictly ascend within [0, {limit})")
+    return arr
 
 
 def _payload_head(payload: bytes, head: str, body_bytes) -> tuple:
@@ -180,7 +184,7 @@ def _payload_head(payload: bytes, head: str, body_bytes) -> tuple:
     size = struct.calcsize(head)
     fields = struct.unpack_from(head, payload) if len(payload) >= size else None
     if fields is None or len(payload) != size + body_bytes(fields[-1]):
-        raise _mismatch(payload)
+        raise ProtocolError(f"{len(payload)}-byte payload does not match its declared count")
     return fields
 
 
@@ -189,46 +193,23 @@ def encode_basis_announce(start: int, n: int, hit: np.ndarray, bases: np.ndarray
     of the range, bases one basis per click, in pulse order."""
     if len(bases) != len(hit):
         raise ValueError("need one basis per click")
-    if len(hit) and (hit[0] < 0 or hit[-1] >= n or np.any(hit[1:] <= hit[:-1])):
-        raise ValueError("click positions must ascend within the range")
-    bitmap = np.zeros((n + 7) // 8, dtype=np.uint8)
-    # each click sets its own bit, so adding the bits of a byte ORs them
-    np.add.at(bitmap, hit >> 3, np.right_shift(np.uint8(0x80), (hit & 7).astype(np.uint8)))
-    return _pack("!QI", start, n) + bitmap.tobytes() + _pack_flags(bases)
+    return _pack("!QI", start, n) + _index_list(hit, n) + _pack_flags(bases)
 
 
 def decode_basis_announce(payload: bytes) -> tuple:
     """(start, n, ascending click positions, bases of the clicked pulses)."""
-    if len(payload) < 12:
-        raise _mismatch(payload)
-    start, n = struct.unpack_from("!QI", payload)
-    end = 12 + (n + 7) // 8
-    if len(payload) < end:
-        raise _mismatch(payload)
-    bitmap = np.frombuffer(payload, dtype=np.uint8, count=end - 12, offset=12)
-    _check_pad(bitmap, n)
-    if 8 * np.count_nonzero(bitmap) > len(bitmap):
-        # dense: flatnonzero on the bool view, ~8x faster than on uint8 bits
-        hit = np.flatnonzero(np.unpackbits(bitmap, count=n).view(bool))
-    else:  # sparse: unpack only the nonzero bytes, found on a bool view too
-        at = np.flatnonzero(bitmap != 0)
-        ones = np.unpackbits(bitmap[at][:, None], axis=1).view(bool)
-        hit = (8 * at[:, None] + np.arange(8))[ones]
-    if len(payload) != end + (len(hit) + 7) // 8:
-        raise _mismatch(payload)
-    return start, n, hit, _unpack_bits(payload[end:], len(hit))
+    start, n, k = _payload_head(payload, "!QII", lambda k: 4 * k + (k + 7) // 8)
+    hit = _read_indices(payload, 16, k, n)
+    return start, n, hit, _unpack_bits(payload[16 + 4 * k :], k)
 
 
 def encode_sample_request(offsets: np.ndarray) -> bytes:
-    arr = np.asarray(offsets)
-    if len(arr) and (arr.min() < 0 or arr.max() >= 1 << 32):
-        raise ValueError("sample offsets must lie in [0, 2**32)")
-    return _pack("!I", len(arr)) + arr.astype(">u4").tobytes()
+    return _index_list(offsets, 1 << 32)
 
 
 def decode_sample_request(payload: bytes) -> np.ndarray:
-    (n,) = _payload_head(payload, "!I", lambda n: 4 * n)
-    return np.frombuffer(payload, dtype=">u4", count=n, offset=4).astype(np.int64)
+    (k,) = _payload_head(payload, "!I", lambda k: 4 * k)
+    return _read_indices(payload, 4, k, 1 << 32)
 
 
 def encode_sample_disclose(bits: np.ndarray) -> bytes:

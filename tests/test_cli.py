@@ -296,6 +296,25 @@ class TestTypedExits:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("regime violation: simulated clock out of floating")
 
+    def test_frame_too_large_for_the_wire_is_config_error(self, tmp_path, capsys):
+        # a frame of 77 M pulses once ran until its QUANTUM was sent and
+        # exited 1 with ValueError: payload too large
+        big = {"protocol__spread_ratio": 70000, "protocol__n_frames": 1}
+        cfg = edited_config(tmp_path, "desk_session.cfg", protocol__initial_pool_bits=10**8, **big)
+        assert run_cli(["session", "--config", cfg]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and "BASIS_ANNOUNCE" in err
+
+    def test_wire_cap_on_frames_is_the_documented_one(self, tmp_path):
+        # fec_ratio * spread_ratio up to 14,759 at the 30:2:1 mix (cli docstring)
+        def load(spread):
+            pool = {"protocol__initial_pool_bits": 10**8, "protocol__spread_ratio": spread}
+            return config.load_config(edited_config(tmp_path, "desk_session.cfg", **pool))
+
+        load(14759)
+        with pytest.raises(config.ConfigError, match="BASIS_ANNOUNCE"):
+            load(14760)
+
     def test_subnormal_decoy_intensity_collapses(self, tmp_path, capsys):
         # mu nu - nu^2 is subnormal: the decoy bound was NaN and rate-sweep
         # exited 1 with DomainError from binary_entropy
@@ -338,6 +357,7 @@ EDGE_CASES = st.sampled_from(KEYS).flatmap(
 @example(case=("source.rep_rate", 5e-324), command="session")
 @example(case=("protocol.duty_cycle", 5e-324), command="session")
 @example(case=("source.nu", 5e-324), command="rate-sweep")
+@example(case=("source.mix_ratio", "1:4000:4000"), command="session")  # 70 M-pulse frames
 def test_config_edge_values_end_in_documented_exit(tmp_path_factory, case, command):
     # each config key at an edge value, on each command: a documented exit,
     # no traceback, no thread left running and no non-finite session cell

@@ -2,9 +2,11 @@ import functools
 import hashlib
 import math
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaselink.config import ScenarioConfig
+from phaselink.config import ScenarioConfig, load_config
 from phaselink.errors import ProtocolError, TransportClosed
 from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, class_schedule
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
@@ -31,6 +33,7 @@ from phaselink.protocol.session import (
 from phaselink.rates import DetectorConfig, SourceConfig
 from phaselink.rng import random_bits, split_seed
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
 BEAM = BeamParams(w0=1.74e-3, gamma=27.1, wavelength=1549.32e-9)
 LOSSLESS = LinkGeometry(
@@ -174,6 +177,21 @@ class TestLoopbackSession:
         report, _, _ = run_session_detailed(spec)
         assert report.frames_ok == 4
 
+    def test_jitter_walk_runs_on_the_session_clock(self):
+        # the walk once stepped by n_pulses / rep_rate, while the session's
+        # clock counts n_pulses / (rep_rate * duty_cycle): at duty 0.5 the
+        # loss drifted twice as fast as the reported time
+        cfg = load_config(CONFIG_DIR / "desk_session.cfg")
+        jitter = JitterSpec(max_db=3.0, tau_s=0.002, step_db=40.0)
+
+        def report(rep_rate, duty_cycle):
+            protocol = replace(cfg.protocol, spread_ratio=8, n_frames=4, duty_cycle=duty_cycle)
+            source = replace(cfg.source, rep_rate=rep_rate)
+            spec = replace(cfg, source=source, protocol=protocol, jitter=jitter)
+            return run_session_detailed(spec)[0]
+
+        assert report(1.25e9, 0.5) == report(6.25e8, 1.0)
+
     def test_duty_cycle_scales_clock(self):
         full = small_spec(n_frames=3, spread=16)
         half = small_spec(n_frames=3, spread=16, duty_cycle=0.5)
@@ -258,6 +276,18 @@ def _append_decoy(payload):
     return wire.encode_quantum(start, np.append(classes, CLASS_DECOY))  # same signal count
 
 
+def _index_list(indices) -> bytes:
+    """An index list packed by hand, for indices the encoders refuse: u32
+    count, then big-endian u32 indices."""
+    return np.append(len(indices), indices).astype(">u4").tobytes()
+
+
+def _announce_past_range(payload):
+    start, n, hit, bases = wire.decode_basis_announce(payload)
+    hit = np.append(hit[:-1], n)  # the last click one past the range, still ascending
+    return struct.pack("!QI", start, n) + _index_list(hit) + np.packbits(bases).tobytes()
+
+
 def _cut_announce(payload):
     start, _, hit, bases = wire.decode_basis_announce(payload)
     first = hit < 1  # the clicks of a one-pulse range
@@ -307,11 +337,11 @@ def _request_past_clicks(payload):
 
 def _repeat_first_sample(payload):
     sample = wire.decode_sample_request(payload)
-    return wire.encode_sample_request(np.full_like(sample, sample[0]))  # one click, every time
+    return _index_list(np.full_like(sample, sample[0]))  # one click, every time
 
 
 def _reverse_samples(payload):
-    return wire.encode_sample_request(wire.decode_sample_request(payload)[::-1])
+    return _index_list(wire.decode_sample_request(payload)[::-1])
 
 
 def _keep_sampled_click(payload):
@@ -377,6 +407,7 @@ class TestMessageOrder:
             (wire.SIFT_MAP, _keep_every_click, "carries no chip"),
             (wire.SIFT_MAP, _keep_sampled_click, "keeps a disclosed click"),
             (wire.BASIS_ANNOUNCE, _cut_announce, "BASIS_ANNOUNCE pulse range"),
+            (wire.BASIS_ANNOUNCE, _announce_past_range, "do not strictly ascend within"),
             (wire.SAMPLE_DISCLOSE, lambda p: wire.encode_sample_disclose([0]), "SAMPLE_DISCLOSE"),
             (wire.REPORT, _renumber_report, "REPORT frame_id"),
         ],
@@ -505,7 +536,7 @@ class TestSift:
                     "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
                     "QUANTUM": "f52b6d565d2c26524208c737883ed45d3365fdc2a1f0a84b3e20a6bc2bb896d9",
                     "CHIPS": "0be3ab6347aba342d56db83cb529e05430f5ac5979e9e351927fdfbcf200467b",
-                    "BASIS_ANNOUNCE": "296b059559922346e11b9404828467ee8d534b897fcca2b45d228f7b06fa00bc",
+                    "BASIS_ANNOUNCE": "7ea9be7f49fd45de8d0eca7273e60caf62b4bd5a6d8d37d4b25f46bc65dba8b4",
                     "SAMPLE_REQUEST": "3579e04d405f2c7a721016f8b10a76bcec0791023b53b88f217f10b04b0a2b99",
                     "SAMPLE_DISCLOSE": "6ba6aed168f4ff09d63be4771f540f17b55261261a7addf3507cf07d7e6214cb",
                     "SIFT_MAP": "34bdc1c5bf77679761ab59cf9541c5d05fc5b2f23a660d7adcd0c7b4646c7cc7",
@@ -518,7 +549,7 @@ class TestSift:
                     "FRAME_META": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
                     "QUANTUM": "f52b6d565d2c26524208c737883ed45d3365fdc2a1f0a84b3e20a6bc2bb896d9",
                     "CHIPS": "0be3ab6347aba342d56db83cb529e05430f5ac5979e9e351927fdfbcf200467b",
-                    "BASIS_ANNOUNCE": "4f51432c17758636a140b8eb89755494a5dcdbc006b0b221e55a0318f8cd575b",
+                    "BASIS_ANNOUNCE": "c37b10e16ce93fc08b21818226a58bed7ecc54b044831a201742fce791b58e20",
                     "SAMPLE_REQUEST": "69427921e36a88798e3fa58261a2c863bd54e05ada9bdcc8f9b22b99c3f339dc",
                     "SAMPLE_DISCLOSE": "6e3f6438512d1ea138a7d61a301b3cefee8393ac466ff0d87cc9654bfcf6eca3",
                     "SIFT_MAP": "d6f4794666194fb4f5818f6d18660ba7b72d510ea8b10c8d44b7878133a19676",

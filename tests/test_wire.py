@@ -52,12 +52,13 @@ class TestFrameEncoding:
 
 class TestCodecs:
     def test_basis_announce_roundtrip(self):
-        # click flags for the range, then one basis per clicked pulse only
+        # the range, the clicked positions as an index list, then one basis
+        # per clicked pulse only
         hit = np.array([0, 4, 5, 9])
         bases = np.array([0, 1, 1, 0], dtype=np.uint8)
         payload = wire.encode_basis_announce(777, 10, hit, bases)
-        # the flags 1000110001 packed MSB-first, then the bases 0110
-        assert payload == struct.pack("!QI", 777, 10) + bytes([0b10001100, 0b01000000, 0b01100000])
+        # the positions as big-endian u32, then the bases 0110 packed MSB-first
+        assert payload == struct.pack("!QII4I", 777, 10, 4, 0, 4, 5, 9) + bytes([0b01100000])
         start, n, h2, b2 = wire.decode_basis_announce(payload)
         assert (start, n) == (777, 10)
         assert h2.dtype == np.int64 and np.array_equal(h2, hit)
@@ -157,10 +158,10 @@ class TestCodecProperties:
         k = len(hit)
         bases = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
         payload = wire.encode_basis_announce(start, len(clicks), hit, bases)
-        # the click bitmap packed MSB-first, then the packed bases
+        # the click positions as an index list, then the packed bases
         assert payload == (
-            struct.pack("!QI", start, len(clicks))
-            + np.packbits(clicks).tobytes()
+            struct.pack("!QII", start, len(clicks), k)
+            + hit.astype(">u4").tobytes()
             + np.packbits(np.array(bases, np.uint8)).tobytes()
         )
         s2, n2, h2, b2 = wire.decode_basis_announce(payload)
@@ -190,10 +191,11 @@ class TestCodecProperties:
 
     @given(clicks=BITS, tail=st.binary(max_size=30))
     def test_basis_announce_tail_must_fit_the_clicks(self, clicks, tail):
-        # header and click flags, then a tail that fits ceil(k/8) bytes with
-        # clear pad bits, or not
-        k = int(np.count_nonzero(clicks))
-        payload = struct.pack("!QI", 9, len(clicks)) + np.packbits(clicks).tobytes() + tail
+        # header and click positions, then a tail that fits ceil(k/8) bytes
+        # with clear pad bits, or not
+        hit = np.flatnonzero(clicks)
+        k = len(hit)
+        payload = struct.pack("!QII", 9, len(clicks), k) + hit.astype(">u4").tobytes() + tail
         if len(tail) == (k + 7) // 8 and not (k % 8 and tail[-1] & (0xFF >> k % 8)):
             assert wire.decode_basis_announce(payload)[3].tolist() == np.unpackbits(
                 np.frombuffer(tail, np.uint8), count=k
@@ -202,7 +204,7 @@ class TestCodecProperties:
             with pytest.raises(ProtocolError):
                 wire.decode_basis_announce(payload)
 
-    @given(offsets=st.lists(U32, max_size=50))
+    @given(offsets=st.sets(U32, max_size=50).map(sorted))
     def test_sample_request(self, offsets):
         payload = wire.encode_sample_request(offsets)
         assert wire.decode_sample_request(payload).tolist() == offsets
@@ -335,11 +337,6 @@ class TestPadBitRejections:
         [
             # payload of n packed bits; offset of the field's last byte
             (
-                lambda b: wire.encode_basis_announce(0, len(b), np.flatnonzero(b), b[b == 1]),
-                wire.decode_basis_announce,
-                lambda b: 12 + (len(b) + 7) // 8 - 1,
-            ),
-            (
                 lambda b: wire.encode_basis_announce(0, len(b), np.arange(len(b)), b),
                 wire.decode_basis_announce,
                 lambda b: -1,
@@ -347,7 +344,7 @@ class TestPadBitRejections:
             (wire.encode_sample_disclose, wire.decode_sample_disclose, lambda b: -1),
             (lambda b: wire.encode_sift_map(0, b), wire.decode_sift_map, lambda b: -1),
         ],
-        ids=["basis_announce_clicks", "basis_announce_bases", "sample_disclose", "sift_map"],
+        ids=["basis_announce_bases", "sample_disclose", "sift_map"],
     )
     @given(bits=BITS.filter(lambda b: len(b) % 8), data=st.data())
     def test_set_pad_bit_rejected(self, encode, decode, last, bits, data):
@@ -388,72 +385,74 @@ class TestQuantumByteRejections:
         assert classes.tolist() == [0, 1, 2]
 
 
-def _clicks(n: int, positions) -> tuple:
-    return n, np.array(sorted(positions), dtype=np.int64)
+def index_list(indices) -> bytes:
+    """An index list packed by hand, for indices the encoders refuse: u32
+    count, then big-endian u32 indices."""
+    return np.append(len(indices), indices).astype(">u4").tobytes()
 
 
-# a click in every byte of the bitmap, as in a desk frame: the decoder
-# unpacks the whole bitmap
-DENSE_CLICKS = st.integers(1, 400).flatmap(
-    lambda n: st.lists(st.integers(0, 7), min_size=-(-n // 8), max_size=-(-n // 8)).map(
-        lambda bit: _clicks(n, {min(8 * i + b, n - 1) for i, b in enumerate(bit)})
-    )
-)
-# clicks in at most one byte of each 16 (pulses 128k to 128k + 7), so
-# runs of zero bytes lie between the clicked ones, as in a measured-link
-# frame: the decoder unpacks only the nonzero bytes
-SPARSE_CLICKS = st.integers(64, 3000).flatmap(
-    lambda n: st.dictionaries(st.integers(0, (n - 1) // 128), st.sets(st.integers(0, 7))).map(
-        lambda byte_bits: _clicks(
-            n, {128 * k + b for k, bits in byte_bits.items() for b in bits if 128 * k + b < n}
-        )
-    )
-)
-# any clicks among 0-300 pulses
-ANY_CLICKS = st.integers(0, 300).flatmap(
-    lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(
-        lambda clicked: _clicks(n, np.flatnonzero(clicked).tolist())
-    )
-)
+ANNOUNCED = 1000  # pulses in the range of the BASIS_ANNOUNCE cases below
+ASCENDING = st.sets(st.integers(0, ANNOUNCED - 1), min_size=2, max_size=60).map(sorted)
 
 
-class TestBasisAnnounceBitmap:
-    """The BASIS_ANNOUNCE click bitmap, set a click at a time and read on
-    both of the decoder's paths (the whole bitmap unpacked when dense, only
-    its nonzero bytes when sparse), against a per-pulse array packed and
-    unpacked whole."""
+def broken(indices: list, fault: str, limit: int, data) -> list:
+    """indices with one fault: an index repeated, two neighbours swapped so
+    that one falls, or one at or past limit appended."""
+    at = data.draw(st.integers(0, len(indices) - 2))
+    if fault == "repeat":
+        return indices[: at + 1] + indices[at:]
+    if fault == "fall":
+        return indices[:at] + [indices[at + 1], indices[at]] + indices[at + 2 :]
+    return indices + [data.draw(st.integers(limit, (1 << 32) - 1))]
 
-    @pytest.mark.parametrize("clicks,dense", [(DENSE_CLICKS, True), (SPARSE_CLICKS, False),
-                                              (ANY_CLICKS, None)], ids=["dense", "sparse", "any"])
-    @given(data=st.data())
-    def test_matches_per_pulse_bitmap(self, clicks, dense, data):
-        n, hit = data.draw(clicks)
-        bases = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(hit), max_size=len(hit))))
-        payload = wire.encode_basis_announce(3, n, hit, bases)
-        per_pulse = np.zeros(n, dtype=np.uint8)
-        per_pulse[hit] = 1
-        bitmap = np.frombuffer(payload, dtype=np.uint8, count=(n + 7) // 8, offset=12)
-        assert bitmap.tobytes() == np.packbits(per_pulse).tobytes()
-        if dense is not None:  # the decoder path under test
-            assert (8 * np.count_nonzero(bitmap) > len(bitmap)) == dense
-        start, n2, hit2, bases2 = wire.decode_basis_announce(payload)
-        assert (start, n2) == (3, n) and hit2.dtype == np.int64
-        assert np.array_equal(hit2, hit) and np.array_equal(bases2, bases)
 
-    @pytest.mark.parametrize("clicks", [DENSE_CLICKS, SPARSE_CLICKS], ids=["dense", "sparse"])
-    @given(data=st.data())
-    def test_set_pad_bit_rejected(self, clicks, data):
-        n, hit = data.draw(clicks.filter(lambda c: c[0] % 8))
-        payload = bytearray(wire.encode_basis_announce(0, n, hit, np.zeros(len(hit))))
-        payload[12 + (n + 7) // 8 - 1] |= 1 << data.draw(st.integers(0, 7 - n % 8))
-        with pytest.raises(ProtocolError, match="pad bit"):
-            wire.decode_basis_announce(bytes(payload))
+class TestIndexLists:
+    """BASIS_ANNOUNCE's click positions and SAMPLE_REQUEST's offsets are
+    one index list, and one codec writes and reads both: its encoder raises
+    ValueError, and its decoder ProtocolError, unless the indices strictly
+    ascend within their range, so a position past the announced pulses
+    never reaches the sender's classes[hit]."""
+
+    @pytest.mark.parametrize("fault", ["repeat", "fall", "past"])
+    @given(indices=ASCENDING, data=st.data())
+    def test_basis_announce_positions_must_ascend_within_the_range(self, fault, indices, data):
+        bad = broken(indices, fault, ANNOUNCED, data)
+        bases = np.zeros(len(bad), np.uint8)
+        with pytest.raises(ValueError):
+            wire.encode_basis_announce(0, ANNOUNCED, np.array(bad), bases)
+        payload = struct.pack("!QI", 0, ANNOUNCED) + index_list(bad) + np.packbits(bases).tobytes()
+        with pytest.raises(ProtocolError, match="do not strictly ascend"):
+            wire.decode_basis_announce(payload)
+
+    @pytest.mark.parametrize("fault", ["repeat", "fall"])
+    @given(indices=ASCENDING, data=st.data())
+    def test_sample_request_offsets_must_ascend(self, fault, indices, data):
+        # an offset past u32 is test_sample_request_needs_u32_offsets
+        bad = broken(indices, fault, 1 << 32, data)
+        with pytest.raises(ValueError):
+            wire.encode_sample_request(bad)
+        with pytest.raises(ProtocolError, match="do not strictly ascend"):
+            wire.decode_sample_request(index_list(bad))
+
+    @given(start=U64, clicks=BITS)
+    def test_one_layout(self, start, clicks):
+        # the announce's positions are written as the request's offsets
+        hit = np.flatnonzero(clicks)
+        payload = wire.encode_basis_announce(start, len(clicks), hit, np.zeros(len(hit)))
+        assert payload[12 : 16 + 4 * len(hit)] == wire.encode_sample_request(hit)
+
+    def test_max_clicks_is_the_most_that_fit(self):
+        def size(k):
+            return 16 + 4 * k + (k + 7) // 8
+
+        assert size(wire.MAX_CLICKS) <= wire.MAX_PAYLOAD < size(wire.MAX_CLICKS + 1)
 
     def test_measured_link_frame(self):
         # 2.11 M pulses and about 860 clicks, as a measured-link frame
         n = 2_110_000
         hit = np.unique(np.random.default_rng(3).integers(0, n, 860))
         payload = wire.encode_basis_announce(0, n, hit, hit & 1)
+        assert len(payload) == 16 + 4 * len(hit) + (len(hit) + 7) // 8
         _, _, hit2, bases2 = wire.decode_basis_announce(payload)
         assert np.array_equal(hit2, hit) and np.array_equal(bases2, hit & 1)
 
