@@ -5,7 +5,7 @@ Subcommands:
     link-budget   itemized dB breakdown and total transmittance
     rate-sweep    rate vs free-space distance, one CSV row per grid point
     simulate      Monte Carlo pulse batch vs the closed-form model
-    session       full two-endpoint protocol run over a socketpair
+    session       full two-endpoint protocol run
 
 Exit codes: 0 success, 2 configuration error (a key pool smaller than one
 frame's chips, a dark count probability p_d of 0.5 or more, a sweep grid
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("link-budget", "itemized link budget for the configured geometry"),
         ("rate-sweep", "key rate versus free-space distance"),
         ("simulate", "Monte Carlo pulse batch statistics"),
-        ("session", "full protocol session over a socketpair"),
+        ("session", "full two-endpoint protocol session"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config file")

@@ -53,10 +53,6 @@ class NegativeBalance(PhaselinkError):
     """Key ledger conservation violated; indicates an internal bug."""
 
 
-class TransportClosed(PhaselinkError):
-    """Read or write attempted on a closed transport."""
-
-
 class ProtocolError(PhaselinkError):
     """Malformed or unexpected message on the classical channel."""
 

@@ -18,6 +18,12 @@ The classical exchange per frame:
                              disclosed ones)
     B -> A  REPORT (decode status + payload digest)
 
+The two sides take turns, so they step in one thread. Each side is a
+generator (_exchange) that yields each (type, payload) it sends and yields
+None to wait for the next message; its run() advances it one step, and
+run_session_detailed passes the messages between the two through a
+transport pair (wire.LoopbackTransport).
+
 Both endpoints hold the same scenario (config.ScenarioConfig). Bob takes
 the frame count and the pipeline ratios from its protocol section, and
 checks that each FRAME_META carries the next frame id, that each QUANTUM
@@ -65,13 +71,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import FrameCorrupt, FrameLost, ProtocolError, RegimeViolation, TransportClosed
+from ..errors import FrameCorrupt, FrameLost, ProtocolError, RegimeViolation
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, class_schedule, detect
 from ..optics import jitter_step, transmittance
 from ..rates import SourceConfig
@@ -97,6 +102,8 @@ _S_ERROR = 2
 _S_JITTER = 3
 
 QBER_EPSILON = 1e-3  # bound on the chance that a session over a link within the threshold aborts
+ENDED = "ended"  # what an endpoint's run returns once the endpoint has ended
+_ROLES = ("sender", "receiver")
 
 
 @dataclass(frozen=True)
@@ -169,9 +176,10 @@ def _clock_s(pulses: int, rate: float) -> float:
     return seconds
 
 
-def _recv(transport, *expected: int) -> tuple:
-    """Next (type, payload) message; ProtocolError unless of an expected type."""
-    msg, payload = transport.recv()
+def _expect(message: tuple, *expected: int) -> tuple:
+    """The received (type, payload) message; ProtocolError unless of an
+    expected type."""
+    msg, payload = message
     if msg not in expected:
         want = " or ".join(wire.MESSAGE_NAMES[t] for t in expected)
         got = wire.MESSAGE_NAMES.get(msg, f"unknown type {msg:#04x}")
@@ -314,12 +322,23 @@ class AliceSession:
         self.sent_payloads: list = []
         self.report: Optional[SessionReport] = None
         self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
+        self._steps = self._exchange()
 
     def _frame_payload(self, frame_id: int) -> bytes:
         seed = _frame_seed(self.spec.seeds.alice, _S_PAYLOAD, frame_id)
         return random_bytes(seed, PAYLOAD_BYTES)
 
-    def run(self, transport) -> SessionReport:
+    def run(self, message: Optional[tuple] = None):
+        """One step of the sender: message is the (type, payload) it waits
+        for, None otherwise. Returns the next (type, payload) it sends, None
+        when it waits for a message, or ENDED once its report is made."""
+        try:
+            return self._steps.send(message)
+        except StopIteration:
+            return ENDED
+
+    def _exchange(self):
+        """The sender's side of the session, as run steps it."""
         spec = self.spec
         p = spec.protocol
         n_chips = chip_count(p.fec_ratio, p.spread_ratio)
@@ -343,11 +362,11 @@ class AliceSession:
             )
             n_pulses = len(classes)
 
-            transport.send(wire.FRAME_META, wire.encode_frame_meta(f))
-            transport.send(wire.QUANTUM, wire.encode_quantum(start_pulse, classes))
-            transport.send(wire.CHIPS, wire.encode_chips(start_pulse, chips))
+            yield wire.FRAME_META, wire.encode_frame_meta(f)
+            yield wire.QUANTUM, wire.encode_quantum(start_pulse, classes)
+            yield wire.CHIPS, wire.encode_chips(start_pulse, chips)
 
-            _, payload_bytes = _recv(transport, wire.BASIS_ANNOUNCE)
+            _, payload_bytes = _expect((yield), wire.BASIS_ANNOUNCE)
             announced, n_announced, hit, bob_bases = wire.decode_basis_announce(payload_bytes)
             if (announced, n_announced) != (start_pulse, n_pulses):
                 raise ProtocolError(f"frame {f}: BASIS_ANNOUNCE pulse range is not the frame's")
@@ -363,8 +382,8 @@ class AliceSession:
             sample_seed = _frame_seed(spec.seeds.alice, _S_SAMPLE, f)
             sample = _sample_positions(kept, p.sample_fraction, sample_seed)
             n_sample = len(sample)
-            transport.send(wire.SAMPLE_REQUEST, wire.encode_sample_request(sample))
-            _, payload_bytes = _recv(transport, wire.SAMPLE_DISCLOSE)
+            yield wire.SAMPLE_REQUEST, wire.encode_sample_request(sample)
+            _, payload_bytes = _expect((yield), wire.SAMPLE_DISCLOSE)
             disclosed_bits = wire.decode_sample_disclose(payload_bytes)
             if len(disclosed_bits) != n_sample:
                 raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
@@ -378,7 +397,7 @@ class AliceSession:
                     f"({disclosed_errors} errors in {disclosed_total} sampled bits, "
                     f"level {QBER_EPSILON / p.n_frames:.3g})"
                 )
-                transport.send(wire.ABORT, reason.encode("utf-8"))
+                yield wire.ABORT, reason.encode("utf-8")
                 # an aborted frame mints no key: only never-kept positions recycle
                 ledger_commit(self.ledger, n_chips, len(kept), len(kept))
                 aborted = True
@@ -387,11 +406,11 @@ class AliceSession:
                 break
 
             keep[sample] = False  # decode the kept clicks but the disclosed ones
-            transport.send(wire.SIFT_MAP, wire.encode_sift_map(start_pulse, keep))
+            yield wire.SIFT_MAP, wire.encode_sift_map(start_pulse, keep)
 
             ledger_commit(self.ledger, n_chips, len(kept), n_sample)
 
-            _, payload_bytes = _recv(transport, wire.REPORT)
+            _, payload_bytes = _expect((yield), wire.REPORT)
             result = wire.decode_report(payload_bytes)
             if result.get("frame_id") != f:
                 raise ProtocolError(f"frame {f}: REPORT frame_id is not the frame's")
@@ -427,7 +446,6 @@ class AliceSession:
             total_pulses=start_pulse,
             elapsed_s=elapsed,
         )
-        return self.report
 
 
 class BobSession:
@@ -449,6 +467,7 @@ class BobSession:
         )
         self.static_db = budget.total_db
         self._jitter_x = 0.0
+        self._steps = self._exchange()
 
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
         jit = self.spec.jitter
@@ -458,17 +477,25 @@ class BobSession:
             return self.static_db + self._jitter_x
         return self.static_db
 
-    def run(self, transport) -> None:
+    def run(self, message: Optional[tuple] = None):
+        """One step of the receiver, as AliceSession.run is of the sender."""
+        try:
+            return self._steps.send(message)
+        except StopIteration:
+            return ENDED
+
+    def _exchange(self):
+        """The receiver's side of the session, as run steps it."""
         spec = self.spec
         p = spec.protocol
         n_chips = chip_count(p.fec_ratio, p.spread_ratio)
         start_pulse = 0
         for f in range(p.n_frames):
-            _, payload = _recv(transport, wire.FRAME_META)
+            _, payload = _expect((yield), wire.FRAME_META)
             if wire.decode_frame_meta(payload) != f:
                 raise ProtocolError(f"frame {f}: FRAME_META frame_id is not the frame's")
 
-            _, payload = _recv(transport, wire.QUANTUM)
+            _, payload = _expect((yield), wire.QUANTUM)
             start, classes = wire.decode_quantum(payload)
             if start != start_pulse:
                 raise ProtocolError(f"frame {f}: QUANTUM start is not the frame's first pulse")
@@ -476,7 +503,7 @@ class BobSession:
             words, before = _signal_rank(classes)
             if _frame_end(words, before, n_chips) != n_pulses:
                 raise ProtocolError(f"frame {f}: QUANTUM signal pulse count or end is not the frame's")
-            _, payload = _recv(transport, wire.CHIPS)
+            _, payload = _expect((yield), wire.CHIPS)
             chips_start, n_sent, chips = wire.decode_chips(payload)
             if (chips_start, n_sent) != (start, n_chips):
                 raise ProtocolError(f"frame {f}: CHIPS start or count is not the frame's")
@@ -492,11 +519,9 @@ class BobSession:
             )
             bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
 
-            transport.send(
-                wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
-            )
+            yield wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
 
-            _, payload = _recv(transport, wire.SAMPLE_REQUEST)
+            _, payload = _expect((yield), wire.SAMPLE_REQUEST)
             sample = wire.decode_sample_request(payload)
             if np.any(sample >= len(hit)):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset beyond the announced clicks")
@@ -504,9 +529,9 @@ class BobSession:
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset at a click that carries no chip")
             # the sender's chips at the clicks, flipped where detection erred
             disclosed = _chip_bits(chips, _chip_index(words, before, hit[sample])) ^ err[sample]
-            transport.send(wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(disclosed))
+            yield wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(disclosed)
 
-            msg, payload = _recv(transport, wire.SIFT_MAP, wire.ABORT)
+            msg, payload = _expect((yield), wire.SIFT_MAP, wire.ABORT)
             if msg == wire.ABORT:
                 return
             mapped, keep = wire.decode_sift_map(payload)
@@ -536,54 +561,47 @@ class BobSession:
             except FrameCorrupt:
                 status, digest = "corrupt", ""
             self.statuses[f] = status
-            transport.send(
-                wire.REPORT,
-                wire.encode_report({"frame_id": f, "status": status, "sha256": digest}),
-            )
+            report = {"frame_id": f, "status": status, "sha256": digest}
+            yield wire.REPORT, wire.encode_report(report)
             start_pulse += n_pulses
-            del classes, chips, words  # as in AliceSession.run
+            del classes, chips, words  # as in AliceSession._exchange
 
 
 def run_session_detailed(spec: ScenarioConfig, transports=None) -> tuple:
     """Run one full session and return (report, alice, bob) without raising
     on abort.
 
-    transports is a (sender, receiver) pair, SocketTransport.pair() when
-    none is given. The receiver runs in a thread that closes the receiver
-    end when it exits; the sender end is closed here before the thread is
-    joined. Neither side closes the other's end, so a message sent just
-    before a close is still read. A receiver's error is raised over the
-    sender's, and a receiver that ends cleanly while the sender still reads
-    (on a forged ABORT) raises ProtocolError.
+    The endpoints step in turn in the calling thread. transports is a
+    (sender, receiver) pair, LoopbackTransport.pair() when none is given:
+    each message an endpoint yields goes out through its own end, and its
+    peer receives it from the other end when it next waits. An endpoint's
+    error ends the session, and so does ProtocolError when an endpoint
+    waits with nothing to receive while its peer waits too, or has ended:
+    a message went missing, or the receiver stopped on an ABORT that the
+    sender never sent.
     """
     alice = AliceSession(spec)
-    bob = BobSession(spec)  # before the sockets: its link budget may raise
-    t_alice, t_bob = transports or wire.SocketTransport.pair()
-    failure = []
-
-    def _bob_run():
-        try:
-            bob.run(t_bob)
-        except Exception as exc:  # surfaced after join
-            failure.append(exc)
-        finally:
-            t_bob.close()  # unblocks the sender if the receiver died
-
-    thread = threading.Thread(target=_bob_run, daemon=True)
-    thread.start()
-    closed = None
-    try:
-        report = alice.run(t_alice)
-    except TransportClosed as exc:
-        closed = exc  # a receiver failure is the root cause, not the EOF
-    finally:
-        # closing first unblocks the receiver if the sender died mid-frame
-        t_alice.close()
-        thread.join()
-    if failure:
-        raise failure[0]
-    if closed is not None:
-        # the receiver ended cleanly while the sender still read: it stopped
-        # on an ABORT that the sender never sent
-        raise ProtocolError("the receiver ended the session before the sender") from closed
-    return report, alice, bob
+    bob = BobSession(spec)  # before the first step: its link budget may raise
+    ends = transports or wire.LoopbackTransport.pair()
+    runs = (alice.run, bob.run)
+    steps = [run() for run in runs]  # each side's next step, as its run returned it
+    queued = [0, 0]  # messages sent to each side and not yet received
+    side = 0
+    while steps != [ENDED, ENDED]:
+        step, peer = steps[side], 1 - side
+        if step is ENDED:
+            side = peer
+        elif step is not None:
+            ends[side].send(*step)
+            queued[peer] += 1
+            steps[side] = runs[side]()
+        elif queued[side]:
+            queued[side] -= 1
+            steps[side] = runs[side](ends[side].recv())
+        elif steps[peer] is ENDED:
+            raise ProtocolError(f"the {_ROLES[peer]} ended the session before the {_ROLES[side]}")
+        elif steps[peer] is None and not queued[peer]:
+            raise ProtocolError("both endpoints wait for a message")
+        else:
+            side = peer
+    return alice.report, alice, bob

@@ -1,6 +1,6 @@
-"""Classical-channel wire protocol and its socket transport.
+"""Classical-channel wire protocol and its in-memory transport.
 
-Frame layout:
+Frame layout, each message's bytes on the wire (HEADER, then the payload):
 
     [4 bytes - payload length, big-endian]
     [1 byte  - message type]
@@ -61,36 +61,31 @@ desk frame (70.4 k pulses, 33.8 k clicks) 140 kB of BASIS_ANNOUNCE. Under
 MAX_PAYLOAD a BASIS_ANNOUNCE holds at most MAX_CLICKS (16,268,811) clicks;
 config rejects a scenario whose frames could hold more pulses.
 
-Encoders raise ValueError for a header integer outside its field (u8
-type, u32 count or id, u64 start), for an index list that does not
-strictly ascend within its range, and for a per-click flag (a basis, a
-disclosed bit, a kept flag) other than 0 or 1, rather than wrapping it.
+Encoders raise ValueError for a header integer outside its field (u32
+count or id, u64 start), for an index list that does not strictly ascend
+within its range, and for a per-click flag (a basis, a disclosed bit, a
+kept flag) other than 0 or 1, rather than wrapping it.
 Decoders of payloads with a declared count or a fixed layout raise
 ProtocolError unless the payload is exactly as long as that requires, its
 index list strictly ascends within its range, and the pad bits after each
 packed bit field (the bases, the disclosed bits, the kept flags) are zero;
 the REPORT decoder raises it unless the payload is a UTF-8 JSON object.
 
-Messages travel over a connected stream socket (SocketTransport; pair()
-joins two endpoints in one process with a socketpair). Every send and
-receive waits at most TIMEOUT_S; a timeout, a socket error or a closed
-peer raises TransportClosed. Each endpoint closes only its own end, so a
-message already sent, such as a final ABORT, stays readable by the peer.
-A payload under SEND_COPY_LIMIT is sent in one call behind its header; a
-larger one, such as a measured-link QUANTUM (which encode_quantum writes
-into one buffer with its head), is sent as it is after the header, not
-copied behind it.
+The two endpoints run in one process and pass their messages in memory
+(LoopbackTransport): each end queues what it sends for the other, as
+bytes, and receives in the order sent. A message its header could not
+carry, of a type outside u8 or a payload over MAX_PAYLOAD, is refused.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import struct
+from collections import deque
 
 import numpy as np
 
-from ..errors import ProtocolError, TransportClosed
+from ..errors import ProtocolError
 
 HEADER = struct.Struct("!IB")
 MAX_PAYLOAD = 64 * 1024 * 1024
@@ -111,23 +106,6 @@ MESSAGE_NAMES = {
     SAMPLE_DISCLOSE: "SAMPLE_DISCLOSE", SIFT_MAP: "SIFT_MAP", FRAME_META: "FRAME_META",
     ABORT: "ABORT", REPORT: "REPORT", QUANTUM: "QUANTUM", CHIPS: "CHIPS",
 }
-
-
-def _frame_header(msg_type: int, length: int) -> bytes:
-    if length > MAX_PAYLOAD:
-        raise ValueError(f"payload too large: {length}")
-    return _pack(HEADER.format, length, msg_type)
-
-
-def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    return _frame_header(msg_type, len(payload)) + payload
-
-
-def decode_header(header: bytes) -> tuple:
-    length, msg_type = HEADER.unpack(header)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"declared payload too large: {length}")
-    return length, msg_type
 
 
 # --- payload codecs -------------------------------------------------------
@@ -291,63 +269,28 @@ def decode_report(payload: bytes) -> dict:
 
 # --- transport -----------------------------------------------------------
 
-TIMEOUT_S = 60.0  # longest wait for one send or receive; a silent peer is gone
-SEND_COPY_LIMIT = 1 << 20  # a smaller payload is copied behind its header and sent in one call
 
+class LoopbackTransport:
+    """One end of an in-memory channel between two endpoints of one process."""
 
-class SocketTransport:
-    """Transport over a connected stream socket.
-
-    A send or receive that waits longer than TIMEOUT_S raises
-    TransportClosed, as does any socket error or a peer that closed.
-    """
-
-    def __init__(self, sock: socket.socket):
-        sock.settimeout(TIMEOUT_S)
-        self._sock = sock
+    def __init__(self, inbox: deque, outbox: deque):
+        self._inbox, self._outbox = inbox, outbox
 
     @classmethod
     def pair(cls) -> tuple:
-        """Two endpoints joined by a socketpair, for one process."""
-        a, b = socket.socketpair()
-        return cls(a), cls(b)
+        """Two ends, each receiving what the other sends."""
+        a, b = deque(), deque()
+        return cls(a, b), cls(b, a)
 
     def send(self, msg_type: int, payload: bytes) -> None:
-        try:
-            if len(payload) < SEND_COPY_LIMIT:
-                self._sock.sendall(encode_frame(msg_type, payload))
-            else:  # sent as it is behind its header, not copied behind it
-                self._sock.sendall(_frame_header(msg_type, len(payload)))
-                self._sock.sendall(payload)
-        except OSError as exc:  # includes the timeout
-            raise TransportClosed(str(exc)) from exc
-
-    def _read_exact(self, n: int) -> bytearray:
-        buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
-        while got < n:
-            try:
-                chunk = self._sock.recv_into(view[got:])
-            except OSError as exc:  # includes the timeout
-                raise TransportClosed(str(exc)) from exc
-            if not chunk:
-                raise TransportClosed("connection closed")
-            got += chunk
-        return buf
+        """Queue the message for the peer, the payload copied into bytes;
+        ValueError for a type outside u8 or a payload over MAX_PAYLOAD."""
+        if not 0 <= msg_type <= 0xFF or len(payload) > MAX_PAYLOAD:
+            raise ValueError(f"no header for type {msg_type} and {len(payload)} payload bytes")
+        self._outbox.append((msg_type, bytes(payload)))
 
     def recv(self) -> tuple:
-        length, msg_type = decode_header(self._read_exact(HEADER.size))
-        payload = self._read_exact(length) if length else b""
-        return msg_type, payload
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-# Kept only for benchmarks/, which imports this name and whose tracer
-# patches send and recv through it.
-LoopbackTransport = SocketTransport
+        """The oldest (type, payload) queued for this end; ProtocolError if none is."""
+        if not self._inbox:
+            raise ProtocolError("no message to receive")
+        return self._inbox.popleft()

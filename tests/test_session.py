@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaselink import cli
 from phaselink.config import ScenarioConfig, load_config
-from phaselink.errors import ProtocolError, TransportClosed
+from phaselink.errors import ProtocolError
 from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, class_schedule
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
@@ -242,9 +243,6 @@ class _Edit:
     def recv(self):
         return self._inner.recv()
 
-    def close(self):
-        self._inner.close()
-
 
 def _renumber_meta(payload):
     return wire.encode_frame_meta(wire.decode_frame_meta(payload) + 1)
@@ -312,7 +310,7 @@ def _sent_messages(spec) -> dict:
         sent.setdefault(t, []).append(p)
         return t, p
 
-    transports = tuple(_Edit(t, record) for t in wire.SocketTransport.pair())
+    transports = tuple(_Edit(t, record) for t in wire.LoopbackTransport.pair())
     run_session_detailed(spec, transports=transports)
     return sent
 
@@ -380,11 +378,11 @@ class TestMessageOrder:
     )
     def test_unexpected_type_raises(self, side, old, new, message):
         before = set(threading.enumerate())
-        transports = list(wire.SocketTransport.pair())
+        transports = list(wire.LoopbackTransport.pair())
         transports[side] = _Edit(transports[side], lambda t, p: (new if t == old else t, p))
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=tuple(transports))
-        assert set(threading.enumerate()) <= before  # the receiver thread is gone
+        assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize(
         "msg,rewrite,message",
@@ -420,7 +418,7 @@ class TestMessageOrder:
         def edit(t, p):
             return t, rewrite(p) if t == msg else p
 
-        transports = tuple(_Edit(t, edit) for t in wire.SocketTransport.pair())
+        transports = tuple(_Edit(t, edit) for t in wire.LoopbackTransport.pair())
         with pytest.raises(ProtocolError, match=message):
             run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
         assert set(threading.enumerate()) <= before
@@ -458,9 +456,9 @@ class TestMessageFaults:
     @example(msg=wire.SIFT_MAP, frame=0, fault=("retype", wire.ABORT))
     def test_fault_ends_typed_or_completes(self, msg, frame, fault):
         # one message of either frame is damaged: the session raises
-        # ProtocolError or completes with a report, in bounded time, and no
-        # thread outlives it. A SIFT_MAP retyped ABORT once ended the
-        # receiver cleanly and the sender with TransportClosed.
+        # ProtocolError or completes with a report, in bounded time, and
+        # starts no thread. A SIFT_MAP retyped ABORT ends the receiver
+        # cleanly while the sender waits for its REPORT.
         before = set(threading.enumerate())
         seen = {}
 
@@ -468,19 +466,13 @@ class TestMessageFaults:
             seen[t] = seen.get(t, -1) + 1
             return _fault(*fault, t, p) if (t, seen[t]) == (msg, frame) else (t, p)
 
-        socks = socket.socketpair()
-        transports = tuple(_Edit(wire.SocketTransport(s), edit) for s in socks)
-        watchdog = threading.Timer(10.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
-        watchdog.start()
+        transports = tuple(_Edit(t, edit) for t in wire.LoopbackTransport.pair())
         t0 = time.perf_counter()
         try:
             report, _, _ = run_session_detailed(small_spec(n_frames=2, spread=8), transports)
             assert report.frames_ok + report.frames_failed == 2 or report.aborted
         except ProtocolError:
             pass
-        finally:
-            watchdog.cancel()
-            watchdog.join()
         assert time.perf_counter() - t0 < 5.0
         assert set(threading.enumerate()) <= before
 
@@ -581,96 +573,76 @@ class TestSift:
         assert len(sent[wire.SAMPLE_REQUEST]) == 4 + 4 * n_sample
 
 
-class _Faulty(wire.SocketTransport):
-    """Socket transport whose send of one message type writes only the
-    first `keep` bytes of its frame, then closes its end if `close` is set."""
+class _Drop(_Edit):
+    """Transport wrapper that sends every message but the first of one type."""
 
-    def __init__(self, sock, msg, keep, close):
-        super().__init__(sock)
-        self._msg, self._keep, self._close = msg, keep, close
-
-    def send(self, msg_type, payload):
-        if msg_type != self._msg:
-            super().send(msg_type, payload)
-            return
-        self._sock.sendall(wire.encode_frame(msg_type, payload)[: self._keep])
-        if self._close:
-            self.close()
-
-
-class _Stalled(_Faulty):
-    """Socket transport whose send of one message type writes the header
-    and half the payload, then stalls with its end left open."""
-
-    def __init__(self, sock, msg):
-        super().__init__(sock, msg, 0, False)
+    def __init__(self, inner, msg):
+        super().__init__(inner, None)
+        self._msg, self._dropped = msg, False
 
     def send(self, msg_type, payload):
-        self._keep = wire.HEADER.size + len(payload) // 2
-        super().send(msg_type, payload)
+        if msg_type == self._msg and not self._dropped:
+            self._dropped = True
+        else:
+            self._inner.send(msg_type, payload)
 
 
-class TestSocketSession:
-    def test_socketpair_matches_loopback(self):
-        spec = small_spec(n_frames=4, spread=64)
-        default_report, _, _ = run_session_detailed(spec)
-        s1, s2 = socket.socketpair()
-        transports = (wire.SocketTransport(s1), wire.SocketTransport(s2))
-        socket_report, _, _ = run_session_detailed(spec, transports=transports)
-        assert socket_report == default_report
+class TestLostMessages:
+    """An endpoint left waiting for a message that never comes ends the
+    session with ProtocolError at once."""
 
     @pytest.mark.parametrize(
-        "side,msg,keep,close,timeouts",
+        "msg",
         [
-            (0, wire.QUANTUM, wire.HEADER.size + 100, True, 0),  # cut mid-payload, then closed
-            (0, wire.CHIPS, 0, False, 1),  # dropped: the receiver waits for it
-            (0, wire.SAMPLE_REQUEST, 0, False, 1),  # dropped: both ends wait
-            (1, wire.SAMPLE_DISCLOSE, 0, True, 0),  # receiver closes mid-frame
+            wire.CHIPS,  # the receiver waits for it
+            wire.SAMPLE_REQUEST,  # both ends wait
         ],
+        ids=["chips", "sample_request"],
     )
-    def test_transport_fault_ends_typed(self, monkeypatch, side, msg, keep, close, timeouts):
-        monkeypatch.setattr(wire, "TIMEOUT_S", 1.0)
+    def test_dropped_message_raises(self, msg):
         before = set(threading.enumerate())
-        socks = socket.socketpair()
-        transports = tuple(
-            _Faulty(s, msg, keep, close) if i == side else wire.SocketTransport(s)
-            for i, s in enumerate(socks)
-        )
-        # should the transport timeout fail, this ends the hang and the time check fails
-        watchdog = threading.Timer(5.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
-        watchdog.start()
+        sender, receiver = wire.LoopbackTransport.pair()
         t0 = time.perf_counter()
-        try:
-            with pytest.raises((ProtocolError, TransportClosed)):
-                run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
-        finally:
-            watchdog.cancel()
-            watchdog.join()
-        assert time.perf_counter() - t0 < (timeouts + 0.5) * wire.TIMEOUT_S
+        with pytest.raises(ProtocolError, match="no message to receive"):
+            run_session_detailed(small_spec(n_frames=2, spread=8), (_Drop(sender, msg), receiver))
+        assert time.perf_counter() - t0 < 0.5
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("side,msg", [(0, wire.QUANTUM), (1, wire.BASIS_ANNOUNCE)])
-    def test_stalled_peer_ends_typed(self, monkeypatch, side, msg):
-        # the peer that reads the half payload waits one timeout, then the
-        # stalled peer's next read sees the other end closed
-        monkeypatch.setattr(wire, "TIMEOUT_S", 1.0)
-        before = set(threading.enumerate())
-        socks = socket.socketpair()
-        transports = tuple(
-            _Stalled(s, msg) if i == side else wire.SocketTransport(s)
-            for i, s in enumerate(socks)
-        )
-        watchdog = threading.Timer(5.0, lambda: [s.shutdown(socket.SHUT_RDWR) for s in socks])
-        watchdog.start()
+    def test_receiver_ending_early_raises(self):
+        # the SIFT_MAP arrives as an ABORT: the receiver ends cleanly while
+        # the sender waits for the frame's REPORT
+        sender, receiver = wire.LoopbackTransport.pair()
+        edit = _Edit(sender, lambda t, p: (wire.ABORT if t == wire.SIFT_MAP else t, p))
         t0 = time.perf_counter()
-        try:
-            with pytest.raises(TransportClosed):
-                run_session_detailed(small_spec(n_frames=2, spread=8), transports=transports)
-        finally:
-            watchdog.cancel()
-            watchdog.join()
-        assert time.perf_counter() - t0 < 1.5 * wire.TIMEOUT_S
-        assert set(threading.enumerate()) <= before
+        with pytest.raises(ProtocolError, match="the receiver ended the session before the sender"):
+            run_session_detailed(small_spec(n_frames=2, spread=8), (edit, receiver))
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_endpoints_both_waiting_raise(self, monkeypatch):
+        # a receiver that takes every message and never answers: once the
+        # sender's first three are read, both ends wait with nothing queued
+        def only_waits(self):
+            while True:
+                yield
+
+        monkeypatch.setattr(BobSession, "_exchange", only_waits)
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="both endpoints wait for a message"):
+            run_session_detailed(small_spec(n_frames=2, spread=8))
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_session_starts_no_thread_and_opens_no_socket(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the session started a thread or opened a socket")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket, "socket", refuse)
+    report, _, _ = run_session_detailed(small_spec(n_frames=2, spread=8))
+    assert report.frames_ok + report.frames_failed == 2
+    config = CONFIG_DIR / "desk_session.cfg"
+    assert cli.main(["session", "--config", str(config)]) == cli.EXIT_OK
+    assert capsys.readouterr().out
 
 
 def assert_ranks(classes, words, before):

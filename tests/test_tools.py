@@ -81,13 +81,14 @@ def test_draws_per_pulse(draw_counts):
 
 
 SESSION = re.compile(r"session (\w+): (\d+) frames, (\d+) pulses")
-THREAD = re.compile(r"  (alice|bob): (\d+\.\d{2}) ms, (\d+) minor faults")
+ROLE = re.compile(r"  (alice|bob|driver): (\d+\.\d{2}) ms, (\d+) minor faults")
 STAGE_TIME = re.compile(r"    ([\w.]+): (\d+\.\d{2}) ms, (-?\d+) minor faults, (\d+) calls")
 
 
 def test_stage_times_rows_within_thread_totals():
-    # each endpoint thread's stage rows (self time and self faults) sum to
-    # no more than its run()'s totals, on the session of every config
+    # each role's stage rows (self time and self faults) sum to no more
+    # than its totals, on the session of every config: an endpoint's are
+    # those of its run() steps, the driver's those of the whole session
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stage_times.py")],
         cwd=ROOT,
@@ -96,27 +97,29 @@ def test_stage_times_rows_within_thread_totals():
         timeout=300,
         check=True,
     )
-    threads = {}
+    roles = {}
     for line in done.stdout.splitlines():
         if session := SESSION.fullmatch(line):
             config = session[1]
-        elif thread := THREAD.fullmatch(line):
+        elif role := ROLE.fullmatch(line):
             rows = []
-            threads[config, thread[1]] = (float(thread[2]), int(thread[3]), rows)
+            roles[config, role[1]] = (float(role[2]), int(role[3]), rows)
         else:
             stage = STAGE_TIME.fullmatch(line)
-            assert stage and threads, f"unparsed line: {line!r}"
+            assert stage and roles, f"unparsed line: {line!r}"
             rows.append((stage[1], float(stage[2]), int(stage[3]), int(stage[4])))
     configs = {"desk_session", "measured_link", "upgraded_link"}
-    assert set(threads) == {(c, role) for c in configs for role in ("alice", "bob")}
-    for key, (total_ms, total_faults, rows) in threads.items():
+    assert set(roles) == {(c, role) for c in configs for role in ("alice", "bob", "driver")}
+    for key, (total_ms, total_faults, rows) in roles.items():
         names = {name for name, *_ in rows}
-        assert {"SocketTransport.send", "SocketTransport.recv"} <= names, key
+        transport = {"LoopbackTransport.send", "LoopbackTransport.recv"}
+        # the driver moves every message; the endpoints only yield them
+        assert transport <= names if key[1] == "driver" else not transport & names, key
         assert all(ms >= 0 and faults >= 0 and calls > 0 for _, ms, faults, calls in rows), key
         assert sum(ms for _, ms, _, _ in rows) <= total_ms + 0.005 * len(rows), key
         assert sum(faults for _, _, faults, _ in rows) <= total_faults, key
-    assert "session._signal_rank" in {name for name, *_ in threads["measured_link", "alice"][2]}
-    assert "session.detect" in {name for name, *_ in threads["measured_link", "bob"][2]}
+    assert "session._signal_rank" in {name for name, *_ in roles["measured_link", "alice"][2]}
+    assert "session.detect" in {name for name, *_ in roles["measured_link", "bob"][2]}
 
 
 def test_stage_times_repeat_prints_means():
@@ -133,7 +136,7 @@ def test_stage_times_repeat_prints_means():
     sessions = mean.findall(done.stdout)
     assert sessions == ["desk_session", "measured_link", "upgraded_link"]
     lines = [line for line in done.stdout.splitlines() if not line.startswith("session ")]
-    assert lines and all(THREAD.fullmatch(line) or STAGE_TIME.fullmatch(line) for line in lines)
+    assert lines and all(ROLE.fullmatch(line) or STAGE_TIME.fullmatch(line) for line in lines)
     # a stage's calls are per session: the measured link's 4 frames
     measured = done.stdout.split("session measured_link")[1].split("session upgraded_link")[0]
     assert re.search(r"session\._signal_rank: [\d.]+ ms, -?\d+ minor faults, 4 calls", measured)

@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     from phaselink.config import load_config
     from phaselink.protocol.session import run_session_detailed
 
-    drawn = []  # list.append is atomic, so both endpoint threads may count
+    drawn = []
     draw = rng._draw
 
     def stage() -> str:

@@ -2,11 +2,11 @@
 
 Runs one session of each bundled config, or with --repeat N, one to warm
 up and then N, whose means are printed. Every function in the session
-module's namespace, the wire codecs (encode_*, decode_*) and
-SocketTransport.send/recv are wrapped for the run, as draw_counts.py wraps
-rng._draw; nothing under src/ is changed. Each call is timed with
-time.perf_counter and its minor page faults are read with
-getrusage(RUSAGE_THREAD), so each endpoint thread's faults are its own.
+module's namespace, the wire codecs (encode_*, decode_*), the endpoints'
+run() and LoopbackTransport.send/recv are wrapped for the run, as
+draw_counts.py wraps rng._draw; nothing under src/ is changed. Each call
+is timed with time.perf_counter and its minor page faults are read with
+getrusage(RUSAGE_THREAD); the session runs in the calling thread.
 
     python3 tools/stage_times.py                 # this checkout
     python3 tools/stage_times.py --repo OTHER    # another checkout
@@ -16,12 +16,16 @@ A single session pays the first touch of every page its arrays use, while a
 long-running process such as the benchmark's reuses freed heap, so the
 warm means are the ones to compare with the benchmark.
 
-Per config it prints one line for the session, one per endpoint thread with
-the totals of its run(), and under it one line per stage with the stage's
-self time and self faults (those of its calls less those of the wrapped
-calls they made), largest first; with --repeat, each figure is the mean
-per session. So the stage lines of a thread sum to no more than its
-totals; the rest is run()'s own code.
+Per config it prints one line for the session, then one per role: each
+endpoint with the totals of its run() steps, and the driver with those of
+run_session_detailed, the whole session. Under each role comes one line
+per stage with the stage's self time and self faults (those of its calls
+less those of the wrapped calls they made), largest first; with --repeat,
+each figure is the mean per session. The driver's stages are what it
+calls outside the endpoints' steps: the transport's send and recv, and the
+endpoints' set-up. So the stage lines of a role sum to no more than its
+totals; the rest is the role's own code, and for the driver the endpoints'
+steps too.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ import argparse
 import functools
 import resource
 import sys
-import threading
 import time
 import types
 from collections import defaultdict
 from pathlib import Path
 
 CONFIGS = ("desk_session", "measured_link", "upgraded_link")
-ROLES = {"AliceSession.run": "alice", "BobSession.run": "bob"}
+ROLES = {
+    "AliceSession.run": "alice",
+    "BobSession.run": "bob",
+    "session.run_session_detailed": "driver",
+}
 
 
 def main(argv=None) -> int:
@@ -56,13 +63,12 @@ def main(argv=None) -> int:
     from phaselink.config import load_config
     from phaselink.protocol import session, wire
 
-    local = threading.local()
+    stack = []
     rows = defaultdict(lambda: [0.0, 0, 0])  # (role, name) -> [self s, self faults, calls]
 
     def wrap(name: str, fn):
         @functools.wraps(fn)
         def timed(*a, **kw):
-            stack = local.__dict__.setdefault("stack", [])
             role = ROLES.get(name) or (stack[-1][0] if stack else None)
             entry = [role, 0.0, 0]  # role, then the wrapped calls' time and faults
             stack.append(entry)
@@ -79,7 +85,7 @@ def main(argv=None) -> int:
                     stack[-1][2] += faults
                 if role is not None:
                     row = rows[(role, name)]
-                    whole = name in ROLES  # a thread's totals, not its self share
+                    whole = name in ROLES  # a role's totals, not its self share
                     row[0] += dt if whole else dt - entry[1]
                     row[1] += faults if whole else faults - entry[2]
                     row[2] += 1
@@ -95,8 +101,8 @@ def main(argv=None) -> int:
     for owner, attr in (
         (session.AliceSession, "run"),
         (session.BobSession, "run"),
-        (wire.SocketTransport, "send"),
-        (wire.SocketTransport, "recv"),
+        (wire.LoopbackTransport, "send"),
+        (wire.LoopbackTransport, "recv"),
     ):
         setattr(owner, attr, wrap(f"{owner.__name__}.{attr}", vars(owner)[attr]))
 
