@@ -39,7 +39,6 @@ from .config import ScenarioConfig, SweepGrid, config_hash, format_value, load_c
 from .errors import ConfigError, EstimatorCollapse, InsufficientStatistics
 from .errors import KeyPoolExhausted, RegimeViolation
 from .montecarlo import PulsePlan, simulate_batch, stats_to_observables
-from .optics import transmittance
 from .protocol.session import Seeds, run_session_detailed
 from .rates import decoy_estimate, rate_sweep
 from .rng import split_seed
@@ -86,9 +85,7 @@ def _csv(header: str, rows) -> str:
 
 
 def cmd_link_budget(cfg: ScenarioConfig, fmt: str) -> str:
-    budget = transmittance(
-        cfg.geometry, cfg.atmosphere, cfg.beam, cfg.detector.eta_b, cfg.detector.eta_d
-    )
+    budget = cfg.link_budget()
     totals = {
         "channel_db": budget.channel_db,
         "total_db": budget.total_db,
@@ -123,7 +120,7 @@ def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
             pt.observables.e_mu,
             pt.estimate.q1 if pt.estimate else 0.0,
             pt.estimate.e1 if pt.estimate else 0.0,
-            int(pt.collapsed),
+            int(pt.estimate is None),
         )
         for pt in points
     ]
@@ -136,9 +133,7 @@ def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
 def cmd_simulate(cfg: ScenarioConfig, fmt: str) -> str:
     if cfg.montecarlo is None:
         raise ConfigError("simulate needs a montecarlo section (n_pulses)")
-    budget = transmittance(
-        cfg.geometry, cfg.atmosphere, cfg.beam, cfg.detector.eta_b, cfg.detector.eta_d
-    )
+    budget = cfg.link_budget()
     plan = PulsePlan.make(cfg.montecarlo.n_pulses, cfg.source.mix_ratio, cfg.seeds.channel)
     stats = simulate_batch(plan, budget.eta_total, cfg.source, cfg.detector)
     estimate = None
@@ -191,24 +186,29 @@ def _write_output(out_path: str | None, text: str, cfg: ScenarioConfig, command:
     )
 
 
+# subcommand -> (its function, its help); cmd_session also returns its report
+COMMANDS = {
+    "link-budget": (cmd_link_budget, "itemized link budget for the configured geometry"),
+    "rate-sweep": (cmd_rate_sweep, "key rate versus free-space distance"),
+    "simulate": (cmd_simulate, "Monte Carlo pulse batch statistics"),
+    "session": (cmd_session, "full two-endpoint protocol session"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaselink",
         description="Cascaded free-space + fiber quantum link simulator.",
     )
+    parser.set_defaults(grid=None)  # --grid is rate-sweep's alone
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("link-budget", "itemized link budget for the configured geometry"),
-        ("rate-sweep", "key rate versus free-space distance"),
-        ("simulate", "Monte Carlo pulse batch statistics"),
-        ("session", "full two-endpoint protocol session"),
-    ):
+    for name, (command, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name == "rate-sweep":
+        if command is cmd_rate_sweep:
             p.add_argument("--grid", default=None, help="start:stop:step in meters")
     return parser
 
@@ -218,22 +218,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_seed_override(cfg, args.seed)
-        if args.command == "rate-sweep" and args.grid is not None:
+        if args.grid is not None:
             cfg = replace(cfg, sweep=_parse_grid(args.grid))
-        scenario_id = Path(args.config).stem
-        if args.command == "link-budget":
-            text = cmd_link_budget(cfg, args.format)
-        elif args.command == "rate-sweep":
-            text = cmd_rate_sweep(cfg, args.format)
-        elif args.command == "simulate":
-            text = cmd_simulate(cfg, args.format)
-        else:
-            text, report = cmd_session(cfg, args.format)
-            if report.aborted:
-                _write_output(args.out, text, cfg, args.command, scenario_id)
-                print(f"session aborted: {report.abort_reason}", file=sys.stderr)
-                return EXIT_ABORT
-        _write_output(args.out, text, cfg, args.command, scenario_id)
+        out = COMMANDS[args.command][0](cfg, args.format)
+        text, report = out if isinstance(out, tuple) else (out, None)
+        _write_output(args.out, text, cfg, args.command, Path(args.config).stem)
+        if report is not None and report.aborted:
+            print(f"session aborted: {report.abort_reason}", file=sys.stderr)
+            return EXIT_ABORT
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

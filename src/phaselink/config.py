@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
-from .optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
+from .optics import AtmosphereParams, BeamParams, JitterSpec, LinkBudget, LinkGeometry, transmittance
 from .protocol.framing import chip_count
 from .protocol.session import ProtocolParams, Seeds, frame_pulse_bound
 from .protocol.wire import MAX_CLICKS
@@ -122,6 +122,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"frames of up to {n} pulses: BASIS_ANNOUNCE carries at most {MAX_CLICKS} clicks"
             )
+
+    def link_budget(self) -> LinkBudget:
+        """The scenario's cascaded-link budget (optics.transmittance)."""
+        d = self.detector
+        return transmittance(self.geometry, self.atmosphere, self.beam, d.eta_b, d.eta_d)
 
     def session_spec(self) -> ScenarioConfig:
         # The session endpoints take the scenario itself. Kept only for

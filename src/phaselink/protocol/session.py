@@ -78,7 +78,7 @@ import numpy as np
 
 from ..errors import FrameCorrupt, FrameLost, ProtocolError, RegimeViolation
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, class_schedule, detect
-from ..optics import jitter_step, transmittance
+from ..optics import jitter_step
 from ..rates import SourceConfig
 from ..rng import random_bits_at, random_bytes, split_seed, uniforms
 from . import wire
@@ -166,10 +166,11 @@ def _frame_seed(base: int, stream: int, frame_id: int) -> int:
 
 
 def _clock_s(pulses: int, rate: float) -> float:
-    """Seconds that pulses take at rate pulses/s on the simulated clock;
-    RegimeViolation when that is beyond floating-point range."""
+    """Seconds that pulses (at least one) take at rate pulses/s on the
+    simulated clock; RegimeViolation when that is beyond floating-point
+    range: not finite, or 0 at an infinite rate."""
     seconds = pulses / rate if rate else math.inf
-    if not math.isfinite(seconds):
+    if not 0.0 < seconds < math.inf:
         raise RegimeViolation(
             f"simulated clock out of floating-point range: {pulses} pulses at {rate:g}/s"
         )
@@ -324,10 +325,6 @@ class AliceSession:
         self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
         self._steps = self._exchange()
 
-    def _frame_payload(self, frame_id: int) -> bytes:
-        seed = _frame_seed(self.spec.seeds.alice, _S_PAYLOAD, frame_id)
-        return random_bytes(seed, PAYLOAD_BYTES)
-
     def run(self, message: Optional[tuple] = None):
         """One step of the sender: message is the (type, payload) it waits
         for, None otherwise. Returns the next (type, payload) it sends, None
@@ -346,11 +343,10 @@ class AliceSession:
         frames_ok = frames_failed = 0
         disclosed_total = 0
         disclosed_errors = 0
-        aborted = False
         abort_reason = None
 
         for f in range(p.n_frames):
-            payload = self._frame_payload(f)
+            payload = random_bytes(_frame_seed(spec.seeds.alice, _S_PAYLOAD, f), PAYLOAD_BYTES)
             self.sent_payloads.append(payload)
             self.ledger.debit(n_chips)  # one pad bit per chip
             chips = preprocess(
@@ -392,23 +388,20 @@ class AliceSession:
             sent_bits = _chip_bits(chips, _chip_index(words, before, hit[sample]))
             disclosed_errors += int(np.count_nonzero(disclosed_bits != sent_bits))
             if qber_exceeds(disclosed_errors, disclosed_total, p.qber_threshold, p.n_frames):
-                reason = (
+                abort_reason = (
                     f"frame {f}: QBER lower bound exceeds threshold {p.qber_threshold:.4f} "
                     f"({disclosed_errors} errors in {disclosed_total} sampled bits, "
                     f"level {QBER_EPSILON / p.n_frames:.3g})"
                 )
-                yield wire.ABORT, reason.encode("utf-8")
-                # an aborted frame mints no key: only never-kept positions recycle
-                ledger_commit(self.ledger, n_chips, len(kept), len(kept))
-                aborted = True
-                abort_reason = reason
-                start_pulse += n_pulses
+                yield wire.ABORT, abort_reason.encode("utf-8")
+            else:
+                keep[sample] = False  # decode the kept clicks but the disclosed ones
+                yield wire.SIFT_MAP, wire.encode_sift_map(start_pulse, keep)
+            # an aborted frame mints no key: only never-kept positions recycle
+            ledger_commit(self.ledger, n_chips, len(kept), len(kept) if abort_reason else n_sample)
+            start_pulse += n_pulses
+            if abort_reason:
                 break
-
-            keep[sample] = False  # decode the kept clicks but the disclosed ones
-            yield wire.SIFT_MAP, wire.encode_sift_map(start_pulse, keep)
-
-            ledger_commit(self.ledger, n_chips, len(kept), n_sample)
 
             _, payload_bytes = _expect((yield), wire.REPORT)
             result = wire.decode_report(payload_bytes)
@@ -422,7 +415,6 @@ class AliceSession:
                 frames_ok += 1
             else:
                 frames_failed += 1
-            start_pulse += n_pulses
             # drop the frame's per-pulse arrays before the next frame builds
             # its own: freed heap that glibc keeps would otherwise hold both
             del chips, classes, words
@@ -433,13 +425,13 @@ class AliceSession:
         gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
         self.report = SessionReport(
             qber=disclosed_errors / disclosed_total if disclosed_total else 0.0,
-            comm_rate=frames_ok * PAYLOAD_BITS / elapsed if elapsed else 0.0,
-            key_gen_rate=led.generated / elapsed if elapsed else 0.0,
-            key_cons_rate=(led.consumed - led.recycled) / elapsed if elapsed else 0.0,
+            comm_rate=frames_ok * PAYLOAD_BITS / elapsed,
+            key_gen_rate=led.generated / elapsed,
+            key_cons_rate=(led.consumed - led.recycled) / elapsed,
             p_rec_empirical=led.p_rec,
             frames_ok=frames_ok,
             frames_failed=frames_failed,
-            aborted=aborted,
+            aborted=abort_reason is not None,
             abort_reason=abort_reason,
             q_mu_hat=gains[CLASS_SIGNAL],
             q_nu_hat=gains[CLASS_DECOY],
@@ -462,10 +454,7 @@ class BobSession:
         self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
         self.recovered: dict = {}
         self.statuses: dict = {}
-        budget = transmittance(
-            spec.geometry, spec.atmosphere, spec.beam, spec.detector.eta_b, spec.detector.eta_d
-        )
-        self.static_db = budget.total_db
+        self.static_db = spec.link_budget().total_db
         self._jitter_x = 0.0
         self._steps = self._exchange()
 

@@ -162,14 +162,13 @@ class RateReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One distance point of a rate sweep; collapsed marks an estimator
-    failure reported as a zero-rate point."""
+    """One distance point of a rate sweep; estimate is None where the
+    estimator collapsed, and the point is then reported at zero rate."""
 
     d_fs: float
     report: RateReport
     observables: DecoyObservables
     estimate: "DecoyEstimate | None"
-    collapsed: bool = False
 
 
 def binary_entropy(x: float) -> float:
@@ -305,15 +304,9 @@ def rate_sweep(
         obs = forward_gains(budget.eta_total, src, det)
         try:
             est = decoy_estimate(obs, src)
+            cs = secrecy_capacity(obs, est, src, det)
         except EstimatorCollapse:
-            report = RateReport(cs_per_pulse=0.0, cs_raw=0.0)
-            points.append(
-                SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=None, collapsed=True)
-            )
-            continue
-        partial = secrecy_capacity(obs, est, src, det)
-        report = replace(partial, key_gen_rate=scale * partial.cs_per_pulse)
-        points.append(
-            SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=est, collapsed=False)
-        )
+            est, cs = None, RateReport(cs_per_pulse=0.0, cs_raw=0.0)
+        report = RateReport(cs.cs_per_pulse, cs.cs_raw, scale * cs.cs_per_pulse)
+        points.append(SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=est))
     return points

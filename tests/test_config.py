@@ -15,6 +15,7 @@ from phaselink.config import (
     serialize_config,
 )
 from phaselink.errors import ConfigError
+from phaselink.optics import transmittance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 
@@ -54,6 +55,13 @@ class TestParsing:
         for name in ("measured_link.cfg", "upgraded_link.cfg", "desk_session.cfg"):
             cfg = load_config(CONFIG_DIR / name)
             assert isinstance(cfg, ScenarioConfig)
+
+    @pytest.mark.parametrize("name", ["measured_link", "upgraded_link", "desk_session"])
+    def test_link_budget_is_transmittance_of_the_sections(self, name):
+        cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+        det = cfg.detector
+        expected = transmittance(cfg.geometry, cfg.atmosphere, cfg.beam, det.eta_b, det.eta_d)
+        assert cfg.link_budget() == expected
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# top comment\n\n" + MINIMAL + "\n# trailing\n")

@@ -1,9 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import beta, binom
 
 from phaselink.config import ScenarioConfig
-from phaselink.errors import NegativeBalance
+from phaselink.errors import NegativeBalance, RegimeViolation
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.protocol import session
 from phaselink.protocol.ledger import KeyLedger, ledger_commit
@@ -33,6 +36,15 @@ def one_frame_spec(det=None, conv_loss_db=0.0, **protocol):
         seeds=Seeds(alice=1, bob=2, channel=3),
         protocol=ProtocolParams(**params),
     )
+
+
+def test_clock_at_an_infinite_rate_is_regime_violation():
+    # an infinite rep_rate reaches a session only through the API (config
+    # files reject inf); its 0 s clock would divide every rate by zero
+    spec = one_frame_spec()
+    spec = replace(spec, source=replace(spec.source, rep_rate=math.inf))
+    with pytest.raises(RegimeViolation, match="simulated clock out of floating-point range"):
+        run_session_detailed(spec)
 
 
 def first_abort(samples, threshold, n_frames):
@@ -136,6 +148,10 @@ class TestSecurityCheck:
         assert led.generated == 0
         assert led.pool_bits == spec.protocol.initial_pool_bits - kept[0]
         assert report.key_cons_rate == pytest.approx(kept[0] / report.elapsed_s)
+        # the aborted frame's pulses count towards the session's clock
+        frame_seed = session._frame_seed(spec.seeds.alice, session._S_SCHEDULE, 0)
+        classes, _, _ = session._draw_schedule(frame_seed, chips, spec.source)
+        assert report.total_pulses == len(classes) > chips
 
     def test_monotone_in_threshold(self):
         det = DetectorConfig(p_d=1e-6, eta_d=1.0, visibility=1.0, e_mis=0.04, eta_b=1.0)

@@ -8,6 +8,7 @@ from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
 from phaselink.rates import (
     DecoyObservables,
     DetectorConfig,
+    RateReport,
     SourceConfig,
     binary_entropy,
     decoy_estimate,
@@ -248,16 +249,29 @@ class TestRateSweep:
         assert at_30.report.key_gen_rate == pytest.approx(557.0777153809506, rel=1e-9)
 
     def test_composition_consistency(self):
-        # the swept point must equal a standalone evaluation bit-for-bit
+        # the swept point must equal a standalone evaluation bit-for-bit; at a
+        # point where the estimator collapses (mu nu - nu^2 subnormal) it has
+        # no estimate and a zero report
         from phaselink.optics import transmittance
 
-        points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, [1400.0])
         eta = transmittance(GEOM, ATM, BEAM, DET.eta_b, DET.eta_d).eta_total
-        obs = forward_gains(eta, SRC, DET)
-        est = decoy_estimate(obs, SRC)
-        standalone = secrecy_capacity(obs, est, SRC, DET)
-        assert points[0].report.cs_raw == standalone.cs_raw
-        assert points[0].report.cs_per_pulse == standalone.cs_per_pulse
+        for src, collapses in ((SRC, False), (SourceConfig(mu=0.71, nu=5e-324), True)):
+            (point,) = rate_sweep(GEOM, ATM, BEAM, src, DET, [1400.0])
+            obs = forward_gains(eta, src, DET)
+            assert point.observables == obs
+            if collapses:
+                with pytest.raises(EstimatorCollapse):
+                    decoy_estimate(obs, src)
+                assert point.estimate is None
+                assert point.report == RateReport(cs_per_pulse=0.0, cs_raw=0.0, key_gen_rate=0.0)
+            else:
+                est = decoy_estimate(obs, src)
+                standalone = secrecy_capacity(obs, est, src, DET)
+                assert point.estimate == est
+                assert point.report.cs_raw == standalone.cs_raw
+                assert point.report.cs_per_pulse == standalone.cs_per_pulse
+                scale = src.rep_rate * src.signal_fraction
+                assert point.report.key_gen_rate == scale * standalone.cs_per_pulse
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """The scripts under tools/: draw_counts.py and stage_times.py run end to
 end and their reports add up, stage_times.py --repeat prints per-session
-means, and cli_digests.py lists the CLI runs that it digests and, with
---against, names the runs whose output differs between two checkouts."""
+means, cli_digests.py lists the CLI runs that it digests and, with
+--against, names the runs whose output differs between two checkouts, and
+bench_pairs.py summarizes and judges paired benchmark result lines, with
+the benchmark itself stubbed."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -195,3 +198,150 @@ def test_cli_digest_against_names_differing_runs(monkeypatch, capsys, cli_digest
         f"differs: {' '.join(moved_exit)} (exit, stderr)",
         "46 of 48 runs identical",
     ]
+
+
+@pytest.fixture
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(wall_s, failed=0, attempted=20):
+    """A result line as benchmarks/run.py prints it last, its end-to-end
+    metrics derived from one wall time."""
+    values = {"wall_s": wall_s, "items_per_s": 1e6 / wall_s, "latency_s": wall_s / 100,
+              "setup_s": 0.2, "peak_rss_mb": 50.0}
+    units = {"wall_s": "s", "items_per_s": "1/s", "latency_s": "s", "setup_s": "s",
+             "peak_rss_mb": "MB"}
+    metrics = {name: {"value": v, "unit": units[name]} for name, v in values.items()}
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
+                       "metrics": metrics})
+
+
+# (parent, change) values of ten pairs, and the verdict of a lower-is-better
+# metric with bound 0.24
+VERDICTS = {
+    "worse": ([1.0 + i / 100 for i in range(10)], [1.5] * 10),
+    "better": ([1.0 + i / 100 for i in range(10)], [0.9] * 9 + [1.2]),
+    "unresolved": ([1.0, 0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0], [1.0] * 10),
+    "within bound": ([1.0 + i / 100 for i in range(10)], [1.0 + i / 100 for i in range(10)][::-1]),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(VERDICTS))
+def test_bench_pairs_verdicts(bench_pairs, verdict):
+    parent, change = VERDICTS[verdict]
+    assert bench_pairs.judge(parent, change, "lower", 0.24)["verdict"] == verdict
+    # a higher-is-better metric over the reciprocals reads the same
+    inverse = [[1 / v for v in side] for side in (parent, change)]
+    assert bench_pairs.judge(*inverse, "higher", 0.24)["verdict"] == verdict
+
+
+def test_bench_pairs_better_needs_nine_wins_and_a_gap_beyond_the_quartiles(bench_pairs):
+    parent = [1.0 + i / 100 for i in range(10)]
+    eight = bench_pairs.judge(parent, [0.9] * 8 + [1.2] * 2, "lower", 0.24)
+    assert (eight["wins"], eight["losses"], eight["verdict"]) == (8, 2, "within bound")
+    # ten wins by less than the parent's interquartile range
+    close = bench_pairs.judge(parent, [v - 0.001 for v in parent], "lower", 0.24)
+    assert close["wins"] == 10 and close["verdict"] == "within bound"
+
+
+def test_bench_pairs_sign_test(bench_pairs):
+    assert bench_pairs.sign_test_p(9, 1) == 2 * (1 + 10) / 2**10
+    assert bench_pairs.sign_test_p(1, 9) == bench_pairs.sign_test_p(9, 1)
+    assert bench_pairs.sign_test_p(5, 5) == 1.0 == bench_pairs.sign_test_p(0, 0)
+
+
+def _completed(stdout, returncode=0):
+    return subprocess.CompletedProcess([], returncode=returncode, stdout=stdout, stderr="boom")
+
+
+def test_bench_pairs_summary_of_result_lines(bench_pairs):
+    # three pairs; the third's change run failed and leaves the pair out
+    lines = [(_result_line(0.5), _result_line(0.4, failed=1)),
+             (_result_line(0.6), _result_line(0.45)),
+             (_result_line(0.55), None)]
+    pairs = []
+    for seed, (parent, change) in enumerate(lines):
+        runs = {side: {"result": json.loads(line) if line else None}
+                for side, line in zip(bench_pairs.SIDES, (parent, change))}
+        pairs.append({"seed": seed, **runs})
+    summary = bench_pairs.summarize(pairs)
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert summary["operations"] == {"parent": {"attempted": 60, "failed": 0},
+                                     "change": {"attempted": 40, "failed": 1}}
+    wall = summary["metrics"]["wall_s"]
+    assert (wall["parent"]["median"], wall["change"]["median"]) == pytest.approx((0.55, 0.425))
+    assert (wall["wins"], wall["pairs"]) == (2, 3)
+    assert summary["metrics"]["setup_s"]["wins"] == 0
+    assert set(summary["metrics"]) == {m["name"] for m in bench_pairs.SPEC["end_to_end"]}
+
+
+def _pairs(walls, failed=None, exit_codes=None):
+    """Stored pairs, (parent, change) wall times each, with the change's
+    failed operations and run exit codes per pair (default none)."""
+    pairs = []
+    for i, (parent, change) in enumerate(walls):
+        code = (exit_codes or {}).get(i, 0)
+        lines = (_result_line(parent), _result_line(change, failed=(failed or {}).get(i, 0)))
+        pairs.append({"seed": i, "parent": {"result": json.loads(lines[0])},
+                      "change": {"result": None if code else json.loads(lines[1])}})
+    return pairs
+
+
+def test_bench_pairs_better_needs_no_more_failures_and_counts_every_pair_run(bench_pairs):
+    walls = [(1.0 + i / 100, 0.5) for i in range(10)]
+    assert bench_pairs.summarize(_pairs(walls))["metrics"]["wall_s"]["verdict"] == "better"
+    # one operation more fails on the change side
+    failed = bench_pairs.summarize(_pairs(walls, failed={3: 1}))["metrics"]["wall_s"]
+    assert (failed["wins"], failed["verdict"]) == (10, "within bound")
+    # a failed change run: 9 wins of the 9 good pairs out of 10 run
+    lost = bench_pairs.summarize(_pairs(walls, exit_codes={3: 1}))["metrics"]["wall_s"]
+    assert (lost["wins"], lost["pairs"], lost["verdict"]) == (9, 10, "within bound")
+    # 9 wins of 10 pairs run is enough; 8 wins of the 9 pairs kept out of
+    # 10 run is not
+    ten = [(1.0 + i / 100, 0.5) for i in range(9)] + [(1.0, 1.5)]
+    wins_9 = bench_pairs.judge(*zip(*ten), "lower", 0.24, pairs_run=10)
+    assert (wins_9["wins"], wins_9["verdict"]) == (9, "better")
+    wins_8 = bench_pairs.judge(*zip(*ten[1:]), "lower", 0.24, pairs_run=10)
+    assert (wins_8["wins"], wins_8["verdict"]) == (8, "within bound")
+
+
+def test_bench_pairs_alternates_sides_with_a_seed_per_pair(monkeypatch, tmp_path, capsys, bench_pairs):
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return _completed("abc123\n" if "rev-parse" in argv else "")
+        seed = int(argv[argv.index("--seed") + 1])
+        calls.append((Path(cwd).name, seed, float(argv[argv.index("--seconds") + 1])))
+        side_wall = 0.5 if Path(cwd).name == "OTHER" else 0.4
+        digest = f"{seed}b" if seed == 9 and Path(cwd).name != "OTHER" else seed
+        return _completed(f"output sha256 {digest} (information only)\n{_result_line(side_wall)}\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--against", "OTHER", "--workloads", "rate_sweep", "--seeds", "7-10",
+                      "--seconds", "2", "--out", str(out)])
+    this = bench_pairs.ROOT.name
+    # one short run of each side to warm up, then the pairs
+    assert calls == [("OTHER", 7, 1.0), (this, 7, 1.0),
+                     ("OTHER", 7, 2.0), (this, 7, 2.0), (this, 8, 2.0), ("OTHER", 8, 2.0),
+                     ("OTHER", 9, 2.0), (this, 9, 2.0), (this, 10, 2.0), ("OTHER", 10, 2.0)]
+    record = json.loads(out.read_text())
+    assert record["seeds"] == [7, 8, 9, 10]
+    assert record["commits"]["parent"] == {"head": "abc123", "dirty": False}
+    assert {"nproc", "cpu_model"} <= set(record)
+    pairs = record["workloads"]["rate_sweep"]["pairs"]
+    assert [p["first"] for p in pairs] == ["parent", "change"] * 2
+    assert pairs[1]["change"]["sha256_line"] == "output sha256 8 (information only)"
+    assert json.loads(pairs[1]["change"]["result_line"])["metrics"]["wall_s"]["value"] == 0.4
+    summary = record["workloads"]["rate_sweep"]["summary"]
+    assert summary["metrics"]["wall_s"]["verdict"] == "better"
+    # the stubs print their seed as the digest, but for the change at seed 9
+    assert summary["digests_differ"] == 1
+    report = capsys.readouterr().out
+    assert ("rate_sweep: failed operations parent 0 of 80, change 0 of 80; failed runs "
+            "parent 0, change 0; output digests differ in 1 of 4 pairs") in report
