@@ -79,8 +79,12 @@ def _parse_grid(text: str) -> SweepGrid:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row of values."""
-    lines = [header] + [",".join(map(format_value, row)) for row in rows]
+    """CSV text: the header line, then one line per row of values, each cell
+    as format_value writes it (which is repr for an exact float or int)."""
+    lines = [header] + [  # by exact type: format_value writes a bool as 0 or 1
+        ",".join(map(repr if {float, int}.issuperset(map(type, row)) else format_value, row))
+        for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

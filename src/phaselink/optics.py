@@ -27,6 +27,8 @@ __all__ = [
     "rayleigh_length",
     "effective_waist",
     "transmittance",
+    "fixed_factors",
+    "budget_at",
     "jitter_step",
 ]
 
@@ -138,14 +140,11 @@ class LinkBudget:
     rytov: float
 
     def __post_init__(self):
-        if not (0.0 < self.eta_total <= 1.0):
-            raise ValueError("eta_total must be in (0, 1]")
-        if abs(sum(self.breakdown.values()) - self.total_db) > 1e-9:
-            raise ValueError("breakdown does not decompose eta_total")
+        _check_budget(self.eta_total, self.breakdown.values())
 
     @property
     def total_db(self) -> float:
-        return -10.0 * math.log10(self.eta_total)
+        return _to_db(self.eta_total)
 
     @property
     def channel_db(self) -> float:
@@ -190,31 +189,65 @@ def effective_waist(atm: AtmosphereParams, beam: BeamParams, d_fs: float) -> flo
 
     Raises RegimeViolation when d_fs >= critical_distance (model validity).
     """
+    return _waist_and_rytov(atm, beam, d_fs)[0]
+
+
+def _waist_and_rytov(atm: AtmosphereParams, beam: BeamParams, d_fs: float) -> tuple:
+    """(effective_waist, rytov_variance) at d_fs, each computed once."""
     if d_fs < 0:
         raise ValueError("d_fs must be non-negative")
-    if atm.cn2 > 0 and d_fs >= critical_distance(atm, beam):
-        raise RegimeViolation(
-            f"d_fs = {d_fs:g} m is not below the critical distance "
-            f"{critical_distance(atm, beam):g} m"
-        )
+    if atm.cn2 > 0 and d_fs >= (d_i := critical_distance(atm, beam)):
+        raise RegimeViolation(f"d_fs = {d_fs:g} m is not below the critical distance {d_i:g} m")
     d_r = rayleigh_length(beam)
     launch = beam.w0 * beam.gamma
     diffraction = math.sqrt(1.0 + (d_fs / d_r) ** 2)
     if d_fs == 0.0:
-        return launch
+        return launch, 0.0
     sigma2 = rytov_variance(atm, beam, d_fs)
-    theta = (
-        2.0
-        * d_fs
-        * d_r**2
-        / (beam.wavenumber * launch**2 * (d_r**2 + d_fs**2))
-    )
+    theta = 2.0 * d_fs * d_r**2 / (beam.wavenumber * launch**2 * (d_r**2 + d_fs**2))
     spread = math.sqrt(1.0 + 1.63 * sigma2 ** (6.0 / 5.0) * theta)
-    return launch * diffraction * spread
+    return launch * diffraction * spread, sigma2
 
 
 def _to_db(factor: float) -> float:
-    return -10.0 * math.log10(factor)
+    return -10.0 * math.log10(factor) if factor else math.inf  # a factor of 0 loses all
+
+
+def _check_budget(eta_total: float, breakdown_db) -> None:
+    """LinkBudget's checks on eta_total and its dB terms, summed in order."""
+    if not (0.0 < eta_total <= 1.0):
+        raise ValueError("eta_total must be in (0, 1]")
+    if abs(sum(breakdown_db) - _to_db(eta_total)) > 1e-9:
+        raise ValueError("breakdown does not decompose eta_total")
+
+
+def fixed_factors(geom: LinkGeometry, eta_b: float, eta_d: float) -> tuple:
+    """transmittance's factors that do not depend on d_fs, in its order
+    (conversion, fiber, adapter, receiver, detector), and their dB terms."""
+    if not (0.0 < eta_b <= 1.0 and 0.0 < eta_d <= 1.0):
+        raise ValueError("eta_b and eta_d must be in (0, 1]")
+    factors = (10.0 ** (-geom.conv_loss_db / 10.0),
+               10.0 ** (-geom.alpha_fiber * geom.d_fiber / 1000.0 / 10.0),
+               10.0 ** (-geom.adapter_loss_db / 10.0), eta_b, eta_d)
+    return factors, tuple(map(_to_db, factors))
+
+
+def budget_at(d_fs: float, a_r: float, atm: AtmosphereParams, beam: BeamParams, fixed) -> tuple:
+    """(eta_total, w_eff, rytov, geometric dB, atmospheric dB) at d_fs, the other factors from
+    fixed_factors; raises as transmittance does and checks what LinkBudget checks."""
+    (conversion, fiber, adapter, eta_b, eta_d), fixed_db = fixed
+    try:
+        w, sigma2 = _waist_and_rytov(atm, beam, d_fs)
+        capture = -math.expm1(-2.0 * a_r**2 / w**2)
+        extinction = 10.0 ** (-atm.alpha_fs * d_fs / 1000.0 / 10.0)
+        eta_total = capture * extinction * conversion * fiber * adapter * eta_b * eta_d
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RegimeViolation(f"link budget out of floating-point range: {exc}") from exc
+    if not eta_total > 0.0:  # underflowed to 0, or NaN from inf / inf
+        raise RegimeViolation(f"link budget out of floating-point range: transmittance {eta_total!r}")
+    geometric_db, atmospheric_db = _to_db(capture), _to_db(extinction)
+    _check_budget(eta_total, (geometric_db, atmospheric_db, *fixed_db))
+    return eta_total, w, sigma2, geometric_db, atmospheric_db
 
 
 def transmittance(
@@ -238,31 +271,10 @@ def transmittance(
     division by zero, or a transmittance that is not a positive number
     (one that underflows to 0).
     """
-    if not (0.0 < eta_b <= 1.0 and 0.0 < eta_d <= 1.0):
-        raise ValueError("eta_b and eta_d must be in (0, 1]")
-    try:
-        w = effective_waist(atm, beam, geom.d_fs)
-        capture = -math.expm1(-2.0 * geom.a_r**2 / w**2)
-        factors = {
-            "geometric": capture,
-            "atmospheric": 10.0 ** (-atm.alpha_fs * geom.d_fs / 1000.0 / 10.0),
-            "conversion": 10.0 ** (-geom.conv_loss_db / 10.0),
-            "fiber": 10.0 ** (-geom.alpha_fiber * geom.d_fiber / 1000.0 / 10.0),
-            "adapter": 10.0 ** (-geom.adapter_loss_db / 10.0),
-            "receiver": eta_b,
-            "detector": eta_d,
-        }
-        eta_total = math.prod(factors.values())
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise RegimeViolation(f"link budget out of floating-point range: {exc}") from exc
-    if not eta_total > 0.0:  # underflowed to 0, or NaN from inf / inf
-        raise RegimeViolation(f"link budget out of floating-point range: transmittance {eta_total!r}")
-    return LinkBudget(
-        eta_total=eta_total,
-        breakdown={k: _to_db(v) for k, v in factors.items()},
-        w_eff=w,
-        rytov=rytov_variance(atm, beam, geom.d_fs),
-    )
+    fixed = fixed_factors(geom, eta_b, eta_d)
+    eta_total, w, sigma2, *varying_db = budget_at(geom.d_fs, geom.a_r, atm, beam, fixed)
+    keys = ("geometric", "atmospheric", "conversion", "fiber", "adapter", "receiver", "detector")
+    return LinkBudget(eta_total, dict(zip(keys, (*varying_db, *fixed[1]))), w, sigma2)
 
 
 def jitter_step(x: float, u: float, jitter: JitterSpec, dt: float) -> float:

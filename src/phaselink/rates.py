@@ -19,10 +19,11 @@ clamped at zero for rate purposes (callers also see the raw value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
-from .optics import AtmosphereParams, BeamParams, LinkGeometry, transmittance
+from .optics import AtmosphereParams, BeamParams, LinkGeometry, budget_at, fixed_factors
+from .optics import transmittance  # noqa: F401  (benchmarks/tracing.py times rates.transmittance)
 
 E0_BACKGROUND = 0.5  # error rate of background (dark) clicks
 
@@ -288,25 +289,26 @@ def rate_sweep(
     """Evaluate the full chain over a grid of free-space distances, the
     rest of the geometry taken from geom_template.
 
-    Each point runs transmittance -> forward_gains -> decoy_estimate ->
-    secrecy_capacity; the key generation rate scales by rep_rate, the signal
-    fraction of the mix ratio, and duty_cycle. An estimator collapse at
-    a point is recorded as a zero-rate SweepPoint, not a sweep failure.
+    The factors that do not depend on d_fs are computed once per sweep; each
+    point runs optics.budget_at (transmittance's arithmetic and checks, with
+    no LinkBudget) -> forward_gains -> decoy_estimate -> secrecy_capacity;
+    the key generation rate scales by rep_rate, the signal fraction of the
+    mix ratio, and duty_cycle. An estimator collapse at a point is recorded
+    as a zero-rate SweepPoint, not a sweep failure.
     """
     grid = list(d_fs_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("d_fs_grid must be sorted ascending")
     scale = src.rep_rate * src.signal_fraction * duty_cycle
+    fixed = fixed_factors(geom_template, det.eta_b, det.eta_d)
     points = []
     for d_fs in grid:
-        geom = replace(geom_template, d_fs=d_fs)
-        budget = transmittance(geom, atm, beam, det.eta_b, det.eta_d)
-        obs = forward_gains(budget.eta_total, src, det)
+        obs = forward_gains(budget_at(d_fs, geom_template.a_r, atm, beam, fixed)[0], src, det)
         try:
             est = decoy_estimate(obs, src)
             cs = secrecy_capacity(obs, est, src, det)
         except EstimatorCollapse:
             est, cs = None, RateReport(cs_per_pulse=0.0, cs_raw=0.0)
         report = RateReport(cs.cs_per_pulse, cs.cs_raw, scale * cs.cs_per_pulse)
-        points.append(SweepPoint(d_fs=d_fs, report=report, observables=obs, estimate=est))
+        points.append(SweepPoint(d_fs, report, obs, est))
     return points

@@ -122,6 +122,26 @@ class TestRateSweep:
         assert float(row[1]) == pytest.approx(rate, rel=0.02)
 
 
+def test_csv_cells_render_as_format_value():
+    # rows of exact floats and ints take the repr join; a bool, str, tuple
+    # or float subclass in a row sends it through format_value
+    import numpy as np
+
+    rows = [
+        (0.1, -0.0, 1e-300, 5e-324, 7, -2**70, 0),
+        (1.5, True, False),
+        ("signal", 2, 0.25),
+        ((30, 2, 1), 1.25e9),
+        (np.float64(0.5), 3),
+        ("ab",),
+        (),
+    ]
+    want = [",".join(map(config.format_value, row)) for row in rows]
+    assert cli._csv("h", rows) == "\n".join(["h", *want]) + "\n"
+    assert want[:5] == ["0.1,-0.0,1e-300,5e-324,7,-1180591620717411303424,0", "1.5,1,0",
+                        "signal,2,0.25", "30:2:1,1250000000.0", "0.5,3"]
+
+
 class TestSimulate:
     def test_csv_schema(self, capsys):
         assert run_cli(["simulate", "--config", MEASURED]) == 0

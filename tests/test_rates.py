@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselink.errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
-from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry
+from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry, critical_distance, transmittance
 from phaselink.rates import (
     DecoyObservables,
     DetectorConfig,
     RateReport,
     SourceConfig,
+    SweepPoint,
     binary_entropy,
     decoy_estimate,
     forward_gains,
@@ -227,6 +231,87 @@ GEOM = LinkGeometry(
 )
 
 
+def chain_point(geom, atm, src, det, d_fs):
+    """One sweep point from the standalone chain: transmittance ->
+    forward_gains -> decoy_estimate -> secrecy_capacity, zero rate where the
+    estimator collapses."""
+    eta = transmittance(replace(geom, d_fs=d_fs), atm, BEAM, det.eta_b, det.eta_d).eta_total
+    obs = forward_gains(eta, src, det)
+    try:
+        est = decoy_estimate(obs, src)
+        cs = secrecy_capacity(obs, est, src, det)
+    except EstimatorCollapse:
+        est, cs = None, RateReport(cs_per_pulse=0.0, cs_raw=0.0)
+    rate = src.rep_rate * src.signal_fraction * cs.cs_per_pulse
+    return SweepPoint(d_fs, RateReport(cs.cs_per_pulse, cs.cs_raw, rate), obs, est)
+
+
+def sweep_against_chain(geom, atm, src, det, grid):
+    """Checks that rate_sweep gives chain_point's points bit for bit (their
+    reprs agree), and that where the chain first raises, at grid[i],
+    rate_sweep over grid[: i + 1] raises the same type with the same text.
+    Returns (i, error), or None when no point raises."""
+    want, failure = [], None
+    for i, d_fs in enumerate(grid):
+        try:
+            want.append(chain_point(geom, atm, src, det, d_fs))
+        except Exception as exc:  # noqa: BLE001 - whatever the chain raises
+            with pytest.raises(Exception) as got:
+                rate_sweep(geom, atm, BEAM, src, det, grid[: i + 1])
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            failure = (i, exc)
+            break
+    assert repr(rate_sweep(geom, atm, BEAM, src, det, grid[: len(want)])) == repr(want)
+    return failure
+
+
+HOT_DET = DetectorConfig(p_d=0.4999, eta_d=0.8, visibility=0.9847, eta_b=1.0)
+COLLAPSE_SRC = SourceConfig(mu=0.71, nu=5e-324)
+D_CRIT = critical_distance(ATM, BEAM)
+
+
+class TestSweepEqualsChain:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        grid=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.3 * D_CRIT)), min_size=1, max_size=6)
+        .map(sorted),
+        a_r=st.one_of(st.floats(1e-3, 2.0), st.just(1e200)),
+        d_fiber=st.floats(0.0, 1e5),
+        alpha_fs=st.floats(0.0, 30.0),
+        src=st.sampled_from([SRC, COLLAPSE_SRC]),
+        det=st.sampled_from([DET, HOT_DET]),
+    )
+    def test_sweep_equals_chain(self, grid, a_r, d_fiber, alpha_fs, src, det):
+        geom = LinkGeometry(0.0, d_fiber, a_r, conv_loss_db=15.4, adapter_loss_db=0.42, alpha_fiber=0.2)
+        atm = AtmosphereParams(cn2=ATM.cn2, l0=ATM.l0, alpha_fs=alpha_fs)
+        sweep_against_chain(geom, atm, src, det, grid)
+
+    @pytest.mark.parametrize(
+        "a_r,cn2,alpha_fs,det,grid,at,text",
+        [
+            (0.06, ATM.cn2, 0.2, DET, [0.0, 1e4, D_CRIT, 2 * D_CRIT], 2, "critical distance"),
+            (0.5, ATM.cn2, 0.2, HOT_DET, [0.0, 2e4, 4e4], 0, "is not below 1"),
+            (1e200, ATM.cn2, 0.2, DET, [0.0, 1e3], 0, "Numerical result out of range"),
+            (0.06, 0.0, 0.2, DET, [0.0, 1e3, 1e160], 2, "Numerical result out of range"),
+            (0.06, ATM.cn2, 30.0, DET, [0.0, 1e4, 4e5], 2, "transmittance 0.0"),
+        ],
+        ids=["critical-distance", "gain-not-below-1", "aperture-overflow", "distance-overflow",
+             "transmittance-underflow"],
+    )
+    def test_same_error_at_same_point(self, a_r, cn2, alpha_fs, det, grid, at, text):
+        atm = AtmosphereParams(cn2=cn2, l0=ATM.l0, alpha_fs=alpha_fs)
+        i, exc = sweep_against_chain(replace(GEOM, a_r=a_r), atm, SRC, det, grid)
+        assert (i, type(exc)) == (at, RegimeViolation)
+        assert text in str(exc)
+
+    def test_zero_distance_and_collapse(self):
+        # d_fs = 0 is the launch plane; the subnormal decoy collapses the
+        # estimator at every point, which the sweep reports at zero rate
+        assert sweep_against_chain(GEOM, ATM, COLLAPSE_SRC, DET, [0.0, 1400.0]) is None
+        points = rate_sweep(GEOM, ATM, BEAM, COLLAPSE_SRC, DET, [0.0, 1400.0])
+        assert [p.estimate for p in points] == [None, None]
+
+
 class TestRateSweep:
     def test_monotone_decreasing_rate(self):
         grid = [float(d) for d in range(0, 5001, 250)]
@@ -236,8 +321,6 @@ class TestRateSweep:
         assert rates[0] > 0.0
 
     def test_upgraded_parameters_positive_at_30km(self):
-        from dataclasses import replace
-
         det_up = DetectorConfig(p_d=1e-6, eta_d=0.8, visibility=0.9847, eta_b=10 ** -0.65)
         geom_up = replace(GEOM, a_r=0.5)
         points = rate_sweep(
@@ -252,8 +335,6 @@ class TestRateSweep:
         # the swept point must equal a standalone evaluation bit-for-bit; at a
         # point where the estimator collapses (mu nu - nu^2 subnormal) it has
         # no estimate and a zero report
-        from phaselink.optics import transmittance
-
         eta = transmittance(GEOM, ATM, BEAM, DET.eta_b, DET.eta_d).eta_total
         for src, collapses in ((SRC, False), (SourceConfig(mu=0.71, nu=5e-324), True)):
             (point,) = rate_sweep(GEOM, ATM, BEAM, src, DET, [1400.0])

@@ -310,6 +310,8 @@ def test_bench_pairs_better_needs_no_more_failures_and_counts_every_pair_run(ben
 
 
 def test_bench_pairs_alternates_sides_with_a_seed_per_pair(monkeypatch, tmp_path, capsys, bench_pairs):
+    # the side that runs first is a hash bit of the pair's seed, not the
+    # pair's parity: seeds 6-9 put the change first, first, last, first
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
@@ -323,20 +325,23 @@ def test_bench_pairs_alternates_sides_with_a_seed_per_pair(monkeypatch, tmp_path
 
     monkeypatch.setattr(subprocess, "run", fake_run)
     out = tmp_path / "BENCH.json"
-    bench_pairs.main(["--against", "OTHER", "--workloads", "rate_sweep", "--seeds", "7-10",
+    bench_pairs.main(["--against", "OTHER", "--workloads", "rate_sweep", "--seeds", "6-9",
                       "--seconds", "2", "--out", str(out)])
     this = bench_pairs.ROOT.name
     # one short run of each side to warm up, then the pairs
-    assert calls == [("OTHER", 7, 1.0), (this, 7, 1.0),
-                     ("OTHER", 7, 2.0), (this, 7, 2.0), (this, 8, 2.0), ("OTHER", 8, 2.0),
-                     ("OTHER", 9, 2.0), (this, 9, 2.0), (this, 10, 2.0), ("OTHER", 10, 2.0)]
+    assert calls == [("OTHER", 6, 1.0), (this, 6, 1.0),
+                     (this, 6, 2.0), ("OTHER", 6, 2.0), (this, 7, 2.0), ("OTHER", 7, 2.0),
+                     ("OTHER", 8, 2.0), (this, 8, 2.0), (this, 9, 2.0), ("OTHER", 9, 2.0)]
     record = json.loads(out.read_text())
-    assert record["seeds"] == [7, 8, 9, 10]
+    assert record["seeds"] == [6, 7, 8, 9]
     assert record["commits"]["parent"] == {"head": "abc123", "dirty": False}
     assert {"nproc", "cpu_model"} <= set(record)
     pairs = record["workloads"]["rate_sweep"]["pairs"]
-    assert [p["first"] for p in pairs] == ["parent", "change"] * 2
-    assert pairs[1]["change"]["sha256_line"] == "output sha256 8 (information only)"
+    assert [p["first"] for p in pairs] == ["change", "change", "parent", "change"]
+    # over many seeds each side runs first about half the time
+    firsts = [bench_pairs.first_side(seed) for seed in range(1, 1001)]
+    assert 450 < firsts.count("parent") < 550
+    assert pairs[1]["change"]["sha256_line"] == "output sha256 7 (information only)"
     assert json.loads(pairs[1]["change"]["result_line"])["metrics"]["wall_s"]["value"] == 0.4
     summary = record["workloads"]["rate_sweep"]["summary"]
     assert summary["metrics"]["wall_s"]["verdict"] == "better"

@@ -4,7 +4,9 @@
 
 For each workload it runs `benchmarks/run.py --trace 0` of this checkout
 (the change) and of checkout OTHER (the parent) once per pair, with a fresh
-seed for each pair, alternating which side runs first. For each end-to-end
+seed for each pair. Which side runs first is one bit of a hash of the pair's
+seed (first_side), so neither side is tied to fixed run positions, as strict
+alternation ties them to positions 0, 3 and 1, 2 mod 4. For each end-to-end
 metric of this checkout's BENCHMARK.json it prints each side's median and
 quartiles (as statistics.quantiles(values, n=4) gives them), the pairs the
 change wins out of those run (a tie counts for neither side), the two-sided
@@ -32,6 +34,7 @@ model, and every run's result line and `output sha256` line.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -50,6 +53,12 @@ WARM_UP_SECONDS = 1.0  # of the discarded run of each side before a workload's p
 def seed_range(text: str) -> list:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
+
+
+def first_side(seed: int) -> str:
+    """The side that runs first in the pair of this seed: the low bit of the
+    first byte of the SHA-256 of its decimal text."""
+    return SIDES[hashlib.sha256(str(seed).encode()).digest()[0] & 1]
 
 
 def run_once(repo: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -212,8 +221,8 @@ def main(argv=None) -> int:
         for side in SIDES:
             run_once(repos[side], workload, args.seeds[0], WARM_UP_SECONDS)
         pairs = []
-        for i, seed in enumerate(args.seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for seed in args.seeds:
+            order = SIDES if first_side(seed) == SIDES[0] else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(repos[side], workload, seed, args.seconds)
