@@ -206,9 +206,7 @@ class BatchStats:
     vacuum: ClassCounts
 
 
-def draw_classes(
-    lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, at=0
-) -> np.ndarray:
+def draw_classes(lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, at) -> np.ndarray:
     """Intensity class per byte lane (uint8): signal where the pulse's 61-bit
     uniform is below p_sig, decoy below p_sig + p_dec, vacuum otherwise. at
     gives the lanes' positions, an int for the pulses at, at + 1, ... or an
@@ -242,37 +240,29 @@ def classes_at(seed: int, positions, p_sig: float, p_dec: float) -> np.ndarray:
     return draw_classes(lanes, p_sig, p_dec, split_seed(seed, 0), positions)
 
 
-def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
-    """Pulses per intensity class (int64, indexed by class) among the n
-    pulses offset .. offset + n - 1 of the seed's schedule: the tallies of
-    class_schedule(seed, n, p_sig, p_dec, offset), with no array of classes.
-    Each rng block counts its lanes below the signal boundary byte
-    floor(256 p_sig) as signal and those above the vacuum boundary byte
-    floor(256 (p_sig + p_dec)) as vacuum, and flags the lanes equal to
-    either byte, about 1 in 128, all in one flag buffer that every block
-    reuses. Only those tied lanes go through the tie rule
-    (rng.ties_not_below); the rest are decoy."""
+def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float) -> np.ndarray:
+    """Pulses per intensity class (int64, indexed by class) among the first
+    n pulses of the seed's schedule: the tallies of class_schedule(seed, n,
+    p_sig, p_dec), with no array of classes. Each rng block counts its lanes
+    below the signal boundary byte floor(256 p_sig) as signal and those
+    above the vacuum boundary byte floor(256 (p_sig + p_dec)) as vacuum, and
+    flags the lanes equal to either byte, about 1 in 128, with one compare
+    per byte into two flag buffers that every block reuses. Only those tied
+    lanes go through the tie rule (rng.ties_not_below); the rest are decoy."""
     probs = (p_sig, p_sig + p_dec)
     b_sig, b_vac = (math.floor(256.0 * p) for p in probs)
     tie_seed = split_seed(seed, 0)
     counts = np.zeros(3, dtype=np.int64)
-    flags = np.empty(min(n, BLOCK_LANES), dtype=bool)
-    for lo, lanes in byte_lane_blocks(seed, n, offset):
-        f = flags[: len(lanes)]
+    flags = np.empty((2, min(n, BLOCK_LANES)), dtype=bool)
+    for lo, lanes in byte_lane_blocks(seed, n):
+        f, g = flags[:, : len(lanes)]
         counts[CLASS_SIGNAL] += np.count_nonzero(np.less(lanes, b_sig, out=f))
         counts[CLASS_VACUUM] += np.count_nonzero(np.greater(lanes, b_vac, out=f))
-        np.equal(lanes, b_sig, out=f)
-        if b_sig < b_vac < 256:
-            # both bytes' ties in the one buffer: a signal tie's lane plus
-            # b_vac - b_sig is b_vac, so one compare finds every tie
-            shifted = f.view(np.uint8)
-            shifted *= b_vac - b_sig
-            shifted += lanes
-            np.equal(shifted, b_vac, out=f)
+        np.logical_or(np.equal(lanes, b_sig, out=f), np.equal(lanes, b_vac, out=g), out=f)
         ties = np.flatnonzero(f)
         tied = lanes[ties]
         # a tied lane is above b_sig only when it ties b_vac
-        tied_classes = ties_not_below(tied, probs, tie_seed, ties + (offset + lo))
+        tied_classes = ties_not_below(tied, probs, tie_seed, ties + lo)
         tied_classes += tied > b_sig
         counts += np.bincount(tied_classes, minlength=3)
     counts[CLASS_DECOY] = n - counts[CLASS_SIGNAL] - counts[CLASS_VACUUM]

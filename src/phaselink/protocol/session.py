@@ -119,8 +119,6 @@ class ProtocolParams:
     initial_pool_bits: int = 4_000_000
 
     def __post_init__(self):
-        if self.fec_ratio < 1 or self.spread_ratio < 1:
-            raise ValueError("ratios must be >= 1")
         if not (0.0 < self.sample_fraction <= 1.0):
             raise ValueError("sample_fraction must be in (0, 1]")
         if not (0.0 <= self.qber_threshold <= 0.5):
@@ -150,11 +148,11 @@ class SessionReport:
     frames_ok: int
     frames_failed: int
     aborted: bool
-    abort_reason: Optional[str] = None
-    q_mu_hat: float = 0.0
-    q_nu_hat: float = 0.0
-    total_pulses: int = 0
-    elapsed_s: float = 0.0
+    abort_reason: Optional[str]
+    q_mu_hat: float
+    q_nu_hat: float
+    total_pulses: int
+    elapsed_s: float
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -39,8 +39,9 @@ values ``s + (i+1)*GOLDEN`` in place one cache-sized block (_BLOCK draws)
 at a time; counting its calls counts every draw. A contiguous block of
 draws from position i starts with one add: the read-only table ``_STEPS``
 holds ``(j+1)*GOLDEN`` for the block's draws j, and the block adds the
-scalar ``s + i*GOLDEN`` (mod 2^64) to it. ``raw64_blocks`` streams such
-blocks through one buffer and one mixing scratch that the generator owns.
+scalar ``s + i*GOLDEN`` (mod 2^64) to it. ``byte_lane_blocks`` streams
+such blocks through one buffer and one mixing scratch that the generator
+owns.
 Draws can also be addressed by non-negative position: ``raw64_at``,
 ``random_bits_at`` and ``byte_lanes_at`` start each draw from its counter,
 ``s + (i+1)*GOLDEN``, and give exactly the contiguous stream's values
@@ -124,14 +125,6 @@ def _start_at(seed: int, positions: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _to_uniforms(z: np.ndarray) -> np.ndarray:
-    z >>= _U11
-    u = z.view(np.float64)
-    np.copyto(u, z)  # element-wise in place: each value is read before it is written
-    u *= _INV_2_53
-    return u
-
-
 def _positions(positions) -> np.ndarray:
     """A fresh uint64 copy of non-negative stream positions."""
     p = np.asarray(positions)
@@ -150,30 +143,14 @@ def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     return _draw(z)
 
 
-def raw64_blocks(seed: int, n: int, offset: int = 0):
-    """Iterator over the n raw draws from position offset, one block at a time.
-
-    Yields (start, draws) for consecutive blocks of at most _BLOCK draws;
-    draws equals raw64(seed, n, offset)[start : start + len(draws)]. Every
-    block is mixed into one buffer that the next block overwrites, so a
-    caller consumes or copies each block before asking for the next.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _blocks(seed, n, offset)
-
-
-def _blocks(seed: int, n: int, offset: int):
-    buf = np.empty(min(n, _BLOCK), dtype=np.uint64)
-    scratch = np.empty_like(buf)
-    for start in range(0, n, _BLOCK):
-        z = buf[: min(_BLOCK, n - start)]
-        yield start, _draw(_start(seed, offset + start, z), scratch)
-
-
-def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed: int, n: int) -> np.ndarray:
     """n uniform floats in [0, 1) with 53-bit resolution."""
-    return _to_uniforms(raw64(seed, n, offset))
+    z = raw64(seed, n)
+    z >>= _U11
+    u = z.view(np.float64)
+    np.copyto(u, z)  # element-wise in place: each value is read before it is written
+    u *= _INV_2_53
+    return u
 
 
 def raw64_at(seed: int, positions) -> np.ndarray:
@@ -238,10 +215,17 @@ def byte_lane_blocks(seed: int, n: int, offset: int = 0):
     stream, one rng block of draws at a time.
 
     Yields (start, lanes): lanes (uint8) are the lanes offset + start
-    onward. As with raw64_blocks, every block is a view of one buffer that
-    the next block overwrites."""
+    onward. Every block is mixed into one buffer, with one mixing scratch,
+    and its lanes are a view of that buffer, which the next block
+    overwrites: a caller consumes or copies them before asking for more."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     skip = offset & 7  # lanes of the first draw before lane offset
-    for start, z in raw64_blocks(seed, (skip + n + 7) >> 3, offset >> 3):
+    draws = (skip + n + 7) >> 3
+    buf = np.empty(min(draws, _BLOCK), dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    for start in range(0, draws, _BLOCK):
+        z = _draw(_start(seed, (offset >> 3) + start, buf[: draws - start]), scratch)
         first = 8 * start - skip  # index of the block's first lane among the n
         lo = max(first, 0)
         yield lo, z.astype("<u8", copy=False).view(np.uint8)[lo - first : n - first]

@@ -103,6 +103,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\nsource.mix_ratio = 30:2\n")
 
+    @pytest.mark.parametrize("key", ["fec_ratio", "spread_ratio"])
+    def test_protocol_ratio_below_one_rejected(self, key):
+        # framing.chip_count, which the pool check calls, rejects the ratio
+        with pytest.raises(ConfigError, match="fec_ratio and spread_ratio must be >= 1"):
+            parse_config(MINIMAL + f"\nprotocol.{key} = 0\n")
+
     def test_invalid_physics_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("source.nu = 0.28", "source.nu = 0.9"))

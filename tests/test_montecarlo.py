@@ -131,7 +131,7 @@ class TestDrawClasses:
         reference = np.full(n, CLASS_VACUUM, dtype=np.uint8)
         reference[u61 < np.uint64(math.ceil((p_sig + p_dec) * 2.0**61))] = CLASS_DECOY
         reference[u61 < np.uint64(math.ceil(p_sig * 2.0**61))] = CLASS_SIGNAL
-        assert np.array_equal(draw_classes(lanes, p_sig, p_dec, 11), reference)
+        assert np.array_equal(draw_classes(lanes, p_sig, p_dec, 11, 0), reference)
         if p_sig + p_dec == 1.0:
             assert not np.any(reference == CLASS_VACUUM)
 
@@ -235,24 +235,28 @@ class TestScheduleReads:
     """schedule_counts and classes_at give what the class array gives."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=SEED, n=SPAN, offset=st.integers(0, 3 << 19), mix=MIX)
+    @given(seed=SEED, n=SPAN, mix=MIX)
     # both boundary bytes are 128: floor(256 p_sig) == floor(256 (p_sig + p_dec))
-    @example(seed=77, n=8 * _BLOCK + 5, offset=3, mix=(0.5 + 2.0**-10, 2.0**-10))
+    @example(seed=77, n=8 * _BLOCK + 5, mix=(0.5 + 2.0**-10, 2.0**-10))
     # p_sig + p_dec = 1: the vacuum boundary byte is 256, which no lane equals
-    @example(seed=78, n=8 * _BLOCK + 5, offset=3, mix=(0.75 + 2.0**-10, 0.25 - 2.0**-10))
-    def test_counts_match_class_array(self, seed, n, offset, mix):
-        counts = schedule_counts(seed, n, *mix, offset)
+    @example(seed=78, n=8 * _BLOCK + 5, mix=(0.75 + 2.0**-10, 0.25 - 2.0**-10))
+    # the signal boundary byte is 0, and lane 0 ties it
+    @example(seed=79, n=8 * _BLOCK + 5, mix=(2.0**-10, 0.5))
+    # all signal: both boundary bytes are 256
+    @example(seed=80, n=8 * _BLOCK + 5, mix=(1.0, 0.0))
+    def test_counts_match_class_array(self, seed, n, mix):
+        counts = schedule_counts(seed, n, *mix)
         assert counts.dtype == np.int64
-        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix, offset))[0].tolist()
+        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix))[0].tolist()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=SEED, n=st.integers(1, 300), offset=st.integers(0, 3 << 19), data=st.data())
-    def test_counts_match_with_a_tied_lane(self, lanes_of, seed, n, offset, data):
+    @given(seed=SEED, n=st.integers(1, 300), data=st.data())
+    def test_counts_match_with_a_tied_lane(self, lanes_of, seed, n, data):
         # short ranges hold a tied lane only when a boundary byte is one of theirs
-        lane = lanes_of(seed, n, offset)[data.draw(st.integers(0, n - 1))]
+        lane = lanes_of(seed, n)[data.draw(st.integers(0, n - 1))]
         mix = tied_mix(data, int(lane))
-        counts = schedule_counts(seed, n, *mix, offset)
-        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix, offset))[0].tolist()
+        counts = schedule_counts(seed, n, *mix)
+        assert counts.tolist() == class_counts(class_schedule(seed, n, *mix))[0].tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(

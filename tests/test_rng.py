@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from phaselink import rng
 from phaselink.rng import (
+    BLOCK_LANES,
     GOLDEN,
     below,
+    byte_lane_blocks,
     byte_lanes_at,
     lanes_not_below,
     mix64,
@@ -18,7 +20,6 @@ from phaselink.rng import (
     random_bytes,
     raw64,
     raw64_at,
-    raw64_blocks,
     split_seed,
     ties_not_below,
     uniforms,
@@ -58,41 +59,59 @@ def test_blocks_agree_with_scalar():
 BLOCK_SIZES = [0, 1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 2 * rng._BLOCK + 5]
 
 
+def lane_blocks(seed, n, offset):
+    """The (start, lanes) blocks of byte_lane_blocks, each lanes copied,
+    since the next block reuses the buffer."""
+    return [(start, lanes.copy()) for start, lanes in byte_lane_blocks(seed, n, offset)]
+
+
 @pytest.mark.parametrize("offset", [0, 3, rng._BLOCK - 2, 5 * rng._BLOCK + 7])
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_block_iterator_concatenates_to_stream(n, offset):
-    # consecutive blocks of at most _BLOCK draws, each the stream's slice
-    seed, starts, parts = 8088, [], []
-    for start, z in raw64_blocks(seed, n, offset):
-        assert z.dtype == np.uint64 and 0 < len(z) <= rng._BLOCK
-        starts.append(start)
-        parts.append(z.copy())  # the next block reuses the buffer
-    assert starts == list(range(0, n, rng._BLOCK))
-    draws = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    assert np.array_equal(draws, raw64(seed, n, offset))
-    for i in [0, n - 1] if n else []:
-        assert int(draws[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
+    # the lanes of a short run, inside a draw or from its start, are the
+    # byte stream's slice, in blocks that start where the previous ended
+    seed, parts = 8088, []
+    for start, lanes in lane_blocks(seed, n, offset):
+        assert lanes.dtype == np.uint8 and len(lanes) <= BLOCK_LANES
+        assert start == sum(map(len, parts))
+        parts.append(lanes)
+    assert np.concatenate(parts or [np.empty(0, np.uint8)]).tobytes() == random_bytes(seed, n, offset)
 
 
 @pytest.mark.parametrize("offset", [0, 2**61 + 3, 2**64 - 2**17])
 @pytest.mark.parametrize("n", [0, 1, rng._BLOCK, rng._BLOCK + 1])
 def test_block_starts_match_positional_draws(n, offset):
-    # a block starts as _STEPS plus seed + offset * GOLDEN mod 2^64, a draw
-    # at a position from its own counter: the two agree across block edges
-    # and where offset * GOLDEN wraps 2^64
+    # a block starts as _STEPS plus seed + (offset // 8) * GOLDEN mod 2^64, a
+    # lane at a position from its draw's own counter: the two agree where
+    # (offset // 8) * GOLDEN wraps 2^64
     seed = 0xFEEDFACECAFEBEEF
-    parts = [z.copy() for _, z in raw64_blocks(seed, n, offset)]
-    blocks = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    parts = [lanes for _, lanes in lane_blocks(seed, n, offset)]
+    lanes = np.concatenate(parts or [np.empty(0, np.uint8)])
     positions = np.arange(n, dtype=np.uint64) + np.uint64(offset)
-    assert np.array_equal(blocks, raw64(seed, n, offset))
-    assert np.array_equal(blocks, raw64_at(seed, positions))
+    assert np.array_equal(lanes, byte_lanes_at(seed, positions))
     for i in [0, n - 1] if n else []:
-        assert int(blocks[i]) == mix64((seed + (offset + i + 1) * GOLDEN) & ((1 << 64) - 1))
+        draw = mix64((seed + ((offset + i) // 8 + 1) * GOLDEN) & ((1 << 64) - 1))
+        assert int(lanes[i]) == (draw >> 8 * ((offset + i) % 8)) & 255
 
 
 def test_block_iterator_rejects_negative_count():
     with pytest.raises(ValueError):
-        raw64_blocks(3, -1)
+        next(byte_lane_blocks(3, -1))
+
+
+@pytest.mark.parametrize("offset", [0, 5, 8 * rng._BLOCK - 3, 2**64 - 2**17 + 5])
+def test_byte_lane_blocks_span_three_blocks(offset):
+    # lanes across three rng blocks of draws are the byte stream, block by
+    # block, and every block is a view of the one buffer the first fills
+    n = 2 * BLOCK_LANES + 12_345
+    seed, parts, views = 4242, [], []
+    for start, lanes in byte_lane_blocks(seed, n, offset):
+        assert start == sum(map(len, parts))
+        views.append(lanes)
+        parts.append(lanes.copy())
+    assert len(parts) == 3
+    assert np.concatenate(parts).tobytes() == random_bytes(seed, n, offset)
+    assert all(np.shares_memory(views[0], view) for view in views[1:])
 
 
 def test_uniform_stream_statistics():
@@ -116,8 +135,8 @@ def test_uniform_stream_chi_square():
 
 def test_offset_continuation():
     seed = 55
-    a = uniforms(seed, 100)
-    b = np.concatenate([uniforms(seed, 40), uniforms(seed, 60, offset=40)])
+    a = raw64(seed, 100)
+    b = np.concatenate([raw64(seed, 40), raw64(seed, 60, offset=40)])
     assert np.array_equal(a, b)
 
 
@@ -255,7 +274,7 @@ def as_uniforms(z: np.ndarray) -> np.ndarray:
 
 
 def test_uniforms_are_the_reference_of_raw_draws():
-    assert np.array_equal(uniforms(31, 10_000, 7), as_uniforms(raw64(31, 10_000, 7)))
+    assert np.array_equal(uniforms(31, 10_000), as_uniforms(raw64(31, 10_000)))
 
 
 ULP = 2.0**-53

@@ -16,6 +16,12 @@ A single session pays the first touch of every page its arrays use, while a
 long-running process such as the benchmark's reuses freed heap, so the
 warm means are the ones to compare with the benchmark.
 
+A stage's faults are charged to whichever stage first touches freed and
+trimmed heap, so they move between stages when an unrelated stage stops
+allocating, while a role's totals stay put. Per-stage fault columns, and
+the times that those faults add to, compare only within one run, never
+across checkouts or code changes.
+
 Per config it prints one line for the session, then one per role: each
 endpoint with the totals of its run() steps, and the driver with those of
 run_session_detailed, the whole session. Under each role comes one line
