@@ -68,28 +68,19 @@ class SweepGrid:
             raise ValueError("d_fs_start must be non-negative and d_fs_step positive")
         if self.d_fs_start + self.d_fs_step == self.d_fs_start:
             raise ValueError("d_fs_step does not advance d_fs_start")
-        # the division bounds the count before _count takes its floor
+        # the division bounds the count before points() appends them
         span = (self.d_fs_stop - self.d_fs_start) / self.d_fs_step
-        if span >= MAX_SWEEP_POINTS or self._count() > MAX_SWEEP_POINTS:
+        if span >= MAX_SWEEP_POINTS or len(self.points()) > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep grid holds more than {MAX_SWEEP_POINTS} points")
 
-    def _point(self, i: int) -> float:
-        return self.d_fs_start + i * self.d_fs_step
-
-    def _count(self) -> int:
-        """The first i whose point lies past stop: the points rise with i, so
-        a division estimates it and comparing points settles it."""
-        limit = self.d_fs_stop + 1e-9
-        n = max(math.floor((limit - self.d_fs_start) / self.d_fs_step) + 1, 0)
-        while n > 0 and self._point(n - 1) > limit:
-            n -= 1
-        while self._point(n) <= limit:
-            n += 1
-        return n
-
     def points(self) -> list:
-        """Ascending grid start + i * step; empty when stop < start."""
-        return [self._point(i) for i in range(self._count())]
+        """Ascending grid start + i * step; empty when stop < start. Stops
+        one point past MAX_SWEEP_POINTS, which __post_init__ rejects."""
+        limit = self.d_fs_stop + 1e-9
+        out = []
+        while len(out) <= MAX_SWEEP_POINTS and (d := self.d_fs_start + len(out) * self.d_fs_step) <= limit:
+            out.append(d)
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,6 @@ class ScenarioConfig:
 
 
 # Section name -> dataclass, in ScenarioConfig field order (Optional[X] -> X).
-# A section's keys are its dataclass's fields, with their order and types.
 _SECTIONS = {
     name: (get_args(kind) or (kind,))[0] for name, kind in get_type_hints(ScenarioConfig).items()
 }

@@ -12,17 +12,16 @@ Batches are reproducible: all draws come from counter-based streams keyed
 by the plan seed (see rng), so identical inputs give identical statistics
 and parallel batches can use split_seed for independent streams.
 
-Every per-pulse decision that about 8 bits can make reads byte lanes (see
-rng): pulse i of a stream s reads byte i % 8 of draw i // 8 of s, so 8
-pulses share a draw. A lane equal to a probability's boundary byte
-floor(256 p), about 1 pulse in 256 per probability, also reads draw i of
-the tie stream split_seed(s, 0) for the 53 bits below it
-(rng.ties_not_below, the one tie rule, which rng.lanes_not_below applies
-to a run of lanes). That is exact to the 2^-61 resolution of the pulse's
-uniform and costs about 1/8 + 1/256 draws per pulse and probability
-instead of 1. Three decisions read lanes this way: the class schedule
-(draw_classes, two thresholds per pulse), the dense click compare and the
-error flags (one probability per pulse, its class's).
+Every per-pulse decision that about 8 bits can make reads byte lanes:
+pulse i of a stream reads its byte lane i, 8 pulses to a draw, and a lane
+equal to a probability's boundary byte floor(256 p), about 1 pulse in 256
+per probability, also reads draw i of the stream's tie stream
+(rng.lanes_not_below and the one tie rule, rng.ties_not_below). That is
+exact to the 2^-61 resolution of the pulse's uniform and costs about
+1/8 + 1/256 draws per pulse and probability instead of 1. Three decisions
+read lanes this way: the class schedule (draw_classes, two thresholds per
+pulse), the dense click compare and the error flags (one probability per
+pulse, its class's).
 
 The per-pulse kernels consume their draws one rng block at a time
 (rng.byte_lane_blocks), while it is in cache, and detect's output is per
@@ -41,8 +40,8 @@ dense path to the 2^-61 resolution of a lane's uniform and the sparse one
 to the 2^-53 resolution of a draw's.
 
 - Dense (desk-scale links): pulse i reads byte lane i of the click_seed
-  stream, and on a tie draw i of split_seed(click_seed, 0), and clicks
-  when that uniform is below its class's click probability.
+  stream, and on a tie its tie stream, and clicks when that uniform is
+  below its class's click probability.
 - Sparse (lossy links), skip sampling (Devroye, Non-Uniform Random Variate
   Generation, 1986, ch. X). Word w holds pulses 64 w .. 64 w + 63. Three
   child streams of click_seed (split_seed indices 0, 1, 2) are read:
@@ -61,12 +60,11 @@ to the 2^-53 resolution of a draw's.
   twice.
 
 Error flags, on both paths: only a pulse i that clicked reads byte lane i
-of the error_seed stream, and on a tie draw i of split_seed(error_seed, 0),
-against its class's error probability. rng.byte_lanes_at gathers the lanes
-from the covering words, drawn in one run, where the clicks are dense (at
-least one per 8 pulses of their span, as on a desk link); where they are
-sparse, as on lossy links, each click's word is drawn alone, one draw per
-click.
+of the error_seed stream, and on a tie its tie stream, against its class's
+error probability. rng.byte_lanes_at gathers the lanes from the covering
+words, drawn in one run, where the clicks are dense (at least one per 8
+pulses of their span, as on a desk link); where they are sparse, as on
+lossy links, each click's word is drawn alone, one draw per click.
 """
 
 from __future__ import annotations
@@ -206,27 +204,24 @@ class BatchStats:
     vacuum: ClassCounts
 
 
-def draw_classes(lanes: np.ndarray, p_sig: float, p_dec: float, tie_seed: int, at) -> np.ndarray:
-    """Intensity class per byte lane (uint8): signal where the pulse's 61-bit
-    uniform is below p_sig, decoy below p_sig + p_dec, vacuum otherwise. at
-    gives the lanes' positions, an int for the pulses at, at + 1, ... or an
-    array with one position per lane. A lane that ties a threshold reads
-    draw i of the tie_seed stream (rng.lanes_not_below)."""
+def draw_classes(lanes: np.ndarray, p_sig: float, p_dec: float, seed: int, at) -> np.ndarray:
+    """Intensity class per byte lane of the seed's stream (uint8): signal
+    where the pulse's 61-bit uniform is below p_sig, decoy below p_sig +
+    p_dec, vacuum otherwise (rng.lanes_not_below). at gives the lanes'
+    positions, an int for the pulses at, at + 1, ... or an array with one
+    position per lane."""
     # the class is the number of the two thresholds the uniform is not below
-    return lanes_not_below(lanes, (p_sig, p_sig + p_dec), tie_seed, at)
+    return lanes_not_below(lanes, (p_sig, p_sig + p_dec), seed, at)
 
 
 def class_schedule(seed: int, n: int, p_sig: float, p_dec: float, offset: int = 0) -> np.ndarray:
     """Classes of the n pulses offset .. offset + n - 1 of the seed's
     schedule, one rng block at a time: pulse i reads byte lane i of the
-    seed's stream (byte i % 8 of draw i // 8, little-endian) and, where
-    that lane ties, draw i of the split_seed(seed, 0) stream
-    (draw_classes). The result does not depend on how a caller splits the
-    pulses into calls."""
+    seed's stream (draw_classes). The result does not depend on how a
+    caller splits the pulses into calls."""
     classes = np.empty(n, dtype=np.uint8)
-    tie_seed = split_seed(seed, 0)
     for lo, lanes in byte_lane_blocks(seed, n, offset):
-        classes[lo : lo + len(lanes)] = draw_classes(lanes, p_sig, p_dec, tie_seed, offset + lo)
+        classes[lo : lo + len(lanes)] = draw_classes(lanes, p_sig, p_dec, seed, offset + lo)
     return classes
 
 
@@ -237,7 +232,7 @@ def classes_at(seed: int, positions, p_sig: float, p_dec: float) -> np.ndarray:
     pulses between them."""
     positions = np.asarray(positions, dtype=np.int64)
     lanes = byte_lanes_at(seed, positions)
-    return draw_classes(lanes, p_sig, p_dec, split_seed(seed, 0), positions)
+    return draw_classes(lanes, p_sig, p_dec, seed, positions)
 
 
 def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float) -> np.ndarray:
@@ -251,7 +246,6 @@ def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float) -> np.ndarray
     lanes go through the tie rule (rng.ties_not_below); the rest are decoy."""
     probs = (p_sig, p_sig + p_dec)
     b_sig, b_vac = (math.floor(256.0 * p) for p in probs)
-    tie_seed = split_seed(seed, 0)
     counts = np.zeros(3, dtype=np.int64)
     flags = np.empty((2, min(n, BLOCK_LANES)), dtype=bool)
     for lo, lanes in byte_lane_blocks(seed, n):
@@ -262,7 +256,7 @@ def schedule_counts(seed: int, n: int, p_sig: float, p_dec: float) -> np.ndarray
         ties = np.flatnonzero(f)
         tied = lanes[ties]
         # a tied lane is above b_sig only when it ties b_vac
-        tied_classes = ties_not_below(tied, probs, tie_seed, ties + lo)
+        tied_classes = ties_not_below(tied, probs, seed, ties + lo)
         tied_classes += tied > b_sig
         counts += np.bincount(tied_classes, minlength=3)
     counts[CLASS_DECOY] = n - counts[CLASS_SIGNAL] - counts[CLASS_VACUUM]
@@ -320,11 +314,11 @@ def _below_per_class(z: np.ndarray, classes: np.ndarray, probs) -> np.ndarray:
 
 def _lane_flags(lanes, classes, probs, seed: int, at) -> np.ndarray:
     """Flags of the byte lanes of the seed's stream whose uniform is below
-    the probability of their pulse's class; ties read split_seed(seed, 0)."""
+    the probability of their pulse's class (rng.lanes_not_below)."""
     # one compare per class, not a per-pulse gather; the classes' masks are
     # disjoint and cover classes 0-2, so every count is 0 or 1
     where = [classes == c for c in range(len(probs))]
-    return ~lanes_not_below(lanes, probs, split_seed(seed, 0), at, where).view(bool)
+    return ~lanes_not_below(lanes, probs, seed, at, where).view(bool)
 
 
 def _dense_hits(classes, p_click, click_seed: int) -> tuple:
@@ -387,17 +381,9 @@ def detect(
     len and by one gather of the pulses the click path looks at: a
     contiguous slice per rng block (dense), or the candidates' positions as
     an int array (sparse). The clicks' classes come from that gather, so
-    none is read twice.
-
-    Clicks take one of two paths, chosen by sparse_clicks of the highest
-    class click probability p_max (module docstring). Dense: every pulse i
-    compares byte lane i of the click_seed stream with its class's click
-    probability (rng.lanes_not_below), one rng block at a time, and each block
-    gives up only its click positions and their classes. Sparse: each
-    64-pulse word draws its candidate count, then that many distinct slots,
-    and a candidate of class c is kept with probability p_c / p_max. Only a
-    pulse i that clicked reads byte lane i of the error_seed stream, so
-    errors only occur on clicks.
+    none is read twice. Clicks read the click_seed stream and error flags,
+    on clicks only, the error_seed stream; the module docstring gives the
+    dense and sparse click paths and the draws each reads.
     """
     intensities = (src.mu, src.nu, 0.0)
     p_click = [1.0 - (1.0 - det.y0) * math.exp(-eta * a) for a in intensities]

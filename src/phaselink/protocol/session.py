@@ -310,27 +310,37 @@ def _chip_bits(chips: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.right_shift(chips[index >> 3], (index & 7).astype(np.uint8)) & 1
 
 
-class AliceSession:
-    """Sender endpoint: frames, sampling decisions, ledger, final report."""
+class _Endpoint:
+    """What both endpoints hold: the scenario, the pre-shared key and mask
+    seeds, and the steps of their side of the session (_exchange)."""
 
     def __init__(self, spec: ScenarioConfig):
         self.spec = spec
-        self.ledger = KeyLedger.with_initial(spec.protocol.initial_pool_bits)
         self.key_seed = split_seed(spec.seeds.alice, _S_KEYPOOL)
         self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
-        self.sent_payloads: list = []
-        self.report: Optional[SessionReport] = None
-        self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
         self._steps = self._exchange()
 
     def run(self, message: Optional[tuple] = None):
-        """One step of the sender: message is the (type, payload) it waits
+        """One step of the endpoint: message is the (type, payload) it waits
         for, None otherwise. Returns the next (type, payload) it sends, None
-        when it waits for a message, or ENDED once its report is made."""
+        when it waits for a message, or ENDED once its side has ended."""
         try:
             return self._steps.send(message)
         except StopIteration:
             return ENDED
+
+
+class AliceSession(_Endpoint):
+    """Sender endpoint: frames, sampling decisions, ledger, final report."""
+
+    def __init__(self, spec: ScenarioConfig):
+        super().__init__(spec)
+        self.ledger = KeyLedger.with_initial(spec.protocol.initial_pool_bits)
+        self.sent_payloads: list = []
+        self.report: Optional[SessionReport] = None
+        self._counts = np.zeros((2, 3), dtype=np.int64)  # sent, clicked per class
+
+    run = _Endpoint.run  # in the class's own namespace, where tracers patch it
 
     def _exchange(self):
         """The sender's side of the session, as run steps it."""
@@ -438,7 +448,7 @@ class AliceSession:
         )
 
 
-class BobSession:
+class BobSession(_Endpoint):
     """Receiver endpoint: detection simulation, announcements, decoding.
 
     statuses holds the receiver's decode outcome per frame: "ok", "lost",
@@ -447,14 +457,13 @@ class BobSession:
     payload still counts as failed."""
 
     def __init__(self, spec: ScenarioConfig):
-        self.spec = spec
-        self.key_seed = split_seed(spec.seeds.alice, _S_KEYPOOL)  # pre-shared
-        self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
+        super().__init__(spec)
         self.recovered: dict = {}
         self.statuses: dict = {}
         self.static_db = spec.link_budget().total_db
         self._jitter_x = 0.0
-        self._steps = self._exchange()
+
+    run = _Endpoint.run
 
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
         jit = self.spec.jitter
@@ -463,13 +472,6 @@ class BobSession:
             self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
             return self.static_db + self._jitter_x
         return self.static_db
-
-    def run(self, message: Optional[tuple] = None):
-        """One step of the receiver, as AliceSession.run is of the sender."""
-        try:
-            return self._steps.send(message)
-        except StopIteration:
-            return ENDED
 
     def _exchange(self):
         """The receiver's side of the session, as run steps it."""

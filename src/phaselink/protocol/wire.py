@@ -1,10 +1,7 @@
 """Classical-channel wire protocol and its in-memory transport.
 
-Frame layout, each message's bytes on the wire (HEADER, then the payload):
-
-    [4 bytes - payload length, big-endian]
-    [1 byte  - message type]
-    [N bytes - payload]
+A message is a type and a payload. HEADER (a u32 payload length and a u8
+type, 5 bytes) only sizes each message for benchmarks/tracing.py's byte count.
 
 Message types (the classical channel is assumed authenticated and
 reliable; no cryptography is applied here):
@@ -31,11 +28,10 @@ reliable; no cryptography is applied here):
                           its intensity class 0-2 in bits 2-3 and every
                           other bit zero (a byte with another bit set, or
                           above class 2, is rejected; the check is one OR
-                          and one max over the bytes): 12 + n bytes. Bit 0
-                          held the pulse's chip before CHIPS carried the
-                          chips; the class stays in bits 2-3 because the
-                          benchmark's sender probe (benchmarks/workloads.py)
-                          reads it there, so moving it starts in benchmarks/
+                          and one max over the bytes): 12 + n bytes. The
+                          class sits in bits 2-3 because the benchmark's
+                          sender probe (benchmarks/workloads.py) reads it
+                          there, so moving it starts in benchmarks/
     0x11 CHIPS            u64 start, u32 count n, then the frame's n
                           chips packed little-endian as framing.preprocess
                           gives them (chip i at bit i % 8 of byte i // 8;
@@ -52,12 +48,12 @@ sets the pulse phase with the chip (Z: 0 -> 0, 1 -> pi; X: 0 -> pi/2,
 
 Per frame the sender sends FRAME_META (4 bytes), QUANTUM (12 + n_pulses),
 CHIPS (12 + n_chips/8), SAMPLE_REQUEST and SIFT_MAP, and the receiver
-BASIS_ANNOUNCE, SAMPLE_DISCLOSE and REPORT, each behind a 5-byte header.
-Only QUANTUM and CHIPS grow with the pulses, BASIS_ANNOUNCE with the
-clicks (4.125 bytes each), the rest with the clicks or fewer. A
-measured-link frame (2.11 M pulses, 1.92 M chips, under 1,000 clicks) is
-about 2.11 MB of QUANTUM, 240 kB of CHIPS and 3.5 kB of BASIS_ANNOUNCE, a
-desk frame (70.4 k pulses, 33.8 k clicks) 140 kB of BASIS_ANNOUNCE. Under
+BASIS_ANNOUNCE, SAMPLE_DISCLOSE and REPORT. Only QUANTUM and CHIPS grow
+with the pulses, BASIS_ANNOUNCE with the clicks (4.125 bytes each), the
+rest with the clicks or fewer. A measured-link frame (2.11 M pulses,
+1.92 M chips, under 1,000 clicks) is about 2.11 MB of QUANTUM, 240 kB of
+CHIPS and 3.5 kB of BASIS_ANNOUNCE, a desk frame (70.4 k pulses, 33.8 k
+clicks) 140 kB of BASIS_ANNOUNCE. Under
 MAX_PAYLOAD a BASIS_ANNOUNCE holds at most MAX_CLICKS (16,268,811) clicks;
 config rejects a scenario whose frames could hold more pulses.
 

@@ -221,9 +221,7 @@ def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
     e1 is clamped into [0, 1/2]; values outside only occur when the
     single-photon channel carries no usable information anyway.
     """
-    mu, nu = src.mu, src.nu
-    if not (mu > nu > 0):
-        raise DegenerateIntensities("require mu > nu > 0")
+    mu, nu = src.mu, src.nu  # mu > nu > 0, as SourceConfig checks
     q1 = (
         mu**2
         * math.exp(-mu)

@@ -27,7 +27,7 @@ i of stream s, byte ``i % 8`` of draw ``i // 8`` in that little-endian
 order (byte i of the byte stream), so 8 pulses share one draw. The lane
 is the top 8 bits of a 61-bit uniform. Where it cannot decide alone
 (it equals the threshold's own top byte), the low 53 bits come from draw
-i of the child stream ``split_seed(s, 0)``, compared by ``below``.
+i of the tie stream ``split_seed(s, 0)``, compared by ``below``.
 ``ties_not_below`` is that one rule, and ``lanes_not_below`` applies it to
 the tied lanes of a run of lanes; the class schedule, the dense click
 compare and the error flags of montecarlo all decide on byte lanes
@@ -39,9 +39,7 @@ values ``s + (i+1)*GOLDEN`` in place one cache-sized block (_BLOCK draws)
 at a time; counting its calls counts every draw. A contiguous block of
 draws from position i starts with one add: the read-only table ``_STEPS``
 holds ``(j+1)*GOLDEN`` for the block's draws j, and the block adds the
-scalar ``s + i*GOLDEN`` (mod 2^64) to it. ``byte_lane_blocks`` streams
-such blocks through one buffer and one mixing scratch that the generator
-owns.
+scalar ``s + i*GOLDEN`` (mod 2^64) to it.
 Draws can also be addressed by non-negative position: ``raw64_at``,
 ``random_bits_at`` and ``byte_lanes_at`` start each draw from its counter,
 ``s + (i+1)*GOLDEN``, and give exactly the contiguous stream's values
@@ -96,8 +94,7 @@ def split_seed(seed: int, stream_index: int) -> int:
 def _draw(z: np.ndarray, scratch=None) -> np.ndarray:
     """Mixes started draws z (uint64, s + (i+1) * GOLDEN mod 2^64 each) in
     place, one cache-sized block at a time, and returns z. scratch holds at
-    least min(len(z), _BLOCK) uint64 values; a fresh one is made when None.
-    Every draw of the module passes through here."""
+    least min(len(z), _BLOCK) uint64 values; a fresh one is made when None."""
     if scratch is None:
         scratch = np.empty(min(len(z), _BLOCK), dtype=np.uint64)
     for i in range(0, len(z), _BLOCK):
@@ -163,7 +160,7 @@ def random_bits(seed: int, n: int, offset: int = 0) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     start = offset & 63
-    words = raw64(seed, (start + n + 63) >> 6, offset >> 6)
+    words = raw64(seed, (start + n + 63) >> 6 if n else 0, offset >> 6)
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
     return bits[start : start + n]
 
@@ -221,7 +218,7 @@ def byte_lane_blocks(seed: int, n: int, offset: int = 0):
     if n < 0:
         raise ValueError("n must be non-negative")
     skip = offset & 7  # lanes of the first draw before lane offset
-    draws = (skip + n + 7) >> 3
+    draws = (skip + n + 7) >> 3 if n else 0
     buf = np.empty(min(draws, _BLOCK), dtype=np.uint64)
     scratch = np.empty_like(buf)
     for start in range(0, draws, _BLOCK):
@@ -242,19 +239,18 @@ def below(z: np.ndarray, p: float) -> np.ndarray:
     return z < np.uint64(t << 11)
 
 
-def lanes_not_below(lanes: np.ndarray, probs, tie_seed: int, at, where=None) -> np.ndarray:
-    """Per byte lane, the number (uint8) of the probabilities p in probs
-    that its 61-bit uniform is not below, counting probs[k] only at the
-    lanes where where[k] is set (at every lane when where is None).
+def lanes_not_below(lanes: np.ndarray, probs, seed: int, at, where=None) -> np.ndarray:
+    """Per byte lane of the seed's stream, the number (uint8) of the
+    probabilities p in probs that its 61-bit uniform is not below, counting
+    probs[k] only at the lanes where where[k] is set (at every lane when
+    where is None).
 
     at gives the lanes' stream positions: an int for consecutive lanes
-    at, at + 1, ..., or an array with one position per lane. The uniform of
-    the lane at position i is U = lane * 2^53 + (z >> 11), z draw i of the
-    tie_seed stream, and z is read only where the lane alone cannot decide.
-    For p, let b = floor(256 p): a lane above b is not below p and a lane
-    below b is, and a lane equal to b ties and is below p exactly when
-    below(z, 256 p - b). So U >= ceil(p * 2^61) decides each p: p >= 1
-    never counts (b >= 256) and p <= 0 always does."""
+    at, at + 1, ..., or an array with one position per lane. For p, let
+    b = floor(256 p): a lane above b is not below p and a lane below b is,
+    and a lane equal to b ties and is decided by ties_not_below. So the
+    uniform's compare with ceil(p * 2^61) decides each p: p >= 1 never
+    counts (b >= 256) and p <= 0 always does."""
     bounds = [math.floor(256.0 * p) for p in probs]
     masks = [None] * len(bounds) if where is None else where
     # the first probability's flags become the totals, and each later
@@ -271,19 +267,20 @@ def lanes_not_below(lanes: np.ndarray, probs, tie_seed: int, at, where=None) -> 
     ties = np.flatnonzero(tie)  # about 1 lane in 256 per probability
     at_ties = ties + at if np.ndim(at) == 0 else at[ties]
     where_ties = None if where is None else [mask[ties] for mask in where]
-    counts[ties] += ties_not_below(lanes[ties], probs, tie_seed, at_ties, where_ties)
+    counts[ties] += ties_not_below(lanes[ties], probs, seed, at_ties, where_ties)
     return counts
 
 
-def ties_not_below(tied: np.ndarray, probs, tie_seed: int, at, where=None) -> np.ndarray:
-    """The tie rule of lanes_not_below. Per byte lane tied[i], at stream
+def ties_not_below(tied: np.ndarray, probs, seed: int, at, where=None) -> np.ndarray:
+    """The tie rule. Per byte lane tied[i] of the seed's stream, at stream
     position at[i], the number (uint8) of the probabilities p in probs whose
     boundary byte b = floor(256 p) it equals and that its 61-bit uniform is
     not below, counting probs[k] only where where[k][i] is set (everywhere
-    when where is None). Lane i reads draw at[i] of the tie_seed stream as
-    z, and is not below p exactly when not below(z, 256 p - b). A lane
-    above or below b is not counted for p here."""
-    z = raw64_at(tie_seed, at)
+    when where is None). The low 53 bits of its uniform are the top 53 of
+    z, draw at[i] of the tie stream split_seed(seed, 0), and it is not below
+    p exactly when not below(z, 256 p - b). A lane above or below b is not
+    counted for p here."""
+    z = raw64_at(split_seed(seed, 0), at)
     counts = np.zeros(len(tied), dtype=np.uint8)
     for k, p in enumerate(probs):
         b = math.floor(256.0 * p)
@@ -305,5 +302,5 @@ def _masked(flags: np.ndarray, mask) -> np.ndarray:
 def random_bytes(seed: int, n: int, offset: int = 0) -> bytes:
     """n bytes of the byte stream, starting at byte offset."""
     skip = offset & 7
-    words = raw64(seed, (skip + n + 7) >> 3, offset >> 3)
+    words = raw64(seed, (skip + n + 7) >> 3 if n else 0, offset >> 3)
     return words.astype("<u8", copy=False).tobytes()[skip : skip + n]

@@ -161,6 +161,10 @@ class TestSweepGrid:
         assert len(SweepGrid(0.0, MAX_SWEEP_POINTS - 1, 1.0).points()) == MAX_SWEEP_POINTS
         with pytest.raises(ValueError, match="more than"):
             SweepGrid(0.0, MAX_SWEEP_POINTS, 1.0)
+        # the span is 1e4 steps, but the 1e-9 tolerance past stop holds
+        # about 1.01e6 points
+        with pytest.raises(ValueError, match="more than"):
+            SweepGrid(0.0, 1e-11, 1e-15)
 
     def test_step_that_does_not_advance_rejected(self):
         # 1e-12 is below half an ulp of 1e6, so start + step == start

@@ -111,7 +111,7 @@ class TestDrawClasses:
         classes = draw_classes(lanes, 0.6, 0.3, 7, 1000)
         assert classes.dtype == np.uint8
         expect = [CLASS_SIGNAL] * 153 + [-1] + [CLASS_DECOY] * 76 + [-1] + [CLASS_VACUUM] * 25
-        u_tie = (raw64_at(7, [1153, 1230]) >> np.uint64(11)) * 2.0**-53
+        u_tie = (raw64_at(split_seed(7, 0), [1153, 1230]) >> np.uint64(11)) * 2.0**-53
         expect[153] = CLASS_SIGNAL if u_tie[0] < 256 * 0.6 - 153 else CLASS_DECOY
         expect[230] = CLASS_DECOY if u_tie[1] < 256 * 0.9 - 230 else CLASS_VACUUM
         assert classes.tolist() == expect
@@ -127,7 +127,7 @@ class TestDrawClasses:
         lanes = lanes_of(3, n)
         lanes[:4] = [0, 255, math.floor(256 * p_sig) % 256, math.floor(256 * (p_sig + p_dec)) % 256]
         u61 = lanes.astype(np.uint64) << np.uint64(53)
-        u61 |= raw64(11, n) >> np.uint64(11)
+        u61 |= raw64(split_seed(11, 0), n) >> np.uint64(11)
         reference = np.full(n, CLASS_VACUUM, dtype=np.uint8)
         reference[u61 < np.uint64(math.ceil((p_sig + p_dec) * 2.0**61))] = CLASS_DECOY
         reference[u61 < np.uint64(math.ceil(p_sig * 2.0**61))] = CLASS_SIGNAL
@@ -143,7 +143,7 @@ class TestDrawClasses:
         near = [v for b in bounds for v in (b - 1, b, b, b, b + 1) if 0 <= v < 256] + [0, 255]
         lanes = np.resize(np.array(near, dtype=np.uint8), 4000)
         first = 1 << 40
-        z = raw64_at(13, first + np.arange(len(lanes))).tolist()
+        z = raw64_at(split_seed(13, 0), first + np.arange(len(lanes))).tolist()
         thresholds = [Fraction(t) for t in (p_sig, p_sig + p_dec)]
         expect = [
             sum(Fraction((int(lane) << 53) + (w >> 11), 1 << 61) >= t for t in thresholds)

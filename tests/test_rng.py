@@ -99,6 +99,17 @@ def test_block_iterator_rejects_negative_count():
         next(byte_lane_blocks(3, -1))
 
 
+@pytest.mark.parametrize("offset", [0, 3, 65534, 327687])
+def test_zero_length_reads_draw_nothing(count_draws, offset):
+    # no lane, byte or bit asked for, at an aligned or an unaligned offset:
+    # no draw is mixed and no block is yielded
+    drawn = count_draws()
+    assert list(byte_lane_blocks(8088, 0, offset)) == []
+    assert random_bytes(8088, 0, offset) == b""
+    assert len(random_bits(8088, 0, offset)) == 0
+    assert sum(drawn) == 0
+
+
 @pytest.mark.parametrize("offset", [0, 5, 8 * rng._BLOCK - 3, 2**64 - 2**17 + 5])
 def test_byte_lane_blocks_span_three_blocks(offset):
     # lanes across three rng blocks of draws are the byte stream, block by
@@ -322,12 +333,12 @@ def test_lanes_not_below_exact_at_ties(p):
     z = raw64(split_seed(13, 0), len(lanes), first).tolist()
     u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(lanes, z)]
     expect = [x >= Fraction(p) for x in u]
-    assert lanes_not_below(lanes, [p], split_seed(13, 0), first).tolist() == expect
+    assert lanes_not_below(lanes, [p], 13, first).tolist() == expect
     order = np.random.default_rng(5).permutation(len(lanes))
-    counts = lanes_not_below(lanes[order], [p], split_seed(13, 0), first + order)
+    counts = lanes_not_below(lanes[order], [p], 13, first + order)
     assert counts.tolist() == [expect[i] for i in order]
     odd = np.arange(len(lanes)) % 2 == 1
-    counts = lanes_not_below(lanes, [p, 0.3], split_seed(13, 0), first, [odd, ~odd])
+    counts = lanes_not_below(lanes, [p, 0.3], 13, first, [odd, ~odd])
     assert counts.dtype == np.uint8
     assert counts.tolist() == [x >= Fraction(p if k % 2 else 0.3) for k, x in enumerate(u)]
 
@@ -345,7 +356,7 @@ def test_ties_not_below_counts_only_tied_bounds(probs):
     z = raw64_at(split_seed(21, 0), at).tolist()
     u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(tied, z)]
     for where in (None, masks):
-        counts = ties_not_below(tied, probs, split_seed(21, 0), at, where)
+        counts = ties_not_below(tied, probs, 21, at, where)
         assert counts.dtype == np.uint8
         expect = [
             sum(

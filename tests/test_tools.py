@@ -3,7 +3,8 @@ end and their reports add up, stage_times.py --repeat prints per-session
 means, cli_digests.py lists the CLI runs that it digests and, with
 --against, names the runs whose output differs between two checkouts, and
 bench_pairs.py summarizes and judges paired benchmark result lines, with
-the benchmark itself stubbed."""
+the benchmark itself stubbed, and src_lines.py sorts every line of a
+module into exactly one of its four columns."""
 
 import importlib.util
 import json
@@ -350,3 +351,61 @@ def test_bench_pairs_alternates_sides_with_a_seed_per_pair(monkeypatch, tmp_path
     report = capsys.readouterr().out
     assert ("rate_sweep: failed operations parent 0 of 80, change 0 of 80; failed runs "
             "parent 0, change 0; output digests differ in 1 of 4 pairs") in report
+
+
+SRC_FIXTURE = '''"""Module docstring.
+
+Its second paragraph.
+"""
+
+# a comment-only line
+import os  # a trailing comment is code
+
+
+class Thing:
+    """One line."""
+
+    def method(self):
+        """Two
+        lines."""
+        # an indented comment
+        text = """not a
+
+docstring"""
+        return text
+
+
+async def go():
+    """Async."""
+    return os.sep
+'''
+
+
+def test_src_lines_columns_add_up_to_line_count(tmp_path):
+    # a module with a docstring at each level, comments, blank lines and a
+    # multi-line string that is no docstring, whose empty line counts as
+    # blank; the columns of each module and of the total add up to the
+    # newline count that wc -l prints
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("# package\n")
+    (package / "mod.py").write_text(SRC_FIXTURE)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), "--repo", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = {}
+    for line in done.stdout.splitlines()[1:]:
+        name, *values = line.split()
+        rows[name] = list(map(int, values))
+    # code, doc, comment, blank, lines
+    assert rows == {
+        "src/pkg/__init__.py": [0, 0, 1, 0, 1],
+        "src/pkg/mod.py": [8, 8, 2, 7, 25],
+        "total": [8, 8, 3, 7, 26],
+    }
+    for name in ("__init__.py", "mod.py"):
+        code, doc, comment, blank, lines = rows[f"src/pkg/{name}"]
+        assert code + doc + comment + blank == lines == (package / name).read_bytes().count(b"\n")
