@@ -106,7 +106,7 @@ def cmd_link_budget(cfg: ScenarioConfig, fmt: str) -> str:
 def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
     if cfg.sweep is None:
         raise ConfigError("rate-sweep needs a sweep section or --grid")
-    points = rate_sweep(
+    points = rate_sweep(  # rows in RATE_SWEEP_HEADER's column order
         cfg.geometry,
         cfg.atmosphere,
         cfg.beam,
@@ -115,23 +115,10 @@ def cmd_rate_sweep(cfg: ScenarioConfig, fmt: str) -> str:
         cfg.sweep.points(),
         duty_cycle=cfg.protocol.duty_cycle,
     )
-    rows = [
-        (
-            pt.d_fs,
-            pt.report.key_gen_rate,
-            pt.report.cs_raw,
-            pt.observables.q_mu,
-            pt.observables.e_mu,
-            pt.estimate.q1 if pt.estimate else 0.0,
-            pt.estimate.e1 if pt.estimate else 0.0,
-            int(pt.estimate is None),
-        )
-        for pt in points
-    ]
     if fmt == "json":
         columns = RATE_SWEEP_HEADER.split(",")
-        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2, sort_keys=True)
-    return _csv(RATE_SWEEP_HEADER, rows)
+        return json.dumps([dict(zip(columns, row)) for row in points], indent=2, sort_keys=True)
+    return _csv(RATE_SWEEP_HEADER, points)
 
 
 def cmd_simulate(cfg: ScenarioConfig, fmt: str) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
 from .optics import AtmosphereParams, BeamParams, LinkGeometry, budget_at, fixed_factors
@@ -136,12 +137,7 @@ class DecoyObservables:
     y0: float
 
     def __post_init__(self):
-        if not (0.0 < self.q_nu < 1.0 and 0.0 < self.q_mu < 1.0):
-            raise ValueError("gains must be in (0, 1)")
-        if not (0.0 <= self.e_mu <= 0.5 and 0.0 <= self.e_nu <= 0.5):
-            raise ValueError("QBERs must be in [0, 0.5]")
-        if not (0.0 <= self.y0 <= self.q_nu <= self.q_mu):
-            raise ValueError("require y0 <= q_nu <= q_mu")
+        _check_observables(self.q_mu, self.e_mu, self.q_nu, self.e_nu, self.y0)
 
 
 @dataclass(frozen=True)
@@ -161,15 +157,19 @@ class RateReport:
     key_gen_rate: float = 0.0
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One distance point of a rate sweep; estimate is None where the
-    estimator collapsed, and the point is then reported at zero rate."""
+class SweepPoint(NamedTuple):
+    """One distance point of a rate sweep, a row of `phaselink rate-sweep`'s
+    table. Where the estimator collapsed, collapsed is 1 and the point is
+    reported at zero rate with q1 = e1 = 0."""
 
     d_fs: float
-    report: RateReport
-    observables: DecoyObservables
-    estimate: "DecoyEstimate | None"
+    key_gen_rate: float
+    cs_raw: float
+    q_mu: float
+    e_mu: float
+    q1: float
+    e1: float
+    collapsed: int
 
 
 def binary_entropy(x: float) -> float:
@@ -181,18 +181,67 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _check_observables(q_mu, e_mu, q_nu, e_nu, y0) -> None:
+    if not (0.0 < q_nu < 1.0 and 0.0 < q_mu < 1.0):
+        raise ValueError("gains must be in (0, 1)")
+    if not (0.0 <= e_mu <= 0.5 and 0.0 <= e_nu <= 0.5):
+        raise ValueError("QBERs must be in [0, 0.5]")
+    if not (0.0 <= y0 <= q_nu <= q_mu):
+        raise ValueError("require y0 <= q_nu <= q_mu")
+
+
+def _gain(eta, intensity, y0, e_opt) -> tuple:
+    """(gain, QBER) of one class; e_opt = e_det + e_mis."""
+    photon = -math.expm1(-eta * intensity)
+    gain = y0 + photon
+    if gain == 0.0:
+        return 0.0, E0_BACKGROUND
+    return gain, (E0_BACKGROUND * y0 + e_opt * photon) / gain
+
+
+def _gains(eta, mu, nu, y0, e_opt) -> tuple:
+    """forward_gains on floats: (q_mu, e_mu, q_nu, e_nu), with its checks
+    and DecoyObservables'."""
+    if not (0.0 < eta <= 1.0):
+        raise ValueError("eta must be in (0, 1]")
+    q_mu, e_mu = _gain(eta, mu, y0, e_opt)
+    q_nu, e_nu = _gain(eta, nu, y0, e_opt)
+    if max(q_mu, q_nu) >= 1.0:
+        raise RegimeViolation(f"closed-form gain {max(q_mu, q_nu)!r} is not below 1")
+    _check_observables(q_mu, e_mu, q_nu, e_nu, y0)
+    return q_mu, e_mu, q_nu, e_nu
+
+
+def _estimate(q_mu, q_nu, e_nu, y0, mu, nu) -> tuple:
+    """decoy_estimate on floats: (q1, e1), for mu > nu > 0 as SourceConfig checks."""
+    try:
+        q1 = (
+            mu**2
+            * math.exp(-mu)
+            / (mu * nu - nu**2)
+            * (q_nu * math.exp(nu) - q_mu * math.exp(mu) * nu**2 / mu**2 - (mu**2 - nu**2) / mu**2 * y0)
+        )
+        if not 0.0 < q1 < math.inf:
+            raise EstimatorCollapse(f"single-photon gain bound is {q1:g}")
+        e1 = mu * math.exp(-mu) * (e_nu * q_nu * math.exp(nu) - E0_BACKGROUND * y0) / (nu * q1)
+    except ArithmeticError as exc:  # e^mu overflows, or a product underflows to 0 and divides
+        raise EstimatorCollapse(f"single-photon bound leaves floating-point range: {exc}") from exc
+    if not math.isfinite(e1):
+        raise EstimatorCollapse(f"single-photon error bound is {e1:g}")
+    return q1, min(max(e1, 0.0), 0.5)
+
+
+def _capacity(q, f_ec, q_mu, e_mu, q1, e1) -> float:
+    """secrecy_capacity on floats: cs_raw."""
+    return q * q_mu * (-f_ec * binary_entropy(e_mu) + (q1 / q_mu) * (1.0 - binary_entropy(e1)))
+
+
 def gain_and_qber(eta: float, intensity: float, det: DetectorConfig) -> tuple:
     """Gain and QBER of one intensity class at total transmittance eta.
 
     intensity = 0 yields the vacuum pair (Y0, 1/2).
     """
-    y0 = det.y0
-    photon = -math.expm1(-eta * intensity)
-    gain = y0 + photon
-    if gain == 0.0:
-        return 0.0, E0_BACKGROUND
-    qber = (E0_BACKGROUND * y0 + (det.e_det + det.e_mis) * photon) / gain
-    return gain, qber
+    return _gain(eta, intensity, det.y0, det.e_det + det.e_mis)
 
 
 def forward_gains(eta: float, src: SourceConfig, det: DetectorConfig) -> DecoyObservables:
@@ -200,13 +249,7 @@ def forward_gains(eta: float, src: SourceConfig, det: DetectorConfig) -> DecoyOb
     RegimeViolation when a gain is not below 1: the additive closed form
     Y0 + 1 - exp(-eta a) is no probability there (a high dark count
     probability, or a bright pulse on a short link)."""
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must be in (0, 1]")
-    q_mu, e_mu = gain_and_qber(eta, src.mu, det)
-    q_nu, e_nu = gain_and_qber(eta, src.nu, det)
-    if max(q_mu, q_nu) >= 1.0:
-        raise RegimeViolation(f"closed-form gain {max(q_mu, q_nu)!r} is not below 1")
-    return DecoyObservables(q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=det.y0)
+    return DecoyObservables(*_gains(eta, src.mu, src.nu, det.y0, det.e_det + det.e_mis), det.y0)
 
 
 def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
@@ -216,34 +259,14 @@ def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
          * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2 - (mu^2 - nu^2)/mu^2 * Y0)
     e1 = mu e^-mu (E_nu Q_nu e^nu - e0 Y0) / (nu Q1)
 
-    Raises EstimatorCollapse when the bound degenerates: Q1 <= 0, or Q1 or
-    e1 not finite (mu nu - nu^2 subnormal, for one).
+    Raises EstimatorCollapse when the bound degenerates: Q1 <= 0, Q1 or e1
+    not finite (mu nu - nu^2 subnormal, for one), or its arithmetic leaves
+    floating-point range (e^mu overflows above mu = 709.78; mu nu - nu^2
+    or nu Q1 underflows to 0).
     e1 is clamped into [0, 1/2]; values outside only occur when the
     single-photon channel carries no usable information anyway.
     """
-    mu, nu = src.mu, src.nu  # mu > nu > 0, as SourceConfig checks
-    q1 = (
-        mu**2
-        * math.exp(-mu)
-        / (mu * nu - nu**2)
-        * (
-            obs.q_nu * math.exp(nu)
-            - obs.q_mu * math.exp(mu) * nu**2 / mu**2
-            - (mu**2 - nu**2) / mu**2 * obs.y0
-        )
-    )
-    if not 0.0 < q1 < math.inf:
-        raise EstimatorCollapse(f"single-photon gain bound is {q1:g}")
-    e1 = (
-        mu
-        * math.exp(-mu)
-        * (obs.e_nu * obs.q_nu * math.exp(nu) - E0_BACKGROUND * obs.y0)
-        / (nu * q1)
-    )
-    if not math.isfinite(e1):
-        raise EstimatorCollapse(f"single-photon error bound is {e1:g}")
-    e1 = min(max(e1, 0.0), 0.5)
-    return DecoyEstimate(q1=q1, e1=e1)
+    return DecoyEstimate(*_estimate(obs.q_mu, obs.q_nu, obs.e_nu, obs.y0, src.mu, src.nu))
 
 
 def secrecy_capacity(
@@ -257,10 +280,7 @@ def secrecy_capacity(
     Negative raw values are reported as-is and clamped to zero in
     cs_per_pulse; the insecure regime simply yields no key.
     """
-    cs_raw = src.q * obs.q_mu * (
-        -det.f_ec * binary_entropy(obs.e_mu)
-        + (est.q1 / obs.q_mu) * (1.0 - binary_entropy(est.e1))
-    )
+    cs_raw = _capacity(src.q, det.f_ec, obs.q_mu, obs.e_mu, est.q1, est.e1)
     return RateReport(cs_per_pulse=max(cs_raw, 0.0), cs_raw=cs_raw)
 
 
@@ -287,26 +307,30 @@ def rate_sweep(
     """Evaluate the full chain over a grid of free-space distances, the
     rest of the geometry taken from geom_template.
 
-    The factors that do not depend on d_fs are computed once per sweep; each
-    point runs optics.budget_at (transmittance's arithmetic and checks, with
-    no LinkBudget) -> forward_gains -> decoy_estimate -> secrecy_capacity;
-    the key generation rate scales by rep_rate, the signal fraction of the
-    mix ratio, and duty_cycle. An estimator collapse at a point is recorded
-    as a zero-rate SweepPoint, not a sweep failure.
+    Returns the table's rows, one SweepPoint per grid point. The factors
+    that do not depend on d_fs are computed once per sweep; each point runs
+    optics.budget_at (transmittance's arithmetic and checks, with no
+    LinkBudget) and the float kernels behind forward_gains, decoy_estimate
+    and secrecy_capacity, with their checks, and builds no object but its
+    row. The key generation rate scales by rep_rate, the signal fraction of
+    the mix ratio, and duty_cycle. An estimator collapse at a point is
+    recorded as a zero-rate row, not a sweep failure.
     """
     grid = list(d_fs_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("d_fs_grid must be sorted ascending")
     scale = src.rep_rate * src.signal_fraction * duty_cycle
     fixed = fixed_factors(geom_template, det.eta_b, det.eta_d)
+    mu, nu, y0, e_opt, q, f_ec = src.mu, src.nu, det.y0, det.e_det + det.e_mis, src.q, det.f_ec
     points = []
     for d_fs in grid:
-        obs = forward_gains(budget_at(d_fs, geom_template.a_r, atm, beam, fixed)[0], src, det)
+        eta = budget_at(d_fs, geom_template.a_r, atm, beam, fixed)[0]
+        q_mu, e_mu, q_nu, e_nu = _gains(eta, mu, nu, y0, e_opt)
         try:
-            est = decoy_estimate(obs, src)
-            cs = secrecy_capacity(obs, est, src, det)
+            q1, e1 = _estimate(q_mu, q_nu, e_nu, y0, mu, nu)
         except EstimatorCollapse:
-            est, cs = None, RateReport(cs_per_pulse=0.0, cs_raw=0.0)
-        report = RateReport(cs.cs_per_pulse, cs.cs_raw, scale * cs.cs_per_pulse)
-        points.append(SweepPoint(d_fs, report, obs, est))
+            points.append(SweepPoint(d_fs, scale * 0.0, 0.0, q_mu, e_mu, 0.0, 0.0, 1))
+            continue
+        cs_raw = _capacity(q, f_ec, q_mu, e_mu, q1, e1)
+        points.append(SweepPoint(d_fs, scale * max(cs_raw, 0.0), cs_raw, q_mu, e_mu, q1, e1, 0))
     return points

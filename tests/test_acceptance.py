@@ -94,7 +94,7 @@ def test_criterion_06_thirty_km_feasibility():
         conv_loss_db=15.4, adapter_loss_db=0.42, alpha_fiber=0.2,
     )
     points = rate_sweep(geom_up, ATM, BEAM, SRC, det_up, [30_000.0])
-    rate = points[0].report.key_gen_rate
+    rate = points[0].key_gen_rate
     ok = rate > 0.0 and (time.time() - t0) < 1.0
     report(6, ok, f"upgraded parameters give key_gen_rate={rate:.1f} bps > 0 at 30 km")
 

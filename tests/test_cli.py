@@ -377,6 +377,7 @@ EDGE_CASES = st.sampled_from(KEYS).flatmap(
 @example(case=("source.rep_rate", 5e-324), command="session")
 @example(case=("protocol.duty_cycle", 5e-324), command="session")
 @example(case=("source.nu", 5e-324), command="rate-sweep")
+@example(case=("source.mu", 800.0), command="rate-sweep")
 @example(case=("source.mix_ratio", "1:4000:4000"), command="session")  # 70 M-pulse frames
 def test_config_edge_values_end_in_documented_exit(tmp_path_factory, case, command):
     # each config key at an edge value, on each command: a documented exit,

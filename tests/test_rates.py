@@ -1,11 +1,15 @@
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselink import cli
+from phaselink.config import SweepGrid, load_config
 from phaselink.errors import DegenerateIntensities, DomainError, EstimatorCollapse, RegimeViolation
 from phaselink.optics import AtmosphereParams, BeamParams, LinkGeometry, critical_distance, transmittance
 from phaselink.rates import (
@@ -23,6 +27,7 @@ from phaselink.rates import (
     secrecy_capacity,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
 
@@ -147,6 +152,17 @@ class TestDecoyEstimate:
         with pytest.raises(EstimatorCollapse):
             decoy_estimate(obs, SRC)
 
+    @pytest.mark.parametrize(
+        "mu,nu", [(800.0, 0.1), (0.4, 5e-324)], ids=["exp-mu-overflow", "zero-divisor"]
+    )
+    def test_collapse_out_of_float_range(self, mu, nu):
+        # e^mu overflows above mu = 709.78, and mu nu - nu^2 rounds to 0 for
+        # mu < 1/2 at the smallest nu; both once escaped as an untyped
+        # OverflowError or ZeroDivisionError
+        src = SourceConfig(mu=mu, nu=nu)
+        with pytest.raises(EstimatorCollapse, match="floating-point range"):
+            decoy_estimate(forward_gains(ETA_MEASURED, src, DET), src)
+
     def test_collapse_on_subnormal_decoy_intensity(self):
         # mu nu - nu^2 is subnormal, so the bound was NaN and reached
         # binary_entropy as a DomainError
@@ -232,7 +248,7 @@ GEOM = LinkGeometry(
 
 
 def chain_point(geom, atm, src, det, d_fs):
-    """One sweep point from the standalone chain: transmittance ->
+    """One sweep row from the standalone chain: transmittance ->
     forward_gains -> decoy_estimate -> secrecy_capacity, zero rate where the
     estimator collapses."""
     eta = transmittance(replace(geom, d_fs=d_fs), atm, BEAM, det.eta_b, det.eta_d).eta_total
@@ -243,7 +259,8 @@ def chain_point(geom, atm, src, det, d_fs):
     except EstimatorCollapse:
         est, cs = None, RateReport(cs_per_pulse=0.0, cs_raw=0.0)
     rate = src.rep_rate * src.signal_fraction * cs.cs_per_pulse
-    return SweepPoint(d_fs, RateReport(cs.cs_per_pulse, cs.cs_raw, rate), obs, est)
+    q1, e1 = (est.q1, est.e1) if est else (0.0, 0.0)
+    return SweepPoint(d_fs, rate, cs.cs_raw, obs.q_mu, obs.e_mu, q1, e1, int(est is None))
 
 
 def sweep_against_chain(geom, atm, src, det, grid):
@@ -309,14 +326,14 @@ class TestSweepEqualsChain:
         # estimator at every point, which the sweep reports at zero rate
         assert sweep_against_chain(GEOM, ATM, COLLAPSE_SRC, DET, [0.0, 1400.0]) is None
         points = rate_sweep(GEOM, ATM, BEAM, COLLAPSE_SRC, DET, [0.0, 1400.0])
-        assert [p.estimate for p in points] == [None, None]
+        assert [(p.collapsed, p.q1, p.e1) for p in points] == [(1, 0.0, 0.0), (1, 0.0, 0.0)]
 
 
 class TestRateSweep:
     def test_monotone_decreasing_rate(self):
         grid = [float(d) for d in range(0, 5001, 250)]
         points = rate_sweep(GEOM, ATM, BEAM, SRC, DET, grid)
-        rates = [p.report.key_gen_rate for p in points]
+        rates = [p.key_gen_rate for p in points]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
         assert rates[0] > 0.0
 
@@ -326,33 +343,46 @@ class TestRateSweep:
         points = rate_sweep(
             geom_up, ATM, BEAM, SRC, det_up, [float(d) for d in range(0, 40_001, 2000)]
         )
-        positive = [p.d_fs for p in points if p.report.key_gen_rate > 0.0]
+        positive = [p.d_fs for p in points if p.key_gen_rate > 0.0]
         assert max(positive) >= 30_000.0
         at_30 = next(p for p in points if p.d_fs == 30_000.0)
-        assert at_30.report.key_gen_rate == pytest.approx(557.0777153809506, rel=1e-9)
+        assert at_30.key_gen_rate == pytest.approx(557.0777153809506, rel=1e-9)
 
     def test_composition_consistency(self):
         # the swept point must equal a standalone evaluation bit-for-bit; at a
-        # point where the estimator collapses (mu nu - nu^2 subnormal) it has
-        # no estimate and a zero report
+        # point where the estimator collapses (mu nu - nu^2 subnormal) it is
+        # flagged collapsed, with zero estimate and zero rate
         eta = transmittance(GEOM, ATM, BEAM, DET.eta_b, DET.eta_d).eta_total
         for src, collapses in ((SRC, False), (SourceConfig(mu=0.71, nu=5e-324), True)):
             (point,) = rate_sweep(GEOM, ATM, BEAM, src, DET, [1400.0])
             obs = forward_gains(eta, src, DET)
-            assert point.observables == obs
+            assert (point.d_fs, point.q_mu, point.e_mu) == (1400.0, obs.q_mu, obs.e_mu)
             if collapses:
                 with pytest.raises(EstimatorCollapse):
                     decoy_estimate(obs, src)
-                assert point.estimate is None
-                assert point.report == RateReport(cs_per_pulse=0.0, cs_raw=0.0, key_gen_rate=0.0)
+                assert (point.collapsed, point.q1, point.e1) == (1, 0.0, 0.0)
+                assert (point.key_gen_rate, point.cs_raw) == (0.0, 0.0)
             else:
                 est = decoy_estimate(obs, src)
                 standalone = secrecy_capacity(obs, est, src, DET)
-                assert point.estimate == est
-                assert point.report.cs_raw == standalone.cs_raw
-                assert point.report.cs_per_pulse == standalone.cs_per_pulse
+                assert (point.collapsed, point.q1, point.e1) == (0, est.q1, est.e1)
+                assert point.cs_raw == standalone.cs_raw
                 scale = src.rep_rate * src.signal_fraction
-                assert point.report.key_gen_rate == scale * standalone.cs_per_pulse
+                assert point.key_gen_rate == scale * standalone.cs_per_pulse
+
+    def test_dense_grid_output_digests(self):
+        # the benchmark's rate_sweep workload: upgraded_link.cfg over 0-40 km
+        # in 10 m steps, 4001 rows; the digests were taken before the sweep
+        # ran on float kernels and must not move
+        cfg = replace(load_config(CONFIG_DIR / "upgraded_link.cfg"), sweep=SweepGrid(0.0, 40000.0, 10.0))
+        csv = cli.cmd_rate_sweep(cfg, "csv")
+        assert csv.count("\n") == 4002
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == (
+            "1309580b6ed0e30451677eaf177aef21df202fb69f99ff169f778b951a5be12d"
+        )
+        assert hashlib.sha256(cli.cmd_rate_sweep(cfg, "json").encode("utf-8")).hexdigest() == (
+            "723f25f3b1235ffdf51cf29e0c73eb679817c7fd4427ab413b8cfab43217d227"
+        )
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
