@@ -41,7 +41,7 @@ from .errors import KeyPoolExhausted, RegimeViolation
 from .montecarlo import PulsePlan, simulate_batch, stats_to_observables
 from .protocol.session import Seeds, run_session_detailed
 from .rates import decoy_estimate, rate_sweep
-from .rng import split_seed
+from .rng import child
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,10 +61,8 @@ SESSION_HEADER = (
 def _apply_seed_override(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
     if seed is None:
         return cfg
-    seeds = Seeds(
-        alice=split_seed(seed, 1), bob=split_seed(seed, 2), channel=split_seed(seed, 3)
-    )
-    return replace(cfg, seeds=seeds)
+    seeds = {name: child(seed, name) for name in ("alice", "bob", "channel")}
+    return replace(cfg, seeds=Seeds(**seeds))
 
 
 def _parse_grid(text: str) -> SweepGrid:

@@ -8,9 +8,8 @@ below sampling noise at the scales simulated here. Double-click events are
 not modeled. detect is the one detection kernel: simulate_batch and the
 session receiver both call it.
 
-Batches are reproducible: all draws come from counter-based streams keyed
-by the plan seed (see rng), so identical inputs give identical statistics
-and parallel batches can use split_seed for independent streams.
+Batches are reproducible: every draw comes from a counter-based stream of
+the plan seed (rng.STREAMS), so identical inputs give identical statistics.
 
 Every per-pulse decision that about 8 bits can make reads byte lanes:
 pulse i of a stream reads its byte lane i, 8 pulses to a draw, and a lane
@@ -44,7 +43,7 @@ to the 2^-53 resolution of a draw's.
   below its class's click probability.
 - Sparse (lossy links), skip sampling (Devroye, Non-Uniform Random Variate
   Generation, 1986, ch. X). Word w holds pulses 64 w .. 64 w + 63. Three
-  child streams of click_seed (split_seed indices 0, 1, 2) are read:
+  child streams of click_seed (rng.STREAMS) are read:
   - counts: draw w gives word w's candidate count k ~ Binomial(64, p_max),
     found by an integer search of its top 53 bits in count_thresholds;
   - slots: a word with k >= 1 reads draws 64 w .. 64 w + k - 1 to pick k
@@ -55,9 +54,6 @@ to the 2^-53 resolution of a draw's.
   Each pulse is then a candidate in an independent Bernoulli(p_max)
   trial, and a pulse of class c clicks with probability p_c. That costs
   about 1/64 + 2 p_max draws per pulse instead of 1.
-  The dense path's tie stream and the sparse path's count stream are the
-  same child, but one detect call takes one path, so no call reads it
-  twice.
 
 Error flags, on both paths: only a pulse i that clicked reads byte lane i
 of the error_seed stream, and on a tie its tie stream, against its class's
@@ -81,10 +77,10 @@ from .rng import (
     below,
     byte_lane_blocks,
     byte_lanes_at,
+    child,
     lanes_not_below,
     raw64,
     raw64_at,
-    split_seed,
     ties_not_below,
 )
 
@@ -114,17 +110,16 @@ __all__ = [
     "count_thresholds",
     "simulate_batch",
     "stats_to_observables",
-    "split_seed",
 ]
 
 
 @dataclass(frozen=True)
 class PulsePlan:
     """Pulse count, seed and class probabilities of a batch, and its class
-    schedule class_schedule(split_seed(seed, 0), n_pulses, p_sig, p_dec),
-    read from the seed only where asked: len, contiguous slices and int
-    arrays of positions read as the class array does, and counts() tallies
-    it (schedule_counts)."""
+    schedule class_schedule(child(seed, "plan_schedule"), n_pulses, p_sig,
+    p_dec), read from the seed only where asked: len, contiguous slices and
+    int arrays of positions read as the class array does, and counts()
+    tallies it (schedule_counts)."""
 
     n_pulses: int
     seed: int
@@ -145,7 +140,7 @@ class PulsePlan:
         return self.n_pulses
 
     def __getitem__(self, key) -> np.ndarray:
-        seed = split_seed(self.seed, 0)
+        seed = child(self.seed, "plan_schedule")
         if isinstance(key, slice):
             lo, hi, step = key.indices(self.n_pulses)
             if step != 1:
@@ -154,7 +149,8 @@ class PulsePlan:
         return classes_at(seed, key, self.p_sig, self.p_dec)
 
     def counts(self) -> np.ndarray:
-        return schedule_counts(split_seed(self.seed, 0), self.n_pulses, self.p_sig, self.p_dec)
+        seed = child(self.seed, "plan_schedule")
+        return schedule_counts(seed, self.n_pulses, self.p_sig, self.p_dec)
 
 
 @dataclass(frozen=True)
@@ -355,15 +351,15 @@ def _sparse_hits(classes, p_click, click_seed: int) -> tuple:
     if p_max == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     table = count_thresholds(p_max)
-    u53 = raw64(split_seed(click_seed, 0), -(-n // 64))
+    u53 = raw64(child(click_seed, "counts"), -(-n // 64))
     u53 >>= _U11
     words = np.flatnonzero(u53 >= table[0])  # k >= 1; the search runs on these only
     k = np.searchsorted(table, u53[words], side="right")
-    pos = _distinct_slots(split_seed(click_seed, 1), words, k)
+    pos = _distinct_slots(child(click_seed, "slots"), words, k)
     pos = pos[pos < n]
     classes_pos = classes[pos]
     ratios = [p / p_max for p in p_click]
-    keep = _below_per_class(raw64_at(split_seed(click_seed, 2), pos), classes_pos, ratios)
+    keep = _below_per_class(raw64_at(child(click_seed, "thinning"), pos), classes_pos, ratios)
     return pos[keep], classes_pos[keep]
 
 
@@ -405,7 +401,8 @@ def simulate_batch(
     errored tallies, so no per-pulse array is built on a lossy link."""
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
-    _, err, cls = detect(plan, eta, src, det, split_seed(plan.seed, 1), split_seed(plan.seed, 2))
+    clicks, errors = child(plan.seed, "plan_clicks"), child(plan.seed, "plan_errors")
+    _, err, cls = detect(plan, eta, src, det, clicks, errors)
     # (sent, clicked, errored) per class
     per_class = np.vstack([plan.counts(), class_counts(cls, err)]).T
     return BatchStats(*(ClassCounts(*map(float, counts)) for counts in per_class))

@@ -12,7 +12,7 @@ Forward direction (preprocess):
 The pad bit of chip i of frame f is key[f * n_chips + i] XOR mask_f[i]:
 key is the bit stream of key_seed, read at a fixed position per chip
 whatever the key pool holds (the ledger only counts bits), and mask_f is
-the keyed mask stream of mask_seed and f. Because undetected chip
+frame f's stream of mask_seed (rng.STREAMS). Because undetected chip
 positions never leave the masked domain, their pad bits reveal nothing
 and can be recycled.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FrameCorrupt, FrameLost
-from ..rng import random_bits_at, random_bytes, split_seed
+from ..rng import child, random_bits_at, random_bytes
 
 PAYLOAD_BYTES = 125
 PAYLOAD_BITS = PAYLOAD_BYTES * 8
@@ -46,7 +46,7 @@ def chip_count(fec_ratio: int, spread_ratio: int) -> int:
 def _pad(frame_id: int, n_chips: int, key_seed: int, mask_seed: int, positions=None):
     """Pad bits (uint8 0/1) of the frame's chips at the given positions,
     or of every chip, packed little-endian, when positions is None."""
-    mask = split_seed(mask_seed, frame_id)
+    mask = child(mask_seed, frame_id)
     if positions is None:
         size = n_chips // 8
         pad = np.frombuffer(random_bytes(key_seed, size, offset=frame_id * size), dtype=np.uint8)

@@ -61,10 +61,11 @@ its clicks go through class_counts.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
-from those three seeds. Rates are reported on the simulated clock,
-elapsed = pulses / (rep_rate * duty_cycle), and the jitter walk steps by
-each frame's duration on that clock; a clock that leaves floating-point
-range (a frame's duration, or elapsed) raises RegimeViolation (_clock_s).
+from those three seeds (rng.STREAMS). Rates are reported on the simulated
+clock, elapsed = pulses / (rep_rate * duty_cycle), and the jitter walk
+steps by each frame's duration on that clock; a clock that leaves
+floating-point range (a frame's duration, or elapsed) raises
+RegimeViolation (_clock_s).
 """
 
 from __future__ import annotations
@@ -80,26 +81,13 @@ from ..errors import FrameCorrupt, FrameLost, ProtocolError, RegimeViolation
 from ..montecarlo import CLASS_DECOY, CLASS_SIGNAL, class_counts, class_schedule, detect
 from ..optics import jitter_step
 from ..rates import SourceConfig
-from ..rng import random_bits_at, random_bytes, split_seed, uniforms
+from ..rng import child, random_bits_at, random_bytes, uniforms
 from . import wire
 from .framing import PAYLOAD_BITS, PAYLOAD_BYTES, chip_count, decode, preprocess
 from .ledger import KeyLedger, ledger_commit
 
 if TYPE_CHECKING:
     from ..config import ScenarioConfig
-
-# stream ids: frame f reads stream S of a base seed at _frame_seed(base, S, f);
-# the key pool and mask are split_seed(seeds.alice, S), and the receiver's
-# basis stream of frame f is split_seed(seeds.bob, f)
-_S_PAYLOAD = 1  # under seeds.alice
-_S_SCHEDULE = 2
-_S_ALICE_BASIS = 4
-_S_SAMPLE = 5
-_S_KEYPOOL = 100
-_S_MASK = 101
-_S_CLICK = 1  # under seeds.channel
-_S_ERROR = 2
-_S_JITTER = 3
 
 QBER_EPSILON = 1e-3  # bound on the chance that a session over a link within the threshold aborts
 ENDED = "ended"  # what an endpoint's run returns once the endpoint has ended
@@ -156,11 +144,6 @@ class SessionReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _frame_seed(base: int, stream: int, frame_id: int) -> int:
-    """Seed of frame frame_id's draws in the numbered stream of a base seed."""
-    return split_seed(split_seed(base, stream), frame_id)
 
 
 def _clock_s(pulses: int, rate: float) -> float:
@@ -316,8 +299,8 @@ class _Endpoint:
 
     def __init__(self, spec: ScenarioConfig):
         self.spec = spec
-        self.key_seed = split_seed(spec.seeds.alice, _S_KEYPOOL)
-        self.mask_seed = split_seed(spec.seeds.alice, _S_MASK)
+        self.key_seed = child(spec.seeds.alice, "key_pool")
+        self.mask_seed = child(spec.seeds.alice, "mask")
         self._steps = self._exchange()
 
     def run(self, message: Optional[tuple] = None):
@@ -354,7 +337,7 @@ class AliceSession(_Endpoint):
         abort_reason = None
 
         for f in range(p.n_frames):
-            payload = random_bytes(_frame_seed(spec.seeds.alice, _S_PAYLOAD, f), PAYLOAD_BYTES)
+            payload = random_bytes(child(spec.seeds.alice, "payload", f), PAYLOAD_BYTES)
             self.sent_payloads.append(payload)
             self.ledger.debit(n_chips)  # one pad bit per chip
             chips = preprocess(
@@ -362,7 +345,7 @@ class AliceSession(_Endpoint):
             )
 
             classes, words, before = _draw_schedule(
-                _frame_seed(spec.seeds.alice, _S_SCHEDULE, f), n_chips, spec.source
+                child(spec.seeds.alice, "schedule", f), n_chips, spec.source
             )
             n_pulses = len(classes)
 
@@ -379,11 +362,11 @@ class AliceSession(_Endpoint):
             hit_classes = classes[hit]
             self._counts[1] += class_counts(hit_classes)[0]
 
-            bases = random_bits_at(_frame_seed(spec.seeds.alice, _S_ALICE_BASIS, f), hit)
+            bases = random_bits_at(child(spec.seeds.alice, "alice_bases", f), hit)
             keep = (bases == bob_bases) & (hit_classes == CLASS_SIGNAL)  # one flag per click
             kept = np.flatnonzero(keep)  # indices into hit
 
-            sample_seed = _frame_seed(spec.seeds.alice, _S_SAMPLE, f)
+            sample_seed = child(spec.seeds.alice, "sample", f)
             sample = _sample_positions(kept, p.sample_fraction, sample_seed)
             n_sample = len(sample)
             yield wire.SAMPLE_REQUEST, wire.encode_sample_request(sample)
@@ -468,7 +451,7 @@ class BobSession(_Endpoint):
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
         jit = self.spec.jitter
         if jit is not None and jit.max_db > 0.0:
-            u = uniforms(_frame_seed(self.spec.seeds.channel, _S_JITTER, frame_id), 1)[0]
+            u = uniforms(child(self.spec.seeds.channel, "jitter", frame_id), 1)[0]
             self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
             return self.static_db + self._jitter_x
         return self.static_db
@@ -503,10 +486,10 @@ class BobSession(_Endpoint):
                 10.0 ** (-loss_db / 10.0),
                 spec.source,
                 spec.detector,
-                _frame_seed(spec.seeds.channel, _S_CLICK, f),
-                _frame_seed(spec.seeds.channel, _S_ERROR, f),
+                child(spec.seeds.channel, "clicks", f),
+                child(spec.seeds.channel, "errors", f),
             )
-            bob_bases = random_bits_at(split_seed(spec.seeds.bob, f), hit)
+            bob_bases = random_bits_at(child(spec.seeds.bob, f), hit)
 
             yield wire.BASIS_ANNOUNCE, wire.encode_basis_announce(start, n_pulses, hit, bob_bases)
 

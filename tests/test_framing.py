@@ -7,7 +7,7 @@ from scipy.stats import binom
 from phaselink.errors import FrameCorrupt, FrameLost, KeyPoolExhausted
 from phaselink.protocol.framing import chip_count, decode, preprocess
 from phaselink.protocol.ledger import KeyLedger
-from phaselink.rng import random_bits, random_bytes, split_seed
+from phaselink.rng import child, random_bytes, split_seed
 
 
 def make_payload(seed):
@@ -38,13 +38,13 @@ class TestFrame:
 
 
 class TestPreprocess:
-    def test_identity_pipeline(self):
+    def test_identity_pipeline(self, random_bits):
         # unit ratios: removing key[f*n + i] and mask_f[i] leaves the payload bits
         payload = make_payload(1)
         n = chip_count(1, 1)
         chips = on_air(payload, 3, 1, 1, key_seed=4, mask_seed=9)
         chips ^= random_bits(4, n, offset=3 * n)
-        chips ^= random_bits(split_seed(9, 3), n)
+        chips ^= random_bits(child(9, 3), n)
         assert np.array_equal(chips, np.unpackbits(np.frombuffer(payload, dtype=np.uint8)))
 
     def test_invertible(self):
@@ -62,27 +62,27 @@ class TestPreprocess:
         assert 0 < sum(drawn) <= 2 * (-(-n // 64) + 1)
 
     @given(seed=st.integers(0, 2**32), frame_id=st.integers(0, 40))
-    def test_matches_repeat_form(self, seed, frame_id):
+    def test_matches_repeat_form(self, random_bits, seed, frame_id):
         # fec 3, spread 7: 21,000 chips per frame, so the key offset
         # frame_id * 21,000 falls inside a 64-bit draw for most frames, and
         # a payload bit's 21 chips start inside a chip byte
-        self.check_packed_repeat_form(3, 7, seed, frame_id)
+        self.check_packed_repeat_form(random_bits, 3, 7, seed, frame_id)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32), frame_id=st.integers(0, 40))
-    def test_matches_repeat_form_spread_1920(self, seed, frame_id):
+    def test_matches_repeat_form_spread_1920(self, random_bits, seed, frame_id):
         # the measured link's ratios: 240 whole chip bytes per payload bit
-        self.check_packed_repeat_form(1, 1920, seed, frame_id)
+        self.check_packed_repeat_form(random_bits, 1, 1920, seed, frame_id)
 
     @staticmethod
-    def check_packed_repeat_form(fec, spread, seed, frame_id):
+    def check_packed_repeat_form(random_bits, fec, spread, seed, frame_id):
         n = chip_count(fec, spread)
         payload = make_payload(seed)
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
         reference = (
             np.repeat(bits, fec * spread)
             ^ random_bits(4, n, offset=frame_id * n)
-            ^ random_bits(split_seed(9, frame_id), n)
+            ^ random_bits(child(9, frame_id), n)
         )
         chips = preprocess(payload, frame_id, fec, spread, key_seed=4, mask_seed=9)
         assert chips.dtype == np.uint8 and len(chips) == n // 8
@@ -197,7 +197,7 @@ class TestDecode:
 
 
 class TestMaskStream:
-    def test_keyed_and_per_frame(self):
+    def test_keyed_and_per_frame(self, random_bits):
         # with the payload bits and key[f*n + i] removed, the chips leave
         # the frame's mask; it depends on mask_seed and frame id only
         payload = make_payload(8)
@@ -212,4 +212,4 @@ class TestMaskStream:
         assert not np.array_equal(a, mask(1, 1))
         assert not np.array_equal(a, mask(2, 0))
         assert np.array_equal(a, mask(1, 0))
-        assert np.array_equal(a, random_bits(split_seed(1, 0), n))
+        assert np.array_equal(a, random_bits(child(1, 0), n))

@@ -27,7 +27,6 @@ from phaselink.montecarlo import (
     schedule_counts,
     simulate_batch,
     sparse_clicks,
-    split_seed,
     stats_to_observables,
 )
 from phaselink.rates import (
@@ -38,7 +37,7 @@ from phaselink.rates import (
     forward_gains,
     gain_and_qber,
 )
-from phaselink.rng import _BLOCK, raw64, raw64_at, uniforms
+from phaselink.rng import _BLOCK, child, raw64, raw64_at, split_seed, uniforms
 
 SRC = SourceConfig(mu=0.71, nu=0.28)
 DET = DetectorConfig(p_d=1e-6, eta_d=0.2, visibility=0.9847, eta_b=10 ** -0.65)
@@ -74,10 +73,10 @@ class TestPulsePlan:
 
     def test_reads_as_the_class_array(self):
         # len, contiguous slices, positions and counts() read the schedule
-        # split_seed(seed, 0) from the seed, with no class array held
+        # from the seed, with no class array held
         n = 8 * _BLOCK + 13
         plan = PulsePlan(n, 5, 0.6, 0.3)
-        classes = class_schedule(split_seed(5, 0), n, 0.6, 0.3)
+        classes = class_schedule(child(5, "plan_schedule"), n, 0.6, 0.3)
         pos = np.array([n - 1, 0, 7, 7, 8 * _BLOCK])
         assert len(plan) == n
         assert np.array_equal(plan[:], classes)
@@ -111,7 +110,7 @@ class TestDrawClasses:
         classes = draw_classes(lanes, 0.6, 0.3, 7, 1000)
         assert classes.dtype == np.uint8
         expect = [CLASS_SIGNAL] * 153 + [-1] + [CLASS_DECOY] * 76 + [-1] + [CLASS_VACUUM] * 25
-        u_tie = (raw64_at(split_seed(7, 0), [1153, 1230]) >> np.uint64(11)) * 2.0**-53
+        u_tie = (raw64_at(child(7, "tie"), [1153, 1230]) >> np.uint64(11)) * 2.0**-53
         expect[153] = CLASS_SIGNAL if u_tie[0] < 256 * 0.6 - 153 else CLASS_DECOY
         expect[230] = CLASS_DECOY if u_tie[1] < 256 * 0.9 - 230 else CLASS_VACUUM
         assert classes.tolist() == expect
@@ -127,7 +126,7 @@ class TestDrawClasses:
         lanes = lanes_of(3, n)
         lanes[:4] = [0, 255, math.floor(256 * p_sig) % 256, math.floor(256 * (p_sig + p_dec)) % 256]
         u61 = lanes.astype(np.uint64) << np.uint64(53)
-        u61 |= raw64(split_seed(11, 0), n) >> np.uint64(11)
+        u61 |= raw64(child(11, "tie"), n) >> np.uint64(11)
         reference = np.full(n, CLASS_VACUUM, dtype=np.uint8)
         reference[u61 < np.uint64(math.ceil((p_sig + p_dec) * 2.0**61))] = CLASS_DECOY
         reference[u61 < np.uint64(math.ceil(p_sig * 2.0**61))] = CLASS_SIGNAL
@@ -143,7 +142,7 @@ class TestDrawClasses:
         near = [v for b in bounds for v in (b - 1, b, b, b, b + 1) if 0 <= v < 256] + [0, 255]
         lanes = np.resize(np.array(near, dtype=np.uint8), 4000)
         first = 1 << 40
-        z = raw64_at(split_seed(13, 0), first + np.arange(len(lanes))).tolist()
+        z = raw64_at(child(13, "tie"), first + np.arange(len(lanes))).tolist()
         thresholds = [Fraction(t) for t in (p_sig, p_sig + p_dec)]
         expect = [
             sum(Fraction((int(lane) << 53) + (w >> 11), 1 << 61) >= t for t in thresholds)
@@ -558,10 +557,11 @@ class TestSimulateBatch:
         # either way the tallies are the class array's
         plan = PulsePlan.make(n, mix_ratio, seed)
         classes = plan[:]
-        hit, err, cls = detect(classes, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        streams = child(seed, "plan_clicks"), child(seed, "plan_errors")
+        hit, err, cls = detect(classes, eta, SRC, DET, *streams)
         # detect reads the plan as it reads the array, and hands back the
         # clicks' classes from that one read
-        from_plan = detect(plan, eta, SRC, DET, split_seed(seed, 1), split_seed(seed, 2))
+        from_plan = detect(plan, eta, SRC, DET, *streams)
         for got, expect in zip(from_plan, (hit, err, cls)):
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
         assert np.array_equal(cls, classes[hit])

@@ -17,7 +17,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
-from phaselink.rng import uniforms
+from phaselink.rng import child, uniforms
 
 
 def one_frame_spec(det=None, conv_loss_db=0.0, **protocol):
@@ -149,7 +149,7 @@ class TestSecurityCheck:
         assert led.pool_bits == spec.protocol.initial_pool_bits - kept[0]
         assert report.key_cons_rate == pytest.approx(kept[0] / report.elapsed_s)
         # the aborted frame's pulses count towards the session's clock
-        frame_seed = session._frame_seed(spec.seeds.alice, session._S_SCHEDULE, 0)
+        frame_seed = child(spec.seeds.alice, "schedule", 0)
         classes, _, _ = session._draw_schedule(frame_seed, chips, spec.source)
         assert report.total_pulses == len(classes) > chips
 

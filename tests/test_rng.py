@@ -13,9 +13,9 @@ from phaselink.rng import (
     below,
     byte_lane_blocks,
     byte_lanes_at,
+    child,
     lanes_not_below,
     mix64,
-    random_bits,
     random_bits_at,
     random_bytes,
     raw64,
@@ -94,11 +94,6 @@ def test_block_starts_match_positional_draws(n, offset):
         assert int(lanes[i]) == (draw >> 8 * ((offset + i) % 8)) & 255
 
 
-def test_block_iterator_rejects_negative_count():
-    with pytest.raises(ValueError):
-        next(byte_lane_blocks(3, -1))
-
-
 @pytest.mark.parametrize("offset", [0, 3, 65534, 327687])
 def test_zero_length_reads_draw_nothing(count_draws, offset):
     # no lane, byte or bit asked for, at an aligned or an unaligned offset:
@@ -106,7 +101,7 @@ def test_zero_length_reads_draw_nothing(count_draws, offset):
     drawn = count_draws()
     assert list(byte_lane_blocks(8088, 0, offset)) == []
     assert random_bytes(8088, 0, offset) == b""
-    assert len(random_bits(8088, 0, offset)) == 0
+    assert len(random_bits_at(8088, np.arange(offset, offset))) == 0
     assert sum(drawn) == 0
 
 
@@ -152,7 +147,7 @@ def test_offset_continuation():
 
 
 def test_bits_and_bytes():
-    bits = random_bits(9, 10_000)
+    bits = random_bits_at(9, np.arange(10_000))
     assert set(np.unique(bits)) <= {0, 1}
     assert abs(bits.mean() - 0.5) < 4.0 * 0.5 / np.sqrt(10_000)
     assert random_bytes(9, 17) == random_bytes(9, 17)
@@ -182,7 +177,7 @@ def test_bytes_at_offset_slice_the_stream(seed, offset, n, far):
 
 
 @given(seed=st.integers(0, (1 << 64) - 1), byte=st.integers(0, 1000), n=st.integers(0, 64))
-def test_bytes_are_packed_bits(seed, byte, n):
+def test_bytes_are_packed_bits(random_bits, seed, byte, n):
     # byte j of the byte stream packs bits 8 j .. 8 j + 7 of the bit stream
     packed = np.packbits(random_bits(seed, 8 * n, offset=8 * byte), bitorder="little")
     assert random_bytes(seed, n, offset=byte) == packed.tobytes()
@@ -194,7 +189,7 @@ def test_bytes_are_packed_bits(seed, byte, n):
     offset=st.integers(0, 1 << 40),
     rel=st.lists(st.integers(0, 299), max_size=50),
 )
-def test_position_addressed_draws_match_stream(lanes_of, seed, offset, rel):
+def test_position_addressed_draws_match_stream(lanes_of, random_bits, seed, offset, rel):
     # any positions, repeated or unordered, read the contiguous stream
     pos = offset + np.array(rel, dtype=np.int64)
     assert np.array_equal(raw64_at(seed, pos), raw64(seed, 300, offset)[rel])
@@ -208,7 +203,7 @@ SPAN = 70_403
 
 
 @pytest.mark.parametrize("n_pos", [SPAN // 2, -(-SPAN // 8), SPAN // 8 - 1, SPAN // 200])
-def test_bits_at_dense_and_sparse_positions(count_draws, n_pos):
+def test_bits_at_dense_and_sparse_positions(count_draws, random_bits, n_pos):
     # on both sides of the density rule (a position per 8 bits of the span,
     # 8801 and 8799 positions here), unordered and repeated positions far
     # into the stream read the contiguous bits; dense sets draw the
@@ -249,21 +244,31 @@ def test_bits_are_packed_64_per_draw(offset, n):
     # bit i of the stream is bit i % 64, least significant first, of draw i // 64
     first = offset >> 6
     words = raw64(77, n // 64 + 2, first).tolist()
-    bits = random_bits(77, n, offset)
+    bits = random_bits_at(77, np.arange(offset, offset + n))
     assert bits.dtype == np.uint8 and len(bits) == n
     for i in range(offset, offset + n):
         assert bits[i - offset] == (words[(i >> 6) - first] >> (i & 63)) & 1
 
 
-def test_negative_bit_count_raises():
-    with pytest.raises(ValueError):
-        random_bits(3, -1)
+def first_block(seed, n, offset):
+    return next(byte_lane_blocks(seed, n, offset))
+
+
+@pytest.mark.parametrize(
+    "read", [raw64, random_bytes, first_block], ids=["raw64", "random_bytes", "byte_lane_blocks"]
+)
+def test_negative_length_raises(read):
+    # every reader of n consecutive draws, bytes or lanes, also where n and
+    # the offset inside a draw round up to one whole draw or to none
+    for n in (-1, -7, -8, -9, -20):
+        with pytest.raises(ValueError):
+            read(5, n, 3)
 
 
 def test_bit_lanes_and_neighbours_are_fair():
     # each of the 64 bit positions of a draw, and agreement of adjacent bits,
     # sit at 1/2 within 4 standard errors; a lost shift would repeat a bit
-    bits = random_bits(2027, 1 << 20, offset=5 * 64)
+    bits = random_bits_at(2027, np.arange(5 * 64, 5 * 64 + (1 << 20)))
     lanes = bits.reshape(-1, 64).mean(axis=0)
     assert np.all(np.abs(lanes - 0.5) < 4 * 0.5 / np.sqrt(len(bits) // 64))
     same = np.mean(bits[1:] == bits[:-1])
@@ -330,7 +335,7 @@ def test_lanes_not_below_exact_at_ties(p):
     near = [v for v in (b - 1, b, b, b + 1) if 0 <= v < 256]
     lanes = np.resize(np.array(near, dtype=np.uint8), 4000)
     first = 1 << 40
-    z = raw64(split_seed(13, 0), len(lanes), first).tolist()
+    z = raw64(child(13, "tie"), len(lanes), first).tolist()
     u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(lanes, z)]
     expect = [x >= Fraction(p) for x in u]
     assert lanes_not_below(lanes, [p], 13, first).tolist() == expect
@@ -353,7 +358,7 @@ def test_ties_not_below_counts_only_tied_bounds(probs):
     tied = np.resize(np.array(near, dtype=np.uint8), 3000)
     at = np.random.default_rng(9).permutation(1 << 20)[: len(tied)]
     masks = [np.arange(len(tied)) % 3 != k for k in range(len(probs))]
-    z = raw64_at(split_seed(21, 0), at).tolist()
+    z = raw64_at(child(21, "tie"), at).tolist()
     u = [Fraction((int(lane) << 53) + (w >> 11), 1 << 61) for lane, w in zip(tied, z)]
     for where in (None, masks):
         counts = ties_not_below(tied, probs, 21, at, where)

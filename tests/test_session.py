@@ -32,7 +32,7 @@ from phaselink.protocol.session import (
     run_session_detailed,
 )
 from phaselink.rates import DetectorConfig, SourceConfig
-from phaselink.rng import random_bits, split_seed
+from phaselink.rng import child
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "phaselink" / "configs"
 ATM = AtmosphereParams(cn2=1.28e-14, l0=0.001, alpha_fs=0.2)
@@ -127,23 +127,21 @@ class TestLoopbackSession:
         # bookkeeping form of the recycling law
         assert abs(report.p_rec_empirical - (1 - report.q_mu_hat / 2)) < 1e-2
 
-    def test_sift_discards_equal_mismatch_plus_noclick(self, reference_below):
+    def test_sift_discards_equal_mismatch_plus_noclick(self, random_bits, reference_below):
         # reconstruct one frame's streams and check the discard set exactly
         spec = small_spec(n_frames=1, spread=8)
         report, alice, bob = run_session_detailed(spec)
         n_chips = 1000 * 8
-        classes, _, _ = _draw_schedule(
-            split_seed(split_seed(spec.seeds.alice, 2), 0), n_chips, SRC
-        )
+        classes, _, _ = _draw_schedule(child(spec.seeds.alice, "schedule", 0), n_chips, SRC)
         n = len(classes)
         eta = 1.0  # lossless geometry
         p_click = np.array(
             [1.0 - (1.0 - spec.detector.y0) * math.exp(-eta * a) for a in (SRC.mu, SRC.nu, 0.0)]
         )
-        click_seed = split_seed(split_seed(spec.seeds.channel, 1), 0)
+        click_seed = child(spec.seeds.channel, "clicks", 0)
         clicks = reference_below(click_seed, np.arange(n), p_click[classes])
-        a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
-        b_bases = random_bits(split_seed(spec.seeds.bob, 0), n)
+        a_bases = random_bits(child(spec.seeds.alice, "alice_bases", 0), n)
+        b_bases = random_bits(child(spec.seeds.bob, 0), n)
         kept = clicks & (a_bases == b_bases)
         discarded = ~kept
         assert np.array_equal(discarded, (~clicks) | (a_bases != b_bases))
@@ -479,7 +477,7 @@ class TestMessageFaults:
 
 class TestSift:
     @pytest.mark.parametrize("conv_loss_db", [0.0, 25.0])
-    def test_decode_inputs(self, monkeypatch, conv_loss_db):
+    def test_decode_inputs(self, monkeypatch, random_bits, conv_loss_db):
         # decode gets the kept signal clicks less the disclosed ones, at their
         # chip indices, with the sender's chips flipped where detection erred
         seen = {}
@@ -505,11 +503,11 @@ class TestSift:
 
         n = len(classes)
         signal = classes == CLASS_SIGNAL
-        a_bases = random_bits(split_seed(split_seed(spec.seeds.alice, 4), 0), n)
-        b_bases = random_bits(split_seed(spec.seeds.bob, 0), n)
+        a_bases = random_bits(child(spec.seeds.alice, "alice_bases", 0), n)
+        b_bases = random_bits(child(spec.seeds.bob, 0), n)
         kept = hit[(a_bases[hit] == b_bases[hit]) & signal[hit]]
         sampled = session._sample_positions(
-            kept, spec.protocol.sample_fraction, split_seed(split_seed(spec.seeds.alice, 5), 0)
+            kept, spec.protocol.sample_fraction, child(spec.seeds.alice, "sample", 0)
         )
         pos = np.setdiff1d(kept, sampled)
         measured = np.zeros(n, dtype=np.uint8)
@@ -822,7 +820,7 @@ class TestDeposit:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
     @pytest.mark.parametrize("cls", [CLASS_SIGNAL, CLASS_VACUUM])
-    def test_uniform_frames(self, n, cls):
+    def test_uniform_frames(self, random_bits, n, cls):
         # all-signal frames take every chip in order, no-signal frames none
         classes = np.full(n, cls, dtype=np.uint8)
         chips = packed(random_bits(9, n if cls == CLASS_SIGNAL else 0))
@@ -830,7 +828,7 @@ class TestDeposit:
         assert np.array_equal(bits, scattered(classes, chips)[signal])
         assert len(bits) == (n if cls == CLASS_SIGNAL else 0)
 
-    def test_measured_link_frame(self):
+    def test_measured_link_frame(self, random_bits):
         # 1.92 M chips on about 2.11 M pulses
         classes, _, _ = _draw_schedule(5, 1_920_000, SRC)
         chips = packed(random_bits(11, 1_920_000))
