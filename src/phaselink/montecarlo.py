@@ -118,8 +118,9 @@ class PulsePlan:
     """Pulse count, seed and class probabilities of a batch, and its class
     schedule class_schedule(child(seed, "plan_schedule"), n_pulses, p_sig,
     p_dec), read from the seed only where asked: len, contiguous slices and
-    int arrays of positions read as the class array does, and counts()
-    tallies it (schedule_counts)."""
+    int arrays of positions read as the class array does (a position outside
+    [0, n_pulses) raises IndexError), and counts() tallies it
+    (schedule_counts)."""
 
     n_pulses: int
     seed: int
@@ -146,7 +147,12 @@ class PulsePlan:
             if step != 1:
                 raise ValueError("only contiguous slices")
             return class_schedule(seed, max(hi - lo, 0), self.p_sig, self.p_dec, lo)
-        return classes_at(seed, key, self.p_sig, self.p_dec)
+        positions = np.asarray(key)
+        if positions.ndim == 0 or positions.dtype == bool:
+            raise TypeError("a PulsePlan reads slices and int arrays of positions")
+        if positions.size and (positions.min() < 0 or positions.max() >= self.n_pulses):
+            raise IndexError(f"positions must lie in [0, {self.n_pulses})")
+        return classes_at(seed, positions, self.p_sig, self.p_dec)
 
     def counts(self) -> np.ndarray:
         seed = child(self.seed, "plan_schedule")

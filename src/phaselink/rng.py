@@ -162,6 +162,8 @@ def raw64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """n raw 64-bit draws from the stream, starting at position offset."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if offset < 0:
+        raise ValueError("positions must be non-negative")
     z = np.empty(n, dtype=np.uint64)
     for start in range(0, n, _BLOCK):
         _start(seed, offset + start, z[start : start + _BLOCK])
@@ -235,6 +237,8 @@ def byte_lane_blocks(seed: int, n: int, offset: int = 0):
     overwrites: a caller consumes or copies them before asking for more."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if offset < 0:
+        raise ValueError("positions must be non-negative")
     skip = offset & 7  # lanes of the first draw before lane offset
     draws = (skip + n + 7) >> 3 if n else 0
     buf = np.empty(min(draws, _BLOCK), dtype=np.uint64)

@@ -86,6 +86,25 @@ class TestPulsePlan:
         with pytest.raises(ValueError):
             plan[::2]
 
+    @pytest.mark.parametrize("key", [[999, 0, 5, 5], [], [1005, 999], [1000], [0, 1 << 40]])
+    def test_positions_read_or_raise_as_the_class_array(self, key):
+        # a position at or past the end raises IndexError, as indexing the
+        # class array does; a negative one raises too, where numpy would
+        # wrap, and a scalar or a mask is no array of positions
+        plan = PulsePlan.make(1000, (30, 2, 1), 3)
+        key = np.array(key, dtype=np.int64)
+        if key.size and key.max() >= len(plan):
+            for read in (plan, plan[:]):
+                with pytest.raises(IndexError):
+                    read[key]
+        else:
+            assert np.array_equal(plan[key], plan[:][key])
+        with pytest.raises(IndexError):
+            plan[np.array([5, -1])]
+        for scalar_or_mask in (999, np.ones(len(plan), dtype=bool)):
+            with pytest.raises(TypeError):
+                plan[scalar_or_mask]
+
 
 # (p_sig, p_dec): fractional boundaries, 256 t an integer (a tied lane is
 # never below t), the mixes (1, 1, 0) and (0, 1, 1), t = 1 (b = 256 meets a

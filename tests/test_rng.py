@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phaselink import rng
+from phaselink.montecarlo import class_schedule
 from phaselink.rng import (
     BLOCK_LANES,
     GOLDEN,
@@ -254,15 +255,22 @@ def first_block(seed, n, offset):
     return next(byte_lane_blocks(seed, n, offset))
 
 
+def schedule(seed, n, offset):
+    return class_schedule(seed, n, 0.9, 0.05, offset)
+
+
 @pytest.mark.parametrize(
-    "read", [raw64, random_bytes, first_block], ids=["raw64", "random_bytes", "byte_lane_blocks"]
+    "read",
+    [raw64, random_bytes, first_block, schedule],
+    ids=["raw64", "random_bytes", "byte_lane_blocks", "class_schedule"],
 )
 def test_negative_length_raises(read):
     # every reader of n consecutive draws, bytes or lanes, also where n and
-    # the offset inside a draw round up to one whole draw or to none
-    for n in (-1, -7, -8, -9, -20):
+    # the offset inside a draw round up to one whole draw or to none; and a
+    # negative offset, which would read wrapped positions
+    for n, offset in [(n, 3) for n in (-1, -7, -8, -9, -20)] + [(2, -1), (4, -3), (0, -8)]:
         with pytest.raises(ValueError):
-            read(5, n, 3)
+            read(5, n, offset)
 
 
 def test_bit_lanes_and_neighbours_are_fair():

@@ -1,6 +1,6 @@
-"""The scripts under tools/: draw_counts.py and stage_times.py run end to
-end and their reports add up, stage_times.py --repeat prints per-session
-means, cli_digests.py lists the CLI runs that it digests and, with
+"""The scripts under tools/: stage_times.py runs end to end, its time and
+draw reports add up, and with --repeat it prints per-session means and the
+same draws, cli_digests.py lists the CLI runs that it digests and, with
 --against, names the runs whose output differs between two checkouts, and
 bench_pairs.py summarizes and judges paired benchmark result lines, with
 the benchmark itself stubbed, and src_lines.py sorts every line of a
@@ -18,6 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOTAL = re.compile(r"(\S.*): (\d+\.\d{4}) draws/pulse \((\d+) draws, (\d+) pulses\)")
 STAGE = re.compile(r"  (\w+(?:\.[\w<>]+)+): (\d+\.\d{4}) draws/pulse \((\d+) draws\)")
+SESSION = re.compile(r"session (\w+): (\d+) frames, (\d+) pulses")
+ROLE = re.compile(r"  (alice|bob|driver): (\d+\.\d{2}) ms, (\d+) minor faults")
+STAGE_TIME = re.compile(r"    ([\w.]+): (\d+\.\d{2}) ms, (-?\d+) minor faults, (\d+) calls")
 RUNS = {
     "session desk_session",
     "session measured_link",
@@ -26,20 +29,39 @@ RUNS = {
 }
 
 
-@pytest.fixture(scope="module")
-def draw_counts():
-    """Per run that tools/draw_counts.py reports: (draws per pulse, draws,
-    pulses, {function: draws})."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "draw_counts.py")],
+def stage_times_output(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), *args],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
-    )
+    ).stdout
+
+
+def is_draw_line(line):
+    return TOTAL.fullmatch(line) or STAGE.fullmatch(line)
+
+
+def is_timing_line(line):
+    return SESSION.fullmatch(line) or ROLE.fullmatch(line) or STAGE_TIME.fullmatch(line)
+
+
+@pytest.fixture(scope="module")
+def stage_times():
+    """The stdout of one tools/stage_times.py run."""
+    return stage_times_output()
+
+
+@pytest.fixture(scope="module")
+def draw_counts(stage_times):
+    """Per run whose draws tools/stage_times.py reports: (draws per pulse,
+    draws, pulses, {function: draws})."""
     runs = {}
-    for line in done.stdout.splitlines():
+    for line in stage_times.splitlines():
+        if is_timing_line(line):
+            continue  # test_stage_times_rows_within_thread_totals parses these
         if total := TOTAL.fullmatch(line):
             stages = {}
             name, per_pulse, draws, pulses = total.groups()
@@ -52,11 +74,13 @@ def draw_counts():
 
 
 def test_draw_counts_lines_add_up(draw_counts):
-    # every line parses, and each run's per-function draws sum to its total
+    # every line parses, each run's per-function draws sum to its total, and
+    # none is charged to the tool's own timing wrappers
     assert set(draw_counts) == RUNS
     for name, (per_pulse, draws, pulses, stages) in draw_counts.items():
         assert abs(draws / pulses - per_pulse) <= 5e-5, name
         assert stages and sum(stages.values()) == draws, name
+        assert not any(stage.startswith("stage_times.") for stage in stages), name
 
 
 # The exact draws of each run. A change that keeps the stream layout keeps
@@ -84,25 +108,14 @@ def test_draws_per_pulse(draw_counts):
     assert draw_counts["simulate measured_link"][0] <= 0.1505
 
 
-SESSION = re.compile(r"session (\w+): (\d+) frames, (\d+) pulses")
-ROLE = re.compile(r"  (alice|bob|driver): (\d+\.\d{2}) ms, (\d+) minor faults")
-STAGE_TIME = re.compile(r"    ([\w.]+): (\d+\.\d{2}) ms, (-?\d+) minor faults, (\d+) calls")
-
-
-def test_stage_times_rows_within_thread_totals():
+def test_stage_times_rows_within_thread_totals(stage_times):
     # each role's stage rows (self time and self faults) sum to no more
     # than its totals, on the session of every config: an endpoint's are
     # those of its run() steps, the driver's those of the whole session
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "stage_times.py")],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
     roles = {}
-    for line in done.stdout.splitlines():
+    for line in stage_times.splitlines():
+        if is_draw_line(line):
+            continue  # the draw_counts fixture parses these
         if session := SESSION.fullmatch(line):
             config = session[1]
         elif role := ROLE.fullmatch(line):
@@ -126,24 +139,23 @@ def test_stage_times_rows_within_thread_totals():
     assert "session.detect" in {name for name, *_ in roles["measured_link", "bob"][2]}
 
 
-def test_stage_times_repeat_prints_means():
+def test_stage_times_repeat_prints_means(stage_times):
     # one warm-up session, then the means of two more, on every config
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--repeat", "2"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
+    stdout = stage_times_output("--repeat", "2")
     mean = re.compile(r"^session (\w+): \d+ frames, \d+ pulses \(mean of 2 sessions\)$", re.M)
-    sessions = mean.findall(done.stdout)
+    sessions = mean.findall(stdout)
     assert sessions == ["desk_session", "measured_link", "upgraded_link"]
-    lines = [line for line in done.stdout.splitlines() if not line.startswith("session ")]
+    draws = [line for line in stdout.splitlines() if is_draw_line(line)]
+    lines = [
+        line for line in stdout.splitlines()
+        if not line.startswith("session ") and not is_draw_line(line)
+    ]
     assert lines and all(ROLE.fullmatch(line) or STAGE_TIME.fullmatch(line) for line in lines)
     # a stage's calls are per session: the measured link's 4 frames
-    measured = done.stdout.split("session measured_link")[1].split("session upgraded_link")[0]
+    measured = stdout.split("session measured_link")[1].split("session upgraded_link")[0]
     assert re.search(r"session\._signal_rank: [\d.]+ ms, -?\d+ minor faults, 4 calls", measured)
+    # the draws are one session's, with --repeat as without
+    assert draws == [line for line in stage_times.splitlines() if is_draw_line(line)]
 
 
 @pytest.fixture

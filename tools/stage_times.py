@@ -1,11 +1,13 @@
-"""Wall time and minor page faults of each stage of a session, per endpoint.
+"""Wall time, minor page faults and random draws of each stage of a session.
 
 Runs one session of each bundled config, or with --repeat N, one to warm
-up and then N, whose means are printed. Every function in the session
-module's namespace, the wire codecs (encode_*, decode_*), the endpoints'
-run() and LoopbackTransport.send/recv are wrapped for the run, as
-draw_counts.py wraps rng._draw; nothing under src/ is changed. Each call
-is timed with time.perf_counter and its minor page faults are read with
+up and then N, whose means are printed; then simulate on measured_link.cfg,
+for its draws only. Every function in the session module's namespace, the
+wire codecs (encode_*, decode_*), the endpoints' run() and
+LoopbackTransport.send/recv are wrapped for the run, and rng._draw (which
+every raw, uniform, bit and byte draw goes through) for the first session
+of each config; nothing under src/ is changed. Each call is timed with
+time.perf_counter and its minor page faults are read with
 getrusage(RUSAGE_THREAD); the session runs in the calling thread.
 
     python3 tools/stage_times.py                 # this checkout
@@ -32,6 +34,14 @@ calls outside the endpoints' steps: the transport's send and recv, and the
 endpoints' set-up. So the stage lines of a role sum to no more than its
 totals; the rest is the role's own code, and for the driver the endpoints'
 steps too.
+
+Last per config, and for simulate, comes one line with the draws per pulse
+of the first session: every stream position that a draw mixes. The timed
+sessions of --repeat count nothing, so the draws read the same with it.
+Under it, one line per stage splits the count: each draw is charged to the
+first function on the call stack outside rng.py and this tool's wrappers,
+named by its module and qualified name (montecarlo.class_schedule, for
+one). Runs that abort still count the draws made up to the abort.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import resource
 import sys
 import time
 import types
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 CONFIGS = ("desk_session", "measured_link", "upgraded_link")
@@ -66,11 +76,15 @@ def main(argv=None) -> int:
         parser.error("--repeat must be non-negative")
     runs = max(args.repeat, 1)
     sys.path.insert(0, str(args.repo.resolve() / "src"))
+    from phaselink import cli, rng
     from phaselink.config import load_config
     from phaselink.protocol import session, wire
 
     stack = []
     rows = defaultdict(lambda: [0.0, 0, 0])  # (role, name) -> [self s, self faults, calls]
+    drawn = Counter()  # stage -> draws
+    draw = rng._draw
+    skipped = {rng.__file__, main.__code__.co_filename}  # rng.py and the wrappers here
 
     def wrap(name: str, fn):
         @functools.wraps(fn)
@@ -98,6 +112,31 @@ def main(argv=None) -> int:
 
         return timed
 
+    def counting(*args):
+        frame = sys._getframe(1)  # the rng function that called _draw
+        while frame.f_code.co_filename in skipped:
+            frame = frame.f_back
+        # the first array argument holds the draws: _draw(z, scratch) here,
+        # _draw(seed, counters) in checkouts that start draws inside _draw
+        n = next(len(a) for a in args if hasattr(a, "__len__"))
+        drawn[f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}"] += n
+        return draw(*args)
+
+    def counted(fn, *a):
+        """fn(*a), its draws counted into drawn afresh."""
+        drawn.clear()
+        rng._draw = counting
+        try:
+            return fn(*a)
+        finally:
+            rng._draw = draw
+
+    def print_draws(name: str, pulses: int) -> None:
+        total = sum(drawn.values())
+        print(f"{name}: {total / pulses:.4f} draws/pulse ({total} draws, {pulses} pulses)")
+        for caller, n in drawn.most_common():
+            print(f"  {caller}: {n / pulses:.4f} draws/pulse ({n} draws)")
+
     for attr, obj in list(vars(session).items()):
         if isinstance(obj, types.FunctionType):
             setattr(session, attr, wrap(f"session.{attr}", obj))
@@ -115,11 +154,12 @@ def main(argv=None) -> int:
     config_dir = args.repo / "src" / "phaselink" / "configs"
     for config in CONFIGS:
         spec = load_config(config_dir / f"{config}.cfg")
-        if args.repeat:
-            session.run_session_detailed(spec)  # the warm-up, not counted
         rows.clear()
-        for _ in range(runs):
-            report, _, _ = session.run_session_detailed(spec)
+        report, _, _ = counted(session.run_session_detailed, spec)
+        if args.repeat:  # that session was the warm-up, not counted in the means
+            rows.clear()
+            for _ in range(args.repeat):
+                session.run_session_detailed(spec)
         frames = report.frames_ok + report.frames_failed
         mean = f" (mean of {runs} sessions)" if args.repeat else ""
         print(f"session {config}: {frames} frames, {report.total_pulses} pulses{mean}")
@@ -133,6 +173,10 @@ def main(argv=None) -> int:
                     f"    {name}: {self_s * 1e3:.2f} ms, {faults:.0f} minor faults, "
                     f"{calls:.0f} calls"
                 )
+        print_draws(f"session {config}", report.total_pulses)
+    cfg = load_config(config_dir / "measured_link.cfg")
+    counted(cli.cmd_simulate, cfg, "csv")
+    print_draws("simulate measured_link", cfg.montecarlo.n_pulses)
     return 0
 
 
