@@ -199,9 +199,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
+    """Parse the config file at path: UTF-8 text, with or without a
+    byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

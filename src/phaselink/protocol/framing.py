@@ -17,8 +17,9 @@ positions never leave the masked domain, their pad bits reveal nothing
 and can be recycled.
 
 preprocess returns the chips packed little-endian (chip i at bit i % 8 of
-byte i // 8); n_chips is a multiple of 8, so frame f's key starts at a
-whole byte and the pad is the two streams' bytes XORed (random_bytes).
+byte i // 8), and chip_bits reads them there; n_chips is a multiple of 8,
+so frame f's key starts at a whole byte and the pad is the two streams'
+bytes XORed (random_bytes).
 
 Decoding inverts the pipeline on the surviving chip positions only, with
 a majority vote over the survivors of each coded-bit group (ties resolve
@@ -41,6 +42,12 @@ def chip_count(fec_ratio: int, spread_ratio: int) -> int:
     if fec_ratio < 1 or spread_ratio < 1:
         raise ValueError("fec_ratio and spread_ratio must be >= 1")
     return PAYLOAD_BITS * fec_ratio * spread_ratio
+
+
+def chip_bits(chips: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The chips (uint8 0/1) at an int array of chip indices, from chips
+    packed as preprocess returns them (and wire CHIPS carries them)."""
+    return np.right_shift(chips[index >> 3], (index & 7).astype(np.uint8)) & 1
 
 
 def _pad(frame_id: int, n_chips: int, key_seed: int, mask_seed: int, positions=None):

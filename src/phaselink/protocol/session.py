@@ -53,19 +53,20 @@ endpoint reads its basis stream for the frame
 speaks in indices into the shared ascending click positions. A signal
 click's chip index is its rank, the number of signal pulses before it,
 which both endpoints take from one word-level helper (_signal_rank, built
-once per frame) and read out of the packed chips (_chip_bits): the sender
-at its sampled clicks, the receiver at the sampled clicks and the kept
-ones, flipping the erred ones. No per-pulse chip array is built. The
+once per frame) and read out of the packed chips (framing.chip_bits): the
+sender at its sampled clicks, the receiver at the sampled clicks and the
+kept ones, flipping the erred ones. No per-pulse chip array is built. The
 sender's sent tally is the chip count, its decoy count and the rest; only
 its clicks go through class_counts.
 
 A session is fully deterministic given (seed_alice, seed_bob,
 seed_channel); every random draw comes from counter-based streams derived
 from those three seeds (rng.STREAMS). Rates are reported on the simulated
-clock, elapsed = pulses / (rep_rate * duty_cycle), and the jitter walk
-steps by each frame's duration on that clock; a clock that leaves
+clock of rep_rate * duty_cycle pulses/s, elapsed = pulses / that rate,
+and the jitter walk steps by each frame's duration on that clock. Both
+endpoints read it through one function (_clock_s); a clock that leaves
 floating-point range (a frame's duration, or elapsed) raises
-RegimeViolation (_clock_s).
+RegimeViolation there.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from ..optics import jitter_step
 from ..rates import SourceConfig
 from ..rng import child, random_bits_at, random_bytes, uniforms
 from . import wire
-from .framing import PAYLOAD_BITS, PAYLOAD_BYTES, chip_count, decode, preprocess
+from .framing import PAYLOAD_BITS, PAYLOAD_BYTES, chip_bits, chip_count, decode, preprocess
 from .ledger import KeyLedger, ledger_commit
 
 if TYPE_CHECKING:
@@ -146,10 +147,11 @@ class SessionReport:
         return asdict(self)
 
 
-def _clock_s(pulses: int, rate: float) -> float:
-    """Seconds that pulses (at least one) take at rate pulses/s on the
-    simulated clock; RegimeViolation when that is beyond floating-point
-    range: not finite, or 0 at an infinite rate."""
+def _clock_s(pulses: int, spec: ScenarioConfig) -> float:
+    """Seconds that pulses (at least one) take on the scenario's simulated
+    clock, rep_rate * duty_cycle pulses/s; RegimeViolation when that is
+    beyond floating-point range: not finite, or 0 at an infinite rate."""
+    rate = spec.source.rep_rate * spec.protocol.duty_cycle
     seconds = pulses / rate if rate else math.inf
     if not 0.0 < seconds < math.inf:
         raise RegimeViolation(
@@ -287,12 +289,6 @@ def _chip_index(words: np.ndarray, before: np.ndarray, positions: np.ndarray) ->
     return before[w] + np.bitwise_count(words[w] & below)
 
 
-def _chip_bits(chips: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The chips (uint8 0/1) at an int array of chip indices, from chips
-    packed little-endian (framing.preprocess, wire CHIPS)."""
-    return np.right_shift(chips[index >> 3], (index & 7).astype(np.uint8)) & 1
-
-
 class _Endpoint:
     """What both endpoints hold: the scenario, the pre-shared key and mask
     seeds, and the steps of their side of the session (_exchange)."""
@@ -376,7 +372,7 @@ class AliceSession(_Endpoint):
                 raise ProtocolError(f"frame {f}: SAMPLE_DISCLOSE count is not the one requested")
 
             disclosed_total += n_sample
-            sent_bits = _chip_bits(chips, _chip_index(words, before, hit[sample]))
+            sent_bits = chip_bits(chips, _chip_index(words, before, hit[sample]))
             disclosed_errors += int(np.count_nonzero(disclosed_bits != sent_bits))
             if qber_exceeds(disclosed_errors, disclosed_total, p.qber_threshold, p.n_frames):
                 abort_reason = (
@@ -410,7 +406,7 @@ class AliceSession(_Endpoint):
             # its own: freed heap that glibc keeps would otherwise hold both
             del chips, classes, words
 
-        elapsed = _clock_s(start_pulse, spec.source.rep_rate * p.duty_cycle)
+        elapsed = _clock_s(start_pulse, spec)
         led = self.ledger
         sent, clicked = self._counts
         gains = np.divide(clicked, sent, out=np.zeros(3), where=sent > 0)
@@ -449,11 +445,13 @@ class BobSession(_Endpoint):
     run = _Endpoint.run
 
     def _frame_loss_db(self, frame_id: int, frame_duration: float) -> float:
+        """The frame's loss in dB: the static loss plus the jitter walk's
+        excursion, floored at 0 dB so that its transmittance is at most 1."""
         jit = self.spec.jitter
         if jit is not None and jit.max_db > 0.0:
             u = uniforms(child(self.spec.seeds.channel, "jitter", frame_id), 1)[0]
             self._jitter_x = jitter_step(self._jitter_x, u, jit, frame_duration)
-            return self.static_db + self._jitter_x
+            return max(self.static_db + self._jitter_x, 0.0)
         return self.static_db
 
     def _exchange(self):
@@ -480,7 +478,7 @@ class BobSession(_Endpoint):
             if (chips_start, n_sent) != (start, n_chips):
                 raise ProtocolError(f"frame {f}: CHIPS start or count is not the frame's")
 
-            loss_db = self._frame_loss_db(f, _clock_s(n_pulses, spec.source.rep_rate * p.duty_cycle))
+            loss_db = self._frame_loss_db(f, _clock_s(n_pulses, spec))
             hit, err, hit_classes = detect(
                 classes,
                 10.0 ** (-loss_db / 10.0),
@@ -500,7 +498,7 @@ class BobSession(_Endpoint):
             if np.any(hit_classes[sample] != CLASS_SIGNAL):
                 raise ProtocolError(f"frame {f}: SAMPLE_REQUEST offset at a click that carries no chip")
             # the sender's chips at the clicks, flipped where detection erred
-            disclosed = _chip_bits(chips, _chip_index(words, before, hit[sample])) ^ err[sample]
+            disclosed = chip_bits(chips, _chip_index(words, before, hit[sample])) ^ err[sample]
             yield wire.SAMPLE_DISCLOSE, wire.encode_sample_disclose(disclosed)
 
             msg, payload = _expect((yield), wire.SIFT_MAP, wire.ABORT)
@@ -518,7 +516,7 @@ class BobSession(_Endpoint):
             index = _chip_index(words, before, hit[kept])
             try:
                 recovered = decode(
-                    _chip_bits(chips, index) ^ err[kept],
+                    chip_bits(chips, index) ^ err[kept],
                     index,
                     f,
                     p.fec_ratio,

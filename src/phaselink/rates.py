@@ -4,16 +4,19 @@ The forward model maps a total transmittance eta onto the gains and QBERs
 of the signal and decoy intensities:
 
     Q_a = Y0 + 1 - exp(-eta a)
-    E_a Q_a = e0 Y0 + (e_det + e_mis) (1 - exp(-eta a)),   e0 = 1/2
+    E_a Q_a = e0 Y0 + e_opt (1 - exp(-eta a)),   e0 = 1/2
 
-with Y0 = 2 p_d the zero-photon yield and e_det = (1 - V)/2 the intrinsic
-interferometric error. The estimator inverts two intensities plus the
-vacuum yield into a lower bound Q1 on the single-photon gain and an upper
-bound e1 on its error rate; the secrecy capacity per signal pulse is
+with Y0 = 2 p_d the zero-photon yield and e_opt the optical error rate
+(DetectorConfig.e_opt): the intrinsic interferometric error
+e_det = (1 - V)/2 plus the misalignment e_mis. The estimator inverts two
+intensities plus the vacuum yield into a lower bound Q1 on the
+single-photon gain and an upper bound e1 on its error rate; the secrecy
+capacity per signal pulse is
 
     cs = q Q_mu { -f H2(E_mu) + (Q1/Q_mu)(1 - H2(e1)) }
 
-clamped at zero for rate purposes (callers also see the raw value).
+with q = SIFT_FACTOR. cs is clamped at zero for rate purposes (callers
+also see the raw value).
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .optics import AtmosphereParams, BeamParams, LinkGeometry, budget_at, fixed
 from .optics import transmittance  # noqa: F401  (benchmarks/tracing.py times rates.transmittance)
 
 E0_BACKGROUND = 0.5  # error rate of background (dark) clicks
+# Sift factor: each side picks one of two bases with probability 1/2, so a
+# click survives sifting with probability 1/2.
+SIFT_FACTOR = 0.5
 
 __all__ = [
     "SourceConfig",
@@ -52,14 +58,12 @@ class SourceConfig:
     mu, nu: mean photon numbers of signal and decoy pulses (mu > nu > 0)
     mix_ratio: signal:decoy:vacuum interleaving ratio
     rep_rate: pulse repetition rate [1/s]
-    q: sifting factor (probability a detection survives basis sifting)
     """
 
     mu: float
     nu: float
     mix_ratio: tuple = (30, 2, 1)
     rep_rate: float = 1.25e9
-    q: float = 0.5
 
     def __post_init__(self):
         if not (self.mu > self.nu > 0):
@@ -68,8 +72,11 @@ class SourceConfig:
             raise ValueError("mix_ratio must be three positive integers")
         if self.rep_rate <= 0:
             raise ValueError("rep_rate must be positive")
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError("q must be in (0, 1]")
+
+    @property
+    def q(self) -> float:
+        """Sifting factor: SIFT_FACTOR, the protocol's, not a setting."""
+        return SIFT_FACTOR
 
     @property
     def signal_fraction(self) -> float:
@@ -108,8 +115,8 @@ class DetectorConfig:
             raise ValueError("visibility must be in [0, 1]")
         if self.e_mis < 0:
             raise ValueError("e_mis must be non-negative")
-        if self.e_det + self.e_mis > 0.5:  # the same sum that sets each class's QBER
-            raise ValueError("e_det + e_mis, with e_det = (1 - visibility) / 2, must be <= 0.5")
+        if self.e_opt > 0.5:
+            raise ValueError("the optical error rate (1 - visibility) / 2 + e_mis must be <= 0.5")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
         if not (0.0 < self.eta_b <= 1.0):
@@ -124,6 +131,12 @@ class DetectorConfig:
     def e_det(self) -> float:
         """Intrinsic detector error rate, (1 - V) / 2."""
         return (1.0 - self.visibility) / 2.0
+
+    @property
+    def e_opt(self) -> float:
+        """Optical error rate, e_det plus the misalignment e_mis: the error
+        of a photon click, which sets each class's QBER."""
+        return self.e_det + self.e_mis
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,7 @@ def _check_observables(q_mu, e_mu, q_nu, e_nu, y0) -> None:
 
 
 def _gain(eta, intensity, y0, e_opt) -> tuple:
-    """(gain, QBER) of one class; e_opt = e_det + e_mis."""
+    """(gain, QBER) of one class; e_opt is DetectorConfig.e_opt."""
     photon = -math.expm1(-eta * intensity)
     gain = y0 + photon
     if gain == 0.0:
@@ -231,9 +244,9 @@ def _estimate(q_mu, q_nu, e_nu, y0, mu, nu) -> tuple:
     return q1, min(max(e1, 0.0), 0.5)
 
 
-def _capacity(q, f_ec, q_mu, e_mu, q1, e1) -> float:
+def _capacity(f_ec, q_mu, e_mu, q1, e1) -> float:
     """secrecy_capacity on floats: cs_raw."""
-    return q * q_mu * (-f_ec * binary_entropy(e_mu) + (q1 / q_mu) * (1.0 - binary_entropy(e1)))
+    return SIFT_FACTOR * q_mu * (-f_ec * binary_entropy(e_mu) + (q1 / q_mu) * (1.0 - binary_entropy(e1)))
 
 
 def gain_and_qber(eta: float, intensity: float, det: DetectorConfig) -> tuple:
@@ -241,7 +254,7 @@ def gain_and_qber(eta: float, intensity: float, det: DetectorConfig) -> tuple:
 
     intensity = 0 yields the vacuum pair (Y0, 1/2).
     """
-    return _gain(eta, intensity, det.y0, det.e_det + det.e_mis)
+    return _gain(eta, intensity, det.y0, det.e_opt)
 
 
 def forward_gains(eta: float, src: SourceConfig, det: DetectorConfig) -> DecoyObservables:
@@ -249,7 +262,7 @@ def forward_gains(eta: float, src: SourceConfig, det: DetectorConfig) -> DecoyOb
     RegimeViolation when a gain is not below 1: the additive closed form
     Y0 + 1 - exp(-eta a) is no probability there (a high dark count
     probability, or a bright pulse on a short link)."""
-    return DecoyObservables(*_gains(eta, src.mu, src.nu, det.y0, det.e_det + det.e_mis), det.y0)
+    return DecoyObservables(*_gains(eta, src.mu, src.nu, det.y0, det.e_opt), det.y0)
 
 
 def decoy_estimate(obs: DecoyObservables, src: SourceConfig) -> DecoyEstimate:
@@ -278,9 +291,10 @@ def secrecy_capacity(
     """Secrecy capacity per emitted signal pulse (cs fields only).
 
     Negative raw values are reported as-is and clamped to zero in
-    cs_per_pulse; the insecure regime simply yields no key.
+    cs_per_pulse; the insecure regime simply yields no key. The sift
+    factor is SIFT_FACTOR whatever src holds.
     """
-    cs_raw = _capacity(src.q, det.f_ec, obs.q_mu, obs.e_mu, est.q1, est.e1)
+    cs_raw = _capacity(det.f_ec, obs.q_mu, obs.e_mu, est.q1, est.e1)
     return RateReport(cs_per_pulse=max(cs_raw, 0.0), cs_raw=cs_raw)
 
 
@@ -288,11 +302,11 @@ def recycling_fraction(q_mu: float) -> float:
     """Fraction of consumed key recoverable, 1 - Q_mu / 2.
 
     A consumed key bit is recycled unless its pulse was both detected
-    (probability Q_mu) and basis-matched (independent 1/2).
+    (probability Q_mu) and basis-matched (independently, SIFT_FACTOR).
     """
     if not (0.0 <= q_mu <= 1.0):
         raise DomainError("q_mu must be in [0, 1]")
-    return 1.0 - q_mu / 2.0
+    return 1.0 - SIFT_FACTOR * q_mu
 
 
 def rate_sweep(
@@ -321,7 +335,7 @@ def rate_sweep(
         raise ValueError("d_fs_grid must be sorted ascending")
     scale = src.rep_rate * src.signal_fraction * duty_cycle
     fixed = fixed_factors(geom_template, det.eta_b, det.eta_d)
-    mu, nu, y0, e_opt, q, f_ec = src.mu, src.nu, det.y0, det.e_det + det.e_mis, src.q, det.f_ec
+    mu, nu, y0, e_opt, f_ec = src.mu, src.nu, det.y0, det.e_opt, det.f_ec
     points = []
     for d_fs in grid:
         eta = budget_at(d_fs, geom_template.a_r, atm, beam, fixed)[0]
@@ -331,6 +345,6 @@ def rate_sweep(
         except EstimatorCollapse:
             points.append(SweepPoint(d_fs, scale * 0.0, 0.0, q_mu, e_mu, 0.0, 0.0, 1))
             continue
-        cs_raw = _capacity(q, f_ec, q_mu, e_mu, q1, e1)
+        cs_raw = _capacity(f_ec, q_mu, e_mu, q1, e1)
         points.append(SweepPoint(d_fs, scale * max(cs_raw, 0.0), cs_raw, q_mu, e_mu, q1, e1, 0))
     return points

@@ -85,10 +85,10 @@ class TestRateSweep:
         assert lines[0] == "d_fs_m,key_gen_rate_bps,cs_raw,q_mu,e_mu,q1,e1,collapsed"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("grid", ["0:10:0", "-10:0:10", "0:10:nan", "0:inf:10"])
+    @pytest.mark.parametrize("grid", ["0:10:0", "-10:0:10", "0:10:nan", "0:inf:10", "0:10"])
     def test_bad_grid_is_config_error(self, grid, capsys):
-        # a zero step, a negative start and non-finite values; an infinite
-        # stop would otherwise grow the grid without end
+        # a zero step, a negative start, non-finite values and two parts; an
+        # infinite stop would otherwise grow the grid without end
         assert run_cli(["rate-sweep", "--config", MEASURED, f"--grid={grid}"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
@@ -180,6 +180,16 @@ class TestSession:
         rec2 = json.loads(Path(str(out2) + ".record.json").read_text())
         assert rec1["tables"] == rec2["tables"]
 
+    def test_json_format_holds_the_csv_row(self, tmp_path, capsys):
+        small = {"protocol__n_frames": 3, "protocol__spread_ratio": 8}
+        cfg = edited_config(tmp_path, "desk_session.cfg", **small)
+        assert run_cli(["session", "--config", cfg]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert run_cli(["session", "--config", cfg, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["abort_reason"] is None
+        assert row == ",".join(config.format_value(report[col]) for col in header.split(","))
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         text = Path(CONFIG_DIR / "desk_session.cfg").read_text()
@@ -246,14 +256,21 @@ class TestTypedExits:
     @pytest.mark.parametrize("command", ("link-budget", "rate-sweep", "session"))
     @pytest.mark.parametrize(
         "key,value",
-        [("geometry__d_fiber", "1e9"), ("atmosphere__l0", "1e-308"), ("beam__w0", "1e308")],
-        ids=["fiber_loss_underflows", "inner_scale_divides_by_zero", "waist_overflows"],
+        [
+            ("geometry__d_fiber", "1e9"),
+            ("atmosphere__l0", "1e-308"),
+            ("beam__w0", "1e308"),
+            ("geometry__conv_loss_db", "3150"),
+        ],
+        ids=["fiber_loss_underflows", "inner_scale_divides_by_zero", "waist_overflows",
+             "subnormal_transmittance"],
     )
     def test_link_budget_out_of_float_range_is_regime_violation(
         self, tmp_path, capsys, command, key, value
     ):
         # each once escaped main as a ValueError, ZeroDivisionError or
-        # OverflowError traceback
+        # OverflowError traceback; a subnormal transmittance, whose dB terms
+        # no longer add up, as ValueError: breakdown does not decompose
         cfg = edited_config(tmp_path, "upgraded_link.cfg", **{key: value})
         assert run_cli([command, "--config", cfg]) == cli.EXIT_REGIME
         out, err = capsys.readouterr()
@@ -273,6 +290,28 @@ class TestTypedExits:
         assert run_cli(["rate-sweep", "--config", cfg, *grid]) == cli.EXIT_REGIME
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("regime violation: closed-form gain")
+
+    @pytest.mark.parametrize(
+        "command,name,text,message",
+        [
+            ("link-budget", None, b"seeds.alice = 1\xff\n", "cannot read config"),
+            ("link-budget", "measured_link.cfg", b"source.q = 0.5\n", "unknown key 'source.q'"),
+            ("rate-sweep", "desk_session.cfg", b"", "rate-sweep needs a sweep section"),
+            ("simulate", "desk_session.cfg", b"", "simulate needs a montecarlo section"),
+        ],
+        ids=["not_utf8", "sift_factor_set", "no_sweep_section", "no_montecarlo_section"],
+    )
+    def test_config_file_faults_are_config_errors(
+        self, tmp_path, capsys, command, name, text, message
+    ):
+        # bytes that are not UTF-8 once ended in a UnicodeDecodeError
+        # traceback; the sift factor is the protocol's 1/2, not a key
+        bundled = (CONFIG_DIR / name).read_bytes() if name else b""
+        path = tmp_path / "fault.cfg"
+        path.write_bytes(bundled + text)
+        assert run_cli([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and message in err
 
     def test_sweep_step_of_1e_308_is_config_error(self, tmp_path, capsys):
         # the grid once appended points past a 10 s limit; now it is counted
@@ -379,6 +418,7 @@ EDGE_CASES = st.sampled_from(KEYS).flatmap(
 @example(case=("source.nu", 5e-324), command="rate-sweep")
 @example(case=("source.mu", 800.0), command="rate-sweep")
 @example(case=("source.mix_ratio", "1:4000:4000"), command="session")  # 70 M-pulse frames
+@example(case=("geometry.conv_loss_db", 3150.0), command="link-budget")  # subnormal transmittance
 def test_config_edge_values_end_in_documented_exit(tmp_path_factory, case, command):
     # each config key at an edge value, on each command: a documented exit,
     # no traceback, no thread left running and no non-finite session cell

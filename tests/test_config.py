@@ -75,6 +75,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(MINIMAL + "\nnonsense.key = 1\n")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("seeds.alice 11", "expected 'section.key = value'"),
+            ("alice = 11", "key 'alice' lacks a section prefix"),
+        ],
+    )
+    def test_malformed_line_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + line + "\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "\nbeam.color = 5\n")
@@ -190,3 +201,10 @@ class TestRoundTrip:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
+
+    def test_byte_order_mark_read_past(self, tmp_path):
+        # a file saved with a UTF-8 byte-order mark was once rejected with
+        # "line 1: expected 'section.key = value'"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / "measured_link.cfg").read_bytes())
+        assert load_config(path) == load_config(CONFIG_DIR / "measured_link.cfg")

@@ -43,9 +43,9 @@ GOLDEN_JSON = {
 }
 
 CONFIG_HASH = {
-    "desk_session": "c004de3f85eec5b7de1a53ef60baf8f73ada1377686810b687b52e342d4049e6",
-    "measured_link": "f0c6f981b7b92c687b1b6a2405b1e8f4d6d1c8340bfe864258c3b2a22b2aefa3",
-    "upgraded_link": "2b336b14c358c5bc20b3bec048dbefe954103b98a29af3d082a6f29245136cfc",
+    "desk_session": "408dbe264b93580e8147e739983afc7f269da561d85ae05f57957094741917d4",
+    "measured_link": "ee2cee6d208c8c3316118d6a576d9cd12b9184cc21521240e0e717c9ebdefb1e",
+    "upgraded_link": "92d06bbd9c0bcede6f1531f22485443865df5121fd5c0cc65174e8ecac7f688d",
 }
 
 # sha256 of one "frame,status,sha256(recovered payload)" line per frame

@@ -191,6 +191,16 @@ class TestTransmittance:
         )
         assert budget1.eta_total < budget0.eta_total
 
+    @pytest.mark.parametrize("conv_loss_db", [3150.0, 3300.0])
+    def test_transmittance_out_of_float_range(self, conv_loss_db):
+        # a subnormal transmittance keeps too few digits for its dB terms to
+        # add up (once ValueError: breakdown does not decompose eta_total),
+        # and a larger loss underflows it to 0
+        from dataclasses import replace
+
+        with pytest.raises(RegimeViolation, match="^link budget out of floating-point range"):
+            transmittance(replace(GEOM, conv_loss_db=conv_loss_db), ATM, BEAM, ETA_B, ETA_D)
+
     def test_capture_increases_with_aperture(self):
         from dataclasses import replace
 

@@ -20,11 +20,11 @@ from phaselink.errors import ProtocolError
 from phaselink.montecarlo import CLASS_DECOY, CLASS_SIGNAL, CLASS_VACUUM, class_schedule
 from phaselink.optics import AtmosphereParams, BeamParams, JitterSpec, LinkGeometry
 from phaselink.protocol import session, wire
+from phaselink.protocol.framing import chip_bits
 from phaselink.protocol.session import (
     BobSession,
     ProtocolParams,
     Seeds,
-    _chip_bits,
     _chip_index,
     _draw_schedule,
     _frame_end,
@@ -175,6 +175,31 @@ class TestLoopbackSession:
         spec = small_spec(n_frames=4, spread=64, jitter=JitterSpec(max_db=1.0))
         report, _, _ = run_session_detailed(spec)
         assert report.frames_ok == 4
+
+    def test_jitter_keeps_transmittance_at_most_one(self, monkeypatch):
+        # on a lossless link the walk's negative excursions once handed
+        # detect transmittances above 1 (1.00004, 1.0004 and 1.0006 here)
+        etas = []
+        detect = session.detect
+
+        def spy(classes, eta, *args):
+            etas.append(eta)
+            return detect(classes, eta, *args)
+
+        monkeypatch.setattr(session, "detect", spy)
+        run_session_detailed(small_spec(n_frames=6, spread=8, jitter=JitterSpec(max_db=1.0)))
+        assert len(etas) == 6 and min(etas) < 1.0
+        assert max(etas) == 1.0
+
+    def test_repetition_tie_marks_frame_corrupt(self):
+        # at fec_ratio 2 a frame whose two copies of a payload bit decode
+        # differently is a tie: the receiver reports it corrupt, and the
+        # sender counts it failed
+        det = replace(DET_CLEAN, e_mis=0.2)
+        spec = small_spec(n_frames=2, spread=64, fec=2, det=det, qber_threshold=0.5)
+        report, _, bob = run_session_detailed(spec)
+        assert bob.statuses == {0: "corrupt", 1: "corrupt"} and bob.recovered == {}
+        assert (report.frames_ok, report.frames_failed, report.aborted) == (0, 2, False)
 
     def test_jitter_walk_runs_on_the_session_clock(self):
         # the walk once stepped by n_pulses / rep_rate, while the session's
@@ -799,14 +824,14 @@ class TestFrameEnd:
 
 class TestDeposit:
     """Chip k rides on the k-th signal pulse: each endpoint reads a signal
-    pulse's chip as _chip_bits at its _chip_index, which must give what the
-    bool-mask scatter of the packed chips puts on that pulse."""
+    pulse's chip as framing.chip_bits at its _chip_index, which must give
+    what the bool-mask scatter of the packed chips puts on that pulse."""
 
     @staticmethod
     def read_at_signal(classes, chips):
         words, before = _signal_rank(classes)
         signal = np.flatnonzero(classes == CLASS_SIGNAL)
-        return signal, _chip_bits(chips, _chip_index(words, before, signal))
+        return signal, chip_bits(chips, _chip_index(words, before, signal))
 
     @given(classes=CLASS_LISTS.map(lambda c: np.array(c, dtype=np.uint8)), data=st.data())
     def test_matches_bool_mask_scatter(self, classes, data):
